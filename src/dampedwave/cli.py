@@ -27,14 +27,15 @@ from .energy import (
     energy_series,
 )
 from .errors import ConfigError, DampedWaveError, MissingArtifact, RunError
-from .integrator import Trajectory, simulate
+from .grid import edge_inner
+from .integrator import Trajectory, map_row_blocks, simulate
 from .sweep import epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
 from .toy import phase_level_set, yosida_layer_toy
 from .weaklimit import (
     accumulate_xi,
     default_dictionary,
     detect_jumps,
-    random_candidates,
+    iter_random_candidates,
     singular_support_check,
     solution_identity_residual,
     subdifferential_check,
@@ -68,65 +69,62 @@ def _jsonable(obj):
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    """Rows (t as %.12g, node, then u, v, beta_eps(u) as %.17g), CRLF as csv.writer ends them."""
+    body = [f",{j},%.17g,%.17g,%.17g\r\n" for j in range(traj.grid.n_nodes)]
+    B = map_row_blocks(traj.reaction.beta, traj.U)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "node", "u", "v", "beta_eps_u"])
-        beta = traj.reaction.beta
-        for i, t in enumerate(traj.times):
-            b = beta(traj.U[i])
-            for j in range(traj.grid.n_nodes):
-                wr.writerow(
-                    [f"{t:.12g}", j, f"{traj.U[i, j]:.17g}", f"{traj.V[i, j]:.17g}",
-                     f"{float(np.atleast_1d(b)[j]):.17g}"]
-                )
+        fh.write("t,node,u,v,beta_eps_u\r\n")
+        for t, u, v, b in zip(traj.times, traj.U, traj.V, B):
+            ts = f"{t:.12g}"
+            fh.write((ts + ts.join(body)) % tuple(np.column_stack((u, v, b)).ravel().tolist()))
 
 
 def read_trajectory_csv(path: Path, cfg: SimConfig) -> Trajectory:
     """Rebuild a trajectory from its CSV export (full resolution only)."""
-    rows = {}
+    times, U, V = _parse_trajectory_csv(path, int(round(cfg.T / cfg.dt)) + 1, cfg.n_nodes)
+    return _rebuild_diagnostics(cfg, times, U, V)
+
+
+def _parse_trajectory_csv(path: Path, n_t: int, n_x: int):
+    """Times and (n_t, n_x) U, V; MissingArtifact unless each (t, node) has one numeric row."""
     with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header[:4] != ["t", "node", "u", "v"]:
+        if fh.readline().rstrip("\r\n").split(",")[:4] != ["t", "node", "u", "v"]:
             raise MissingArtifact(f"{path} is not a trajectory CSV")
-        for row in rd:
-            t, node, u, v = float(row[0]), int(row[1]), float(row[2]), float(row[3])
-            rows.setdefault(t, {})[node] = (u, v)
-    times = np.array(sorted(rows))
-    n_x = cfg.n_nodes
-    U = np.empty((len(times), n_x))
-    V = np.empty((len(times), n_x))
-    for i, t in enumerate(times):
-        for j in range(n_x):
-            U[i, j], V[i, j] = rows[t][j]
-    traj = _rebuild_diagnostics(cfg, times, U, V)
-    return traj
+        try:
+            data = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2)
+        except ValueError as exc:
+            raise MissingArtifact(f"{path}: malformed row ({exc})") from exc
+    n_nodes_seen = len(np.unique(data[:, 1]))
+    if n_nodes_seen != n_x:
+        raise MissingArtifact(f"{path} has {n_nodes_seen} nodes, the run has {n_x}")
+    if len(data) != n_t * n_x:
+        raise MissingArtifact(f"{path} has {len(data)} rows, the run needs {n_t * n_x}")
+    order = np.lexsort((data[:, 1], data[:, 0]))
+    t, nodes, U, V = (data[order, c].reshape(n_t, n_x) for c in range(4))
+    times = t[:, 0].copy()
+    if (
+        np.any(nodes != np.arange(n_x))
+        or np.any(t != times[:, None])
+        or np.any(np.diff(times) <= 0.0)
+    ):
+        raise MissingArtifact(f"{path} has a missing or duplicate (t, node) pair")
+    return times, U, V
 
 
 def _rebuild_diagnostics(cfg: SimConfig, times, U, V) -> Trajectory:
     """Recompute per-step records from full-resolution states."""
-    from .grid import edge_inner
-
-    grid = cfg.grid()
-    reaction = cfg.reaction()
-    g = cfg.forcing_fn(grid)
-    th = cfg.theta
-    dt = cfg.dt
-    w = grid.mass_weights
-    n = len(times) - 1
-    beta_theta = th * reaction.beta(U[1:]) + (1.0 - th) * reaction.beta(U[:-1])
-    diss = np.empty(n)
-    power = np.zeros(n)
-    for k in range(n):
-        v_th = th * V[k + 1] + (1.0 - th) * V[k]
-        diss[k] = dt * edge_inner(grid, v_th, v_th)
-        if g is not None:
-            g_th = th * np.asarray(g(times[k + 1])) + (1.0 - th) * np.asarray(g(times[k]))
-            power[k] = dt * float(np.dot(w * g_th, v_th))
-    return Trajectory(
-        cfg, times, U, V, times.copy(), beta_theta, diss, power,
-        np.zeros(n, dtype=int),
-    )
+    traj = Trajectory(cfg, times, U, V, times.copy(), None, None, None, None)
+    n = traj.n_steps
+    v_th = traj.theta_combine(V)
+    g_th = traj.theta_forcing()
+    traj.beta_theta = traj.theta_combine(map_row_blocks(traj.reaction.beta, U))
+    traj.diss_incr = cfg.dt * edge_inner(traj.grid, v_th, v_th)
+    if g_th is None:
+        traj.power_incr = np.zeros(n)
+    else:
+        traj.power_incr = cfg.dt * ((g_th * v_th) @ traj.grid.mass_weights)
+    traj.newton_iters = np.zeros(n, dtype=int)
+    return traj
 
 
 def write_energy_csv(path: Path, traj: Trajectory) -> None:
@@ -138,32 +136,31 @@ def write_energy_csv(path: Path, traj: Trajectory) -> None:
         es["total"] + diss_cum[steps] - es["total"][0] - power_cum[steps]
     )
     resid[0] = 0.0
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["t", "kinetic", "gradient", "potential", "concave", "total",
-             "dissipation_cum", "equality_residual"]
-        )
-        for i in range(len(es)):
-            wr.writerow(
-                [f"{es['t'][i]:.12g}"]
-                + [f"{es[c][i]:.17g}" for c in
-                   ("kinetic", "gradient", "potential", "concave", "total")]
-                + [f"{diss_cum[steps[i]]:.17g}", f"{resid[i]:.17g}"]
-            )
+    columns = [es[c] for c in ("t", "kinetic", "gradient", "potential", "concave", "total")]
+    _write_csv(
+        path,
+        "t,kinetic,gradient,potential,concave,total,dissipation_cum,equality_residual",
+        ["%.12g"] + ["%.17g"] * 7,
+        columns + [diss_cum[steps], resid],
+    )
 
 
 def write_xi_csv(path: Path, xi, n_bins: int = 256) -> None:
     coarse = xi.rebin(min(n_bins, xi.n_t))
     centers = 0.5 * (coarse.t_edges[:-1] + coarse.t_edges[1:])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t_bin", "x_bin", "mass"])
-        for k in range(coarse.n_t):
-            for i in range(coarse.n_x):
-                m = coarse.masses[k, i]
-                if m != 0.0:
-                    wr.writerow([f"{centers[k]:.12g}", f"{coarse.x[i]:.12g}", f"{m:.17g}"])
+    k, i = np.nonzero(coarse.masses)
+    _write_csv(
+        path, "t_bin,x_bin,mass", ["%.12g", "%.12g", "%.17g"],
+        [centers[k], coarse.x[i], coarse.masses[k, i]],
+    )
+
+
+def _write_csv(path: Path, header: str, fmt, columns) -> None:
+    """A header and one row per entry of the columns, CRLF-terminated as csv.writer does."""
+    np.savetxt(
+        path, np.column_stack(columns), fmt=fmt, delimiter=",", newline="\r\n",
+        header=header, comments="",
+    )
 
 
 def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
@@ -210,7 +207,7 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
         "budget": WEAK_C * traj.dt,
     }
 
-    candidates = random_candidates(traj, 20, rng)
+    candidates = iter_random_candidates(traj, 20, rng)
     sub = subdifferential_check(traj, xi, candidates, tol=1e-6)
     verdicts["subdifferential"] = {
         "passed": sub.all_pass,
@@ -447,12 +444,10 @@ def cmd_verify(out: str, seed: int = 0) -> int:
     if not energy_path.exists():
         raise MissingArtifact(f"{energy_path} not found")
     es = energy_series(traj)
-    stored_total = []
-    with open(energy_path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            stored_total.append(float(row[5]))
+    try:
+        stored_total = np.loadtxt(energy_path, delimiter=",", skiprows=1, usecols=5, ndmin=1)
+    except ValueError as exc:
+        raise MissingArtifact(f"{energy_path}: malformed row ({exc})") from exc
     ledger_ok = len(stored_total) == len(es) and bool(
         np.allclose(stored_total, es["total"], rtol=1e-9, atol=1e-12)
     )

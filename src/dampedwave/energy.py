@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TimeNotOnGrid
 from .grid import Grid, edge_inner
-from .integrator import Trajectory
+from .integrator import Trajectory, map_row_blocks
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def energy(grid: Grid, u, v, reaction, lam: float = 0.0) -> EnergyBreakdown:
 def energy_series(traj: Trajectory) -> np.ndarray:
     """Structured array of energy components at the recorded times."""
     grid = traj.grid
-    reaction = traj.reaction
-    lam = traj.cfg.lam
+    w = grid.mass_weights
+    U, V = traj.U, traj.V
     out = np.zeros(
         len(traj.times),
         dtype=[
@@ -59,9 +59,12 @@ def energy_series(traj: Trajectory) -> np.ndarray:
             ("total", float),
         ],
     )
-    for i, t in enumerate(traj.times):
-        e = energy(grid, traj.U[i], traj.V[i], reaction, lam)
-        out[i] = (t, e.kinetic, e.gradient, e.potential, e.concave, e.total)
+    out["t"] = traj.times
+    out["kinetic"] = 0.5 * ((V * V) @ w)
+    out["gradient"] = 0.5 * edge_inner(grid, U, U)
+    out["potential"] = map_row_blocks(traj.reaction.pot, U) @ w
+    out["concave"] = -0.5 * traj.cfg.lam * ((U * U) @ w)
+    out["total"] = out["kinetic"] + out["gradient"] + out["potential"] + out["concave"]
     return out
 
 
@@ -108,15 +111,10 @@ def _recompute_power(traj: Trajectory, s: float, t: float, g) -> float:
     ks, kt = _step_index(traj, s), _step_index(traj, t)
     if not traj.full_resolution:
         raise TimeNotOnGrid("recomputing power needs output_every == 1")
-    th = traj.theta
+    v_th = traj.theta_combine(traj.V)
+    g_th = traj.theta_forcing(g)
     w = traj.grid.mass_weights
-    acc = 0.0
-    for k in range(ks, kt):
-        t0, t1 = traj.step_edges[k], traj.step_edges[k + 1]
-        g_th = th * np.asarray(g(t1)) + (1.0 - th) * np.asarray(g(t0))
-        v_th = th * traj.V[k + 1] + (1.0 - th) * traj.V[k]
-        acc += traj.dt * float(np.dot(w * g_th, v_th))
-    return acc
+    return traj.dt * float(np.sum((g_th[ks:kt] * v_th[ks:kt]) @ w))
 
 
 @dataclass(frozen=True)

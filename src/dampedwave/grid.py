@@ -83,19 +83,25 @@ class Grid:
 
 
 def apply_A(grid: Grid, u: Field) -> Field:
-    """Discrete negative Laplacian (3-point stencil, bc-specific closure)."""
-    grid.check_field(u)
+    """Discrete negative Laplacian (3-point stencil, bc-specific closure).
+
+    ``u`` is a field (n_nodes,) or a row batch (n_t, n_nodes), mapped row by row.
+    """
+    if np.ndim(u) not in (1, 2) or np.shape(u)[-1] != grid.n_nodes:
+        raise DimensionMismatch(
+            f"field has shape {np.shape(u)}, grid expects ({grid.n_nodes},) or (n_t, {grid.n_nodes})"
+        )
     if grid.is_homogeneous:
-        return np.zeros(1)
+        return np.zeros(np.shape(u))
     h2 = grid.h * grid.h
     out = np.empty_like(u)
-    out[1:-1] = (-u[:-2] + 2.0 * u[1:-1] - u[2:]) / h2
+    out[..., 1:-1] = (-u[..., :-2] + 2.0 * u[..., 1:-1] - u[..., 2:]) / h2
     if grid.bc == DIRICHLET:
-        out[0] = (2.0 * u[0] - u[1]) / h2
-        out[-1] = (2.0 * u[-1] - u[-2]) / h2
+        out[..., 0] = (2.0 * u[..., 0] - u[..., 1]) / h2
+        out[..., -1] = (2.0 * u[..., -1] - u[..., -2]) / h2
     else:
-        out[0] = (2.0 * u[0] - 2.0 * u[1]) / h2
-        out[-1] = (2.0 * u[-1] - 2.0 * u[-2]) / h2
+        out[..., 0] = (2.0 * u[..., 0] - 2.0 * u[..., 1]) / h2
+        out[..., -1] = (2.0 * u[..., -1] - 2.0 * u[..., -2]) / h2
     return out
 
 
@@ -139,20 +145,27 @@ def inner(grid: Grid, u: Field, v: Field) -> float:
     return float(np.dot(grid.mass_weights * u, v))
 
 
-def edge_inner(grid: Grid, u: Field, v: Field) -> float:
+def edge_inner(grid: Grid, u: Field, v: Field):
     """Sum over edges of (du)(dv)/h; equals <A u, v> in the weighted product.
 
     Dirichlet grids include the two boundary edges against the zero
     boundary values; Neumann grids have no boundary edges (mirror ghosts
     contribute zero differences).
+
+    Two fields (n_nodes,) give a float; a row batch (n_t, n_nodes) against
+    a batch or a field gives the (n_t,) row values.
     """
     if grid.is_homogeneous:
-        return 0.0
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))[:-1]
+        return np.zeros(shape) if shape else 0.0
     du = np.diff(u)
-    dv = np.diff(v)
-    acc = float(np.dot(du, dv))
+    dv = du if v is u else np.diff(v)
+    if du.ndim == dv.ndim == 1:
+        acc = float(np.dot(du, dv))
+    else:
+        acc = np.einsum("...i,...i->...", du, dv)
     if grid.bc == DIRICHLET:
-        acc += u[0] * v[0] + u[-1] * v[-1]
+        acc += u[..., 0] * v[..., 0] + u[..., -1] * v[..., -1]
     return acc / grid.h
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -34,6 +35,19 @@ from .errors import NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
 from .grid import Grid, edge_inner, laplacian_banded
 
 _DIVERGENCE_FACTOR = 1e8
+
+# elements per block when a row-wise map runs over a whole run: bounds the
+# temporaries (the logarithmic resolvent keeps several per element)
+BLOCK_ELEMENTS = 1 << 16
+
+
+def map_row_blocks(fn, M: np.ndarray) -> np.ndarray:
+    """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of ``M``."""
+    out = np.empty(M.shape)
+    rows = max(1, BLOCK_ELEMENTS // M.shape[1])
+    for i in range(0, len(M), rows):
+        out[i : i + rows] = fn(M[i : i + rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,11 @@ class Trajectory:
     power_incr: np.ndarray
     newton_iters: np.ndarray
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
         return self.cfg.grid()
 
-    @property
+    @cached_property
     def reaction(self) -> Reaction:
         return self.cfg.reaction()
 
@@ -98,14 +112,28 @@ class Trajectory:
             raise TimeNotOnGrid(f"t={t} is not a recorded trajectory time")
         return i
 
+    def theta_combine(self, Q):
+        """theta*Q[k+1] + (1-theta)*Q[k] per step k, for any per-record Q.
+
+        Applied to the states, or to a quantity linear in them, this is
+        the value the scheme's quadrature pairs in step k.
+        """
+        th = self.theta
+        return th * Q[1:] + (1.0 - th) * Q[:-1]
+
     def theta_states(self):
         """Theta-combined u and v per step; needs full resolution."""
         if not self.full_resolution:
             raise TimeNotOnGrid("theta-combined states need output_every == 1")
-        th = self.theta
-        u_th = th * self.U[1:] + (1.0 - th) * self.U[:-1]
-        v_th = th * self.V[1:] + (1.0 - th) * self.V[:-1]
-        return u_th, v_th
+        return self.theta_combine(self.U), self.theta_combine(self.V)
+
+    def theta_forcing(self, g=None):
+        """Theta-combined forcing g (default: the run's) per step; None if zero."""
+        g = g or self.cfg.forcing_fn(self.grid)
+        if g is None:
+            return None
+        G = [np.broadcast_to(g(t), (self.grid.n_nodes,)) for t in self.step_edges]
+        return self.theta_combine(np.array(G))
 
 
 def _resolve_steps(cfg: SimConfig) -> int:
@@ -222,7 +250,10 @@ class _VectorWorkspace:
             db = self.reaction.dbeta(up)
             J = (self.a + self.a * self.a) * self.A_ab
             J[1] += 1.0 + self.a * self.a * (db - lam)
-            dw = solve_banded((1, 1), J, -R)
+            try:
+                dw = solve_banded((1, 1), J, -R)
+            except np.linalg.LinAlgError as exc:
+                raise StepRejected(k, res, tol) from exc
             w = w + dw
             iters = it + 1
         else:

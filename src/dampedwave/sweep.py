@@ -22,7 +22,7 @@ import numpy as np
 from .config import SimConfig
 from .energy import energy_series
 from .errors import RunError
-from .grid import apply_A, edge_inner, inner
+from .grid import apply_A, edge_inner
 from .integrator import Trajectory, simulate
 from .weaklimit import XiMeasure, accumulate_xi
 
@@ -109,10 +109,7 @@ def summarize_run(traj: Trajectory, xi: XiMeasure) -> RunSummary:
     sup_v = float(np.max(np.sqrt(np.maximum((traj.V * traj.V) @ w, 0.0))))
     sup_pot = float(np.max(es["potential"]))
     bv = float(np.sum(np.abs(traj.V[1:] - traj.V[:-1]) @ w))
-    sup_Au = max(
-        float(np.sqrt(max(inner(grid, au, au), 0.0)))
-        for au in (apply_A(grid, traj.U[i]) for i in range(len(traj.times)))
-    )
+    sup_Au = _sup_Au(traj)
     h1tv = _h1_time_v_norm(traj)
     overshoot = float(np.max(np.maximum(np.abs(traj.U) - 1.0, 0.0)))
     e_max = float(np.max(es["total"]))
@@ -134,17 +131,18 @@ def summarize_run(traj: Trajectory, xi: XiMeasure) -> RunSummary:
     )
 
 
+def _sup_Au(traj: Trajectory) -> float:
+    """sup over the recorded times of ||A u(t)||."""
+    AU = apply_A(traj.grid, traj.U)
+    return math.sqrt(max(float(np.max((AU * AU) @ traj.grid.mass_weights)), 0.0))
+
+
 def _h1_time_v_norm(traj: Trajectory) -> float:
     """Discrete H1-in-time norm of u with values in V (trapezoid in time)."""
     grid = traj.grid
     w = grid.mass_weights
-    sq = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
-        u, v = traj.U[i], traj.V[i]
-        sq[i] = (
-            float(np.dot(w * u, u)) + edge_inner(grid, u, u)
-            + float(np.dot(w * v, v)) + edge_inner(grid, v, v)
-        )
+    U, V = traj.U, traj.V
+    sq = (U * U) @ w + edge_inner(grid, U, U) + (V * V) @ w + edge_inner(grid, V, V)
     return float(np.sqrt(max(np.trapezoid(sq, traj.times), 0.0)))
 
 
@@ -162,7 +160,7 @@ def _traj_diff(grid, times, Ua, Ub) -> dict:
     w = grid.mass_weights
     l2_sq = (d * d) @ w
     linf_H = float(np.sqrt(np.max(l2_sq)))
-    v_sq = np.array([l2_sq[i] + edge_inner(grid, d[i], d[i]) for i in range(len(times))])
+    v_sq = l2_sq + edge_inner(grid, d, d)
     l2_V = float(np.sqrt(np.trapezoid(v_sq, times)))
     return {"linf_H": linf_H, "l2_V": l2_V}
 
@@ -275,12 +273,7 @@ def da_regularity_check(
     sup = {}
     for eps in eps_list:
         cfg = base_cfg.with_epsilon(float(eps), dt=dt_policy(float(eps)))
-        traj = simulate(cfg)
-        grid = traj.grid
-        sup[float(eps)] = max(
-            math.sqrt(max(inner(grid, au, au), 0.0))
-            for au in (apply_A(grid, traj.U[i]) for i in range(len(traj.times)))
-        )
+        sup[float(eps)] = _sup_Au(simulate(cfg))
     ratio = uniform_ratio(list(sup.values()))
     return DAReport(False, "", sup, ratio, ratio <= ratio_threshold)
 
@@ -335,7 +328,7 @@ def mu_vanishing_sequence(report: SweepReport) -> dict:
     for e in report.eps_list:
         traj = report.trajectories[e]
         u_th, _ = traj.theta_states()
-        t_th = (1.0 - traj.theta) * traj.step_edges[:-1] + traj.theta * traj.step_edges[1:]
+        t_th = traj.theta_combine(traj.step_edges)
         u_fin = _interp_states(finest.times, finest.U, t_th)
         w = traj.grid.mass_weights
         out[e] = traj.dt * float(

@@ -297,26 +297,21 @@ def weak_residual(
         raise TimeNotOnGrid("t_end must be positive")
 
     grid = traj.grid
-    th = traj.theta
     dt = traj.dt
     lam = traj.cfg.lam
-    w = grid.mass_weights
     times = traj.times[: n_end + 1]
 
+    # every pairing is linear in the states: pair each recorded state with
+    # phi's spatial factor, then theta-combine the per-record values
     S = phi.space.value(grid.x)
+    wS = grid.mass_weights * S
     Tv = phi.time.value(times)
-    Td = phi.time.dvalue(times)
-    T_th = th * Tv[1:] + (1.0 - th) * Tv[:-1]
-    Td_th = th * Td[1:] + (1.0 - th) * Td[:-1]
-
+    T_th = traj.theta_combine(Tv)
+    Td_th = traj.theta_combine(phi.time.dvalue(times))
     U = traj.U[: n_end + 1]
     V = traj.V[: n_end + 1]
-    u_th = th * U[1:] + (1.0 - th) * U[:-1]
-    v_th = th * V[1:] + (1.0 - th) * V[:-1]
-
-    wS = w * S
-    v_dot_S = v_th @ wS  # (n_steps,)
-    u_dot_S = u_th @ wS
+    v_dot_S = traj.theta_combine(V @ wS)  # (n_end,)
+    u_dot_S = traj.theta_combine(U @ wS)
 
     # -<<u_t, phi_t>>
     acc = -dt * float(np.dot(Td_th, v_dot_S))
@@ -324,9 +319,8 @@ def weak_residual(
     acc += float(Tv[-1]) * float(np.dot(wS, V[n_end]))
     # + <<grad u_t, grad phi>> + <<grad u, grad phi>> (summation-by-parts form)
     if not grid.is_homogeneous:
-        edge_v = np.array([edge_inner(grid, v_th[k], S) for k in range(n_end)])
-        edge_u = np.array([edge_inner(grid, u_th[k], S) for k in range(n_end)])
-        acc += dt * float(np.dot(T_th, edge_v + edge_u))
+        edge = traj.theta_combine(edge_inner(grid, V, S) + edge_inner(grid, U, S))
+        acc += dt * float(np.dot(T_th, edge))
     # + int phi d(xi)
     acc += xi_pairing_partial(xi, phi, n_end)
     # - lambda <<u, phi>>
@@ -334,15 +328,9 @@ def weak_residual(
     # - (u_1, phi(0))
     acc -= float(Tv[0]) * float(np.dot(wS, V[0]))
     # - <<g, phi>>
-    g = traj.cfg.forcing_fn(grid)
-    if g is not None:
-        g_ts = np.array(
-            [
-                float(np.dot(wS, th * np.asarray(g(times[k + 1])) + (1.0 - th) * np.asarray(g(times[k]))))
-                for k in range(n_end)
-            ]
-        )
-        acc -= dt * float(np.dot(T_th, g_ts))
+    g_th = traj.theta_forcing()
+    if g_th is not None:
+        acc -= dt * float(np.dot(T_th, g_th[:n_end] @ wS))
     return abs(acc)
 
 
@@ -372,31 +360,23 @@ def solution_identity_residual(
     if not ks < kt:
         raise TimeNotOnGrid(f"need s < t on the grid, got s={s}, t={t}")
     grid = traj.grid
-    th = traj.theta
     dt = traj.dt
     w = grid.mass_weights
     lam = traj.cfg.lam
 
-    u_th_all, v_th_all = traj.theta_states()
-    u_th = u_th_all[ks:kt]
-    v_th = v_th_all[ks:kt]
+    u_th, v_th = traj.theta_states()
+    u_th, v_th = u_th[ks:kt], v_th[ks:kt]
 
     acc = -dt * float(np.sum((v_th * v_th) @ w))
     acc += float(np.dot(w * traj.V[kt], traj.U[kt]))
     acc -= float(np.dot(w * traj.V[ks], traj.U[ks]))
     if not grid.is_homogeneous:
-        acc += dt * sum(
-            edge_inner(grid, v_th[k], u_th[k]) + edge_inner(grid, u_th[k], u_th[k])
-            for k in range(kt - ks)
-        )
+        acc += dt * float(np.sum(edge_inner(grid, v_th, u_th) + edge_inner(grid, u_th, u_th)))
     acc += float(np.sum(xi.masses[ks:kt] * u_th))
     acc -= lam * dt * float(np.sum((u_th * u_th) @ w))
-    g = traj.cfg.forcing_fn(grid)
-    if g is not None:
-        times = traj.times
-        for k in range(ks, kt):
-            g_th = th * np.asarray(g(times[k + 1])) + (1.0 - th) * np.asarray(g(times[k]))
-            acc -= dt * float(np.dot(w * g_th, u_th_all[k]))
+    g_th = traj.theta_forcing()
+    if g_th is not None:
+        acc -= dt * float(np.sum((g_th[ks:kt] * u_th) @ w))
     return abs(acc)
 
 
@@ -473,10 +453,14 @@ def random_candidates(
     traj: Trajectory, n: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Seeded admissible candidates: products of piecewise-linear factors."""
+    return list(iter_random_candidates(traj, n, rng))
+
+
+def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
+    """The candidates of ``random_candidates``, drawn one at a time to hold one in memory."""
     u_shape = (traj.n_steps, traj.grid.n_nodes)
-    t_eval = (1.0 - traj.theta) * traj.step_edges[:-1] + traj.theta * traj.step_edges[1:]
+    t_eval = traj.theta_combine(traj.step_edges)
     x = traj.grid.x
-    out = []
     for _ in range(n):
         n_knots = int(rng.integers(3, 9))
         knots_t = np.linspace(traj.step_edges[0], traj.step_edges[-1], n_knots)
@@ -491,8 +475,7 @@ def random_candidates(
             sigma = np.interp(x, knots_x, vals_x)
         v = np.outer(tau, sigma)
         assert v.shape == u_shape
-        out.append(v)
-    return out
+        yield v
 
 
 def static_boundary_example(alpha: float, candidates) -> list[float]:

@@ -3,12 +3,14 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 import yaml
 
-from dampedwave.cli import main
-from dampedwave.errors import ConfigError
-from dampedwave.config import load_config
+import dampedwave.integrator
+from dampedwave.cli import main, read_trajectory_csv
+from dampedwave.errors import ConfigError, MissingArtifact
+from dampedwave.config import from_dict, load_config
 
 TOY_DOC = {
     "label": "cli-toy",
@@ -137,3 +139,104 @@ class TestVerify:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["verify", "--out", str(empty)]) == 2
+
+
+GRID_DOC = {
+    **TOY_DOC,
+    "label": "cli-grid",
+    "space": {"length": 1.0, "n_nodes": 5, "bc": "neumann"},
+    "time": {"T": 0.05, "dt": 1e-3, "theta": 1.0},
+    "init": {"u0": "cosine:1:0.01", "u1": "constant:1"},
+}
+
+
+@pytest.fixture(scope="module")
+def grid_run_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_grid")
+    out = tmp / "out"
+    assert main(["simulate", "--config", str(write_config(tmp, GRID_DOC)), "--out", str(out)]) == 0
+    return out
+
+
+def _rewrite_rows(run_dir, tmp_path, edit):
+    """Copy of run_dir whose trajectory.csv data rows went through edit."""
+    bad = tmp_path / "bad"
+    shutil.copytree(run_dir, bad)
+    p = bad / "trajectory.csv"
+    header, *rows = p.read_bytes().decode().split("\r\n")[:-1]
+    p.write_bytes(("\r\n".join([header] + edit(rows)) + "\r\n").encode())
+    return bad
+
+
+class TestVerifyMalformedTrajectory:
+    """A malformed trajectory.csv is an I/O error (exit 2), not a failed check."""
+
+    def _assert_rejected(self, bad, match):
+        assert main(["verify", "--out", str(bad)]) == 2
+        cfg = from_dict(json.loads((bad / "manifest.json").read_text())["config"])
+        with pytest.raises(MissingArtifact, match=match):
+            read_trajectory_csv(bad / "trajectory.csv", cfg)
+
+    def test_intact_grid_run_passes(self, grid_run_dir):
+        assert main(["verify", "--out", str(grid_run_dir)]) == 0
+
+    def test_row_truncated_mid_row(self, grid_run_dir, tmp_path):
+        bad = _rewrite_rows(grid_run_dir, tmp_path, lambda rows: rows[:-1] + [rows[-1][:8]])
+        self._assert_rejected(bad, "malformed row")
+
+    def test_non_numeric_value(self, grid_run_dir, tmp_path):
+        def edit(rows):
+            cols = rows[40].split(",")
+            cols[2] = "abc"
+            return rows[:40] + [",".join(cols)] + rows[41:]
+
+        self._assert_rejected(_rewrite_rows(grid_run_dir, tmp_path, edit), "malformed row")
+
+    def test_duplicate_pair(self, grid_run_dir, tmp_path):
+        def edit(rows):
+            cols = rows[41].split(",")
+            cols[1] = str(int(cols[1]) - 1)  # same time, the previous row's node
+            return rows[:41] + [",".join(cols)] + rows[42:]
+
+        bad = _rewrite_rows(grid_run_dir, tmp_path, edit)
+        self._assert_rejected(bad, r"missing or duplicate \(t, node\) pair")
+
+    def test_missing_pair(self, grid_run_dir, tmp_path):
+        def edit(rows):
+            cols = rows[41].split(",")
+            cols[0] = "0.0405"  # moved off the time grid: its own pair goes missing
+            return rows[:41] + [",".join(cols)] + rows[42:]
+
+        bad = _rewrite_rows(grid_run_dir, tmp_path, edit)
+        self._assert_rejected(bad, r"missing or duplicate \(t, node\) pair")
+
+    def test_node_count(self, grid_run_dir, tmp_path):
+        bad = _rewrite_rows(
+            grid_run_dir, tmp_path, lambda rows: [r for r in rows if r.split(",")[1] != "4"]
+        )
+        self._assert_rejected(bad, "has 4 nodes, the run has 5")
+
+    def test_row_count(self, grid_run_dir, tmp_path):
+        bad = _rewrite_rows(grid_run_dir, tmp_path, lambda rows: rows[:-5])
+        self._assert_rejected(bad, "has 250 rows, the run needs 255")
+
+
+def test_singular_newton_system_exits_2(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(dampedwave.integrator, "solve_banded", singular)
+    cfg = write_config(tmp_path, GRID_DOC)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_malformed_energy_csv_exits_2(toy_run_dir, tmp_path):
+    bad = tmp_path / "bad"
+    shutil.copytree(toy_run_dir, bad)
+    p = bad / "energy.csv"
+    lines = p.read_text().splitlines()
+    cols = lines[10].split(",")
+    cols[5] = "abc"  # the total column, which verify compares
+    lines[10] = ",".join(cols)
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--out", str(bad)]) == 2

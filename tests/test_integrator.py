@@ -269,3 +269,17 @@ def test_time_index_rejects_off_grid():
     traj = simulate(toy_config(1e-3, T=1.0, dt_divisor=10.0))
     with pytest.raises(TimeNotOnGrid):
         traj.time_index(0.12345678)
+
+
+def test_singular_newton_system_is_rejected_step(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(dw.integrator, "solve_banded", singular)
+    cfg = dw.SimConfig(
+        n_nodes=9, bc="neumann", graph_kind="indicator", epsilon=1e-2,
+        T=0.1, dt=1e-2, theta=1.0, u0="cosine:1:0.5", u1="constant:1",
+    )
+    with pytest.raises(RunError, match="step 0 rejected") as info:
+        simulate(cfg)
+    assert isinstance(info.value.__cause__, dw.errors.StepRejected)
