@@ -517,10 +517,7 @@ def main(argv=None) -> int:
             return cmd_toy(args.out, args.epsilon, args.T)
         if args.command == "verify":
             return cmd_verify(args.out, args.seed)
-    except (ConfigError, MissingArtifact) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except DampedWaveError as exc:
+    except (DampedWaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return EXIT_CONFIG_ERROR

@@ -31,6 +31,7 @@ from .graphs import (
     family_j,
     moreau,
     yosida,
+    yosida_and_derivative,
     yosida_derivative,
 )
 from .grid import DIRICHLET, NEUMANN, Grid, regularize_initial
@@ -61,6 +62,13 @@ class Reaction:
         if self.graph.kind == GraphKind.FAMILY:
             return family_dbeta(self.graph.r_threshold, self.graph.eps_param, u)
         return yosida_derivative(RegularizedPotential(self.graph, self.epsilon), u)
+
+    def beta_and_dbeta(self, u):
+        """``(beta(u), dbeta(u))`` bit for bit, with one resolvent solve."""
+        if self.graph.kind == GraphKind.FAMILY:
+            rt, ep = self.graph.r_threshold, self.graph.eps_param
+            return family_beta(rt, ep, u), family_dbeta(rt, ep, u)
+        return yosida_and_derivative(RegularizedPotential(self.graph, self.epsilon), u)
 
     def pot(self, u):
         if self.graph.kind == GraphKind.FAMILY:
@@ -160,16 +168,22 @@ def profile_field(grid: Grid, spec) -> np.ndarray:
     raise ConfigError("init", f"unknown profile {name!r}")
 
 
+def _read_csv_rows(path: str, key: str) -> list[list[str]]:
+    """The non-empty rows of a data file that a config names under ``key``."""
+    try:
+        with open(path, newline="") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise ConfigError(key, f"cannot read {path!r}: {exc}") from exc
+
+
 def _read_csv_column(path: str, col: int) -> list[float]:
     out = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                out.append(float(row[col]))
-            except ValueError:
-                continue  # header line
+    for row in _read_csv_rows(path, "init"):
+        try:
+            out.append(float(row[col]))
+        except ValueError:
+            continue  # header line
     return out
 
 
@@ -189,7 +203,7 @@ def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
                 raise ConfigError("forcing", f"bad spec {spec!r}") from exc
             return lambda t: g
         if parts[0] == "table":
-            return _table_forcing(grid, parts[1])
+            return _table_forcing(grid, spec[len("table:"):])
         if parts[0] in ("sine", "cosine", "ramp"):
             # time-constant spatial profile
             g = profile_field(grid, spec)
@@ -201,14 +215,11 @@ def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
 def _table_forcing(grid: Grid, path: str):
     """Sampled forcing: column 0 is time, remaining columns are node values."""
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                continue
+    for row in _read_csv_rows(path, "forcing"):
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            continue
     table = np.asarray(rows)
     if table.ndim != 2 or table.shape[1] != grid.n_nodes + 1:
         raise ConfigError(
@@ -356,58 +367,105 @@ def _spec_repr(spec):
     return spec
 
 
-def _get(section: dict, sec_name: str, key: str, required=True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{sec_name}.{key}", "missing required key")
-        return default
-    return section[key]
+# the keys a run document may hold; any other key is rejected, so that a
+# misspelt option cannot be dropped silently
+_SECTION_KEYS = {
+    "space": ("length", "n_nodes", "bc"),
+    "graph": ("kind", "epsilon", "r_threshold", "eps_param"),
+    "time": ("T", "dt", "theta"),
+    "init": ("u0", "u1"),
+    "newton": ("tol", "max_iter"),
+}
+_TOP_KEYS = ("forcing", "lambda", "output_every", "regularize_u0", "label")
+_REQUIRED = object()
+
+
+def _flatten(doc) -> dict:
+    """The document as {"section.key" or "key": value}, checking its layout."""
+    if not isinstance(doc, dict):
+        raise ConfigError("document", "config must be a mapping")
+    flat = {}
+    for name, value in doc.items():
+        if name in _SECTION_KEYS:
+            if value is None:
+                value = {}
+            if not isinstance(value, dict):
+                raise ConfigError(name, f"must be a mapping, got {value!r}")
+            for key, v in value.items():
+                if key not in _SECTION_KEYS[name]:
+                    raise ConfigError(f"{name}.{key}", "unknown key")
+                flat[f"{name}.{key}"] = v
+        elif name in _TOP_KEYS:
+            flat[name] = value
+        else:
+            raise ConfigError(str(name), "unknown key")
+    return flat
+
+
+def _number(value, key: str, cast=float):
+    """A finite float (or integer, for cast=int) from a YAML scalar, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(key, f"must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except ValueError:
+        raise ConfigError(key, f"must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    if cast is int:
+        if x != int(x):
+            raise ConfigError(key, f"must be an integer, got {value!r}")
+        return int(x)
+    return x
+
+
+def _init_spec(spec):
+    if isinstance(spec, dict) and "array" in spec:
+        return np.asarray(spec["array"], dtype=float)
+    return spec
 
 
 def from_dict(doc: dict) -> SimConfig:
     """Build and validate a SimConfig from a parsed YAML document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("document", "config must be a mapping")
-    space = doc.get("space", {})
-    graphd = doc.get("graph", {})
-    timed = doc.get("time", {})
-    initd = doc.get("init", {})
-    newton = doc.get("newton", {})
-    kind = _get(graphd, "graph", "kind")
-    u0 = _get(initd, "init", "u0", required=False, default="zero")
-    u1 = _get(initd, "init", "u1", required=False, default="zero")
-    if isinstance(u0, dict) and "array" in u0:
-        u0 = np.asarray(u0["array"], dtype=float)
-    if isinstance(u1, dict) and "array" in u1:
-        u1 = np.asarray(u1["array"], dtype=float)
+    flat = _flatten(doc)
+
+    def num(key, default=_REQUIRED, cast=float):
+        if key not in flat or (flat[key] is None and default is None):
+            if default is _REQUIRED:
+                raise ConfigError(key, "missing required key")
+            return default
+        return _number(flat[key], key, cast)
+
+    if "graph.kind" not in flat:
+        raise ConfigError("graph.kind", "missing required key")
+    forcing = flat.get("forcing", "zero")
+    if forcing is not None and not isinstance(forcing, str):
+        _number(forcing, "forcing")
+    regularize = flat.get("regularize_u0", True)
+    if not isinstance(regularize, bool):
+        raise ConfigError("regularize_u0", f"must be true or false, got {regularize!r}")
     cfg = SimConfig(
-        length=float(_get(space, "space", "length", required=False, default=1.0)),
-        n_nodes=int(_get(space, "space", "n_nodes", required=False, default=1)),
-        bc=str(_get(space, "space", "bc", required=False, default=NEUMANN)),
-        graph_kind=str(kind),
-        epsilon=_maybe_float(graphd.get("epsilon")),
-        r_threshold=_maybe_float(graphd.get("r_threshold")),
-        eps_param=_maybe_float(graphd.get("eps_param")),
-        T=float(_get(timed, "time", "T")),
-        dt=float(_get(timed, "time", "dt")),
-        theta=float(_get(timed, "time", "theta", required=False, default=1.0)),
-        u0=u0,
-        u1=u1,
-        forcing=doc.get("forcing", "zero"),
-        lam=float(doc.get("lambda", 0.0)),
-        newton_tol=float(_get(newton, "newton", "tol", required=False, default=1e-10)),
-        newton_max_iter=int(
-            _get(newton, "newton", "max_iter", required=False, default=50)
-        ),
-        output_every=int(doc.get("output_every", 1)),
-        regularize_u0=bool(doc.get("regularize_u0", True)),
-        label=str(doc.get("label", "")),
+        length=num("space.length", 1.0),
+        n_nodes=num("space.n_nodes", 1, int),
+        bc=str(flat.get("space.bc", NEUMANN)),
+        graph_kind=str(flat["graph.kind"]),
+        epsilon=num("graph.epsilon", None),
+        r_threshold=num("graph.r_threshold", None),
+        eps_param=num("graph.eps_param", None),
+        T=num("time.T"),
+        dt=num("time.dt"),
+        theta=num("time.theta", 1.0),
+        u0=_init_spec(flat.get("init.u0", "zero")),
+        u1=_init_spec(flat.get("init.u1", "zero")),
+        forcing=forcing,
+        lam=num("lambda", 0.0),
+        newton_tol=num("newton.tol", 1e-10),
+        newton_max_iter=num("newton.max_iter", 50, int),
+        output_every=num("output_every", 1, int),
+        regularize_u0=regularize,
+        label=str(flat.get("label", "")),
     )
     return cfg.validate()
-
-
-def _maybe_float(v):
-    return None if v is None else float(v)
 
 
 def load_config(path) -> SimConfig:

@@ -216,17 +216,23 @@ def yosida(pot: RegularizedPotential, r):
 
 def yosida_derivative(pot: RegularizedPotential, r):
     """A.e. derivative of the Yosida approximant (kinks resolved actively)."""
+    return yosida_and_derivative(pot, r)[1]
+
+
+def yosida_and_derivative(pot: RegularizedPotential, r):
+    """``(yosida(r), yosida_derivative(r))`` from a single resolvent solve."""
     eps = pot.epsilon
     kind = pot.graph.kind
+    x = resolvent(pot, r)
+    y = (r - x) / eps
     if kind == GraphKind.INDICATOR:
-        return np.where(np.abs(r) >= 1.0, 1.0 / eps, 0.0)
+        return y, np.where(np.abs(r) >= 1.0, 1.0 / eps, 0.0)
     if kind == GraphKind.LOGARITHMIC:
-        x = _log_resolvent(r, eps)
         d = _log_dbeta(x)
-        return d / (1.0 + eps * d)
+        return y, d / (1.0 + eps * d)
     rt = pot.graph.r_threshold
     e2 = pot.graph.eps_param ** 2
-    return np.where(np.abs(r) >= rt, 1.0 / (e2 + eps), 0.0)
+    return y, np.where(np.abs(r) >= rt, 1.0 / (e2 + eps), 0.0)
 
 
 def moreau(pot: RegularizedPotential, r):

@@ -12,6 +12,16 @@ diagonal (the a.e. derivative of the reaction).  The reaction is
 treated fully implicitly: its Lipschitz constant is 1/eps, so any
 explicit treatment would force dt = O(eps).
 
+Per step, the work is: one evaluation of the explicit part F(u, v, t)
+(only for theta < 1), then per Newton iteration one reaction evaluation
+(``Reaction.beta_and_dbeta``: value and derivative from a single
+resolvent solve), one residual and, unless the residual is already
+below tolerance, one tridiagonal solve (a direct LAPACK ``gtsv`` call on
+a copy of the fixed matrix part with the diagonal term added).  At
+convergence u+ is the last Newton iterate, so its reaction is already
+known: it becomes the next step's beta(u) and is never recomputed.  A
+step with one Newton iteration therefore costs two resolvent solves.
+
 Every step records the theta-combined reaction field (the raw material
 for the constraint-measure histogram), the dissipation and forcing
 power increments in the scheme-consistent quadrature, and the Newton
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .config import Reaction, SimConfig
 from .errors import NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
@@ -39,6 +49,21 @@ _DIVERGENCE_FACTOR = 1e8
 # elements per block when a row-wise map runs over a whole run: bounds the
 # temporaries (the logarithmic resolvent keeps several per element)
 BLOCK_ELEMENTS = 1 << 16
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded`` for ``l_and_u == (1, 1)``, minus its checks.
+
+    It makes the same LAPACK ``gtsv`` call as scipy (a single division on
+    one node), so the solution is bit-identical; what it skips is the
+    input validation that costs more than the solve at a few hundred nodes.
+    """
+    if len(b) == 1:
+        return b / ab[1]
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def map_row_blocks(fn, M: np.ndarray) -> np.ndarray:
@@ -174,12 +199,13 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     if grid.is_homogeneous:
         b, db = reaction.scalar_fns()
         gs = (lambda t: float(g(t)[0])) if g is not None else None
-        u1, v1, _, _ = _scalar_step(
-            float(state.u[0]), float(state.v[0]), state.t, one, b, db, gs, 0
+        u0 = float(state.u[0])
+        u1, v1, _, _, _ = _scalar_step(
+            u0, float(state.v[0]), state.t, one, b, db, gs, 0, b(u0)
         )
         return SimState(state.t + cfg.dt, np.array([u1]), np.array([v1]))
     ws = _VectorWorkspace(one, grid, reaction, g)
-    u1, v1, _, _ = ws.advance(state.u, state.v, state.t, 0)
+    u1, v1, _, _ = ws.advance(state.u, state.v, state.t, 0, reaction.beta(state.u))
     return SimState(state.t + cfg.dt, u1, v1)
 
 
@@ -204,6 +230,8 @@ class _VectorWorkspace:
         self.lam = cfg.lam
         self.a = cfg.theta * cfg.dt
         self.A_ab = laplacian_banded(grid)
+        # the Newton matrix is J_A + diag(1 + a^2 (dbeta - lam)); J_A is fixed
+        self.J_A = (self.a + self.a * self.a) * self.A_ab
         self.w = grid.mass_weights
 
     def apply_A(self, z):
@@ -213,12 +241,16 @@ class _VectorWorkspace:
         out[1:] += ab[2, :-1] * z[:-1]
         return out
 
-    def advance(self, u, v, t, k):
+    def advance(self, u, v, t, k, beta0):
+        """One step from (u, v) with beta0 = beta(u).
+
+        Returns (u1, v1, beta(u1), record); beta(u1) is the converged
+        Newton iterate's reaction, which the next step takes as its beta0.
+        """
         dt, th, a, lam = self.dt, self.theta, self.a, self.lam
         t1 = t + dt
         g0 = self.forcing(t) if (self.forcing and th < 1.0) else None
         g1 = self.forcing(t1) if self.forcing else None
-        beta0 = self.reaction.beta(u)
         if th < 1.0:
             F0 = -self.apply_A(v) - self.apply_A(u) - beta0 + lam * u
             if g0 is not None:
@@ -235,7 +267,7 @@ class _VectorWorkspace:
         iters = 0
         for it in range(self.cfg.newton_max_iter):
             up = u_bar + a * w
-            bw = self.reaction.beta(up)
+            bw, db = self.reaction.beta_and_dbeta(up)
             R = w - v_bar + a * (self.apply_A(w) + self.apply_A(up) + bw - lam * up)
             if g1 is not None:
                 R -= a * g1
@@ -247,9 +279,8 @@ class _VectorWorkspace:
             if res <= tol:
                 iters = it
                 break
-            db = self.reaction.dbeta(up)
-            J = (self.a + self.a * self.a) * self.A_ab
-            J[1] += 1.0 + self.a * self.a * (db - lam)
+            J = self.J_A.copy()
+            J[1] += 1.0 + a * a * (db - lam)
             try:
                 dw = solve_banded((1, 1), J, -R)
             except np.linalg.LinAlgError as exc:
@@ -259,11 +290,9 @@ class _VectorWorkspace:
         else:
             raise StepRejected(k, res, tol)
 
-        v1 = w
-        u1 = u_bar + a * w
-        beta1 = self.reaction.beta(u1)
-        beta_th = th * beta1 + (1.0 - th) * beta0
-        v_th = th * v1 + (1.0 - th) * v
+        # at convergence u1 = u_bar + a*w is the last iterate up, so beta(u1) = bw
+        beta_th = th * bw + (1.0 - th) * beta0
+        v_th = th * w + (1.0 - th) * v
         diss = dt * edge_inner(self.grid, v_th, v_th)
         if self.forcing:
             g0p = g0 if g0 is not None else self.forcing(t)
@@ -271,7 +300,7 @@ class _VectorWorkspace:
             power = dt * float(np.dot(self.w * g_th, v_th))
         else:
             power = 0.0
-        return u1, v1, (beta_th, diss, power, iters), None
+        return up, w, bw, (beta_th, diss, power, iters)
 
 
 def _simulate_vector(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajectory:
@@ -291,11 +320,12 @@ def _simulate_vector(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajector
     iters = np.zeros(n_steps, dtype=int)
 
     u, v = u0.astype(float), v0.astype(float)
+    beta = reaction.beta(u)
     U[0], V[0] = u, v
     r = 1
     try:
         for k in range(n_steps):
-            u, v, rec, _ = ws.advance(u, v, k * dt, k)
+            u, v, beta, rec = ws.advance(u, v, k * dt, k, beta)
             beta_theta[k], diss[k], power[k], iters[k] = rec
             if r < len(rec_idx) and k + 1 == rec_idx[r]:
                 U[r], V[r] = u, v
@@ -312,14 +342,14 @@ def _simulate_vector(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajector
 # scalar (spatially homogeneous) fast path
 
 
-def _scalar_step(u, v, t, cfg, b, db, g, k):
+def _scalar_step(u, v, t, cfg, b, db, g, k, b0):
+    """Scalar twin of _VectorWorkspace.advance: b0 = b(u) in, b(u1) out."""
     dt = cfg.dt
     th = cfg.theta
     a = th * dt
     lam = cfg.lam
     t1 = t + dt
     g1 = g(t1) if g is not None else 0.0
-    b0 = b(u)
     if th < 1.0:
         g0 = g(t) if g is not None else 0.0
         v_bar = v + dt * (1.0 - th) * (-b0 + lam * u + g0)
@@ -351,9 +381,8 @@ def _scalar_step(u, v, t, cfg, b, db, g, k):
     else:
         raise StepRejected(k, res, tol)
 
-    u1 = u_bar + a * w
-    beta_th = th * b(u1) + (1.0 - th) * b0
-    return u1, w, beta_th, iters
+    beta_th = th * bw + (1.0 - th) * b0
+    return up, w, bw, beta_th, iters
 
 
 def _simulate_scalar(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajectory:
@@ -376,21 +405,25 @@ def _simulate_scalar(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajector
     power = np.zeros(n_steps)
     iters = np.zeros(n_steps, dtype=int)
 
+    # 1-D views: item assignment on them is cheaper than (i, 0) indexing
+    u_col, v_col, beta_col = U[:, 0], V[:, 0], beta_theta[:, 0]
+    n_rec = len(rec_idx)
     u, v = float(u0[0]), float(v0[0])
-    U[0, 0], V[0, 0] = u, v
+    bu = b(u)
+    u_col[0], v_col[0] = u, v
     r = 1
     try:
         for k in range(n_steps):
             v_prev = v
-            u, v, bth, it = _scalar_step(u, v, k * dt, cfg, b, db, g, k)
-            beta_theta[k, 0] = bth
+            u, v, bu, bth, it = _scalar_step(u, v, k * dt, cfg, b, db, g, k, bu)
+            beta_col[k] = bth
             iters[k] = it
             if g is not None:
                 t0 = k * dt
                 g_th = th * g(t0 + dt) + (1.0 - th) * g(t0)
                 power[k] = dt * weight * g_th * (th * v + (1.0 - th) * v_prev)
-            if r < len(rec_idx) and k + 1 == rec_idx[r]:
-                U[r, 0], V[r, 0] = u, v
+            if r < n_rec and k + 1 == rec_idx[r]:
+                u_col[r], v_col[r] = u, v
                 r += 1
     except (NewtonDiverged, StepRejected) as exc:
         raise RunError(f"run '{cfg.label}' failed: {exc}") from exc

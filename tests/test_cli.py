@@ -240,3 +240,43 @@ def test_malformed_energy_csv_exits_2(toy_run_dir, tmp_path):
     lines[10] = ",".join(cols)
     p.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--out", str(bad)]) == 2
+
+
+class TestMalformedConfigExits2:
+    """Each malformed config is a ConfigError naming the key (exit 2), not a traceback."""
+
+    def _assert_config_error(self, tmp_path, doc, key):
+        cfg = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        with pytest.raises(ConfigError) as info:
+            from dampedwave.integrator import simulate
+
+            simulate(load_config(cfg))
+        assert info.value.key == key
+
+    def test_nan_dt(self, tmp_path):
+        doc = {**TOY_DOC, "time": {"T": 2.0, "dt": float("nan")}}
+        self._assert_config_error(tmp_path, doc, "time.dt")
+
+    def test_non_numeric_dt(self, tmp_path):
+        doc = {**TOY_DOC, "time": {"T": 2.0, "dt": "abc"}}
+        self._assert_config_error(tmp_path, doc, "time.dt")
+
+    def test_space_not_a_mapping(self, tmp_path):
+        self._assert_config_error(tmp_path, {**TOY_DOC, "space": 5}, "space")
+
+    def test_missing_forcing_table(self, tmp_path):
+        doc = {**TOY_DOC, "forcing": f"table:{tmp_path / 'missing.csv'}"}
+        self._assert_config_error(tmp_path, doc, "forcing")
+
+    def test_unknown_newton_key(self, tmp_path):
+        doc = {**TOY_DOC, "newton": {"tolerance": 1e-3}}
+        self._assert_config_error(tmp_path, doc, "newton.tolerance")
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    cfg = write_config(tmp_path, TOY_DOC)
+    assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "o")]) == 2

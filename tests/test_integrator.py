@@ -283,3 +283,44 @@ def test_singular_newton_system_is_rejected_step(monkeypatch):
     with pytest.raises(RunError, match="step 0 rejected") as info:
         simulate(cfg)
     assert isinstance(info.value.__cause__, dw.errors.StepRejected)
+
+
+class TestScalarMatchesVector:
+    """The scalar fast path against the vector kernel on a one-node Neumann grid."""
+
+    FIELDS = ("U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters")
+
+    @staticmethod
+    def both_paths(cfg):
+        from dampedwave.integrator import _resolve_steps, _simulate_scalar, _simulate_vector
+
+        grid, reaction = cfg.grid(), cfg.reaction()
+        u0, v0 = cfg.initial_fields(grid)
+        args = (cfg, grid, reaction, _resolve_steps(cfg), u0, v0, cfg.forcing_fn(grid))
+        return _simulate_scalar(*args), _simulate_vector(*args)
+
+    def test_toy_jump_bitwise(self):
+        from pathlib import Path
+
+        cfg = dw.load_config(Path(__file__).parent.parent / "configs" / "toy_jump.yaml")
+        scalar, vector = self.both_paths(cfg)
+        assert np.count_nonzero(scalar.beta_theta) > 0
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(scalar, field), getattr(vector, field)), field
+
+    @pytest.mark.parametrize("graph", [
+        dict(graph_kind="family", r_threshold=0.9, eps_param=0.02, epsilon=None),
+        dict(graph_kind="logarithmic", epsilon=1e-3),
+    ])
+    def test_forced_toy_to_round_off(self, graph):
+        cfg = dw.SimConfig(
+            n_nodes=1, bc="neumann", T=0.5, dt=1e-3, theta=0.5, u0="zero",
+            u1="constant:3", forcing="constant:1", lam=0.3, **graph,
+        )
+        scalar, vector = self.both_paths(cfg)
+        assert np.count_nonzero(scalar.beta_theta) > 0
+        assert np.array_equal(scalar.newton_iters, vector.newton_iters)
+        for field in self.FIELDS[:-1]:
+            a, b = getattr(scalar, field), getattr(vector, field)
+            scale = max(float(np.max(np.abs(a))), 1.0)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * scale, err_msg=field)
