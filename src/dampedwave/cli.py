@@ -1,10 +1,12 @@
 """Command-line entry point: simulate, sweep, toy, verify.
 
-Every command owns one output directory and writes plain CSV/JSON
-artifacts (no images): a run manifest listing every emitted file, the
-trajectory, the energy ledger, the reaction-measure histogram, jump and
-verdict reports.  Exit codes: 0 all checks pass, 1 a check failed,
-2 configuration or I/O error.
+Every command owns one output directory and writes its artifacts there
+(no images): a run manifest listing every emitted file, the trajectory
+as ``run.npz`` (the canonical binary record that ``verify`` reads; the
+``trajectory.csv`` text export is opt-in with ``simulate --csv``), the
+energy ledger and the reaction-measure histogram as CSV, jump and
+verdict reports as JSON.  Exit codes: 0 all checks pass, 1 a check
+failed, 2 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import datetime
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,13 @@ from .energy import (
 )
 from .errors import ConfigError, DampedWaveError, MissingArtifact, RunError
 from .grid import edge_inner
-from .integrator import Trajectory, map_row_blocks, simulate
+from .integrator import (
+    Trajectory,
+    _resolve_steps,
+    map_row_blocks,
+    record_indices,
+    simulate,
+)
 from .sweep import epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
 from .toy import phase_level_set, yosida_layer_toy
 from .weaklimit import (
@@ -66,6 +75,83 @@ def _jsonable(obj):
     if isinstance(obj, Path):
         return str(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
+# run.npz holds exactly these Trajectory arrays
+RUN_FIELDS = (
+    "times", "U", "V", "step_edges", "beta_theta", "diss_incr", "power_incr", "newton_iters",
+)
+
+
+def write_run_npz(path: Path, traj: Trajectory) -> None:
+    """The canonical run artifact: the Trajectory arrays in one uncompressed npz."""
+    np.savez(path, **{k: getattr(traj, k) for k in RUN_FIELDS})
+
+
+def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
+    """The trajectory that ``write_run_npz`` stored, bit for bit.
+
+    MissingArtifact unless the file is an intact npz of exactly the run's
+    arrays, with the dtypes and shapes of ``cfg``'s run, finite values,
+    and strictly increasing times on the config's time grid.
+    """
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise MissingArtifact(f"{path} is not an npz archive")
+        with npz:
+            if set(npz.files) != set(RUN_FIELDS):
+                raise MissingArtifact(
+                    f"{path} holds {sorted(npz.files)}, a run holds {sorted(RUN_FIELDS)}"
+                )
+            stored = {k: npz[k] for k in RUN_FIELDS}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise MissingArtifact(f"{path} is not a readable npz archive ({exc})") from exc
+
+    n_steps = _resolve_steps(cfg)
+    rec_idx = record_indices(n_steps, cfg.output_every)
+    n_t, n_x = len(rec_idx), cfg.n_nodes
+    shapes = {
+        "times": (n_t,), "U": (n_t, n_x), "V": (n_t, n_x), "step_edges": (n_steps + 1,),
+        "beta_theta": (n_steps, n_x), "diss_incr": (n_steps,), "power_incr": (n_steps,),
+        "newton_iters": (n_steps,),
+    }
+    for k, shape in shapes.items():
+        a = stored[k]
+        dtype = np.dtype(np.int64 if k == "newton_iters" else np.float64)
+        if not isinstance(a, np.ndarray) or a.dtype != dtype or a.shape != shape:
+            raise MissingArtifact(f"{path}: {k} is not {dtype} of shape {shape}")
+        if not np.all(np.isfinite(a)):
+            raise MissingArtifact(f"{path}: {k} has a non-finite value")
+    # the grid dt*k, exactly as the integrator writes it, is strictly increasing
+    times, edges = stored["times"], stored["step_edges"]
+    grid_edges = cfg.dt * np.arange(n_steps + 1, dtype=float)
+    if not (np.array_equal(edges, grid_edges) and np.array_equal(times, grid_edges[rec_idx])):
+        raise MissingArtifact(f"{path}: the times are not the run's strictly increasing grid")
+
+    return Trajectory(cfg, **stored)
+
+
+def _recompute_records(stored: Trajectory) -> tuple[Trajectory, bool]:
+    """The run with its per-step records recomputed from the states, and
+    whether the stored records match them; the Newton counts are kept.
+
+    Dissipation and power agree to round-off.  The reaction gets an
+    absolute allowance of 2e-11/epsilon on top: the logarithmic resolvent
+    stops at an x-error of 10 * 1e-12 over a whole batch of values, so a
+    batch evaluation differs from the step-by-step one by up to that much
+    divided by epsilon.
+    """
+    traj = _rebuild_diagnostics(stored.cfg, stored.times, stored.U, stored.V)
+    traj.newton_iters = stored.newton_iters
+    for k in ("diss_incr", "power_incr"):
+        rec = getattr(traj, k)
+        atol = 1e-12 * (1.0 + float(np.max(np.abs(rec), initial=0.0)))
+        if not np.allclose(getattr(stored, k), rec, rtol=1e-9, atol=atol):
+            return traj, False
+    bt = traj.beta_theta
+    budget = 2e-11 / traj.reaction.epsilon + 1e-9 * np.abs(bt)
+    return traj, bool(np.all(np.abs(stored.beta_theta - bt) <= budget))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -233,15 +319,12 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
     return verdicts
 
 
-def _manifest(cfg_dict, out_dir: Path, files, verdicts) -> dict:
-    import hashlib
-
-    payload = json.dumps(cfg_dict, sort_keys=True).encode()
+def _manifest(cfg: SimConfig, files, verdicts) -> dict:
     return {
-        "config_hash": hashlib.sha256(payload).hexdigest()[:16],
+        "config_hash": cfg.config_hash(),
         "tool_version": __version__,
         "created": _now(),
-        "config": cfg_dict,
+        "config": cfg.to_dict(),
         "files": sorted(str(f.name) for f in files),
         "verdicts": {k: v["passed"] for k, v in verdicts.items()},
     }
@@ -251,7 +334,7 @@ def _manifest(cfg_dict, out_dir: Path, files, verdicts) -> dict:
 # subcommands
 
 
-def cmd_simulate(config_path: str, out: str, seed: int = 0) -> int:
+def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = False) -> int:
     cfg = load_config(config_path)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,9 +346,13 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0) -> int:
     xi = accumulate_xi(traj, run_id=cfg.label)
 
     files = []
-    p = out_dir / "trajectory.csv"
-    write_trajectory_csv(p, traj)
+    p = out_dir / "run.npz"
+    write_run_npz(p, traj)
     files.append(p)
+    if write_csv:
+        p = out_dir / "trajectory.csv"
+        write_trajectory_csv(p, traj)
+        files.append(p)
     p = out_dir / "energy.csv"
     write_energy_csv(p, traj)
     files.append(p)
@@ -318,7 +405,7 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0) -> int:
     _write_json(p, verdicts)
     files.append(p)
 
-    manifest = _manifest(cfg.to_dict(), out_dir, files, verdicts)
+    manifest = _manifest(cfg, files, verdicts)
     _write_json(out_dir / "manifest.json", manifest)
 
     ok = all(v["passed"] for v in verdicts.values())
@@ -362,7 +449,7 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
     p = out_dir / "verdicts.json"
     _write_json(p, verdicts)
     files.append(p)
-    manifest = _manifest(cfg.to_dict(), out_dir, files, verdicts)
+    manifest = _manifest(cfg, files, verdicts)
     _write_json(out_dir / "manifest.json", manifest)
     ok = all(v["passed"] for v in verdicts.values())
     for name, v in verdicts.items():
@@ -415,7 +502,7 @@ def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     p = out_dir / "verdicts.json"
     _write_json(p, verdicts)
     files.append(p)
-    manifest = _manifest(cfg.to_dict(), out_dir, files, verdicts)
+    manifest = _manifest(cfg, files, verdicts)
     _write_json(out_dir / "manifest.json", manifest)
     print(f"{'PASS' if verdicts['oracle_match']['passed'] else 'FAIL'} oracle_match")
     return EXIT_OK if verdicts["oracle_match"]["passed"] else EXIT_CHECK_FAILED
@@ -434,10 +521,8 @@ def cmd_verify(out: str, seed: int = 0) -> int:
     if cfg.output_every != 1:
         raise MissingArtifact("verify needs full-resolution artifacts (output_every 1)")
 
-    traj_path = out_dir / "trajectory.csv"
-    if not traj_path.exists():
-        raise MissingArtifact(f"{traj_path} not found")
-    traj = read_trajectory_csv(traj_path, cfg)
+    # checks run on the recomputed records; the stored ones are only compared
+    traj, records_ok = _recompute_records(read_run_npz(out_dir / "run.npz", cfg))
 
     # cross-check the stored energy ledger against a recomputation
     energy_path = out_dir / "energy.csv"
@@ -454,7 +539,20 @@ def cmd_verify(out: str, seed: int = 0) -> int:
 
     xi = accumulate_xi(traj)
     verdicts = _standard_checks(traj, xi, seed)
-    verdicts["energy_ledger_consistent"] = {"passed": ledger_ok}
+    verdicts["energy_ledger_consistent"] = {"passed": ledger_ok and records_ok}
+
+    # the opt-in text export must hold the same states
+    if "trajectory.csv" in manifest.get("files", []):
+        times, U, V = _parse_trajectory_csv(
+            out_dir / "trajectory.csv", len(traj.times), cfg.n_nodes
+        )
+        printed = np.array([float(f"{t:.12g}") for t in traj.times])
+        csv_ok = (
+            U.tobytes() == traj.U.tobytes()
+            and V.tobytes() == traj.V.tobytes()
+            and np.array_equal(times, printed)
+        )
+        verdicts["trajectory_csv_consistent"] = {"passed": csv_ok}
 
     # jump report consistency, when one was stored
     jumps_path = out_dir / "jumps.json"
@@ -488,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--csv", action="store_true", help="also export trajectory.csv")
 
     p = sub.add_parser("sweep", help="regularization continuation study")
     p.add_argument("--config", required=True)
@@ -510,7 +609,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.seed)
+            return cmd_simulate(args.config, args.out, args.seed, args.csv)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.eps, args.out, args.seed)
         if args.command == "toy":

@@ -107,10 +107,18 @@ class Reaction:
 
             return b, db
 
+        # logarithmic: b keeps the derivative from its resolvent solve, and db
+        # reuses it when asked at the same point, as the Newton step does
+        last = [None, 0.0]
+
         def b(r):
-            return float(self.beta(np.array([r]))[0])
+            bv, dv = self.beta_and_dbeta(np.array([r]))
+            last[:] = r, float(dv[0])
+            return float(bv[0])
 
         def db(r):
+            if r == last[0]:
+                return last[1]
             return float(self.dbeta(np.array([r]))[0])
 
         return b, db
@@ -129,13 +137,13 @@ def make_reaction(graph: MonotoneGraph, epsilon: float | None) -> Reaction:
 # profiles
 
 
-def profile_field(grid: Grid, spec) -> np.ndarray:
-    """Materialize a named initial-data profile on the grid nodes."""
+def profile_field(grid: Grid, spec, key: str = "init") -> np.ndarray:
+    """Materialize a named profile on the grid nodes; errors name ``key``."""
     if isinstance(spec, np.ndarray):
         grid.check_field(spec, "profile")
         return np.array(spec, dtype=float)
     if not isinstance(spec, str):
-        raise ConfigError("init", f"profile must be a string or array, got {spec!r}")
+        raise ConfigError(key, f"profile must be a string or array, got {spec!r}")
     parts = spec.split(":")
     name = parts[0]
     x = grid.x
@@ -160,12 +168,12 @@ def profile_field(grid: Grid, spec) -> np.ndarray:
             vals = _read_csv_column(path, col)
             if len(vals) != grid.n_nodes:
                 raise ConfigError(
-                    "init", f"csv column has {len(vals)} rows, grid needs {grid.n_nodes}"
+                    key, f"csv column has {len(vals)} rows, grid needs {grid.n_nodes}"
                 )
             return np.asarray(vals, dtype=float)
     except (IndexError, ValueError) as exc:
-        raise ConfigError("init", f"bad profile spec {spec!r}: {exc}") from exc
-    raise ConfigError("init", f"unknown profile {name!r}")
+        raise ConfigError(key, f"bad profile spec {spec!r}: {exc}") from exc
+    raise ConfigError(key, f"unknown profile {name!r}")
 
 
 def _read_csv_rows(path: str, key: str) -> list[list[str]]:
@@ -206,7 +214,7 @@ def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
             return _table_forcing(grid, spec[len("table:"):])
         if parts[0] in ("sine", "cosine", "ramp"):
             # time-constant spatial profile
-            g = profile_field(grid, spec)
+            g = profile_field(grid, spec, "forcing")
             return lambda t: g
         raise ConfigError("forcing", f"unknown forcing {spec!r}")
     raise ConfigError("forcing", f"unknown forcing {spec!r}")

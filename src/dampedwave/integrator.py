@@ -161,6 +161,14 @@ class Trajectory:
         return self.theta_combine(np.array(G))
 
 
+def record_indices(n_steps: int, stride: int) -> list[int]:
+    """The steps whose states a run records: every ``stride``-th, and the last."""
+    rec_idx = list(range(0, n_steps + 1, stride))
+    if rec_idx[-1] != n_steps:
+        rec_idx.append(n_steps)
+    return rec_idx
+
+
 def _resolve_steps(cfg: SimConfig) -> int:
     n = int(round(cfg.T / cfg.dt))
     if n < 1 or abs(n * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
@@ -306,12 +314,9 @@ class _VectorWorkspace:
 def _simulate_vector(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajectory:
     ws = _VectorWorkspace(cfg, grid, reaction, forcing)
     dt = cfg.dt
-    stride = cfg.output_every
     n_x = grid.n_nodes
 
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
+    rec_idx = record_indices(n_steps, cfg.output_every)
     U = np.empty((len(rec_idx), n_x))
     V = np.empty((len(rec_idx), n_x))
     beta_theta = np.empty((n_steps, n_x))
@@ -394,11 +399,8 @@ def _simulate_scalar(cfg, grid, reaction, n_steps, u0, v0, forcing) -> Trajector
         g = lambda t: float(gf(t)[0])
     dt = cfg.dt
     th = cfg.theta
-    stride = cfg.output_every
 
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
+    rec_idx = record_indices(n_steps, cfg.output_every)
     U = np.empty((len(rec_idx), 1))
     V = np.empty((len(rec_idx), 1))
     beta_theta = np.empty((n_steps, 1))

@@ -8,7 +8,15 @@ import pytest
 import yaml
 
 import dampedwave.integrator
-from dampedwave.cli import main, read_trajectory_csv
+from dampedwave.cli import (
+    RUN_FIELDS,
+    _recompute_records,
+    main,
+    read_run_npz,
+    read_trajectory_csv,
+    write_run_npz,
+    write_trajectory_csv,
+)
 from dampedwave.errors import ConfigError, MissingArtifact
 from dampedwave.config import from_dict, load_config
 
@@ -35,7 +43,7 @@ def toy_run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     cfg = write_config(tmp, TOY_DOC)
     out = tmp / "out"
-    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--csv"])
     assert code == 0
     return out
 
@@ -154,7 +162,9 @@ GRID_DOC = {
 def grid_run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_grid")
     out = tmp / "out"
-    assert main(["simulate", "--config", str(write_config(tmp, GRID_DOC)), "--out", str(out)]) == 0
+    assert main(
+        ["simulate", "--config", str(write_config(tmp, GRID_DOC)), "--out", str(out), "--csv"]
+    ) == 0
     return out
 
 
@@ -280,3 +290,174 @@ def test_unwritable_output_exits_2(tmp_path):
     blocker.write_text("not a directory")
     cfg = write_config(tmp_path, TOY_DOC)
     assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# run.npz: the canonical artifact that verify reads
+
+
+@pytest.fixture(scope="module")
+def npz_run_dir(tmp_path_factory):
+    """A grid run written without --csv."""
+    tmp = tmp_path_factory.mktemp("cli_npz")
+    out = tmp / "out"
+    assert main(["simulate", "--config", str(write_config(tmp, GRID_DOC)), "--out", str(out)]) == 0
+    return out
+
+
+def _copy_with(run_dir, tmp_path, edit):
+    """Copy of run_dir whose run.npz went through edit (a path -> None)."""
+    bad = tmp_path / "bad"
+    shutil.copytree(run_dir, bad)
+    edit(bad / "run.npz")
+    return bad
+
+
+def _arrays(edit):
+    """An edit that rewrites run.npz from edit(arrays), a dict -> dict."""
+    def rewrite(path):
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        np.savez(path, **edit(arrays))
+
+    return rewrite
+
+
+def _replace(key, value):
+    return _arrays(lambda a: {**a, key: value(a[key])})
+
+
+def _set(index, x):
+    """A copy of an array with one element set to x."""
+    def edit(a):
+        a = a.copy()
+        a[index] = x
+        return a
+
+    return edit
+
+
+def _verify_verdicts(run_dir):
+    return json.loads((run_dir / "verify_verdicts.json").read_text())
+
+
+class TestRunNpz:
+    def test_default_simulate_writes_npz_and_no_csv(self, npz_run_dir):
+        assert (npz_run_dir / "run.npz").exists()
+        assert not (npz_run_dir / "trajectory.csv").exists()
+        files = json.loads((npz_run_dir / "manifest.json").read_text())["files"]
+        assert "run.npz" in files and "trajectory.csv" not in files
+
+    def test_verify_prints_no_csv_verdict_without_csv(self, npz_run_dir, capsys):
+        assert main(["verify", "--out", str(npz_run_dir)]) == 0
+        assert "trajectory_csv_consistent" not in capsys.readouterr().out
+        assert "trajectory_csv_consistent" not in _verify_verdicts(npz_run_dir)
+
+    @pytest.mark.parametrize("doc", [TOY_DOC, GRID_DOC], ids=["scalar", "grid"])
+    def test_round_trip_is_bit_identical(self, doc, tmp_path):
+        cfg = from_dict(doc)
+        traj = dampedwave.integrator.simulate(cfg)
+        write_run_npz(tmp_path / "run.npz", traj)
+        back = read_run_npz(tmp_path / "run.npz", cfg)
+        for k in RUN_FIELDS:
+            assert getattr(back, k).dtype == getattr(traj, k).dtype
+            assert getattr(back, k).tobytes() == getattr(traj, k).tobytes()
+        rebuilt, records_ok = _recompute_records(back)
+        assert records_ok
+        assert rebuilt.newton_iters.tobytes() == traj.newton_iters.tobytes()
+
+    def test_csv_export_bytes_match_writer(self, grid_run_dir, tmp_path):
+        ref = tmp_path / "ref.csv"
+        write_trajectory_csv(ref, dampedwave.integrator.simulate(from_dict(GRID_DOC)))
+        assert (grid_run_dir / "trajectory.csv").read_bytes() == ref.read_bytes()
+
+    def test_manifest_config_hash_is_the_configs(self, tmp_path, npz_run_dir):
+        cfg_path = write_config(tmp_path, GRID_DOC)
+        manifest = json.loads((npz_run_dir / "manifest.json").read_text())
+        assert manifest["config_hash"] == load_config(cfg_path).config_hash()
+
+
+NOT_READABLE = "not a readable npz archive"
+MALFORMED_NPZ = {
+    "missing_file": (lambda p: p.unlink(), NOT_READABLE),
+    "truncated": (lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]), NOT_READABLE),
+    "not_a_zip": (lambda p: p.write_bytes(b"t,node,u,v\r\n0,0,0,0\r\n"), NOT_READABLE),
+    "empty": (lambda p: p.write_bytes(b""), NOT_READABLE),
+    "missing_key": (_arrays(lambda a: {k: v for k, v in a.items() if k != "V"}), "a run holds"),
+    "extra_key": (_arrays(lambda a: {**a, "note": np.zeros(3)}), "a run holds"),
+    "int_as_float": (_replace("newton_iters", lambda a: a.astype(float)), "newton_iters is not int64"),
+    "float32": (_replace("U", lambda a: a.astype(np.float32)), "U is not float64"),
+    "row_count": (_replace("U", lambda a: a[:-1]), "U is not float64 of shape"),
+    "node_count": (_replace("beta_theta", lambda a: a[:, :-1]), "beta_theta is not float64 of shape"),
+    "non_finite": (_replace("V", _set((7, 2), np.nan)), "V has a non-finite value"),
+    "times_not_increasing": (_replace("times", lambda a: _set(3, a[2])(a)), "strictly increasing"),
+    "object_array": (_replace("U", lambda a: a.astype(object)), "allow_pickle"),
+}
+
+
+class TestVerifyMalformedRunNpz:
+    """A malformed run.npz is an I/O error (exit 2), not a failed check."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NPZ))
+    def test_rejected(self, case, npz_run_dir, tmp_path):
+        edit, match = MALFORMED_NPZ[case]
+        bad = _copy_with(npz_run_dir, tmp_path, edit)
+        assert main(["verify", "--out", str(bad)]) == 2
+        with pytest.raises(MissingArtifact, match=match):
+            read_run_npz(bad / "run.npz", from_dict(GRID_DOC))
+
+
+class TestVerifyTamperedRecords:
+    """A well-formed run.npz whose records disagree with its states fails the ledger."""
+
+    def _assert_ledger_fails(self, bad):
+        assert main(["verify", "--out", str(bad)]) == 1
+        assert not _verify_verdicts(bad)["energy_ledger_consistent"]["passed"]
+
+    def test_intact_ledger_passes(self, npz_run_dir):
+        assert main(["verify", "--out", str(npz_run_dir)]) == 0
+        assert _verify_verdicts(npz_run_dir)["energy_ledger_consistent"]["passed"]
+
+    def test_tampered_diss_incr(self, npz_run_dir, tmp_path):
+        edit = _replace("diss_incr", lambda a: _set(10, a[10] + 1e-6)(a))
+        self._assert_ledger_fails(_copy_with(npz_run_dir, tmp_path, edit))
+
+    def test_tampered_beta_theta(self, toy_run_dir, tmp_path):
+        def nudge_largest(b):
+            k = np.unravel_index(np.argmax(np.abs(b)), b.shape)  # inside the wall contact
+            assert b[k] != 0.0
+            return _set(k, b[k] * (1.0 + 1e-6))(b)
+
+        edit = _replace("beta_theta", nudge_largest)
+        self._assert_ledger_fails(_copy_with(toy_run_dir, tmp_path, edit))
+
+
+class TestVerifyCsvExport:
+    def test_intact_export_is_consistent(self, grid_run_dir):
+        assert main(["verify", "--out", str(grid_run_dir)]) == 0
+        assert _verify_verdicts(grid_run_dir)["trajectory_csv_consistent"]["passed"]
+
+    # rows 40-44 are the 5 nodes of one time, so an edited t moves all of them
+    @pytest.mark.parametrize(
+        "col, edited", [(0, range(40, 45)), (2, [42]), (3, [42])], ids=["t", "u", "v"]
+    )
+    def test_edited_value_fails(self, grid_run_dir, tmp_path, col, edited):
+        def edit(rows):
+            rows = list(rows)
+            for i in edited:
+                cols = rows[i].split(",")
+                cols[col] = repr(float(cols[col]) + 1e-7)
+                rows[i] = ",".join(cols)
+            return rows
+
+        bad = _rewrite_rows(grid_run_dir, tmp_path, edit)
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts["trajectory_csv_consistent"]["passed"]
+        assert verdicts["energy_ledger_consistent"]["passed"]
+
+
+def test_bad_forcing_profile_exits_2_naming_forcing(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**GRID_DOC, "forcing": "sine:abc"})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "error: forcing: bad profile spec 'sine:abc'" in capsys.readouterr().err

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave.config import SimConfig, from_dict, load_config, profile_field
+from dampedwave.config import (
+    SimConfig,
+    forcing_function,
+    from_dict,
+    load_config,
+    profile_field,
+)
 from dampedwave.errors import ConfigError
 from dampedwave.grid import Grid
 
@@ -179,6 +185,13 @@ class TestStrictDocument:
         doc["forcing"] = float("nan")
         with pytest.raises(ConfigError, match="forcing"):
             from_dict(doc)
+
+    @pytest.mark.parametrize("spec", ["sine:abc", "cosine:", "sine:1:x"])
+    def test_bad_forcing_profile_names_forcing(self, spec):
+        with pytest.raises(ConfigError) as info:
+            forcing_function(Grid(1.0, 5, "neumann"), spec)
+        assert info.value.key == "forcing"
+        assert str(info.value).startswith("forcing: ")
 
     def test_missing_init_csv_names_key(self):
         with pytest.raises(ConfigError, match="init"):

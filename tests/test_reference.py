@@ -176,6 +176,44 @@ def test_case_exercises_contact_and_newton(name):
     assert traj.newton_iters.max() >= 1
 
 
+def test_scalar_logarithmic_newton_iteration_costs_one_resolvent(monkeypatch):
+    """The scalar logarithmic db reuses the derivative of b's resolvent solve.
+
+    Each Newton iteration that solves for a correction asks for b and db
+    at the same point: that is one resolvent solve now, two with cold
+    closures that solve separately, and the trajectory is the same bits.
+    """
+    real = dw.graphs.resolvent
+    calls = []
+
+    def counting(pot, r):
+        calls.append(1)
+        return real(pot, r)
+
+    def cold_fns(self):
+        return (
+            lambda r: float(self.beta(np.array([r]))[0]),
+            lambda r: float(self.dbeta(np.array([r]))[0]),
+        )
+
+    monkeypatch.setattr(dw.graphs, "resolvent", counting)
+    cfg = dw.SimConfig(label="count", **CASES["scalar_logarithmic_backward"])
+    runs = {}
+    for name, fns in (("cached", dw.config.Reaction.scalar_fns), ("cold", cold_fns)):
+        monkeypatch.setattr(dw.config.Reaction, "scalar_fns", fns)
+        calls.clear()
+        runs[name] = (simulate(cfg), len(calls))
+
+    traj, cached_calls = runs["cached"]
+    solves = int(traj.newton_iters.sum())  # Newton iterations with a linear solve
+    evaluations = 1 + traj.n_steps + solves  # b(u0), then one b per residual
+    assert solves > traj.n_steps // 2
+    assert cached_calls == evaluations
+    assert runs["cold"][1] == evaluations + solves
+    for field in FIELDS:
+        assert getattr(runs["cold"][0], field).tobytes() == getattr(traj, field).tobytes()
+
+
 if __name__ == "__main__":
     print("REFERENCE = {")
     for name in CASES:
