@@ -11,19 +11,12 @@ import json
 from pathlib import Path
 
 import dampedwave as dw
+from dampedwave.cli import sweep_payload
 from dampedwave.sweep import mu_vanishing_sequence
 
 
 def run(base: dw.SimConfig, eps_list):
-    report = dw.epsilon_sweep(base, eps_list, keep_trajectories=True)
-    audit = dw.limsup_identity_audit(report)
-    payload = report.to_dict()
-    payload["limsup_audit"] = {
-        "s_eps": {str(k): v for k, v in audit.s_eps.items()},
-        "pairing": audit.pairing,
-        "rel_gap": audit.rel_gap,
-        "passed": audit.passed,
-    }
+    payload, report, _ = sweep_payload(base, eps_list)
     payload["mu_vanishing"] = {str(k): v for k, v in mu_vanishing_sequence(report).items()}
     return payload
 

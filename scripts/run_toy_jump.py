@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 import dampedwave as dw
+from dampedwave.cli import toy_run_config
 from dampedwave.toy import yosida_layer_toy
 
 
@@ -23,11 +24,7 @@ def main():
     args = ap.parse_args()
 
     eps = args.epsilon
-    dt = dw.snap_dt(args.T, math.sqrt(eps) / 100.0)
-    cfg = dw.SimConfig(
-        n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=eps,
-        T=args.T, dt=dt, theta=0.5, u0="zero", u1="constant:1", label="toy-jump",
-    )
+    cfg = toy_run_config(eps, args.T, label="toy-jump")
     traj = dw.simulate(cfg)
     xi = dw.accumulate_xi(traj)
     events = dw.detect_jumps(traj)
@@ -40,7 +37,7 @@ def main():
 
     report = {
         "epsilon": eps,
-        "dt": dt,
+        "dt": cfg.dt,
         "jumps": [
             {"t": e.t, "v_before": float(e.v_before[0]),
              "v_after": float(e.v_after[0]), "impulse": e.impulse}

@@ -28,6 +28,7 @@ from .energy import (
     dissipation_between,
     energy_inequality_verdict,
     energy_series,
+    random_time_pairs,
 )
 from .errors import ConfigError, DampedWaveError, MissingArtifact, RunError
 from .grid import edge_inner
@@ -258,12 +259,8 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     verdicts = {}
 
-    n_rec = len(traj.times)
-    n_pairs = min(20, n_rec - 1)
-    s_idx = rng.integers(0, n_rec - 1, n_pairs)
-    t_idx = rng.integers(1, n_rec, n_pairs)
-    s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
-    ineq = energy_inequality_verdict(traj, traj.times[s_idx], traj.times[t_idx])
+    s_times, t_times = random_time_pairs(traj, rng, min(20, len(traj.times) - 1))
+    ineq = energy_inequality_verdict(traj, s_times, t_times)
     verdicts["energy_inequality"] = {
         "passed": ineq.all_pass,
         "worst_slack": ineq.worst_slack,
@@ -328,6 +325,47 @@ def _manifest(cfg: SimConfig, files, verdicts) -> dict:
         "files": sorted(str(f.name) for f in files),
         "verdicts": {k: v["passed"] for k, v in verdicts.items()},
     }
+
+
+def _conclude(out_dir: Path, verdicts: dict, cfg: SimConfig | None = None, files=()) -> int:
+    """Store the verdicts, print one PASS/FAIL line each, return the exit code.
+
+    A command that made the run (``cfg`` given) writes ``verdicts.json``
+    and a manifest of ``files`` plus it; ``verify`` writes
+    ``verify_verdicts.json`` and leaves the manifest as it is.
+    """
+    if cfg is None:
+        _write_json(out_dir / "verify_verdicts.json", verdicts)
+    else:
+        p = out_dir / "verdicts.json"
+        _write_json(p, verdicts)
+        _write_json(out_dir / "manifest.json", _manifest(cfg, [*files, p], verdicts))
+    for name, v in verdicts.items():
+        print(f"{'PASS' if v['passed'] else 'FAIL'} {name}")
+    return EXIT_OK if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
+
+
+def toy_run_config(epsilon: float, T: float = 2.0, label: str = "toy-compare") -> SimConfig:
+    """The homogeneous wall-impact run with data (0, 1) and dt near sqrt(eps)/100."""
+    return SimConfig(
+        n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=epsilon,
+        T=T, dt=snap_dt(T, math.sqrt(epsilon) / 100.0), theta=0.5, u0="zero",
+        u1="constant:1", label=label,
+    )
+
+
+def sweep_payload(cfg: SimConfig, eps_list) -> tuple:
+    """Run the epsilon sweep; its JSON report with the limsup audit, the report and the audit."""
+    report = epsilon_sweep(cfg, eps_list, keep_trajectories=True)
+    audit = limsup_identity_audit(report)
+    payload = report.to_dict()
+    payload["limsup_audit"] = {
+        "s_eps": {str(k): v for k, v in audit.s_eps.items()},
+        "pairing": audit.pairing,
+        "rel_gap": audit.rel_gap,
+        "passed": audit.passed,
+    }
+    return payload, report, audit
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +438,7 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = Fa
     )
     files.append(p)
 
-    verdicts = _standard_checks(traj, xi, seed)
-    p = out_dir / "verdicts.json"
-    _write_json(p, verdicts)
-    files.append(p)
-
-    manifest = _manifest(cfg, files, verdicts)
-    _write_json(out_dir / "manifest.json", manifest)
-
-    ok = all(v["passed"] for v in verdicts.values())
-    for name, v in verdicts.items():
-        print(f"{'PASS' if v['passed'] else 'FAIL'} {name}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _conclude(out_dir, _standard_checks(traj, xi, seed), cfg, files)
 
 
 def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
@@ -426,19 +453,9 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
         raise ConfigError("eps", "entries must be strictly decreasing")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = epsilon_sweep(cfg, eps_list, keep_trajectories=True)
-    audit = limsup_identity_audit(report)
-    payload = report.to_dict()
-    payload["limsup_audit"] = {
-        "s_eps": {str(k): v for k, v in audit.s_eps.items()},
-        "pairing": audit.pairing,
-        "rel_gap": audit.rel_gap,
-        "passed": audit.passed,
-    }
-    files = []
+    payload, report, audit = sweep_payload(cfg, eps_list)
     p = out_dir / "sweep_report.json"
     _write_json(p, payload)
-    files.append(p)
     verdicts = {
         f"bounded_{k}": {"passed": v} for k, v in report.verdicts.items()
     }
@@ -446,26 +463,14 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
     verdicts["overshoot_all"] = {
         "passed": all(s.overshoot_ok for s in report.summaries)
     }
-    p = out_dir / "verdicts.json"
-    _write_json(p, verdicts)
-    files.append(p)
-    manifest = _manifest(cfg, files, verdicts)
-    _write_json(out_dir / "manifest.json", manifest)
-    ok = all(v["passed"] for v in verdicts.values())
-    for name, v in verdicts.items():
-        print(f"{'PASS' if v['passed'] else 'FAIL'} {name}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _conclude(out_dir, verdicts, cfg, [p])
 
 
 def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     """Oracle-vs-numeric comparison plus a phase-portrait sample."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dt = snap_dt(T, math.sqrt(epsilon) / 100.0)
-    cfg = SimConfig(
-        n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=epsilon,
-        T=T, dt=dt, theta=0.5, u0="zero", u1="constant:1", label="toy-compare",
-    )
+    cfg = toy_run_config(epsilon, T)
     traj = simulate(cfg)
     files = []
     p = out_dir / "toy_compare.csv"
@@ -497,15 +502,11 @@ def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     files.append(p)
 
     verdicts = {
-        "oracle_match": {"passed": max_err <= 5.0 * dt, "max_err": max_err, "budget": 5.0 * dt}
+        "oracle_match": {
+            "passed": max_err <= 5.0 * cfg.dt, "max_err": max_err, "budget": 5.0 * cfg.dt,
+        }
     }
-    p = out_dir / "verdicts.json"
-    _write_json(p, verdicts)
-    files.append(p)
-    manifest = _manifest(cfg, files, verdicts)
-    _write_json(out_dir / "manifest.json", manifest)
-    print(f"{'PASS' if verdicts['oracle_match']['passed'] else 'FAIL'} oracle_match")
-    return EXIT_OK if verdicts["oracle_match"]["passed"] else EXIT_CHECK_FAILED
+    return _conclude(out_dir, verdicts, cfg, files)
 
 
 def cmd_verify(out: str, seed: int = 0) -> int:
@@ -565,11 +566,7 @@ def cmd_verify(out: str, seed: int = 0) -> int:
         )
         verdicts["jump_report_consistent"] = {"passed": match}
 
-    _write_json(out_dir / "verify_verdicts.json", verdicts)
-    ok = all(v["passed"] for v in verdicts.values())
-    for name, v in verdicts.items():
-        print(f"{'PASS' if v['passed'] else 'FAIL'} {name}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _conclude(out_dir, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class Reaction:
         return moreau(RegularizedPotential(self.graph, self.epsilon), u)
 
     def scalar_fns(self):
-        """Plain-float beta and dbeta closures for the homogeneous fast path."""
+        """Plain-float beta and dbeta closures for the one-node step kernel."""
         if self.graph.kind == GraphKind.INDICATOR:
             eps = self.epsilon
 

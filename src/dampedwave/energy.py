@@ -95,6 +95,12 @@ def energy_equality_residual(traj: Trajectory, s: float, t: float, g=None) -> fl
     """
     if not 0.0 <= s < t <= traj.step_edges[-1] + 1e-12:
         raise TimeNotOnGrid(f"need 0 <= s < t <= T, got s={s}, t={t}")
+    e_s, e_t, diss, power = _balance_terms(traj, s, t, g)
+    return abs(e_t + diss - e_s - power)
+
+
+def _balance_terms(traj: Trajectory, s: float, t: float, g):
+    """E(s), E(t), D(s, t) and P(s, t); P from the records unless ``g`` is given."""
     i_s, i_t = traj.time_index(s), traj.time_index(t)
     grid, reaction, lam = traj.grid, traj.reaction, traj.cfg.lam
     e_s = energy(grid, traj.U[i_s], traj.V[i_s], reaction, lam).total
@@ -104,7 +110,7 @@ def energy_equality_residual(traj: Trajectory, s: float, t: float, g=None) -> fl
         power = forcing_power_between(traj, s, t)
     else:
         power = _recompute_power(traj, s, t, g)
-    return abs(e_t + diss - e_s - power)
+    return e_s, e_t, diss, power
 
 
 def _recompute_power(traj: Trajectory, s: float, t: float, g) -> float:
@@ -149,19 +155,20 @@ def energy_inequality_verdict(
     """
     if tol is None:
         tol = 10.0 * (traj.dt + traj.reaction.epsilon)
-    grid, reaction, lam = traj.grid, traj.reaction, traj.cfg.lam
     pairs = []
     for s, t in zip(s_samples, t_samples):
         if not s < t:
             raise TimeNotOnGrid(f"need s < t, got s={s}, t={t}")
-        i_s, i_t = traj.time_index(s), traj.time_index(t)
-        e_s = energy(grid, traj.U[i_s], traj.V[i_s], reaction, lam).total
-        e_t = energy(grid, traj.U[i_t], traj.V[i_t], reaction, lam).total
-        diss = dissipation_between(traj, s, t)
-        if g is None:
-            power = forcing_power_between(traj, s, t)
-        else:
-            power = _recompute_power(traj, s, t, g)
+        e_s, e_t, diss, power = _balance_terms(traj, s, t, g)
         slack = e_s + power - e_t - diss
         pairs.append(InequalityPair(s, t, slack, slack >= -tol))
     return InequalityReport(tol, tuple(pairs))
+
+
+def random_time_pairs(traj: Trajectory, rng, n_pairs: int):
+    """``n_pairs`` seeded recorded-time pairs s < t (the s indices are drawn first)."""
+    n_rec = len(traj.times)
+    s_idx = rng.integers(0, n_rec - 1, n_pairs)
+    t_idx = rng.integers(1, n_rec, n_pairs)
+    s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
+    return traj.times[s_idx], traj.times[t_idx]

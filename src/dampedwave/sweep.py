@@ -353,7 +353,7 @@ def nonuniqueness_exhibit(
     the overshoot bound, exhibiting how the limit's jump data depend on
     the approximation family.
     """
-    from .energy import energy_inequality_verdict
+    from .energy import energy_inequality_verdict, random_time_pairs
 
     toy = SimConfig(
         n_nodes=1,
@@ -390,14 +390,8 @@ def nonuniqueness_exhibit(
         v_at_1 = float(traj.V[i1, 0])
         xi = accumulate_xi(traj)
         summ = summarize_run(traj, xi)
-        rng = np.random.default_rng(0)
-        n_rec = len(traj.times)
-        s_idx = rng.integers(0, n_rec - 1, 20)
-        t_idx = rng.integers(1, n_rec, 20)
-        s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
-        verdict = energy_inequality_verdict(
-            traj, traj.times[s_idx], traj.times[t_idx]
-        )
+        s_times, t_times = random_time_pairs(traj, np.random.default_rng(0), 20)
+        verdict = energy_inequality_verdict(traj, s_times, t_times)
         out["runs"][cfg.label] = {
             "v_at_1": v_at_1,
             "overshoot": summ.overshoot,

@@ -12,6 +12,7 @@ from dampedwave.energy import (
     energy_equality_residual,
     energy_inequality_verdict,
     energy_series,
+    random_time_pairs,
 )
 from dampedwave.errors import TimeNotOnGrid
 from dampedwave.grid import Grid
@@ -147,6 +148,18 @@ class TestInequalityVerdict:
         assert drop >= diss * (1.0 - eta) - 1e-15
         rep = energy_inequality_verdict(traj, [0.0], [0.4])
         assert rep.all_pass and rep.pairs[0].slack >= -rep.tol
+
+    def test_random_time_pairs_match_inline_draw(self):
+        traj = dw.simulate(toy_config(1e-2, T=0.5, dt_divisor=10.0))
+        s, t = random_time_pairs(traj, np.random.default_rng(7), 20)
+        # the draw the check battery and the nonuniqueness exhibit made inline
+        rng = np.random.default_rng(7)
+        n_rec = len(traj.times)
+        s_idx = rng.integers(0, n_rec - 1, 20)
+        t_idx = rng.integers(1, n_rec, 20)
+        s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
+        assert np.array_equal(s, traj.times[s_idx]) and np.array_equal(t, traj.times[t_idx])
+        assert np.all(s < t)
 
     def test_monotone_decay_with_damping(self):
         cfg = dw.SimConfig(

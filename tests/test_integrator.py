@@ -167,6 +167,26 @@ class TestEntryPoints:
         np.testing.assert_allclose(s1.u, traj.U[1], atol=1e-14)
         np.testing.assert_allclose(s1.v, traj.V[1], atol=1e-14)
 
+    @pytest.mark.parametrize("case", [
+        dict(length=1.0, n_nodes=21, bc="dirichlet", graph_kind="indicator",
+             epsilon=1e-2, theta=0.7, u0="sine:1:1.2", u1="sine:2:0.4",
+             forcing="constant:1"),
+        dict(n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-3,
+             theta=0.5, u0="constant:1.01", u1="constant:1"),
+        dict(n_nodes=1, bc="neumann", graph_kind="family", r_threshold=0.9,
+             eps_param=0.02, epsilon=None, theta=0.5, u0="constant:0.95",
+             u1="constant:3", forcing="constant:1", lam=0.3),
+        dict(n_nodes=1, bc="neumann", graph_kind="logarithmic", epsilon=1e-3,
+             theta=0.5, u0="constant:0.5", u1="constant:3"),
+    ], ids=["vector", "indicator_toy", "forced_family_toy", "logarithmic_toy"])
+    def test_step_is_first_simulate_step_bitwise(self, case):
+        cfg = dw.SimConfig(T=0.01, dt=1e-3, **case)
+        traj = simulate(cfg)
+        assert traj.newton_iters[0] >= 1
+        s1 = step(SimState(0.0, traj.U[0].copy(), traj.V[0].copy()), cfg)
+        assert s1.t == traj.times[1]
+        assert np.array_equal(s1.u, traj.U[1]) and np.array_equal(s1.v, traj.V[1])
+
 
 class TestLogarithmicVectorPath:
     def test_1d_run_completes_and_decays(self):
@@ -292,12 +312,14 @@ class TestScalarMatchesVector:
 
     @staticmethod
     def both_paths(cfg):
-        from dampedwave.integrator import _resolve_steps, _simulate_scalar, _simulate_vector
+        from dampedwave.integrator import _resolve_steps, _run, _ScalarWorkspace, _VectorWorkspace
 
         grid, reaction = cfg.grid(), cfg.reaction()
         u0, v0 = cfg.initial_fields(grid)
-        args = (cfg, grid, reaction, _resolve_steps(cfg), u0, v0, cfg.forcing_fn(grid))
-        return _simulate_scalar(*args), _simulate_vector(*args)
+        n, g = _resolve_steps(cfg), cfg.forcing_fn(grid)
+        scalar = _run(cfg, _ScalarWorkspace(cfg, grid, reaction, g), n, float(u0[0]), float(v0[0]))
+        vector = _run(cfg, _VectorWorkspace(cfg, grid, reaction, g), n, u0, v0)
+        return scalar, vector
 
     def test_toy_jump_bitwise(self):
         from pathlib import Path
