@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .config import Reaction, SimConfig, from_dict, load_config, make_reaction
 from .energy import (
     EnergyBreakdown,
-    energy,
     energy_equality_residual,
     energy_inequality_verdict,
     energy_series,

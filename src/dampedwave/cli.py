@@ -7,6 +7,13 @@ as ``run.npz`` (the canonical binary record that ``verify`` reads; the
 energy ledger and the reaction-measure histogram as CSV, jump and
 verdict reports as JSON.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 configuration or I/O error.
+
+Each derived file has one renderer, ``_render_*(write, ...)``, that
+passes its text to a sink.  The ``write_*`` functions send it to a file;
+``verify`` sends it, built from the stored records of ``run.npz``, to a
+sha256 and compares that with the stored file's.  Only a file whose
+bytes differ is parsed: a reader error exits 2, a file that parses fails
+its verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import hashlib
 import json
 import math
 import sys
@@ -39,7 +47,7 @@ from .integrator import (
     record_indices,
     simulate,
 )
-from .sweep import epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
+from .sweep import checked_eps_list, epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
 from .toy import phase_level_set, yosida_layer_toy
 from .weaklimit import (
     accumulate_xi,
@@ -64,8 +72,18 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _to_file(path: Path, render, *args) -> None:
+    """Write the text ``render(write, *args)`` passes to ``write``, byte for byte."""
+    with open(path, "w", newline="") as fh:
+        render(fh.write, *args)
+
+
+def _render_json(write, payload) -> None:
+    write(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable))
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable))
+    _to_file(path, _render_json, payload)
 
 
 def _jsonable(obj):
@@ -156,14 +174,17 @@ def _recompute_records(stored: Trajectory) -> tuple[Trajectory, bool]:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    _to_file(path, _render_trajectory_csv, traj)
+
+
+def _render_trajectory_csv(write, traj: Trajectory) -> None:
     """Rows (t as %.12g, node, then u, v, beta_eps(u) as %.17g), CRLF as csv.writer ends them."""
     body = [f",{j},%.17g,%.17g,%.17g\r\n" for j in range(traj.grid.n_nodes)]
     B = map_row_blocks(traj.reaction.beta, traj.U)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,u,v,beta_eps_u\r\n")
-        for t, u, v, b in zip(traj.times, traj.U, traj.V, B):
-            ts = f"{t:.12g}"
-            fh.write((ts + ts.join(body)) % tuple(np.column_stack((u, v, b)).ravel().tolist()))
+    write("t,node,u,v,beta_eps_u\r\n")
+    for t, u, v, b in zip(traj.times, traj.U, traj.V, B):
+        ts = f"{t:.12g}"
+        write((ts + ts.join(body)) % tuple(np.column_stack((u, v, b)).ravel().tolist()))
 
 
 def read_trajectory_csv(path: Path, cfg: SimConfig) -> Trajectory:
@@ -214,40 +235,128 @@ def _rebuild_diagnostics(cfg: SimConfig, times, U, V) -> Trajectory:
     return traj
 
 
-def write_energy_csv(path: Path, traj: Trajectory) -> None:
-    es = energy_series(traj)
+def write_energy_csv(path: Path, traj: Trajectory, es) -> None:
+    _to_file(path, _render_energy_csv, traj, es)
+
+
+def _render_energy_csv(write, traj: Trajectory, es) -> None:
+    """The energy components of ``es`` with the cumulative dissipation and the balance residual."""
     diss_cum = np.concatenate([[0.0], np.cumsum(traj.diss_incr)])
     power_cum = np.concatenate([[0.0], np.cumsum(traj.power_incr)])
     steps = np.rint(np.asarray(traj.times) / traj.dt).astype(int)
-    resid = np.abs(
-        es["total"] + diss_cum[steps] - es["total"][0] - power_cum[steps]
-    )
+    resid = np.abs(es["total"] + diss_cum[steps] - es["total"][0] - power_cum[steps])
     resid[0] = 0.0
-    columns = [es[c] for c in ("t", "kinetic", "gradient", "potential", "concave", "total")]
-    _write_csv(
-        path,
-        "t,kinetic,gradient,potential,concave,total,dissipation_cum,equality_residual",
-        ["%.12g"] + ["%.17g"] * 7,
-        columns + [diss_cum[steps], resid],
-    )
+    header = "t,kinetic,gradient,potential,concave,total,dissipation_cum,equality_residual"
+    columns = [es[c] for c in header.split(",")[:6]] + [diss_cum[steps], resid]
+    _render_csv(write, header, ["%.12g"] + ["%.17g"] * 7, columns)
 
 
-def write_xi_csv(path: Path, xi, n_bins: int = 256) -> None:
-    coarse = xi.rebin(min(n_bins, xi.n_t))
+def write_xi_csv(path: Path, xi) -> None:
+    _to_file(path, _render_xi_csv, xi)
+
+
+def _render_xi_csv(write, xi) -> None:
+    """The nonzero cells of the measure rebinned to at most 256 time bins."""
+    coarse = xi.rebin(min(256, xi.n_t))
     centers = 0.5 * (coarse.t_edges[:-1] + coarse.t_edges[1:])
     k, i = np.nonzero(coarse.masses)
-    _write_csv(
-        path, "t_bin,x_bin,mass", ["%.12g", "%.12g", "%.17g"],
+    _render_csv(
+        write, "t_bin,x_bin,mass", ["%.12g", "%.12g", "%.17g"],
         [centers[k], coarse.x[i], coarse.masses[k, i]],
     )
 
 
-def _write_csv(path: Path, header: str, fmt, columns) -> None:
+def _render_csv(write, header: str, fmt, columns) -> None:
     """A header and one row per entry of the columns, CRLF-terminated as csv.writer does."""
-    np.savetxt(
-        path, np.column_stack(columns), fmt=fmt, delimiter=",", newline="\r\n",
-        header=header, comments="",
-    )
+    row = ",".join(fmt) + "\r\n"
+    rows = np.column_stack(columns).tolist()
+    write(header + "\r\n" + "".join(row % tuple(r) for r in rows))
+
+
+def _summary_payload(traj: Trajectory, xi, es) -> dict:
+    """``summary.json``: run parameters, energies, dissipation, reaction mass, Newton counts."""
+    stride = max(1, len(es) // 200)
+    return {
+        "label": traj.cfg.label,
+        "T": traj.cfg.T,
+        "dt": traj.cfg.dt,
+        "epsilon": traj.reaction.epsilon,
+        "energy_initial": float(es["total"][0]),
+        "energy_final": float(es["total"][-1]),
+        "energy_max": float(np.max(es["total"])),
+        "energy_series": {
+            "t": [float(v) for v in es["t"][::stride]],
+            "total": [float(v) for v in es["total"][::stride]],
+        },
+        "dissipation_total": dissipation_between(traj, 0.0, float(traj.step_edges[-1])),
+        "xi_total_l1": xi.total_l1,
+        "newton_total_iters": int(np.sum(traj.newton_iters)),
+        "newton_max_iters": int(np.max(traj.newton_iters, initial=0)),
+        "n_steps": traj.n_steps,
+    }
+
+
+def _jumps_payload(traj: Trajectory) -> list:
+    """``jumps.json``: one entry per detected velocity jump."""
+    return [
+        {
+            "t": ev.t,
+            "v_before_mean": float(np.mean(ev.v_before)),
+            "v_after_mean": float(np.mean(ev.v_after)),
+            "impulse": ev.impulse,
+        }
+        for ev in detect_jumps(traj)
+    ]
+
+
+def _load(path: Path, read):
+    """``read(path)``; MissingArtifact if the reader rejects the file."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise MissingArtifact(f"{path} is malformed ({exc})") from exc
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_bytes())
+
+
+def _read_csv(path: Path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _derived_files_match(out_dir: Path, stored: Trajectory, with_csv: bool) -> dict:
+    """For each file ``simulate`` derives from the run, whether it holds the
+    bytes its writer renders from the stored records.
+
+    A file that differs is read with the reader of its format: a reader
+    error is a MissingArtifact, a file that parses is a mismatch.  A
+    missing file is an OSError.
+    """
+    es = energy_series(stored)
+    xi = accumulate_xi(stored)
+    derived = {
+        "energy.csv": (_render_energy_csv, (stored, es), _read_csv),
+        "xi.csv": (_render_xi_csv, (xi,), _read_csv),
+        "summary.json": (_render_json, (_summary_payload(stored, xi, es),), _read_json),
+        "jumps.json": (_render_json, (_jumps_payload(stored),), _read_json),
+    }
+    if with_csv:
+        shape = stored.U.shape
+        derived["trajectory.csv"] = (
+            _render_trajectory_csv, (stored,), lambda p: _parse_trajectory_csv(p, *shape),
+        )
+    match = {}
+    for name, (render, args, read) in derived.items():
+        rendered, stored_bytes = hashlib.sha256(), hashlib.sha256()
+        render(lambda text: rendered.update(text.encode()), *args)
+        with open(out_dir / name, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                stored_bytes.update(chunk)
+        match[name] = rendered.digest() == stored_bytes.digest()
+        if not match[name]:
+            _load(out_dir / name, read)
+    return match
 
 
 def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
@@ -382,75 +491,29 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = Fa
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     xi = accumulate_xi(traj, run_id=cfg.label)
-
-    files = []
-    p = out_dir / "run.npz"
-    write_run_npz(p, traj)
-    files.append(p)
-    if write_csv:
-        p = out_dir / "trajectory.csv"
-        write_trajectory_csv(p, traj)
-        files.append(p)
-    p = out_dir / "energy.csv"
-    write_energy_csv(p, traj)
-    files.append(p)
-    p = out_dir / "xi.csv"
-    write_xi_csv(p, xi)
-    files.append(p)
-
     es = energy_series(traj)
-    jumps = detect_jumps(traj)
-    stride = max(1, len(es) // 200)
-    summary = {
-        "label": cfg.label,
-        "T": cfg.T,
-        "dt": cfg.dt,
-        "epsilon": traj.reaction.epsilon,
-        "energy_initial": float(es["total"][0]),
-        "energy_final": float(es["total"][-1]),
-        "energy_max": float(np.max(es["total"])),
-        "energy_series": {
-            "t": [float(v) for v in es["t"][::stride]],
-            "total": [float(v) for v in es["total"][::stride]],
-        },
-        "dissipation_total": dissipation_between(traj, 0.0, float(traj.step_edges[-1])),
-        "xi_total_l1": xi.total_l1,
-        "newton_total_iters": int(np.sum(traj.newton_iters)),
-        "newton_max_iters": int(np.max(traj.newton_iters, initial=0)),
-        "n_steps": traj.n_steps,
-    }
-    p = out_dir / "summary.json"
-    _write_json(p, summary)
-    files.append(p)
+    files = []
 
-    p = out_dir / "jumps.json"
-    _write_json(
-        p,
-        [
-            {
-                "t": ev.t,
-                "v_before_mean": float(np.mean(ev.v_before)),
-                "v_after_mean": float(np.mean(ev.v_after)),
-                "impulse": ev.impulse,
-            }
-            for ev in jumps
-        ],
-    )
-    files.append(p)
+    def emit(name, write, *args):
+        files.append(out_dir / name)
+        write(files[-1], *args)
 
+    emit("run.npz", write_run_npz, traj)
+    if write_csv:
+        emit("trajectory.csv", write_trajectory_csv, traj)
+    emit("energy.csv", write_energy_csv, traj, es)
+    emit("xi.csv", write_xi_csv, xi)
+    emit("summary.json", _write_json, _summary_payload(traj, xi, es))
+    emit("jumps.json", _write_json, _jumps_payload(traj))
     return _conclude(out_dir, _standard_checks(traj, xi, seed), cfg, files)
 
 
 def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
     cfg = load_config(config_path)
     try:
-        eps_list = [float(v) for v in eps.split(",") if v.strip()]
+        eps_list = checked_eps_list(v for v in eps.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError("eps", f"cannot parse eps list {eps!r}") from exc
-    if len(eps_list) < 3:
-        raise ConfigError("eps", "need >= 3 entries")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("eps", "entries must be strictly decreasing")
+        raise ConfigError("eps", f"bad eps list {eps!r}: {exc}") from exc
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload, report, audit = sweep_payload(cfg, eps_list)
@@ -512,60 +575,27 @@ def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
 def cmd_verify(out: str, seed: int = 0) -> int:
     """Re-run the verification battery on a stored run directory."""
     out_dir = Path(out)
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingArtifact(f"{manifest_path} not found")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _load(out_dir / "manifest.json", _read_json)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise MissingArtifact("manifest.json is not an object with a list of file names")
     if "config" not in manifest:
         raise MissingArtifact("manifest lacks the resolved config")
     cfg = from_dict(manifest["config"])
     if cfg.output_every != 1:
         raise MissingArtifact("verify needs full-resolution artifacts (output_every 1)")
 
+    stored = read_run_npz(out_dir / "run.npz", cfg)
+    match = _derived_files_match(out_dir, stored, "trajectory.csv" in files)
     # checks run on the recomputed records; the stored ones are only compared
-    traj, records_ok = _recompute_records(read_run_npz(out_dir / "run.npz", cfg))
-
-    # cross-check the stored energy ledger against a recomputation
-    energy_path = out_dir / "energy.csv"
-    if not energy_path.exists():
-        raise MissingArtifact(f"{energy_path} not found")
-    es = energy_series(traj)
-    try:
-        stored_total = np.loadtxt(energy_path, delimiter=",", skiprows=1, usecols=5, ndmin=1)
-    except ValueError as exc:
-        raise MissingArtifact(f"{energy_path}: malformed row ({exc})") from exc
-    ledger_ok = len(stored_total) == len(es) and bool(
-        np.allclose(stored_total, es["total"], rtol=1e-9, atol=1e-12)
-    )
-
-    xi = accumulate_xi(traj)
-    verdicts = _standard_checks(traj, xi, seed)
-    verdicts["energy_ledger_consistent"] = {"passed": ledger_ok and records_ok}
-
-    # the opt-in text export must hold the same states
-    if "trajectory.csv" in manifest.get("files", []):
-        times, U, V = _parse_trajectory_csv(
-            out_dir / "trajectory.csv", len(traj.times), cfg.n_nodes
-        )
-        printed = np.array([float(f"{t:.12g}") for t in traj.times])
-        csv_ok = (
-            U.tobytes() == traj.U.tobytes()
-            and V.tobytes() == traj.V.tobytes()
-            and np.array_equal(times, printed)
-        )
-        verdicts["trajectory_csv_consistent"] = {"passed": csv_ok}
-
-    # jump report consistency, when one was stored
-    jumps_path = out_dir / "jumps.json"
-    if jumps_path.exists():
-        stored = json.loads(jumps_path.read_text())
-        redetected = detect_jumps(traj)
-        match = len(stored) == len(redetected) and all(
-            abs(a["t"] - b.t) <= 10 * traj.reaction.layer_width + 10 * traj.dt
-            for a, b in zip(stored, redetected)
-        )
-        verdicts["jump_report_consistent"] = {"passed": match}
-
+    traj, records_ok = _recompute_records(stored)
+    del stored  # its reaction records are an (n_steps, n_x) array the battery does not use
+    verdicts = _standard_checks(traj, accumulate_xi(traj), seed)
+    ledger = ("energy.csv", "xi.csv", "summary.json")
+    verdicts["energy_ledger_consistent"] = {"passed": records_ok and all(match[f] for f in ledger)}
+    if "trajectory.csv" in match:
+        verdicts["trajectory_csv_consistent"] = {"passed": match["trajectory.csv"]}
+    verdicts["jump_report_consistent"] = {"passed": match["jumps.json"]}
     return _conclude(out_dir, verdicts)
 
 

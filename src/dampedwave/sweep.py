@@ -165,6 +165,16 @@ def _traj_diff(grid, times, Ua, Ub) -> dict:
     return {"linf_H": linf_H, "l2_V": l2_V}
 
 
+def checked_eps_list(eps_list) -> tuple:
+    """The entries as floats; ValueError unless >= 3 of them, strictly decreasing."""
+    eps_list = tuple(float(e) for e in eps_list)
+    if len(eps_list) < 3:
+        raise ValueError("need >= 3 sweep entries")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    return eps_list
+
+
 def epsilon_sweep(
     base_cfg: SimConfig, eps_list, dt_policy=None, keep_trajectories: bool = False,
     ratio_threshold: float = 10.0,
@@ -175,11 +185,7 @@ def epsilon_sweep(
     Runs share the grid, data, forcing, and theta; only the
     regularization index and (through the policy) the step move.
     """
-    eps_list = tuple(float(e) for e in eps_list)
-    if len(eps_list) < 3:
-        raise ValueError("need >= 3 sweep entries")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    eps_list = checked_eps_list(eps_list)
     if dt_policy is None:
         dt_policy = default_dt_policy(base_cfg.T, base_cfg.dt)
 

@@ -6,7 +6,10 @@ import shutil
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dampedwave.cli
 import dampedwave.integrator
 from dampedwave.cli import (
     RUN_FIELDS,
@@ -461,3 +464,172 @@ def test_bad_forcing_profile_exits_2_naming_forcing(tmp_path, capsys):
     cfg = write_config(tmp_path, {**GRID_DOC, "forcing": "sine:abc"})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "error: forcing: bad profile spec 'sine:abc'" in capsys.readouterr().err
+
+
+class TestSweepEpsList:
+    def test_bad_list_names_eps_and_creates_no_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY_DOC)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(cfg), "--eps", "1e-2,abc,1e-4", "--out", str(out)])
+        assert code == 2
+        assert "error: eps: bad eps list" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# verify re-renders every derived file from run.npz and compares bytes
+
+DERIVED = ("energy.csv", "xi.csv", "summary.json", "jumps.json", "trajectory.csv")
+
+
+def _copy_editing(run_dir, tmp_path, name, edit):
+    """Copy of run_dir whose file name went through edit (bytes -> bytes)."""
+    bad = tmp_path / "bad"
+    shutil.copytree(run_dir, bad)
+    p = bad / name
+    p.write_bytes(edit(p.read_bytes()))
+    return bad
+
+
+def _edit_json(edit):
+    """A bytes edit that rewrites a JSON document through edit, in the writer's format."""
+    def rewrite(raw):
+        return json.dumps(edit(json.loads(raw)), indent=2, sort_keys=True).encode()
+
+    return rewrite
+
+
+def _last_xi_mass_plus(raw):
+    header, *rows, last, end = raw.split(b"\r\n")
+    t, x, mass = last.split(b",")
+    last = b",".join([t, x, repr(float(mass) * 1.001).encode()])
+    return b"\r\n".join([header, *rows, last, end])
+
+
+class TestVerifyDerivedFiles:
+    """Each derived file must hold the bytes its writer renders from run.npz."""
+
+    def test_toy_run_has_every_derived_file(self, toy_run_dir):
+        """The tamper cases below need every file, a jump and more than one xi row."""
+        files = json.loads((toy_run_dir / "manifest.json").read_text())["files"]
+        assert set(DERIVED) <= set(files)
+        assert (toy_run_dir / "xi.csv").read_bytes().count(b"\r\n") > 1
+        assert json.loads((toy_run_dir / "jumps.json").read_text())
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("xi.csv", _last_xi_mass_plus),
+            ("summary.json", _edit_json(lambda d: {**d, "label": "edited"})),
+            ("summary.json", _edit_json(lambda d: {**d, "energy_max": d["energy_max"] * 2})),
+        ],
+        ids=["xi_mass", "summary_label", "summary_energy"],
+    )
+    def test_edited_ledger_file_fails(self, toy_run_dir, tmp_path, name, edit):
+        bad = _copy_editing(toy_run_dir, tmp_path, name, edit)
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts["energy_ledger_consistent"]["passed"]
+        assert verdicts["jump_report_consistent"]["passed"]
+        assert verdicts["trajectory_csv_consistent"]["passed"]
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # the header-only xi.csv has no data rows
+    def test_emptied_xi_and_summary_fail(self, toy_run_dir, tmp_path):
+        def header_only(raw):
+            return raw.split(b"\r\n")[0] + b"\r\n"
+
+        bad = _copy_editing(toy_run_dir, tmp_path, "xi.csv", header_only)
+        (bad / "summary.json").write_text("{}")
+        assert main(["verify", "--out", str(bad)]) == 1
+        assert not _verify_verdicts(bad)["energy_ledger_consistent"]["passed"]
+
+    def test_edited_jumps_fails(self, toy_run_dir, tmp_path):
+        edit = _edit_json(lambda jumps: [{**j, "t": j["t"] + 1e-9} for j in jumps])
+        bad = _copy_editing(toy_run_dir, tmp_path, "jumps.json", edit)
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts["jump_report_consistent"]["passed"]
+        assert verdicts["energy_ledger_consistent"]["passed"]
+
+    def test_reversed_trajectory_rows_fail(self, grid_run_dir, tmp_path):
+        bad = _rewrite_rows(grid_run_dir, tmp_path, lambda rows: rows[::-1])
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts["trajectory_csv_consistent"]["passed"]
+        assert verdicts["energy_ledger_consistent"]["passed"]
+
+    def test_non_numeric_xi_cell_exits_2(self, toy_run_dir, tmp_path):
+        def edit(raw):
+            header, first, rest = raw.split(b"\r\n", 2)
+            t, x, mass = first.split(b",")
+            return b"\r\n".join([header, b",".join([t, b"abc", mass]), rest])
+
+        bad = _copy_editing(toy_run_dir, tmp_path, "xi.csv", edit)
+        assert main(["verify", "--out", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_missing_file_exits_2(self, toy_run_dir, tmp_path, name):
+        bad = tmp_path / "bad"
+        shutil.copytree(toy_run_dir, bad)
+        (bad / name).unlink()
+        assert main(["verify", "--out", str(bad)]) == 2
+
+    @pytest.fixture(scope="class")
+    def scratch_run(self, toy_run_dir, tmp_path_factory):
+        run = tmp_path_factory.mktemp("tamper") / "run"
+        shutil.copytree(toy_run_dir, run)
+        return run
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(DERIVED), at=st.floats(0.0, 1.0), flip=st.integers(1, 255))
+    def test_any_one_byte_change_is_caught(self, scratch_run, name, at, flip):
+        p = scratch_run / name
+        raw = p.read_bytes()
+        i = min(int(at * len(raw)), len(raw) - 1)
+        p.write_bytes(raw[:i] + bytes([raw[i] ^ flip]) + raw[i + 1:])
+        try:
+            assert main(["verify", "--out", str(scratch_run)]) in (1, 2)
+        finally:
+            p.write_bytes(raw)
+
+
+def _files_5(manifest):
+    return json.dumps({"config": json.loads(manifest)["config"], "files": 5})
+
+
+class TestVerifyMalformedJson:
+    """A manifest or jump report that is not the JSON verify expects exits 2."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", lambda text: "[1,2"),
+            ("manifest.json", lambda text: "[1, 2]"),
+            ("manifest.json", _files_5),
+            ("jumps.json", lambda text: "not json"),
+            ("jumps.json", lambda text: text[:-1]),
+        ],
+        ids=["manifest_truncated", "manifest_not_object", "manifest_files_5", "jumps_text",
+             "jumps_truncated"],
+    )
+    def test_exits_2(self, toy_run_dir, tmp_path, name, edit):
+        bad = tmp_path / "bad"
+        shutil.copytree(toy_run_dir, bad)
+        (bad / name).write_text(edit((bad / name).read_text()))
+        assert main(["verify", "--out", str(bad)]) == 2
+
+
+def test_verify_calls_no_writer(toy_run_dir, monkeypatch):
+    """verify renders through the writers' renderers, never the public writers.
+
+    perfbench/tracer.py wraps ``write_*_csv`` and measures the file each
+    call wrote, and looks up ``read_trajectory_csv`` when it installs.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called a writer")
+
+    for name in ("write_energy_csv", "write_xi_csv", "write_trajectory_csv"):
+        monkeypatch.setattr(dampedwave.cli, name, refuse)
+    assert main(["verify", "--out", str(toy_run_dir)]) == 0
+    assert "trajectory_csv_consistent" in _verify_verdicts(toy_run_dir)
+    assert callable(dampedwave.cli.read_trajectory_csv)

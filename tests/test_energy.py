@@ -19,6 +19,16 @@ from dampedwave.grid import Grid
 from tests.conftest import toy_config
 
 
+def test_energy_module_is_reachable_by_name():
+    import sys
+
+    import dampedwave.energy as m
+
+    assert m is sys.modules["dampedwave.energy"] is dw.energy
+    assert m.__file__.endswith("energy.py")
+    assert m.energy is energy
+
+
 class TestBreakdown:
     def test_kinetic_only_toy(self):
         g = Grid(1.0, 1, "neumann")

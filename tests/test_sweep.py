@@ -6,6 +6,7 @@ import pytest
 
 import dampedwave as dw
 from dampedwave.sweep import (
+    checked_eps_list,
     da_regularity_check,
     epsilon_sweep,
     limsup_identity_audit,
@@ -33,6 +34,15 @@ class TestPolicyAndValidation:
             epsilon_sweep(base, [1e-2, 1e-2, 1e-3])
         with pytest.raises(ValueError):
             epsilon_sweep(base, [1e-3, 1e-2, 1e-4])
+
+    def test_checked_eps_list(self):
+        assert checked_eps_list(["1e-2", 1e-3, " 1e-4"]) == (1e-2, 1e-3, 1e-4)
+        too_short, repeated, rising, not_a_number = (
+            ["1e-2", "1e-3"], [1e-2, 1e-2, 1e-3], [1e-3, 1e-2, 1e-4], ["1e-2", "x", "1e-4"]
+        )
+        for bad in (too_short, repeated, rising, not_a_number):
+            with pytest.raises(ValueError):
+                checked_eps_list(bad)
 
     def test_uniform_ratio_guards_zero(self):
         assert uniform_ratio([0.0, 0.0, 0.0]) == 1.0
