@@ -50,6 +50,7 @@ from .integrator import (
 from .sweep import checked_eps_list, epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
 from .toy import phase_level_set, yosida_layer_toy
 from .weaklimit import (
+    SpacePairings,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
@@ -387,10 +388,11 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
         return verdicts
 
     worst = 0.0
+    pairings = SpacePairings(traj, xi)
     for phi in default_dictionary(traj.grid, float(traj.step_edges[-1])):
         if not phi.admissible_for(traj.grid.bc):
             continue
-        r = weak_residual(traj, xi, phi, float(traj.step_edges[-1]))
+        r = weak_residual(traj, xi, phi, float(traj.step_edges[-1]), pairings)
         scale = 1.0 + float(traj.step_edges[-1])
         worst = max(worst, r / scale)
     verdicts["weak_residual"] = {
@@ -586,7 +588,9 @@ def cmd_verify(out: str, seed: int = 0) -> int:
         raise MissingArtifact("verify needs full-resolution artifacts (output_every 1)")
 
     stored = read_run_npz(out_dir / "run.npz", cfg)
-    match = _derived_files_match(out_dir, stored, "trajectory.csv" in files)
+    # the export is compared whenever it is there, whatever the manifest lists
+    with_csv = "trajectory.csv" in files or (out_dir / "trajectory.csv").exists()
+    match = _derived_files_match(out_dir, stored, with_csv)
     # checks run on the recomputed records; the stored ones are only compared
     traj, records_ok = _recompute_records(stored)
     del stored  # its reaction records are an (n_steps, n_x) array the battery does not use

@@ -132,14 +132,19 @@ def eval_j(graph: MonotoneGraph, r):
     return family_j(graph.r_threshold, graph.eps_param, r)
 
 
-def limit_j(graph: MonotoneGraph, r):
-    """The limit potential as the regularization vanishes.
+def limit_is_indicator(graph: MonotoneGraph) -> bool:
+    """Whether the limit potential is the indicator of [-1, 1].
 
-    For the piecewise-linear family this is the indicator potential (the
-    family converges to the hard constraint in the sense of graphs); for
-    the other kinds it is j itself.
+    True for the hard constraint and for the piecewise-linear family
+    (which converges to it in the sense of graphs); the logarithmic
+    potential is its own limit.
     """
-    if graph.kind == GraphKind.FAMILY:
+    return graph.kind in (GraphKind.INDICATOR, GraphKind.FAMILY)
+
+
+def limit_j(graph: MonotoneGraph, r):
+    """The limit potential as the regularization vanishes."""
+    if limit_is_indicator(graph):
         return eval_j(indicator_graph(), r)
     return eval_j(graph, r)
 

@@ -154,11 +154,15 @@ class Trajectory:
         th = self.theta
         return th * Q[1:] + (1.0 - th) * Q[:-1]
 
-    def theta_states(self):
-        """Theta-combined u and v per step; needs full resolution."""
+    def theta_u(self):
+        """Theta-combined u per step; needs full resolution."""
         if not self.full_resolution:
             raise TimeNotOnGrid("theta-combined states need output_every == 1")
-        return self.theta_combine(self.U), self.theta_combine(self.V)
+        return self.theta_combine(self.U)
+
+    def theta_states(self):
+        """Theta-combined u and v per step; needs full resolution."""
+        return self.theta_u(), self.theta_combine(self.V)
 
     def theta_forcing(self, g=None):
         """Theta-combined forcing g (default: the run's) per step; None if zero."""

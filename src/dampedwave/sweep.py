@@ -298,7 +298,7 @@ class LimsupAudit:
 
 def pair_reaction_with_state(traj: Trajectory) -> float:
     """<<beta_eps(u_eps), u_eps>> in the scheme's own quadrature."""
-    u_th, _ = traj.theta_states()
+    u_th = traj.theta_u()
     w = traj.grid.mass_weights
     return traj.dt * float(np.sum(traj.beta_theta * u_th * w[None, :]))
 
@@ -333,7 +333,7 @@ def mu_vanishing_sequence(report: SweepReport) -> dict:
     out = {}
     for e in report.eps_list:
         traj = report.trajectories[e]
-        u_th, _ = traj.theta_states()
+        u_th = traj.theta_u()
         t_th = traj.theta_combine(traj.step_edges)
         u_fin = _interp_states(finest.times, finest.U, t_th)
         w = traj.grid.mass_weights

@@ -13,13 +13,25 @@ separable products) with exact time derivatives, which keeps numerical
 differentiation out of the weak-residual error budget.  Spatial
 gradient pairings use the discrete summation-by-parts form, so the
 recorded solution satisfies the discrete weak identity up to pure
-time-sampling error of order dt.
+time-sampling error of order dt.  The terms of a residual that depend
+on phi only through its spatial factor are computed once per factor
+(SpacePairings) and shared by the functions of a dictionary.
+
+The subdifferential slack of a candidate v is
+
+    J(v) - J(u) - <xi, v - u> = J(v) - J(u) - (<xi, v> - <xi, u>),
+
+one dot product per candidate with <xi, u> taken once.  When the limit
+potential is the indicator of [-1, 1] the mass weights are positive, so
+J(u) of the clipped trajectory is exactly 0 and J(v) is 0 or +inf as
+max|v| is at most 1 or not; only the logarithmic limit integrates J.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +41,7 @@ from .errors import (
     MissingReactionRecords,
     TimeNotOnGrid,
 )
-from .graphs import limit_j
+from .graphs import limit_is_indicator, limit_j
 from .grid import DIRICHLET, Grid, edge_inner
 from .integrator import Trajectory
 
@@ -278,13 +290,76 @@ def l1_mass(xi: XiMeasure) -> float:
 # weak-form residual
 
 
+@dataclass(frozen=True)
+class _SpaceTerms:
+    """The terms of weak_residual that depend on phi only through S = phi.space."""
+
+    v_dot_S: np.ndarray  # theta-combined (v, S) per step
+    u_dot_S: np.ndarray  # theta-combined (u, S) per step
+    v_first: float  # (u_t(0), S)
+    v_last: float  # (u_t(t_end), S)
+    edge: np.ndarray | None  # theta-combined grad pairings; None on one node
+    xi_S: np.ndarray  # reaction mass per cell paired with S
+    g_S: np.ndarray | None  # theta-combined (g, S); None without forcing
+
+
+class SpacePairings:
+    """Memo of weak_residual's spatial terms for one (traj, xi).
+
+    A battery tests a dozen or more functions that share a few spatial
+    factors.  Passing one instance to each of its weak_residual calls
+    pairs the states with every distinct factor once, and builds the
+    theta-combined forcing once, with the operations of a lone call.
+    """
+
+    def __init__(self, traj: Trajectory, xi: XiMeasure):
+        self.traj, self.xi = traj, xi
+        self._terms = {}
+
+    @cached_property
+    def _g_th(self):
+        return self.traj.theta_forcing()
+
+    def terms(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
+        key = (space, n_end)
+        if key not in self._terms:
+            self._terms[key] = self._build(space, n_end)
+        return self._terms[key]
+
+    def _build(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
+        traj, grid = self.traj, self.traj.grid
+        S = space.value(grid.x)
+        wS = grid.mass_weights * S
+        U = traj.U[: n_end + 1]
+        V = traj.V[: n_end + 1]
+        edge = None
+        if not grid.is_homogeneous:  # summation-by-parts form
+            edge = traj.theta_combine(edge_inner(grid, V, S) + edge_inner(grid, U, S))
+        g_th = self._g_th
+        return _SpaceTerms(
+            v_dot_S=traj.theta_combine(V @ wS),
+            u_dot_S=traj.theta_combine(U @ wS),
+            v_first=float(np.dot(wS, V[0])),
+            v_last=float(np.dot(wS, V[n_end])),
+            edge=edge,
+            xi_S=self.xi.masses[:n_end] @ space.value(self.xi.x),
+            g_S=None if g_th is None else g_th[:n_end] @ wS,
+        )
+
+
 def weak_residual(
-    traj: Trajectory, xi: XiMeasure, phi: TestFunction, t_end: float
+    traj: Trajectory,
+    xi: XiMeasure,
+    phi: TestFunction,
+    t_end: float,
+    pairings: SpacePairings | None = None,
 ) -> float:
     """Residual of the integrated weak identity over (0, t_end).
 
     All pairings use the theta-weighted step quadrature the integrator
     used, so the residual decays like C*dt under step refinement.
+    ``pairings``, built on the same traj and xi, shares the spatial
+    terms between calls; the residual does not depend on it.
     """
     if not phi.admissible_for(traj.grid.bc):
         raise InadmissibleTestFunction(
@@ -295,42 +370,38 @@ def weak_residual(
     n_end = traj.time_index(t_end)
     if n_end == 0:
         raise TimeNotOnGrid("t_end must be positive")
+    if pairings is None:
+        pairings = SpacePairings(traj, xi)
+    elif pairings.traj is not traj or pairings.xi is not xi:
+        raise ValueError("pairings were built for another trajectory or measure")
 
-    grid = traj.grid
     dt = traj.dt
     lam = traj.cfg.lam
     times = traj.times[: n_end + 1]
 
     # every pairing is linear in the states: pair each recorded state with
     # phi's spatial factor, then theta-combine the per-record values
-    S = phi.space.value(grid.x)
-    wS = grid.mass_weights * S
+    p = pairings.terms(phi.space, n_end)
     Tv = phi.time.value(times)
     T_th = traj.theta_combine(Tv)
     Td_th = traj.theta_combine(phi.time.dvalue(times))
-    U = traj.U[: n_end + 1]
-    V = traj.V[: n_end + 1]
-    v_dot_S = traj.theta_combine(V @ wS)  # (n_end,)
-    u_dot_S = traj.theta_combine(U @ wS)
 
     # -<<u_t, phi_t>>
-    acc = -dt * float(np.dot(Td_th, v_dot_S))
+    acc = -dt * float(np.dot(Td_th, p.v_dot_S))
     # + (u_t(t_end), phi(t_end))
-    acc += float(Tv[-1]) * float(np.dot(wS, V[n_end]))
-    # + <<grad u_t, grad phi>> + <<grad u, grad phi>> (summation-by-parts form)
-    if not grid.is_homogeneous:
-        edge = traj.theta_combine(edge_inner(grid, V, S) + edge_inner(grid, U, S))
-        acc += dt * float(np.dot(T_th, edge))
+    acc += float(Tv[-1]) * p.v_last
+    # + <<grad u_t, grad phi>> + <<grad u, grad phi>>
+    if p.edge is not None:
+        acc += dt * float(np.dot(T_th, p.edge))
     # + int phi d(xi)
-    acc += xi_pairing_partial(xi, phi, n_end)
+    acc += float(np.dot(phi.time.value(xi.t_eval[:n_end]), p.xi_S))
     # - lambda <<u, phi>>
-    acc -= lam * dt * float(np.dot(T_th, u_dot_S))
+    acc -= lam * dt * float(np.dot(T_th, p.u_dot_S))
     # - (u_1, phi(0))
-    acc -= float(Tv[0]) * float(np.dot(wS, V[0]))
+    acc -= float(Tv[0]) * p.v_first
     # - <<g, phi>>
-    g_th = traj.theta_forcing()
-    if g_th is not None:
-        acc -= dt * float(np.dot(T_th, g_th[:n_end] @ wS))
+    if p.g_S is not None:
+        acc -= dt * float(np.dot(T_th, p.g_S))
     return abs(acc)
 
 
@@ -417,14 +488,21 @@ def subdifferential_check(
     Candidates are per-step-by-node samples at the scheme's evaluation
     points, must lie in [-1, 1], and for Dirichlet runs represent
     interior values (their boundary trace is zero by convention).
+
+    Each candidate costs one dot product and, for an indicator limit,
+    no potential integral (see the module docstring).
     """
     if not traj.full_resolution:
         raise MissingReactionRecords("subdifferential check needs output_every == 1")
-    u_th, _ = traj.theta_states()
+    u_th = traj.theta_u()
     graph = traj.reaction.graph
+    indicator = limit_is_indicator(graph)
     w = traj.grid.mass_weights
     dt = traj.dt
-    ju = _limit_potential_time_integral(graph, u_th, w, dt, clip=True)
+    ju = 0.0
+    if not indicator:
+        ju = _limit_potential_time_integral(graph, np.clip(u_th, -1.0, 1.0), w, dt)
+    xi_u = float(np.vdot(xi.masses, u_th))
     entries = []
     for idx, v in enumerate(candidates):
         v = np.asarray(v, dtype=float)
@@ -432,21 +510,26 @@ def subdifferential_check(
             raise InadmissibleCandidate(
                 f"candidate {idx}: shape {v.shape} != {u_th.shape}"
             )
-        if np.max(np.abs(v)) > 1.0 + 1e-12:
+        v_max = _max_abs(v)
+        if v_max > 1.0 + 1e-12:
             raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
-        jv = _limit_potential_time_integral(graph, v, w, dt, clip=False)
-        pairing = float(np.sum(xi.masses * (v - u_th)))
+        if indicator:
+            jv = 0.0 if v_max <= 1.0 else math.inf
+        else:
+            jv = _limit_potential_time_integral(graph, v, w, dt)
+        pairing = float(np.vdot(xi.masses, v)) - xi_u
         slack = jv - ju - pairing
         entries.append(SubdiffEntry(idx, slack, slack >= -tol))
     return SubdiffReport(tol, tuple(entries))
 
 
-def _limit_potential_time_integral(graph, fields, w, dt, clip: bool) -> float:
-    vals = fields
-    if clip:
-        vals = np.clip(vals, -1.0, 1.0)
-    jv = limit_j(graph, vals)
-    return dt * float(np.sum(jv * w[None, :]))
+def _max_abs(v: np.ndarray) -> float:
+    """max|v| without a |v| array."""
+    return max(v.max(), -v.min())
+
+
+def _limit_potential_time_integral(graph, fields, w, dt) -> float:
+    return dt * float(np.sum(limit_j(graph, fields) * w[None, :]))
 
 
 def random_candidates(
@@ -524,7 +607,7 @@ def singular_support_check(
     """
     if not traj.full_resolution:
         raise MissingReactionRecords("support check needs output_every == 1")
-    u_th, _ = traj.theta_states()
+    u_th = traj.theta_u()
     if u_th.shape != xi.masses.shape:
         raise MissingReactionRecords("measure is not at trajectory resolution")
     sig = np.abs(xi.masses) > threshold

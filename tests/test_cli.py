@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +567,21 @@ class TestVerifyDerivedFiles:
 
         bad = _copy_editing(toy_run_dir, tmp_path, "xi.csv", edit)
         assert main(["verify", "--out", str(bad)]) == 2
+
+    def test_unlisted_trajectory_csv_is_still_compared(self, tmp_path):
+        """A manifest that no longer lists trajectory.csv does not hide an edit of it."""
+        out = tmp_path / "run"
+        config = Path(__file__).parent.parent / "configs" / "toy_jump.yaml"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--csv"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"] = [
+            "trajectory.csx" if f == "trajectory.csv" else f for f in manifest["files"]
+        ]
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with open(out / "trajectory.csv", "ab") as fh:
+            fh.write(b"\n")  # an empty line: the file still parses
+        assert main(["verify", "--out", str(out)]) == 1
+        assert not _verify_verdicts(out)["trajectory_csv_consistent"]["passed"]
 
     @pytest.mark.parametrize("name", DERIVED)
     def test_missing_file_exits_2(self, toy_run_dir, tmp_path, name):

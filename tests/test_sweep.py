@@ -5,6 +5,7 @@ import math
 import pytest
 
 import dampedwave as dw
+from dampedwave.errors import TimeNotOnGrid
 from dampedwave.sweep import (
     checked_eps_list,
     da_regularity_check,
@@ -43,6 +44,16 @@ class TestPolicyAndValidation:
         for bad in (too_short, repeated, rising, not_a_number):
             with pytest.raises(ValueError):
                 checked_eps_list(bad)
+
+    def test_state_pairings_need_full_resolution(self):
+        # two records per run: the theta-combined u would broadcast against every step
+        base = dw.SimConfig(n_nodes=9, bc="neumann", graph_kind="indicator", epsilon=1e-2,
+                            T=0.5, dt=0.01, u0="zero", u1="constant:1", output_every=50)
+        rep = epsilon_sweep(base, [1e-2, 1e-3, 1e-4], keep_trajectories=True)
+        with pytest.raises(TimeNotOnGrid):
+            limsup_identity_audit(rep)
+        with pytest.raises(TimeNotOnGrid):
+            mu_vanishing_sequence(rep)
 
     def test_uniform_ratio_guards_zero(self):
         assert uniform_ratio([0.0, 0.0, 0.0]) == 1.0

@@ -2,22 +2,28 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
+import dampedwave.cli
 from dampedwave.errors import (
     InadmissibleCandidate,
     InadmissibleTestFunction,
 )
+from dampedwave.graphs import limit_j
 from dampedwave.weaklimit import (
+    SpacePairings,
     SpaceProfile,
     TestFunction,
     TimeProfile,
+    _max_abs,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
+    iter_random_candidates,
     l1_mass,
     random_candidates,
     restriction_compat,
@@ -28,6 +34,8 @@ from dampedwave.weaklimit import (
     weak_residual,
 )
 from tests.conftest import toy_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def zero_run():
@@ -151,6 +159,43 @@ class TestWeakResidual:
         assert rs[2e-4] <= 1.25 * c_fit * 2e-4
 
 
+    def test_pairings_of_another_run_rejected(self, pressed_run):
+        traj, xi = pressed_run
+        other = zero_run()
+        phi = TestFunction(TimeProfile("one", 2.0), SpaceProfile("one", 1.0))
+        with pytest.raises(ValueError):
+            weak_residual(traj, xi, phi, 2.0, SpacePairings(other, accumulate_xi(other)))
+
+
+@pytest.fixture(scope="module")
+def shipped_runs():
+    """The Dirichlet, forced and Neumann shipped configs, with their measures."""
+    runs = {}
+    for name in ("dirichlet_sine", "pressed_wall", "neumann_contact"):
+        traj = dw.simulate(dw.load_config(CONFIGS / f"{name}.yaml"))
+        runs[name] = (traj, accumulate_xi(traj))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["dirichlet_sine", "pressed_wall", "neumann_contact"])
+def test_battery_weak_residuals_equal_lone_calls(shipped_runs, monkeypatch, name):
+    """Sharing the spatial terms across the battery changes no residual by a bit."""
+    traj, xi = shipped_runs[name]
+    seen = []
+
+    def recording(traj, xi, phi, t_end, *args):
+        r = weak_residual(traj, xi, phi, t_end, *args)
+        seen.append((phi, t_end, r))
+        return r
+
+    monkeypatch.setattr(dampedwave.cli, "weak_residual", recording)
+    dampedwave.cli._standard_checks(traj, xi, 0)
+    n_phi = sum(phi.admissible_for(traj.grid.bc) for phi in default_dictionary(traj.grid, 1.0))
+    assert len(seen) == n_phi >= 12
+    for phi, t_end, r in seen:
+        assert r == weak_residual(traj, xi, phi, t_end)
+
+
 class TestSolutionIdentity:
     """Weak form tested with the solution: the measure/state pairing balance."""
 
@@ -235,6 +280,75 @@ class TestSubdifferential:
         assert all(s >= -1e-15 for s in slacks)
         assert slacks[0] == pytest.approx(0.0, abs=1e-15)  # v = u: equality
         assert slacks[1] == pytest.approx(alpha)  # v = 0: slack alpha*(1-0)
+
+
+def oracle_subdiff(traj, xi, candidates, tol=1e-6):
+    """(slack, passed) per candidate from full-array sums of J(v), J(u) and <xi, v - u>."""
+    u_th, _ = traj.theta_states()
+    graph, w, dt = traj.reaction.graph, traj.grid.mass_weights, traj.dt
+
+    def J(fields):
+        return dt * float(np.sum(limit_j(graph, fields) * w[None, :]))
+
+    ju = J(np.clip(u_th, -1.0, 1.0))
+    out = []
+    for v in candidates:
+        slack = J(v) - ju - float(np.sum(xi.masses * (v - u_th)))
+        out.append((slack, slack >= -tol))
+    return out
+
+
+@pytest.fixture(scope="module")
+def log_run():
+    cfg = dw.SimConfig(
+        length=1.0, n_nodes=17, bc="neumann", graph_kind="logarithmic", epsilon=1e-2,
+        T=0.5, dt=1e-3, theta=1.0, u0="cosine:1:0.5", u1="constant:1",
+    )
+    traj = dw.simulate(cfg)
+    return traj, accumulate_xi(traj)
+
+
+class TestSubdifferentialOracle:
+    """The one-dot-product slack against the full-array formula."""
+
+    @pytest.mark.parametrize("run", ["toy_jump_run", "pressed_run", "log_run"])
+    def test_random_candidates_match_oracle(self, request, run):
+        traj, xi = request.getfixturevalue(run)
+        def candidates():
+            """Those of random_candidates(traj, 100, rng), one at a time."""
+            return iter_random_candidates(traj, 100, np.random.default_rng(7))
+
+        rep = subdifferential_check(traj, xi, candidates())
+        oracle = oracle_subdiff(traj, xi, candidates())
+        assert len(rep.entries) == len(oracle) == 100
+        for entry, (slack, passed) in zip(rep.entries, oracle):
+            assert entry.slack == pytest.approx(slack, rel=0.0, abs=1e-12)
+            assert entry.passed == passed
+
+    def test_log_run_has_a_reaction_to_pair(self, log_run):
+        _, xi = log_run
+        assert xi.total_l1 > 1e-3
+
+    def test_candidate_just_outside_is_infinite_and_passes(self, pressed_run):
+        traj, xi = pressed_run
+        v = np.zeros((traj.n_steps, traj.grid.n_nodes))
+        v[3, 5] = 1.0 + 5e-13
+        rep = subdifferential_check(traj, xi, [v])
+        assert rep.entries[0].slack == math.inf
+        assert rep.all_pass
+        assert oracle_subdiff(traj, xi, [v]) == [(math.inf, True)]
+
+    def test_max_abs_without_abs_array(self, pressed_run):
+        traj, _ = pressed_run
+        cands = random_candidates(traj, 5, np.random.default_rng(3))
+        cands[0][::7] = -0.0
+        cands[1][::5] = 0.0
+        cands[2][:] = -0.0
+        cands[3][:] = 0.0
+        cands[4][0, 0] = -1.0
+        cands += [np.array([[-0.0, 0.0]]), np.array([[0.0, -0.0]]), np.array([[-0.0]])]
+        for v in cands:
+            assert _max_abs(v) == np.max(np.abs(v))
 
 
 class TestSingularSupport:
