@@ -14,6 +14,12 @@ passes its text to a sink.  The ``write_*`` functions send it to a file;
 sha256 and compares that with the stored file's.  Only a file whose
 bytes differ is parsed: a reader error exits 2, a file that parses fails
 its verdict.
+
+``verify`` also recomputes the per-step records of ``run.npz`` from its
+states with the step kernel's own record function
+(``integrator.run_records``) and requires the stored bits, with no
+tolerance.  The battery then runs on records equal to the ones
+``simulate`` checked, so it gives the same verdict values.
 """
 
 from __future__ import annotations
@@ -39,12 +45,12 @@ from .energy import (
     random_time_pairs,
 )
 from .errors import ConfigError, DampedWaveError, MissingArtifact, RunError
-from .grid import edge_inner
 from .integrator import (
     Trajectory,
     _resolve_steps,
     map_row_blocks,
     record_indices,
+    run_records,
     simulate,
 )
 from .sweep import checked_eps_list, epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
@@ -154,24 +160,19 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
 
 def _recompute_records(stored: Trajectory) -> tuple[Trajectory, bool]:
     """The run with its per-step records recomputed from the states, and
-    whether the stored records match them; the Newton counts are kept.
+    whether the stored records have their bits; the Newton counts are kept.
 
-    Dissipation and power agree to round-off.  The reaction gets an
-    absolute allowance of 2e-11/epsilon on top: the logarithmic resolvent
-    stops at an x-error of 10 * 1e-12 over a whole batch of values, so a
-    batch evaluation differs from the step-by-step one by up to that much
-    divided by epsilon.
+    The step kernel's own record function recomputes them from the inputs
+    each step had, so an intact run's records are equal bit for bit, the
+    sign of each zero included (hence the comparison as integers).
     """
     traj = _rebuild_diagnostics(stored.cfg, stored.times, stored.U, stored.V)
     traj.newton_iters = stored.newton_iters
-    for k in ("diss_incr", "power_incr"):
-        rec = getattr(traj, k)
-        atol = 1e-12 * (1.0 + float(np.max(np.abs(rec), initial=0.0)))
-        if not np.allclose(getattr(stored, k), rec, rtol=1e-9, atol=atol):
-            return traj, False
-    bt = traj.beta_theta
-    budget = 2e-11 / traj.reaction.epsilon + 1e-9 * np.abs(bt)
-    return traj, bool(np.all(np.abs(stored.beta_theta - bt) <= budget))
+    records = ("beta_theta", "diss_incr", "power_incr")
+    return traj, all(
+        np.array_equal(getattr(stored, k).view(np.int64), getattr(traj, k).view(np.int64))
+        for k in records
+    )
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -222,18 +223,8 @@ def _parse_trajectory_csv(path: Path, n_t: int, n_x: int):
 
 def _rebuild_diagnostics(cfg: SimConfig, times, U, V) -> Trajectory:
     """Recompute per-step records from full-resolution states."""
-    traj = Trajectory(cfg, times, U, V, times.copy(), None, None, None, None)
-    n = traj.n_steps
-    v_th = traj.theta_combine(V)
-    g_th = traj.theta_forcing()
-    traj.beta_theta = traj.theta_combine(map_row_blocks(traj.reaction.beta, U))
-    traj.diss_incr = cfg.dt * edge_inner(traj.grid, v_th, v_th)
-    if g_th is None:
-        traj.power_incr = np.zeros(n)
-    else:
-        traj.power_incr = cfg.dt * ((g_th * v_th) @ traj.grid.mass_weights)
-    traj.newton_iters = np.zeros(n, dtype=int)
-    return traj
+    iters = np.zeros(len(times) - 1, dtype=int)
+    return Trajectory(cfg, times, U, V, times.copy(), *run_records(cfg, U, V), iters)
 
 
 def write_energy_csv(path: Path, traj: Trajectory, es) -> None:
@@ -326,16 +317,15 @@ def _read_csv(path: Path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _derived_files_match(out_dir: Path, stored: Trajectory, with_csv: bool) -> dict:
+def _derived_files_match(out_dir: Path, stored: Trajectory, xi, with_csv: bool) -> dict:
     """For each file ``simulate`` derives from the run, whether it holds the
-    bytes its writer renders from the stored records.
+    bytes its writer renders from the stored records (``xi`` is theirs).
 
     A file that differs is read with the reader of its format: a reader
     error is a MissingArtifact, a file that parses is a mismatch.  A
     missing file is an OSError.
     """
     es = energy_series(stored)
-    xi = accumulate_xi(stored)
     derived = {
         "energy.csv": (_render_energy_csv, (stored, es), _read_csv),
         "xi.csv": (_render_xi_csv, (xi,), _read_csv),
@@ -590,11 +580,13 @@ def cmd_verify(out: str, seed: int = 0) -> int:
     stored = read_run_npz(out_dir / "run.npz", cfg)
     # the export is compared whenever it is there, whatever the manifest lists
     with_csv = "trajectory.csv" in files or (out_dir / "trajectory.csv").exists()
-    match = _derived_files_match(out_dir, stored, with_csv)
-    # checks run on the recomputed records; the stored ones are only compared
+    xi = accumulate_xi(stored)
+    match = _derived_files_match(out_dir, stored, xi, with_csv)
+    # the battery runs once, on the recomputed records: when they equal the
+    # stored ones, its verdict values are simulate's
     traj, records_ok = _recompute_records(stored)
     del stored  # its reaction records are an (n_steps, n_x) array the battery does not use
-    verdicts = _standard_checks(traj, accumulate_xi(traj), seed)
+    verdicts = _standard_checks(traj, xi, seed)
     ledger = ("energy.csv", "xi.csv", "summary.json")
     verdicts["energy_ledger_consistent"] = {"passed": records_ok and all(match[f] for f in ledger)}
     if "trajectory.csv" in match:

@@ -25,7 +25,10 @@ step with one Newton iteration therefore costs two resolvent solves.
 Every step records the theta-combined reaction field (the raw material
 for the constraint-measure histogram), the dissipation and forcing
 power increments in the scheme-consistent quadrature, and the Newton
-iteration count.
+iteration count.  Each kernel has one ``record`` function for the first
+three; ``advance`` calls it per step, and ``run_records`` applies it to
+the stacked steps of stored states, which gives the run's records bit
+for bit.
 
 One driver (``_run``) allocates, records and wraps solver failures for
 every run, over one of two step kernels with the same ``advance``
@@ -213,7 +216,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     grid.check_field(state.v, "v")
     one = replace(cfg, T=cfg.dt, regularize_u0=False)
     kernel, u, v = _kernel(one, grid, one.reaction(), state.u, state.v)
-    u1, v1, _, _ = kernel.advance(u, v, state.t, 0, kernel.beta(u))
+    u1, v1 = kernel.advance(u, v, state.t, 0, kernel.beta(u))[:2]
     return SimState(state.t + cfg.dt, np.atleast_1d(u1), np.atleast_1d(v1))
 
 
@@ -254,7 +257,7 @@ def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
     r = 1
     try:
         for k in range(n_steps):
-            u, v, beta, (beta_theta[k], d, p, iters[k]) = advance(u, v, k * dt, k, beta)
+            u, v, beta, iters[k], (beta_theta[k], d, p) = advance(u, v, k * dt, k, beta)
             if d is not None:
                 diss[k] = d
             if p is not None:
@@ -273,10 +276,37 @@ def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
     )
 
 
+def run_records(cfg: SimConfig, U, V):
+    """(beta_theta, dissipation, power) of every step of the run through the
+    full-resolution states ``U``, ``V``, from its step kernel's ``record``.
+
+    Each step gets the inputs ``advance`` gave it: the reaction of one
+    state per call and the forcing at k*dt and k*dt + dt.  So on the states
+    a run stored, the records are the run's own, bit for bit.
+    """
+    grid = cfg.grid()
+    kernel = _kernel(cfg, grid, cfg.reaction(), U[0], V[0])[0]
+    if grid.is_homogeneous:
+        U, V = U[:, 0], V[:, 0]
+    B = np.empty(U.shape)
+    for i, u in enumerate(U):
+        B[i] = kernel.beta(u)
+    g, dt, n = kernel.forcing, cfg.dt, len(U) - 1
+    t = [k * dt for k in range(n)]
+    G0, G1 = (None, None) if g is None else np.array([[g(s) for s in t], [g(s + dt) for s in t]])
+    beta_theta, diss, power = kernel.record(V[:-1], V[1:], B[:-1], B[1:], G0, G1)
+    return (
+        beta_theta.reshape(n, -1),
+        np.zeros(n) if diss is None else diss,
+        np.zeros(n) if power is None else power,
+    )
+
+
 # ---------------------------------------------------------------------------
-# step kernels: advance(u, v, t, k, beta(u)) -> (u1, v1, beta(u1), record),
-# record = (beta_theta, dissipation, forcing power, Newton iterations), with
-# None for a dissipation or power that is zero by construction
+# step kernels: advance(u, v, t, k, beta(u)) -> (u1, v1, beta(u1), Newton
+# iterations, record), record = record(v, v1, beta(u), beta(u1), g(t), g(t+dt))
+# = (beta_theta, dissipation, forcing power), with None for a dissipation or
+# power that is zero by construction; record also maps stacked steps (rows)
 
 
 class _VectorWorkspace:
@@ -305,13 +335,12 @@ class _VectorWorkspace:
     def advance(self, u, v, t, k, beta0):
         """One step from (u, v) with beta0 = beta(u).
 
-        Returns (u1, v1, beta(u1), record); beta(u1) is the converged
-        Newton iterate's reaction, which the next step takes as its beta0.
+        Returns (u1, v1, beta(u1), iterations, record); beta(u1) is the
+        converged Newton iterate's reaction, which the next step takes as
+        its beta0.
         """
-        dt, th, a, lam = self.dt, self.theta, self.a, self.lam
-        t1 = t + dt
-        g0 = self.forcing(t) if (self.forcing and th < 1.0) else None
-        g1 = self.forcing(t1) if self.forcing else None
+        dt, th, a, lam, g = self.dt, self.theta, self.a, self.lam, self.forcing
+        g0, g1 = (None, None) if g is None else (g(t), g(t + dt))
         if th < 1.0:
             F0 = -self.apply_A(v) - self.apply_A(u) - beta0 + lam * u
             if g0 is not None:
@@ -352,16 +381,17 @@ class _VectorWorkspace:
             raise StepRejected(k, res, tol)
 
         # at convergence u1 = u_bar + a*w is the last iterate up, so beta(u1) = bw
-        beta_th = th * bw + (1.0 - th) * beta0
-        v_th = th * w + (1.0 - th) * v
+        return up, w, bw, iters, self.record(v, w, beta0, bw, g0, g1)
+
+    def record(self, v, v1, beta0, beta1, g0, g1):
+        dt, th = self.dt, self.theta
+        beta_th = th * beta1 + (1.0 - th) * beta0
+        v_th = th * v1 + (1.0 - th) * v
         diss = dt * edge_inner(self.grid, v_th, v_th)
-        if self.forcing:
-            g0p = g0 if g0 is not None else self.forcing(t)
-            g_th = th * g1 + (1.0 - th) * g0p
-            power = dt * float(np.dot(self.w * g_th, v_th))
-        else:
-            power = None
-        return up, w, bw, (beta_th, diss, power, iters)
+        if self.forcing is None:
+            return beta_th, diss, None
+        g_th = th * g1 + (1.0 - th) * g0
+        return beta_th, diss, dt * np.vecdot(self.w * g_th, v_th)
 
 
 class _ScalarWorkspace:
@@ -390,10 +420,7 @@ class _ScalarWorkspace:
 
     def advance(self, u, v, t, k, b0):
         th, a, lam, g = self.theta, self.a, self.lam, self.forcing
-        if g is None:
-            g0 = g1 = 0.0
-        else:
-            g0, g1 = g(t), g(t + self.dt)
+        g0, g1 = (0.0, 0.0) if g is None else (g(t), g(t + self.dt))
         if th < 1.0:
             v_bar = v + self.dt_explicit * (-b0 + lam * u + g0)
         else:
@@ -413,7 +440,7 @@ class _ScalarWorkspace:
             if not math.isfinite(res) or (res0 is not None and res > _DIVERGENCE_FACTOR * res0):
                 raise NewtonDiverged(k, it, res)
             if res0 is None:
-                res0 = max(res, 1.0)
+                res0 = 1.0 if res < 1.0 else res  # max(res, 1.0) without a call
             if res <= tol:
                 iters = it
                 break
@@ -425,8 +452,12 @@ class _ScalarWorkspace:
         else:
             raise StepRejected(k, res, tol)
 
-        beta_th = th * bw + (1.0 - th) * b0
-        if g is None:
-            return up, w, bw, (beta_th, None, None, iters)
-        power = self.dt_weight * (th * g1 + (1.0 - th) * g0) * (th * w + (1.0 - th) * v)
-        return up, w, bw, (beta_th, None, power, iters)
+        return up, w, bw, iters, self.record(v, w, b0, bw, g0, g1)
+
+    def record(self, v, v1, b0, b1, g0, g1):
+        th = self.theta
+        beta_th = th * b1 + (1.0 - th) * b0
+        if self.forcing is None:
+            return beta_th, None, None
+        g_th = th * g1 + (1.0 - th) * g0
+        return beta_th, None, self.dt_weight * g_th * (th * v1 + (1.0 - th) * v)

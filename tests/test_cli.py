@@ -436,6 +436,94 @@ class TestVerifyTamperedRecords:
         self._assert_ledger_fails(_copy_with(toy_run_dir, tmp_path, edit))
 
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+LOG_DOC = {
+    **GRID_DOC,
+    "label": "cli-log",
+    "space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
+    "graph": {"kind": "logarithmic", "epsilon": 1e-3},
+    "time": {"T": 0.3, "dt": 1e-3, "theta": 1.0},
+}
+
+
+@pytest.fixture(scope="module")
+def record_run_dirs(tmp_path_factory):
+    """``--csv`` runs of configs/toy_jump.yaml, configs/pressed_wall.yaml (forced)
+    and of a short logarithmic grid (whose simulate fails singular_support)."""
+    tmp = tmp_path_factory.mktemp("cli_records")
+    configs = {name: CONFIGS / f"{name}.yaml" for name in ("toy_jump", "pressed_wall")}
+    configs["logarithmic"] = write_config(tmp, LOG_DOC)
+    dirs = {name: tmp / name for name in configs}
+    for name, cfg in configs.items():
+        main(["simulate", "--config", str(cfg), "--out", str(dirs[name]), "--csv"])
+    return dirs
+
+
+class TestVerifyRecordsExactly:
+    """verify recomputes the records with the step kernel's own function and
+    requires their bits, so its battery is the one simulate ran."""
+
+    @pytest.mark.parametrize("record", ["beta_theta", "diss_incr", "power_incr"])
+    @pytest.mark.parametrize("run", ["toy_jump", "pressed_wall"])
+    def test_one_ulp_edit_fails(self, record_run_dirs, tmp_path, run, record):
+        at = (7, 0) if record == "beta_theta" else 7
+        edit = _replace(record, lambda a: _set(at, np.nextafter(a[at], np.inf))(a))
+        bad = _copy_with(record_run_dirs[run], tmp_path, edit)
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts.pop("energy_ledger_consistent")["passed"]
+        assert all(v["passed"] for v in verdicts.values())
+
+    def test_pressed_wall_power_is_nonzero(self, record_run_dirs):
+        """The power edits above need a forced run."""
+        cfg = load_config(CONFIGS / "pressed_wall.yaml")
+        power = read_run_npz(record_run_dirs["pressed_wall"] / "run.npz", cfg).power_incr
+        assert np.all(power != 0.0)
+
+    def test_negated_zero_record_fails(self, record_run_dirs, tmp_path):
+        def negate_zero(a):
+            assert a[7, 0] == 0.0 and not np.signbit(a[7, 0])
+            return _set((7, 0), -0.0)(a)
+
+        bad = _copy_with(record_run_dirs["toy_jump"], tmp_path, _replace("beta_theta", negate_zero))
+        assert main(["verify", "--out", str(bad)]) == 1
+        assert not _verify_verdicts(bad)["energy_ledger_consistent"]["passed"]
+
+    @pytest.mark.parametrize("run", ["toy_jump", "pressed_wall", "logarithmic"])
+    def test_battery_equals_simulates(self, record_run_dirs, run):
+        out = record_run_dirs[run]
+        main(["verify", "--out", str(out)])
+        verified = _verify_verdicts(out)
+        assert verified["energy_ledger_consistent"]["passed"]
+        for name, entry in json.loads((out / "verdicts.json").read_text()).items():
+            assert verified[name] == entry, name
+
+    @pytest.mark.parametrize("n_nodes", [1, 5], ids=["scalar", "grid"])
+    def test_time_dependent_forcing_records_are_exact(self, tmp_path, n_nodes):
+        """The records take the forcing at k*dt and k*dt + dt, as the run did:
+        with g(t) = t, a forcing taken at (k+1)*dt differs in the last bit."""
+        table = tmp_path / "g.csv"
+        table.write_text(f"0.0{',0.0' * n_nodes}\n1.0{',1.0' * n_nodes}\n")
+        doc = {
+            **GRID_DOC,
+            "space": {"length": 1.0, "n_nodes": n_nodes, "bc": "neumann"},
+            "time": {"T": 0.05, "dt": 1e-3, "theta": 0.5},
+            "forcing": f"table:{table}",
+        }
+        cfg = from_dict(doc)
+        assert any(k * cfg.dt + cfg.dt != (k + 1) * cfg.dt for k in range(50))
+        assert _recompute_records(dampedwave.integrator.simulate(cfg))[1]
+
+    def test_csv_round_trip_records_are_exact(self, record_run_dirs):
+        out = record_run_dirs["pressed_wall"]
+        cfg = load_config(CONFIGS / "pressed_wall.yaml")
+        stored = read_run_npz(out / "run.npz", cfg)
+        back = read_trajectory_csv(out / "trajectory.csv", cfg)
+        for k in ("U", "V", "beta_theta", "diss_incr", "power_incr"):
+            assert getattr(back, k).tobytes() == getattr(stored, k).tobytes(), k
+
+
 class TestVerifyCsvExport:
     def test_intact_export_is_consistent(self, grid_run_dir):
         assert main(["verify", "--out", str(grid_run_dir)]) == 0

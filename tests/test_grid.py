@@ -170,3 +170,17 @@ class TestGridConstruction:
             g = Grid(1.0, 12, bc)
             u, v = rng.standard_normal(12), rng.standard_normal(12)
             assert edge_inner(g, u, v) == pytest.approx(inner(g, apply_A(g, u), v), rel=1e-11)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("n", [3, 17, 65, 256])
+def test_edge_inner_batch_rows_equal_field_calls_bitwise(bc, n):
+    """Each row of a batch call has the bits of the call on that row alone."""
+    g = Grid(1.0, n, bc)
+    rng = np.random.default_rng(n)
+    A, B = rng.standard_normal((2, 50, n))
+    s = rng.standard_normal(n)
+    cases = [(A, B, B), (A, s, [s] * 50), (A, A, A)]
+    for U, V, rows in cases:
+        ref = np.array([edge_inner(g, u, v) for u, v in zip(U, rows)])
+        assert edge_inner(g, U, V).tobytes() == ref.tobytes()
