@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,27 +54,31 @@ class Reaction:
     epsilon: float
     layer_width: float
 
+    @cached_property
+    def _pot(self) -> RegularizedPotential:
+        return RegularizedPotential(self.graph, self.epsilon)
+
     def beta(self, u):
         if self.graph.kind == GraphKind.FAMILY:
             return family_beta(self.graph.r_threshold, self.graph.eps_param, u)
-        return yosida(RegularizedPotential(self.graph, self.epsilon), u)
+        return yosida(self._pot, u)
 
     def dbeta(self, u):
         if self.graph.kind == GraphKind.FAMILY:
             return family_dbeta(self.graph.r_threshold, self.graph.eps_param, u)
-        return yosida_derivative(RegularizedPotential(self.graph, self.epsilon), u)
+        return yosida_derivative(self._pot, u)
 
     def beta_and_dbeta(self, u):
         """``(beta(u), dbeta(u))`` bit for bit, with one resolvent solve."""
         if self.graph.kind == GraphKind.FAMILY:
             rt, ep = self.graph.r_threshold, self.graph.eps_param
             return family_beta(rt, ep, u), family_dbeta(rt, ep, u)
-        return yosida_and_derivative(RegularizedPotential(self.graph, self.epsilon), u)
+        return yosida_and_derivative(self._pot, u)
 
     def pot(self, u):
         if self.graph.kind == GraphKind.FAMILY:
             return family_j(self.graph.r_threshold, self.graph.eps_param, u)
-        return moreau(RegularizedPotential(self.graph, self.epsilon), u)
+        return moreau(self._pot, u)
 
     def scalar_fns(self):
         """Plain-float beta and dbeta closures for the one-node step kernel."""

@@ -7,7 +7,9 @@ Three graph kinds are supported:
   [-1, 1], so all transforms are closed form.
 * ``logarithmic`` -- beta(r) = log(1+r) - log(1-r) on (-1, 1), the
   derivative of the logarithmic potential.  The resolvent has no closed
-  form and is computed by a safeguarded bisection/Newton hybrid.
+  form and is computed by a safeguarded bisection/Newton hybrid that runs
+  per element, so its result for each element is the same bits whatever
+  array it comes in (a whole run, one state, one node).
 * ``family`` -- the explicit piecewise-linear family with dead zone
   [-r_threshold, r_threshold] and slope eps_param**-2 outside.  Its own
   beta is already Lipschitz, so the time integrator can use it directly
@@ -153,45 +155,90 @@ def limit_j(graph: MonotoneGraph, r):
 # resolvent, Yosida approximant, Moreau envelope
 
 
-def _log_beta(x):
-    return np.log1p(x) - np.log1p(-x)
-
-
-def _log_dbeta(x):
-    return 1.0 / (1.0 + x) + 1.0 / (1.0 - x)
-
-
 def _log_resolvent(r, epsilon, tol=1e-12, max_iter=200):
-    """Solve x + epsilon*(log(1+x) - log(1-x)) = r on (-1, 1).
+    """Solve f(x) = x + epsilon*(log(1+x) - log(1-x)) - r = 0 on (-1, 1).
 
-    Safeguarded Newton: the bisection bracket is maintained at every
-    iteration and the Newton proposal is used only when it stays inside.
-    The equation is strictly monotone in x, so the bracket never fails.
-    Convergence is measured in x (|f|/f' <= tol): near the domain edge
-    f' blows up like 1/(1-x^2) and a residual tolerance on f itself
-    would sit below one ulp of x.
+    Returns ``(x, beta'(x))``: the iteration computes beta' anyway, and the
+    Yosida derivative needs it.
+
+    Each element runs its own safeguarded Newton iteration and is frozen
+    at the first iterate that passes its own test; only the unconverged
+    elements are carried on.  So an element's bits depend on ``(r_i,
+    epsilon)`` alone, whatever the batch.  The start solves
+    x + 2 epsilon (x + x^3/3) = r to third order in x, from r/(1 + 2 epsilon)
+    clipped to +-0.99.  The bisection bracket is kept at every iteration,
+    and an element bisects when its Newton proposal leaves the bracket or
+    fails to halve its previous step: near the domain edge f' blows up
+    like 1/(1-x^2), and Newton alone crawls toward the edge.
+
+    Convergence is measured in x: an element is done when |f|/f' <= tol
+    (a residual tolerance on f itself would sit below one ulp of x near
+    the edge) or when its bracket is at most tol wide.  The bracket test
+    bounds the x-error; its ends start at the floats next to -1 and 1, so
+    a root beyond them, within one ulp of +-1 (r = 1.04 at epsilon = 1e-7),
+    is within tol + 1.2e-16 of x.  Elements still open after ``max_iter``
+    iterations are accepted at 10*tol, or NonConvergence is raised.
     """
     r = np.asarray(r, dtype=float)
-    lo = np.full(r.shape, -1.0 + 1e-16)
-    hi = np.full(r.shape, 1.0 - 1e-16)
-    x = np.clip(r, -0.5, 0.5)
-    f = x + epsilon * _log_beta(x) - r
-    df = 1.0 + epsilon * _log_dbeta(x)
-    for _ in range(max_iter):
-        if np.all(np.abs(f) <= tol * df):
+    shape = r.shape
+    rr = r.ravel()
+    n = rr.size
+    e2 = 2.0 * epsilon
+    x = np.minimum(np.maximum(rr / (1.0 + e2), -0.99), 0.99)
+    x = x - (e2 / 3.0) / (1.0 + e2) * (x * x * x)
+    out_x = out_d = idx = None  # idx: output positions of the open elements
+    for it in range(max_iter + 1):
+        # beta(x) = 2 artanh(x), beta'(x) = 2/((1-x)(1+x)); dx is the Newton step
+        f = x + e2 * np.arctanh(x) - rr
+        d = 2.0 / ((1.0 - x) * (1.0 + x))
+        dx = f / (1.0 + epsilon * d)
+        adx = np.abs(dx)
+        done = adx <= tol
+        k = np.count_nonzero(done)
+        if k < n:
+            above = f > 0.0
+            if it:
+                hi = np.where(above, x, hi)
+                lo = np.where(above, lo, x)
+                done |= hi - lo <= tol
+                k = np.count_nonzero(done)
+            else:
+                # one end is still the domain edge, the other |x| <= 0.99:
+                # too wide for the bracket test
+                hi = np.where(above, x, 1.0 - 1e-16)
+                lo = np.where(above, -1.0 + 1e-16, x)
+        if k == n:
             break
-        hi = np.where(f > 0.0, x, hi)
-        lo = np.where(f <= 0.0, x, lo)
-        newton = x - f / df
-        mid = 0.5 * (lo + hi)
-        x = np.where((newton > lo) & (newton < hi), newton, mid)
-        f = x + epsilon * _log_beta(x) - r
-        df = 1.0 + epsilon * _log_dbeta(x)
-    if np.any(np.abs(f) > 10.0 * tol * df):
-        raise NonConvergence(
-            f"logarithmic resolvent: x-error {np.max(np.abs(f / df)):.3e} > {tol:.1e}"
-        )
-    return x
+        if k:
+            if idx is None:
+                out_x, out_d = x, d
+                keep = idx = np.flatnonzero(~done)
+            else:
+                out_x[idx[done]] = x[done]
+                out_d[idx[done]] = d[done]
+                keep = ~done
+                idx = idx[keep]
+            n -= k
+            x, d, dx, adx, lo, hi, rr = (a[keep] for a in (x, d, dx, adx, lo, hi, rr))
+            if it:
+                prev = prev[keep]
+        if it == max_iter:
+            if np.any(adx > 10.0 * tol):
+                raise NonConvergence(
+                    f"logarithmic resolvent: x-error {np.max(adx):.3e} > {tol:.1e}"
+                )
+            break
+        newton = x - dx
+        use = (newton > lo) & (newton < hi)
+        if it:
+            use &= adx <= 0.5 * np.abs(x - prev)
+        prev = x
+        x = newton if np.count_nonzero(use) == n else np.where(use, newton, 0.5 * (lo + hi))
+    if idx is None:
+        return x.reshape(shape), d.reshape(shape)
+    out_x[idx] = x
+    out_d[idx] = d
+    return out_x.reshape(shape), out_d.reshape(shape)
 
 
 def resolvent(pot: RegularizedPotential, r):
@@ -201,9 +248,8 @@ def resolvent(pot: RegularizedPotential, r):
     if kind == GraphKind.INDICATOR:
         return np.clip(r, -1.0, 1.0)
     if kind == GraphKind.LOGARITHMIC:
-        scalar = np.isscalar(r)
-        x = _log_resolvent(r, eps)
-        return float(x) if scalar else x
+        x = _log_resolvent(r, eps)[0]
+        return float(x) if np.isscalar(r) else x
     rt, ep = pot.graph.r_threshold, pot.graph.eps_param
     # piecewise-linear graph: solve each branch in closed form
     e2 = ep * ep
@@ -228,13 +274,15 @@ def yosida_and_derivative(pot: RegularizedPotential, r):
     """``(yosida(r), yosida_derivative(r))`` from a single resolvent solve."""
     eps = pot.epsilon
     kind = pot.graph.kind
+    if kind == GraphKind.LOGARITHMIC:
+        x, d = _log_resolvent(r, eps)
+        if np.isscalar(r):
+            x, d = float(x), float(d)
+        return (r - x) / eps, d / (1.0 + eps * d)
     x = resolvent(pot, r)
     y = (r - x) / eps
     if kind == GraphKind.INDICATOR:
         return y, np.where(np.abs(r) >= 1.0, 1.0 / eps, 0.0)
-    if kind == GraphKind.LOGARITHMIC:
-        d = _log_dbeta(x)
-        return y, d / (1.0 + eps * d)
     rt = pot.graph.r_threshold
     e2 = pot.graph.eps_param ** 2
     return y, np.where(np.abs(r) >= rt, 1.0 / (e2 + eps), 0.0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DimensionMismatch, SingularSystem
 
@@ -132,6 +131,8 @@ def regularize_initial(grid: Grid, u0: Field, epsilon: float) -> Field:
     grid.check_field(u0, "u0")
     if grid.is_homogeneous:
         return np.array(u0, dtype=float, copy=True)
+    from scipy.linalg import solve_banded  # here, so that importing grid stays cheap
+
     ab = epsilon * laplacian_banded(grid)
     ab[1, :] += 1.0
     try:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .config import Reaction, SimConfig
 from .errors import NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
@@ -61,6 +60,8 @@ _DIVERGENCE_FACTOR = 1e8
 # temporaries (the logarithmic resolvent keeps several per element)
 BLOCK_ELEMENTS = 1 << 16
 
+_dgtsv = None  # scipy's LAPACK gtsv, imported by the first solve
+
 
 def solve_banded(l_and_u, ab, b):
     """``scipy.linalg.solve_banded`` for ``l_and_u == (1, 1)``, minus its checks.
@@ -68,10 +69,16 @@ def solve_banded(l_and_u, ab, b):
     It makes the same LAPACK ``gtsv`` call as scipy (a single division on
     one node), so the solution is bit-identical; what it skips is the
     input validation that costs more than the solve at a few hundred nodes.
+    ``scipy.linalg`` is imported by the first call that needs it, so a
+    command that never solves a tridiagonal system (``verify``, a one-node
+    run) does not pay its import, about a quarter second.
     """
+    global _dgtsv
     if len(b) == 1:
         return b / ab[1]
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as _dgtsv
+    x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -280,18 +287,19 @@ def run_records(cfg: SimConfig, U, V):
     """(beta_theta, dissipation, power) of every step of the run through the
     full-resolution states ``U``, ``V``, from its step kernel's ``record``.
 
-    Each step gets the inputs ``advance`` gave it: the reaction of one
-    state per call and the forcing at k*dt and k*dt + dt.  So on the states
-    a run stored, the records are the run's own, bit for bit.
+    Each step gets the inputs ``advance`` gave it: the reaction of each
+    state, which is elementwise bit for bit (so it is evaluated in row
+    blocks; on one node ``Reaction.beta`` gives the scalar kernel's bits),
+    and the forcing at k*dt and k*dt + dt.  So on the states a run stored,
+    the records are the run's own, bit for bit.
     """
     grid = cfg.grid()
-    kernel = _kernel(cfg, grid, cfg.reaction(), U[0], V[0])[0]
+    reaction = cfg.reaction()
+    kernel = _kernel(cfg, grid, reaction, U[0], V[0])[0]
+    B = map_row_blocks(reaction.beta, U)
     if grid.is_homogeneous:
-        U, V = U[:, 0], V[:, 0]
-    B = np.empty(U.shape)
-    for i, u in enumerate(U):
-        B[i] = kernel.beta(u)
-    g, dt, n = kernel.forcing, cfg.dt, len(U) - 1
+        V, B = V[:, 0], B[:, 0]
+    g, dt, n = kernel.forcing, cfg.dt, len(V) - 1
     t = [k * dt for k in range(n)]
     G0, G1 = (None, None) if g is None else np.array([[g(s) for s in t], [g(s + dt) for s in t]])
     beta_theta, diss, power = kernel.record(V[:-1], V[1:], B[:-1], B[1:], G0, G1)

@@ -1,7 +1,10 @@
 """Command-line interface: artifacts, exit codes, verify semantics."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -737,3 +740,50 @@ def test_verify_calls_no_writer(toy_run_dir, monkeypatch):
     assert main(["verify", "--out", str(toy_run_dir)]) == 0
     assert "trajectory_csv_consistent" in _verify_verdicts(toy_run_dir)
     assert callable(dampedwave.cli.read_trajectory_csv)
+
+
+def test_logarithmic_root_next_to_one_simulates_and_verifies(tmp_path):
+    """u0 = 0.99 hit at speed 5 with eps = 1e-7 drives the resolvent input to
+    about 1.04, whose root lies within one ulp of 1; simulate used to exit 2
+    with 'x-error 1.100e-11 > 1.0e-12'."""
+    doc = {
+        **LOG_DOC,
+        "label": "cli-log-edge",
+        "space": {"length": 1.0, "n_nodes": 33, "bc": "neumann"},
+        "graph": {"kind": "logarithmic", "epsilon": 1e-7},
+        "time": {"T": 0.05, "dt": 1e-3, "theta": 1.0},
+        "init": {"u0": "constant:0.99", "u1": "constant:5"},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert main(["verify", "--out", str(out)]) == 0
+
+
+FRESH_CLI = """
+import sys
+from dampedwave.cli import main
+codes = [main(argv.split()) for argv in sys.argv[1:]]
+print(codes, "scipy.linalg" in sys.modules)
+"""
+
+
+def _fresh_cli(*argvs):
+    """Run CLI commands in a new interpreter; their exit codes and whether
+    scipy.linalg got imported."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, *argvs],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_one_node_simulate_and_verify_do_not_import_scipy_linalg(tmp_path):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, TOY_DOC)
+    codes_and_loaded = _fresh_cli(f"simulate --config {config} --out {out}", f"verify --out {out}")
+    assert codes_and_loaded == "[0, 0] False"
+
+
+def test_grid_verify_does_not_import_scipy_linalg(npz_run_dir):
+    assert _fresh_cli(f"verify --out {npz_run_dir}") == "[0] False"

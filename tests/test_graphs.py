@@ -12,6 +12,7 @@ from dampedwave.graphs import (
     GraphKind,
     MonotoneGraph,
     RegularizedPotential,
+    _log_resolvent,
     eval_j,
     family_beta,
     family_dbeta,
@@ -259,8 +260,45 @@ def test_bad_graph_parameters_rejected():
         RegularizedPotential(indicator_graph(), 0.0)
 
 
-def test_nonconvergence_is_raised_for_absurd_tolerance():
-    from dampedwave.graphs import _log_resolvent
+class TestLogResolventPerElement:
+    def test_root_within_one_ulp_of_one(self):
+        """At eps = 1e-7, f(nextafter(1, 0)) < 0 for r = 1.04: the root lies
+        between the largest float below 1 and 1, where |f|/f' <= tol never
+        holds; the bracket test accepts it."""
+        top = np.nextafter(1.0, 0.0)
+        assert top + 1e-7 * (math.log1p(top) - math.log1p(-top)) - 1.04 < 0.0
+        x, d = _log_resolvent(np.array([1.04, -1.04]), 1e-7)
+        np.testing.assert_array_equal(np.sign(x), [1.0, -1.0])
+        assert np.all(1.0 - np.abs(x) <= 1e-12)
+        assert np.all(np.isfinite(d) & (d > 0.0))
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0])
+    def test_root_is_within_tol_of_x_and_bits_are_per_element(self, eps):
+        near = np.logspace(-16, -1, 30)
+        r = np.concatenate([
+            np.random.default_rng(3).uniform(-3.0, 3.0, 300),
+            1.0 - near, 1.0 + near, -1.0 + near, -1.0 - near, [0.0, 1.0, -1.0],
+        ])
+        x, d = _log_resolvent(r, eps)
+
+        def f(z):  # -inf/+inf beyond the domain
+            inside = np.abs(z) < 1.0
+            zi = np.where(inside, z, 0.0)
+            val = zi + eps * (np.log1p(zi) - np.log1p(-zi)) - r
+            return np.where(inside, val, np.sign(z) * np.inf)
+
+        # one ulp of 1 beyond tol: the bracket starts at the floats next to +-1
+        assert np.all(f(x - 1.2e-12) <= 0.0) and np.all(f(x + 1.2e-12) >= 0.0)
+        alone = np.array([np.concatenate(_log_resolvent(r[i : i + 1], eps)) for i in range(len(r))])
+        np.testing.assert_array_equal(alone.view(np.int64), np.stack([x, d], axis=1).view(np.int64))
+
+    def test_derivative_is_beta_prime_at_the_root(self):
+        r = np.linspace(-0.9, 0.9, 19)
+        x, d = _log_resolvent(r, 0.01)
+        np.testing.assert_allclose(d, 1.0 / (1.0 + x) + 1.0 / (1.0 - x), rtol=1e-15)
+
+
+def test_nonconvergence_is_raised_for_absurd_tolerance():
+    # r = 0.9: two iterations from the start leave an x-error of about 3e-10
     with pytest.raises(NonConvergence):
-        _log_resolvent(np.array([0.5]), 0.1, tol=1e-30, max_iter=2)
+        _log_resolvent(np.array([0.9]), 0.1, tol=1e-30, max_iter=2)

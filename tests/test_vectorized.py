@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from dampedwave.cli import _rebuild_diagnostics, read_trajectory_csv, write_trajectory_csv
-from dampedwave.config import load_config
+from dampedwave.config import load_config, make_reaction
 from dampedwave.energy import energy, energy_equality_residual, energy_series
+from dampedwave.graphs import family_graph, indicator_graph, logarithmic_graph
 from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner, inner
-from dampedwave.integrator import Trajectory, simulate
+from dampedwave.integrator import Trajectory, map_row_blocks, simulate
 from dampedwave.sweep import _traj_diff, summarize_run
 from dampedwave.weaklimit import (
     accumulate_xi,
@@ -208,6 +209,41 @@ def test_homogeneous_grid_batches_are_zero():
 
 # ---------------------------------------------------------------------------
 # check battery
+
+
+def reaction_inputs():
+    """States in [-3, 3], next to and beyond +-1, and the special points, 9 per row."""
+    near = np.logspace(-16, -1, 12)
+    r = np.concatenate([
+        np.random.default_rng(5).uniform(-3.0, 3.0, 59),
+        1.0 - near, 1.0 + near, -1.0 + near, -1.0 - near,
+        [0.0, -0.0, 1.0, -1.0, 0.99, -0.99, 1.04, -1.04, 50.0, -50.0],
+    ])
+    return r.reshape(-1, 9)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("kind", ["indicator", "logarithmic", "family"])
+def test_reaction_rows_blocks_and_elements_agree_bitwise(kind, eps):
+    """The reaction is elementwise bit for bit: in row blocks, row by row, one
+    element at a time and (beta, dbeta) through the one-node kernel's floats.
+    Run rebuilds, trajectory.csv and energy.csv rely on it."""
+    if kind == "family":
+        reaction = make_reaction(family_graph(0.8, eps), None)
+    else:
+        graph = indicator_graph() if kind == "indicator" else logarithmic_graph()
+        reaction = make_reaction(graph, eps)
+    M = reaction_inputs()
+    for fn in (reaction.beta, reaction.dbeta, reaction.pot):
+        blocks = map_row_blocks(fn, M)
+        rows = np.array([fn(row) for row in M])
+        elements = np.array([fn(M[:, j : j + 1])[:, 0] for j in range(M.shape[1])]).T
+        assert np.array_equal(blocks.view(np.int64), rows.view(np.int64)), fn.__name__
+        assert np.array_equal(blocks.view(np.int64), elements.view(np.int64)), fn.__name__
+    b, db = reaction.scalar_fns()
+    scalar = np.array([[b(v), db(v)] for v in M.ravel().tolist()])
+    batch = np.stack([reaction.beta(M).ravel(), reaction.dbeta(M).ravel()], axis=1)
+    assert np.array_equal(scalar.view(np.int64), batch.view(np.int64))
 
 
 class TestChecksMatchPerRowLoops:
