@@ -10,7 +10,7 @@ residuals.
 
 __version__ = "0.1.0"
 
-from .config import Reaction, SimConfig, from_dict, load_config, make_reaction
+from .config import SimConfig, from_dict, load_config
 from .energy import (
     EnergyBreakdown,
     energy_equality_residual,
@@ -37,6 +37,7 @@ from .errors import (
 from .graphs import (
     GraphKind,
     MonotoneGraph,
+    Reaction,
     RegularizedPotential,
     eval_j,
     family_beta,
@@ -44,6 +45,7 @@ from .graphs import (
     family_j,
     indicator_graph,
     logarithmic_graph,
+    make_reaction,
     moreau,
     resolvent,
     yosida,

@@ -25,7 +25,6 @@ tolerance.  The battery then runs on records equal to the ones
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -45,6 +44,7 @@ from .energy import (
     random_time_pairs,
 )
 from .errors import ConfigError, DampedWaveError, MissingArtifact, RunError
+from .graphs import RegularizedPotential, indicator_graph
 from .integrator import (
     Trajectory,
     _resolve_steps,
@@ -527,35 +527,22 @@ def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = toy_run_config(epsilon, T)
     traj = simulate(cfg)
-    files = []
-    p = out_dir / "toy_compare.csv"
     stride = max(1, traj.n_steps // 2000)
-    max_err = 0.0
-    with open(p, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "u_num", "v_num", "u_oracle", "v_oracle"])
-        for i in range(0, len(traj.times), stride):
-            t = float(traj.times[i])
-            uo, vo = yosida_layer_toy(epsilon, t)
-            max_err = max(max_err, abs(uo - traj.U[i, 0]), abs(vo - traj.V[i, 0]))
-            wr.writerow(
-                [f"{t:.12g}", f"{traj.U[i, 0]:.17g}", f"{traj.V[i, 0]:.17g}",
-                 f"{uo:.17g}", f"{vo:.17g}"]
-            )
-    files.append(p)
-
-    from .graphs import RegularizedPotential, indicator_graph
-
+    t = traj.times[::stride]
+    numeric = np.column_stack((traj.U[::stride, 0], traj.V[::stride, 0]))
+    oracle = np.array([yosida_layer_toy(epsilon, s) for s in t.tolist()])
+    max_err = float(np.max(np.abs(oracle - numeric)))
+    files = [out_dir / "toy_compare.csv", out_dir / "phase_portrait.csv"]
+    _to_file(
+        files[0], _render_csv, "t,u_num,v_num,u_oracle,v_oracle",
+        ["%.12g"] + ["%.17g"] * 4, [t, numeric, oracle],
+    )
     level = phase_level_set(RegularizedPotential(indicator_graph(), epsilon), 0.5, 400)
-    p = out_dir / "phase_portrait.csv"
-    with open(p, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["branch", "u", "v"])
-        for b, pts in enumerate(level.branches):
-            for u, v in pts:
-                wr.writerow([b, f"{u:.12g}", f"{v:.12g}"])
-    files.append(p)
-
+    branch = np.concatenate([np.full(len(pts), b) for b, pts in enumerate(level.branches)])
+    _to_file(
+        files[1], _render_csv, "branch,u,v", ["%d", "%.12g", "%.12g"],
+        [branch, np.concatenate(level.branches)],
+    )
     verdicts = {
         "oracle_match": {
             "passed": max_err <= 5.0 * cfg.dt, "max_err": max_err, "budget": 5.0 * cfg.dt,

@@ -6,7 +6,8 @@ top-level keys ``lambda``, ``output_every``, ``label``.  Initial data
 are named profiles ("zero", "constant:c", "sine:k[:amp]",
 "cosine:k[:amp]", "ramp") or a CSV column ("csv:path:col"); forcing is
 "zero", "constant:c", or a sampled time-by-node CSV table
-("table:path").
+("table:path").  ``SimConfig.reaction`` builds the solver's reaction with
+``graphs.make_reaction``; every reaction formula lives in ``graphs``.
 """
 
 from __future__ import annotations
@@ -16,126 +17,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .graphs import (
-    GraphKind,
-    MonotoneGraph,
-    RegularizedPotential,
-    family_beta,
-    family_dbeta,
-    family_j,
-    moreau,
-    yosida,
-    yosida_and_derivative,
-    yosida_derivative,
-)
+from .graphs import GraphKind, MonotoneGraph, Reaction, make_reaction
 from .grid import DIRICHLET, NEUMANN, Grid, regularize_initial
-
-
-@dataclass(frozen=True)
-class Reaction:
-    """The regularized reaction used inside the implicit solver.
-
-    For the indicator and logarithmic graphs this is the Yosida
-    approximant at ``epsilon`` together with the Moreau envelope as its
-    potential.  The piecewise-linear family is used verbatim (its own
-    beta is the regularizer), in which case ``epsilon`` is the family
-    index eps_param and the boundary-layer width scales like eps_param
-    instead of sqrt(epsilon).
-    """
-
-    graph: MonotoneGraph
-    epsilon: float
-    layer_width: float
-
-    @cached_property
-    def _pot(self) -> RegularizedPotential:
-        return RegularizedPotential(self.graph, self.epsilon)
-
-    def beta(self, u):
-        if self.graph.kind == GraphKind.FAMILY:
-            return family_beta(self.graph.r_threshold, self.graph.eps_param, u)
-        return yosida(self._pot, u)
-
-    def dbeta(self, u):
-        if self.graph.kind == GraphKind.FAMILY:
-            return family_dbeta(self.graph.r_threshold, self.graph.eps_param, u)
-        return yosida_derivative(self._pot, u)
-
-    def beta_and_dbeta(self, u):
-        """``(beta(u), dbeta(u))`` bit for bit, with one resolvent solve."""
-        if self.graph.kind == GraphKind.FAMILY:
-            rt, ep = self.graph.r_threshold, self.graph.eps_param
-            return family_beta(rt, ep, u), family_dbeta(rt, ep, u)
-        return yosida_and_derivative(self._pot, u)
-
-    def pot(self, u):
-        if self.graph.kind == GraphKind.FAMILY:
-            return family_j(self.graph.r_threshold, self.graph.eps_param, u)
-        return moreau(self._pot, u)
-
-    def scalar_fns(self):
-        """Plain-float beta and dbeta closures for the one-node step kernel."""
-        if self.graph.kind == GraphKind.INDICATOR:
-            eps = self.epsilon
-
-            def b(r):
-                if r > 1.0:
-                    return (r - 1.0) / eps
-                if r < -1.0:
-                    return (r + 1.0) / eps
-                return 0.0
-
-            def db(r):
-                return 1.0 / eps if (r >= 1.0 or r <= -1.0) else 0.0
-
-            return b, db
-        if self.graph.kind == GraphKind.FAMILY:
-            rt = self.graph.r_threshold
-            slope = 1.0 / (self.graph.eps_param ** 2)
-
-            def b(r):
-                if r > rt:
-                    return slope * (r - rt)
-                if r < -rt:
-                    return slope * (r + rt)
-                return 0.0
-
-            def db(r):
-                return slope if (r >= rt or r <= -rt) else 0.0
-
-            return b, db
-
-        # logarithmic: b keeps the derivative from its resolvent solve, and db
-        # reuses it when asked at the same point, as the Newton step does
-        last = [None, 0.0]
-
-        def b(r):
-            bv, dv = self.beta_and_dbeta(np.array([r]))
-            last[:] = r, float(dv[0])
-            return float(bv[0])
-
-        def db(r):
-            if r == last[0]:
-                return last[1]
-            return float(self.dbeta(np.array([r]))[0])
-
-        return b, db
-
-
-def make_reaction(graph: MonotoneGraph, epsilon: float | None) -> Reaction:
-    if graph.kind == GraphKind.FAMILY:
-        ep = graph.eps_param
-        return Reaction(graph, ep, layer_width=math.pi * ep)
-    if epsilon is None or epsilon <= 0.0:
-        raise ConfigError("graph.epsilon", "must be a positive real")
-    return Reaction(graph, epsilon, layer_width=math.pi * math.sqrt(epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ Three graph kinds are supported:
 Every kind satisfies 0 in beta(0) and has [-1, 1] as the closure of its
 domain (for the family, in the graph-limit sense as eps_param -> 0).
 All values are immutable and all operations are pure functions.
+
+``Reaction`` (built by ``make_reaction``) is the reaction the solver
+uses: the Yosida approximant of the indicator or logarithmic graph, or
+the family as it stands.  This module is the only one that computes a
+reaction value or derivative, and ``Reaction._forms`` is the one place
+that picks the formulas by kind.  Each kind has an array form and a
+plain-float form ``r -> (beta(r), dbeta(r))`` (``indicator_scalar``,
+``family_scalar``, and ``yosida_and_derivative`` itself on a float for
+the logarithmic graph) that gives the array form's bits.
 """
 
 from __future__ import annotations
@@ -27,10 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import ConfigError, NonConvergence
 
 _LOG2 = math.log(2.0)
 
@@ -108,10 +118,25 @@ def family_beta(r_threshold: float, eps_param: float, r):
     )
 
 
-def family_dbeta(r_threshold: float, eps_param: float, r):
-    """A.e. derivative of family_beta, kink resolved toward the active side."""
+def family_beta_and_dbeta(r_threshold: float, eps_param: float, r):
+    """``family_beta`` and its a.e. derivative, kink resolved toward the active side."""
     slope = 1.0 / (eps_param * eps_param)
-    return np.where(np.abs(r) >= r_threshold, slope, 0.0)
+    return family_beta(r_threshold, eps_param, r), np.where(np.abs(r) >= r_threshold, slope, 0.0)
+
+
+def family_scalar(r_threshold: float, eps_param: float):
+    """Plain-float r -> ``family_beta_and_dbeta(r)``, bit for bit on every r but NaN."""
+    rt = r_threshold
+    slope = 1.0 / (eps_param * eps_param)
+
+    def pair(r):
+        if -rt < r < rt:
+            return 0.0, 0.0
+        if r > 0.0:
+            return slope * (r - rt), slope
+        return slope * (r + rt), slope
+
+    return pair
 
 
 def eval_j(graph: MonotoneGraph, r):
@@ -176,7 +201,8 @@ def _log_resolvent(r, epsilon, tol=1e-12, max_iter=200):
     the edge) or when its bracket is at most tol wide.  The bracket test
     bounds the x-error; its ends start at the floats next to -1 and 1, so
     a root beyond them, within one ulp of +-1 (r = 1.04 at epsilon = 1e-7),
-    is within tol + 1.2e-16 of x.  Elements still open after ``max_iter``
+    is within tol + 1.2e-16 of x.  A NaN element is frozen at its first
+    test and returned as NaN.  Elements still open after ``max_iter``
     iterations are accepted at 10*tol, or NonConvergence is raised.
     """
     r = np.asarray(r, dtype=float)
@@ -193,7 +219,7 @@ def _log_resolvent(r, epsilon, tol=1e-12, max_iter=200):
         d = 2.0 / ((1.0 - x) * (1.0 + x))
         dx = f / (1.0 + epsilon * d)
         adx = np.abs(dx)
-        done = adx <= tol
+        done = ~(adx > tol)  # a NaN element is done at once, as NaN
         k = np.count_nonzero(done)
         if k < n:
             above = f > 0.0
@@ -265,13 +291,9 @@ def yosida(pot: RegularizedPotential, r):
     return (r - resolvent(pot, r)) / pot.epsilon
 
 
-def yosida_derivative(pot: RegularizedPotential, r):
-    """A.e. derivative of the Yosida approximant (kinks resolved actively)."""
-    return yosida_and_derivative(pot, r)[1]
-
-
 def yosida_and_derivative(pot: RegularizedPotential, r):
-    """``(yosida(r), yosida_derivative(r))`` from a single resolvent solve."""
+    """``yosida(r)`` and its a.e. derivative (kinks resolved actively) from a
+    single resolvent solve."""
     eps = pot.epsilon
     kind = pot.graph.kind
     if kind == GraphKind.LOGARITHMIC:
@@ -288,6 +310,21 @@ def yosida_and_derivative(pot: RegularizedPotential, r):
     return y, np.where(np.abs(r) >= rt, 1.0 / (e2 + eps), 0.0)
 
 
+def indicator_scalar(epsilon: float):
+    """Plain-float r -> ``yosida_and_derivative`` of the indicator at ``epsilon``,
+    bit for bit on every r but NaN (which gives a NaN beta either way)."""
+    slope = 1.0 / epsilon
+
+    def pair(r):
+        if -1.0 < r < 1.0:
+            return 0.0, 0.0
+        if r > 0.0:
+            return (r - 1.0) / epsilon, slope
+        return (r + 1.0) / epsilon, slope
+
+    return pair
+
+
 def moreau(pot: RegularizedPotential, r):
     """Moreau envelope min_s [ j(s) + (r-s)^2/(2 eps) ].
 
@@ -297,3 +334,69 @@ def moreau(pot: RegularizedPotential, r):
     x = resolvent(pot, r)
     y = (r - x) / pot.epsilon
     return eval_j(pot.graph, x) + 0.5 * pot.epsilon * y * y
+
+
+# ---------------------------------------------------------------------------
+# the solver's reaction
+
+
+@dataclass(frozen=True)
+class Reaction:
+    """The regularized reaction used inside the implicit solver.
+
+    For the indicator and logarithmic graphs this is the Yosida
+    approximant at ``epsilon`` together with the Moreau envelope as its
+    potential.  The piecewise-linear family is used verbatim (its own
+    beta is the regularizer), in which case ``epsilon`` is the family
+    index eps_param and the boundary-layer width scales like eps_param
+    instead of sqrt(epsilon).
+
+    The array methods are elementwise bit for bit, and
+    ``scalar_beta_and_dbeta`` gives the same bits on a plain float.
+    """
+
+    graph: MonotoneGraph
+    epsilon: float
+    layer_width: float
+
+    @cached_property
+    def _forms(self):
+        """(beta, beta_and_dbeta, pot, scalar_beta_and_dbeta) of the graph kind."""
+        g = self.graph
+        if g.kind == GraphKind.FAMILY:
+            rt, ep = g.r_threshold, g.eps_param
+            return (
+                partial(family_beta, rt, ep), partial(family_beta_and_dbeta, rt, ep),
+                partial(family_j, rt, ep), family_scalar(rt, ep),
+            )
+        pot = RegularizedPotential(g, self.epsilon)
+        pair = partial(yosida_and_derivative, pot)
+        scalar = indicator_scalar(self.epsilon) if g.kind == GraphKind.INDICATOR else pair
+        return partial(yosida, pot), pair, partial(moreau, pot), scalar
+
+    def beta(self, u):
+        return self._forms[0](u)
+
+    def dbeta(self, u):
+        return self._forms[1](u)[1]
+
+    def beta_and_dbeta(self, u):
+        """``(beta(u), dbeta(u))`` with one resolvent solve."""
+        return self._forms[1](u)
+
+    def pot(self, u):
+        return self._forms[2](u)
+
+    @property
+    def scalar_beta_and_dbeta(self):
+        """Plain-float r -> (beta(r), dbeta(r)), for the one-node step kernel."""
+        return self._forms[3]
+
+
+def make_reaction(graph: MonotoneGraph, epsilon: float | None) -> Reaction:
+    if graph.kind == GraphKind.FAMILY:
+        ep = graph.eps_param
+        return Reaction(graph, ep, layer_width=math.pi * ep)
+    if epsilon is None or epsilon <= 0.0:
+        raise ConfigError("graph.epsilon", "must be a positive real")
+    return Reaction(graph, epsilon, layer_width=math.pi * math.sqrt(epsilon))

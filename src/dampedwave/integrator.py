@@ -36,7 +36,9 @@ contract; ``_kernel`` picks it from the node count.  The vector kernel
 serves every grid of two or more nodes.  A one-node grid gets a
 plain-float kernel, because the vector kernel pays numpy's per-call
 overhead on 1-element arrays: on a 63,246-step toy run it takes about
-86 microseconds per step against 2.7 (2-core Xeon, Python 3.11).  Both
+86 microseconds per step against 2.7 (2-core Xeon, Python 3.11).  It
+gets its reaction from ``Reaction.scalar_beta_and_dbeta``, once per
+Newton iteration, with the bits of the array form.  Both
 kernels are deterministic, so identical configurations reproduce
 trajectories bit for bit.
 """
@@ -50,8 +52,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Reaction, SimConfig
+from .config import SimConfig
 from .errors import NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
+from .graphs import Reaction
 from .grid import Grid, edge_inner, laplacian_banded
 
 _DIVERGENCE_FACTOR = 1e8
@@ -413,7 +416,7 @@ class _ScalarWorkspace:
     """
 
     def __init__(self, cfg, grid, reaction, forcing):
-        self.beta, self.dbeta = reaction.scalar_fns()
+        self.beta_and_dbeta = reaction.scalar_beta_and_dbeta
         self.forcing = None if forcing is None else (lambda t: float(forcing(t)[0]))
         dt, th = cfg.dt, cfg.theta
         self.dt = dt
@@ -426,6 +429,9 @@ class _ScalarWorkspace:
         self.newton_tol = cfg.newton_tol
         self.newton_max_iter = cfg.newton_max_iter
 
+    def beta(self, u):
+        return self.beta_and_dbeta(u)[0]
+
     def advance(self, u, v, t, k, b0):
         th, a, lam, g = self.theta, self.a, self.lam, self.forcing
         g0, g1 = (0.0, 0.0) if g is None else (g(t), g(t + self.dt))
@@ -436,13 +442,13 @@ class _ScalarWorkspace:
         u_bar = u + self.dt_explicit * v
         tol = self.newton_tol * (1.0 + abs(v_bar))
 
-        b, db = self.beta, self.dbeta
+        beta_and_dbeta = self.beta_and_dbeta
         w = v
         res0 = None
         iters = 0
         for it in range(self.newton_max_iter):
             up = u_bar + a * w
-            bw = b(up)
+            bw, db = beta_and_dbeta(up)
             R = w - v_bar + a * (bw - lam * up - g1)
             res = abs(R)
             if not math.isfinite(res) or (res0 is not None and res > _DIVERGENCE_FACTOR * res0):
@@ -452,7 +458,7 @@ class _ScalarWorkspace:
             if res <= tol:
                 iters = it
                 break
-            J = 1.0 + self.a2 * (db(up) - lam)
+            J = 1.0 + self.a2 * (db - lam)
             if abs(J) < 1e-14:
                 raise NewtonDiverged(k, it, res)
             w = w - R / J

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, verify semantics."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -123,6 +124,20 @@ class TestToyCommand:
         assert code == 0
         assert (out / "toy_compare.csv").exists()
         assert (out / "phase_portrait.csv").exists()
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        """sha256 of both files as the row-by-row csv.writer loops wrote them
+        (same numpy/scipy builds as tests/test_reference.py)."""
+        out = tmp_path / "toy"
+        assert main(["toy", "--out", str(out), "--epsilon", "1e-4", "--T", "0.5"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("toy_compare.csv", "phase_portrait.csv")
+        }
+        assert digests == {
+            "toy_compare.csv": "c70c10d55e01f86dfa140b4f958579d54a64a88b5dca74ed5b148629b95006f1",
+            "phase_portrait.csv": "ec4255b5f4068076b01ab458dae89ad4c082efbaf1a59a3e8826913668a7a665",
+        }
 
 
 class TestVerify:
@@ -452,11 +467,14 @@ LOG_DOC = {
 
 @pytest.fixture(scope="module")
 def record_run_dirs(tmp_path_factory):
-    """``--csv`` runs of configs/toy_jump.yaml, configs/pressed_wall.yaml (forced)
-    and of a short logarithmic grid (whose simulate fails singular_support)."""
+    """``--csv`` runs of configs/toy_jump.yaml, configs/pressed_wall.yaml (forced),
+    a short logarithmic grid (whose simulate fails singular_support) and the
+    same logarithmic run on one node (the scalar kernel)."""
     tmp = tmp_path_factory.mktemp("cli_records")
     configs = {name: CONFIGS / f"{name}.yaml" for name in ("toy_jump", "pressed_wall")}
     configs["logarithmic"] = write_config(tmp, LOG_DOC)
+    one_node = {**LOG_DOC, "space": {**LOG_DOC["space"], "n_nodes": 1}}
+    configs["logarithmic_node"] = write_config(tmp, one_node, "node.yaml")
     dirs = {name: tmp / name for name in configs}
     for name, cfg in configs.items():
         main(["simulate", "--config", str(cfg), "--out", str(dirs[name]), "--csv"])
@@ -493,7 +511,7 @@ class TestVerifyRecordsExactly:
         assert main(["verify", "--out", str(bad)]) == 1
         assert not _verify_verdicts(bad)["energy_ledger_consistent"]["passed"]
 
-    @pytest.mark.parametrize("run", ["toy_jump", "pressed_wall", "logarithmic"])
+    @pytest.mark.parametrize("run", ["toy_jump", "pressed_wall", "logarithmic", "logarithmic_node"])
     def test_battery_equals_simulates(self, record_run_dirs, run):
         out = record_run_dirs[run]
         main(["verify", "--out", str(out)])

@@ -106,10 +106,10 @@ class TestReaction:
         cfg = SimConfig(n_nodes=1, bc="neumann", graph_kind="indicator",
                         epsilon=0.2, T=1.0, dt=0.1)
         reaction = cfg.reaction()
-        b, db = reaction.scalar_fns()
-        for r in (-1.7, -0.5, 0.0, 1.0, 2.4):
-            assert b(r) == pytest.approx(float(reaction.beta(np.array([r]))[0]))
-            assert db(r) == pytest.approx(float(reaction.dbeta(np.array([r]))[0]))
+        rs = [-1.7, -1.0, -0.5, 0.0, 1.0, 2.4]
+        scalar = np.array([reaction.scalar_beta_and_dbeta(r) for r in rs])
+        vector = np.stack([reaction.beta(np.array(rs)), reaction.dbeta(np.array(rs))], axis=1)
+        assert scalar.tobytes() == vector.tobytes()
 
     def test_family_reaction_is_the_family_itself(self):
         cfg = SimConfig(n_nodes=1, bc="neumann", graph_kind="family",

@@ -15,7 +15,7 @@ from dampedwave.graphs import (
     _log_resolvent,
     eval_j,
     family_beta,
-    family_dbeta,
+    family_beta_and_dbeta,
     family_graph,
     family_j,
     indicator_graph,
@@ -24,7 +24,7 @@ from dampedwave.graphs import (
     moreau,
     resolvent,
     yosida,
-    yosida_derivative,
+    yosida_and_derivative,
 )
 
 ALL_GRAPHS = [indicator_graph(), logarithmic_graph(), family_graph(0.7, 0.3)]
@@ -201,8 +201,8 @@ class TestFamily:
         assert np.max(np.abs(fd - family_beta(rt, ep, rs))) < 1e-5
 
     def test_dbeta_active_side(self):
-        assert family_dbeta(0.7, 0.5, 0.7) == pytest.approx(4.0)
-        assert family_dbeta(0.7, 0.5, 0.69) == 0.0
+        assert family_beta_and_dbeta(0.7, 0.5, 0.7)[1] == pytest.approx(4.0)
+        assert family_beta_and_dbeta(0.7, 0.5, 0.69)[1] == 0.0
 
 
 class TestSignStructure:
@@ -238,9 +238,9 @@ class TestSignStructure:
 class TestDerivatives:
     def test_yosida_derivative_indicator(self):
         pot = RegularizedPotential(indicator_graph(), 0.2)
-        assert yosida_derivative(pot, 0.5) == 0.0
-        assert yosida_derivative(pot, 1.5) == pytest.approx(5.0)
-        assert yosida_derivative(pot, 1.0) == pytest.approx(5.0)  # active side
+        assert yosida_and_derivative(pot, 0.5)[1] == 0.0
+        assert yosida_and_derivative(pot, 1.5)[1] == pytest.approx(5.0)
+        assert yosida_and_derivative(pot, 1.0)[1] == pytest.approx(5.0)  # active side
 
     def test_yosida_derivative_matches_fd(self):
         h = 1e-6
@@ -248,7 +248,7 @@ class TestDerivatives:
             pot = RegularizedPotential(g, 0.1)
             for r in (-1.7, -0.2, 0.4, 1.9):
                 fd = (yosida(pot, r + h) - yosida(pot, r - h)) / (2 * h)
-                assert yosida_derivative(pot, r) == pytest.approx(fd, rel=1e-4, abs=1e-6)
+                assert yosida_and_derivative(pot, r)[1] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_bad_graph_parameters_rejected():
@@ -291,6 +291,24 @@ class TestLogResolventPerElement:
         assert np.all(f(x - 1.2e-12) <= 0.0) and np.all(f(x + 1.2e-12) >= 0.0)
         alone = np.array([np.concatenate(_log_resolvent(r[i : i + 1], eps)) for i in range(len(r))])
         np.testing.assert_array_equal(alone.view(np.int64), np.stack([x, d], axis=1).view(np.int64))
+
+    def test_nan_element_is_frozen_at_its_first_test(self, monkeypatch):
+        """A NaN element stays NaN and costs no iteration: the other elements
+        make the same arctanh calls, with the same bits, as they do alone."""
+        real, calls = np.arctanh, []
+
+        def counting(x):
+            calls.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(np, "arctanh", counting)
+        x, d = _log_resolvent(np.array([np.nan, 0.5]), 1e-3)
+        with_nan = calls.copy()
+        calls.clear()
+        alone = _log_resolvent(np.array([0.5]), 1e-3)
+        assert np.isnan(x[0]) and np.isnan(d[0])
+        assert len(with_nan) == len(calls) and with_nan[1:] == calls[1:]
+        assert x[1:].tobytes() == alone[0].tobytes() and d[1:].tobytes() == alone[1].tobytes()
 
     def test_derivative_is_beta_prime_at_the_root(self):
         r = np.linspace(-0.9, 0.9, 19)

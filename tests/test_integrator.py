@@ -305,6 +305,45 @@ def test_singular_newton_system_is_rejected_step(monkeypatch):
     assert isinstance(info.value.__cause__, dw.errors.StepRejected)
 
 
+class TestModalOracle:
+    """Dirichlet ``sine:k`` data that stay in the dead zone.
+
+    sin(k pi x) is an eigenvector of the 3-point Dirichlet operator with
+    eigenvalue mu = (4/h^2) sin^2(k pi h/2), and the reaction vanishes, so
+    the semi-discrete solution is c(t) sin(k pi x) with c'' + mu c' + mu c = 0
+    in closed form.  The theta-scheme must reach it at second order in dt
+    at theta = 1/2 and at first order at theta = 1.
+    """
+
+    A0, A1, T = 0.5, 0.5, 0.5
+
+    def error_at_T(self, k, theta, dt):
+        cfg = dw.SimConfig(
+            n_nodes=33, bc="dirichlet", graph_kind="indicator", epsilon=1.0,
+            T=self.T, dt=dt, theta=theta, u0=f"sine:{k}:{self.A0}",
+            u1=f"sine:{k}:{self.A1}", regularize_u0=False,
+        )
+        traj = simulate(cfg)
+        assert not np.any(traj.beta_theta)  # the reaction never acts
+        grid = cfg.grid()
+        mu = 4.0 / grid.h**2 * math.sin(k * math.pi * grid.h / 2.0) ** 2
+        phi = np.sin(k * math.pi * grid.x)
+        np.testing.assert_allclose(dw.apply_A(grid, phi), mu * phi, rtol=0, atol=1e-11)
+        # overdamped: c = p e^(r1 t) + q e^(r2 t), c(0) = A0, c'(0) = A1
+        s = math.sqrt(mu * mu - 4.0 * mu)
+        r1, r2 = 0.5 * (-mu + s), 0.5 * (-mu - s)
+        q = (self.A1 - r1 * self.A0) / (r2 - r1)
+        c = (self.A0 - q) * math.exp(r1 * self.T) + q * math.exp(r2 * self.T)
+        return float(np.max(np.abs(traj.U[-1] - c * phi)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("theta, order", [(0.5, 2), (1.0, 1)])
+    def test_convergence_order(self, k, theta, order):
+        errs = [self.error_at_T(k, theta, dt) for dt in (0.01, 0.005, 0.0025)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 0.95 * 2**order <= coarse / fine <= 1.05 * 2**order, errs
+
+
 class TestScalarMatchesVector:
     """The scalar fast path against the vector kernel on a one-node Neumann grid."""
 

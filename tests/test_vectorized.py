@@ -240,8 +240,7 @@ def test_reaction_rows_blocks_and_elements_agree_bitwise(kind, eps):
         elements = np.array([fn(M[:, j : j + 1])[:, 0] for j in range(M.shape[1])]).T
         assert np.array_equal(blocks.view(np.int64), rows.view(np.int64)), fn.__name__
         assert np.array_equal(blocks.view(np.int64), elements.view(np.int64)), fn.__name__
-    b, db = reaction.scalar_fns()
-    scalar = np.array([[b(v), db(v)] for v in M.ravel().tolist()])
+    scalar = np.array([reaction.scalar_beta_and_dbeta(v) for v in M.ravel().tolist()])
     batch = np.stack([reaction.beta(M).ravel(), reaction.dbeta(M).ravel()], axis=1)
     assert np.array_equal(scalar.view(np.int64), batch.view(np.int64))
 
