@@ -1,19 +1,31 @@
 """Command-line entry point: simulate, sweep, toy, verify.
 
 Every command owns one output directory and writes its artifacts there
-(no images): a run manifest listing every emitted file, the trajectory
-as ``run.npz`` (the canonical binary record that ``verify`` reads; the
-``trajectory.csv`` text export is opt-in with ``simulate --csv``), the
-energy ledger and the reaction-measure histogram as CSV, jump and
-verdict reports as JSON.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 configuration or I/O error.
+(no images): a run manifest listing and digesting every emitted file,
+the trajectory as ``run.npz`` (the canonical binary record that
+``verify`` reads; the ``trajectory.csv`` text export is opt-in with
+``simulate --csv``), the energy ledger and the reaction-measure
+histogram as CSV, jump and verdict reports as JSON.  Exit codes: 0 all
+checks pass, 1 a check failed, 2 configuration or I/O error.
 
-Each derived file has one renderer, ``_render_*(write, ...)``, that
-passes its text to a sink.  The ``write_*`` functions send it to a file;
-``verify`` sends it, built from the stored records of ``run.npz``, to a
-sha256 and compares that with the stored file's.  Only a file whose
-bytes differ is parsed: a reader error exits 2, a file that parses fails
-its verdict.
+One table, ``_artifacts``, holds every file ``simulate`` writes after
+``run.npz`` and ``verdicts.json``: its name, the writer ``simulate``
+calls, the renderer ``verify`` calls, their arguments, the reader of a
+stored file whose bytes differ, and the verdict that covers it.  Each
+renderer ``_render_*(write, ...)`` passes its text to a sink.  The
+writers send it to a file; ``verify`` sends it, built from the stored
+records of ``run.npz``, to a sha256 and compares that with the stored
+file's.  Only a file whose bytes differ is parsed: a reader error exits
+2, a file that parses fails its verdict.
+
+The manifest is the table's last row and a pure function of the run
+directory: the config, its hash, the tool version, the sha256 of every
+file it lists (``run.npz`` and ``verdicts.json`` included) and the
+verdict flags of ``verdicts.json``.  Two runs of one config give the
+same bytes.  ``verify`` renders it again like any other row, with the
+digests of the files it rendered, so an edited derived file fails its
+own verdict only, and an edit of the manifest, ``verdicts.json`` or
+``run.npz`` fails ``energy_ledger_consistent``.
 
 ``verify`` also recomputes the per-step records of ``run.npz`` from its
 states with the step kernel's own record function
@@ -25,12 +37,12 @@ tolerance.  The battery then runs on records equal to the ones
 from __future__ import annotations
 
 import argparse
-import datetime
 import hashlib
 import json
 import math
 import sys
 import zipfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +86,7 @@ EXIT_CONFIG_ERROR = 2
 # verify-mode weak-residual budget: |residual| <= WEAK_C * dt * phi-scale
 WEAK_C = 100.0
 
-
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+LEDGER = "energy_ledger_consistent"
 
 
 def _to_file(path: Path, render, *args) -> None:
@@ -98,8 +108,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -131,7 +139,8 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
                     f"{path} holds {sorted(npz.files)}, a run holds {sorted(RUN_FIELDS)}"
                 )
             stored = {k: npz[k] for k in RUN_FIELDS}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+    # zipfile raises RuntimeError for a member flagged encrypted or compressed by an unknown method
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
         raise MissingArtifact(f"{path} is not a readable npz archive ({exc})") from exc
 
     n_steps = _resolve_steps(cfg)
@@ -317,36 +326,101 @@ def _read_csv(path: Path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _derived_files_match(out_dir: Path, stored: Trajectory, xi, with_csv: bool) -> dict:
-    """For each file ``simulate`` derives from the run, whether it holds the
-    bytes its writer renders from the stored records (``xi`` is theirs).
+def _sha256(path: Path) -> str:
+    """The hex sha256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
-    A file that differs is read with the reader of its format: a reader
-    error is a MissingArtifact, a file that parses is a mismatch.  A
-    missing file is an OSError.
+
+def _render_manifest(write, out_dir: Path, cfg: SimConfig, names, digests) -> None:
+    """``manifest.json``: the config, its hash, the tool version, the files
+    ``names`` and ``verdicts.json`` of ``out_dir`` with their sha256, and the
+    flags of the verdicts.  A file's digest is read from ``out_dir`` unless
+    ``digests`` holds it.
+
+    MissingArtifact unless ``verdicts.json`` is an object of objects, each
+    with a boolean ``passed``.
     """
-    es = energy_series(stored)
-    derived = {
-        "energy.csv": (_render_energy_csv, (stored, es), _read_csv),
-        "xi.csv": (_render_xi_csv, (xi,), _read_csv),
-        "summary.json": (_render_json, (_summary_payload(stored, xi, es),), _read_json),
-        "jumps.json": (_render_json, (_jumps_payload(stored),), _read_json),
-    }
-    if with_csv:
-        shape = stored.U.shape
-        derived["trajectory.csv"] = (
-            _render_trajectory_csv, (stored,), lambda p: _parse_trajectory_csv(p, *shape),
-        )
-    match = {}
-    for name, (render, args, read) in derived.items():
-        rendered, stored_bytes = hashlib.sha256(), hashlib.sha256()
-        render(lambda text: rendered.update(text.encode()), *args)
-        with open(out_dir / name, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                stored_bytes.update(chunk)
-        match[name] = rendered.digest() == stored_bytes.digest()
-        if not match[name]:
-            _load(out_dir / name, read)
+    path = out_dir / "verdicts.json"
+    verdicts = _load(path, _read_json)
+    if not isinstance(verdicts, dict) or not all(
+        isinstance(v, dict) and isinstance(v.get("passed"), bool) for v in verdicts.values()
+    ):
+        raise MissingArtifact(f"{path} is not an object of verdicts with a boolean 'passed'")
+    sha256 = {n: digests.get(n) or _sha256(out_dir / n) for n in [*names, path.name]}
+    _render_json(write, {
+        "config_hash": cfg.config_hash(),
+        "tool_version": __version__,
+        "config": cfg.to_dict(),
+        "files": sorted(sha256),
+        "sha256": sha256,
+        "verdicts": {k: v["passed"] for k, v in verdicts.items()},
+    })
+
+
+Artifact = namedtuple("Artifact", "name write render args read verdict opt_in", defaults=[False])
+
+
+def _manifest(out_dir: Path, cfg: SimConfig, names, digests) -> Artifact:
+    """The manifest's row, the last of a run: it digests ``names`` and ``verdicts.json``."""
+    write = lambda path, *args: _to_file(path, _render_manifest, *args)
+    args = (out_dir, cfg, names, digests)
+    return Artifact("manifest.json", write, _render_manifest, args, _read_json, LEDGER)
+
+
+def _artifacts(out_dir: Path, traj: Trajectory, xi, es, export, digests) -> list[Artifact]:
+    """The artifact table: the files of a run after ``run.npz`` and
+    ``verdicts.json``, in the order of their verdicts, one row each.
+
+    ``write(path, *args)`` is the writer ``simulate`` calls, and
+    ``render(sink, *args)`` passes the text it stores to a sink; ``verify``
+    hashes that.  ``read(path)`` parses a stored file whose bytes differ,
+    and ``verdict`` is the one that covers the file.  An ``opt_in`` row is
+    kept when ``export(name)`` is true.  The table is built when a command
+    runs, from the writers this module binds then.  The manifest comes
+    last: it lists and digests the files before it, ``run.npz`` and
+    ``verdicts.json``, and takes the digests that ``digests`` holds when
+    it is rendered instead of reading those files.
+    """
+    summary, jumps = _summary_payload(traj, xi, es), _jumps_payload(traj)
+    table = [
+        Artifact("energy.csv", write_energy_csv, _render_energy_csv, (traj, es), _read_csv, LEDGER),
+        Artifact("xi.csv", write_xi_csv, _render_xi_csv, (xi,), _read_csv, LEDGER),
+        Artifact("summary.json", _write_json, _render_json, (summary,), _read_json, LEDGER),
+        Artifact("trajectory.csv", write_trajectory_csv, _render_trajectory_csv, (traj,),
+                 lambda p: _parse_trajectory_csv(p, *traj.U.shape),
+                 "trajectory_csv_consistent", True),
+        Artifact("jumps.json", _write_json, _render_json, (jumps,), _read_json,
+                 "jump_report_consistent"),
+    ]
+    table = [a for a in table if not a.opt_in or export(a.name)]
+    return table + [_manifest(out_dir, traj.cfg, ["run.npz", *(a.name for a in table)], digests)]
+
+
+def _derived_files_match(out_dir: Path, stored: Trajectory, xi, export) -> dict:
+    """For each verdict of the artifact table, whether every file it covers
+    holds the bytes its renderer gives from the stored records (``xi`` is
+    theirs) and the directory.
+
+    The manifest takes each earlier row's digest from its rendering, so an
+    edited derived file fails its own verdict only; the manifest covers
+    ``run.npz`` and ``verdicts.json`` with digests of the stored bytes.  A
+    file that differs is read with its row's reader: a reader error is a
+    MissingArtifact, a file that parses is a mismatch.  A missing file is
+    an OSError.
+    """
+    match, digests = {}, {}
+    for a in _artifacts(out_dir, stored, xi, energy_series(stored), export, digests):
+        rendered = hashlib.sha256()
+        a.render(lambda text: rendered.update(text.encode()), *a.args)
+        digests[a.name] = rendered.hexdigest()
+        same = digests[a.name] == _sha256(out_dir / a.name)
+        if not same:
+            _load(out_dir / a.name, a.read)
+        match[a.verdict] = match.get(a.verdict, True) and same
     return match
 
 
@@ -417,37 +491,27 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
     return verdicts
 
 
-def _manifest(cfg: SimConfig, files, verdicts) -> dict:
-    return {
-        "config_hash": cfg.config_hash(),
-        "tool_version": __version__,
-        "created": _now(),
-        "config": cfg.to_dict(),
-        "files": sorted(str(f.name) for f in files),
-        "verdicts": {k: v["passed"] for k, v in verdicts.items()},
-    }
-
-
-def _conclude(out_dir: Path, verdicts: dict, cfg: SimConfig | None = None, files=()) -> int:
-    """Store the verdicts, print one PASS/FAIL line each, return the exit code.
-
-    A command that made the run (``cfg`` given) writes ``verdicts.json``
-    and a manifest of ``files`` plus it; ``verify`` writes
-    ``verify_verdicts.json`` and leaves the manifest as it is.
-    """
-    if cfg is None:
-        _write_json(out_dir / "verify_verdicts.json", verdicts)
-    else:
-        p = out_dir / "verdicts.json"
-        _write_json(p, verdicts)
-        _write_json(out_dir / "manifest.json", _manifest(cfg, [*files, p], verdicts))
+def _conclude(out_dir: Path, verdicts: dict, rows=(), store: str = "verdicts.json") -> int:
+    """Store the verdicts as ``store``, then write the ``rows`` of the
+    artifact table (whose manifest digests the verdicts); print one
+    PASS/FAIL line per verdict and return the exit code."""
+    _write_json(out_dir / store, verdicts)
+    for a in rows:
+        a.write(out_dir / a.name, *a.args)
     for name, v in verdicts.items():
         print(f"{'PASS' if v['passed'] else 'FAIL'} {name}")
     return EXIT_OK if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
 
 
 def toy_run_config(epsilon: float, T: float = 2.0, label: str = "toy-compare") -> SimConfig:
-    """The homogeneous wall-impact run with data (0, 1) and dt near sqrt(eps)/100."""
+    """The homogeneous wall-impact run with data (0, 1) and dt near sqrt(eps)/100.
+
+    ConfigError naming the flag unless ``epsilon`` and ``T`` (``toy``'s
+    ``--epsilon`` and ``--T``) are finite and positive.
+    """
+    for flag, value in (("--epsilon", epsilon), ("--T", T)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(flag, f"must be finite and positive, not {value!r}")
     return SimConfig(
         n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=epsilon,
         T=T, dt=snap_dt(T, math.sqrt(epsilon) / 100.0), theta=0.5, u0="zero",
@@ -483,21 +547,9 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = Fa
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     xi = accumulate_xi(traj, run_id=cfg.label)
-    es = energy_series(traj)
-    files = []
-
-    def emit(name, write, *args):
-        files.append(out_dir / name)
-        write(files[-1], *args)
-
-    emit("run.npz", write_run_npz, traj)
-    if write_csv:
-        emit("trajectory.csv", write_trajectory_csv, traj)
-    emit("energy.csv", write_energy_csv, traj, es)
-    emit("xi.csv", write_xi_csv, xi)
-    emit("summary.json", _write_json, _summary_payload(traj, xi, es))
-    emit("jumps.json", _write_json, _jumps_payload(traj))
-    return _conclude(out_dir, _standard_checks(traj, xi, seed), cfg, files)
+    write_run_npz(out_dir / "run.npz", traj)
+    rows = _artifacts(out_dir, traj, xi, energy_series(traj), lambda name: write_csv, {})
+    return _conclude(out_dir, _standard_checks(traj, xi, seed), rows)
 
 
 def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
@@ -509,8 +561,7 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload, report, audit = sweep_payload(cfg, eps_list)
-    p = out_dir / "sweep_report.json"
-    _write_json(p, payload)
+    _write_json(out_dir / "sweep_report.json", payload)
     verdicts = {
         f"bounded_{k}": {"passed": v} for k, v in report.verdicts.items()
     }
@@ -518,29 +569,29 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
     verdicts["overshoot_all"] = {
         "passed": all(s.overshoot_ok for s in report.summaries)
     }
-    return _conclude(out_dir, verdicts, cfg, [p])
+    return _conclude(out_dir, verdicts, [_manifest(out_dir, cfg, ["sweep_report.json"], {})])
 
 
 def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     """Oracle-vs-numeric comparison plus a phase-portrait sample."""
+    cfg = toy_run_config(epsilon, T)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = toy_run_config(epsilon, T)
     traj = simulate(cfg)
     stride = max(1, traj.n_steps // 2000)
     t = traj.times[::stride]
     numeric = np.column_stack((traj.U[::stride, 0], traj.V[::stride, 0]))
     oracle = np.array([yosida_layer_toy(epsilon, s) for s in t.tolist()])
     max_err = float(np.max(np.abs(oracle - numeric)))
-    files = [out_dir / "toy_compare.csv", out_dir / "phase_portrait.csv"]
+    files = ["toy_compare.csv", "phase_portrait.csv"]
     _to_file(
-        files[0], _render_csv, "t,u_num,v_num,u_oracle,v_oracle",
+        out_dir / files[0], _render_csv, "t,u_num,v_num,u_oracle,v_oracle",
         ["%.12g"] + ["%.17g"] * 4, [t, numeric, oracle],
     )
     level = phase_level_set(RegularizedPotential(indicator_graph(), epsilon), 0.5, 400)
     branch = np.concatenate([np.full(len(pts), b) for b, pts in enumerate(level.branches)])
     _to_file(
-        files[1], _render_csv, "branch,u,v", ["%d", "%.12g", "%.12g"],
+        out_dir / files[1], _render_csv, "branch,u,v", ["%d", "%.12g", "%.12g"],
         [branch, np.concatenate(level.branches)],
     )
     verdicts = {
@@ -548,7 +599,7 @@ def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
             "passed": max_err <= 5.0 * cfg.dt, "max_err": max_err, "budget": 5.0 * cfg.dt,
         }
     }
-    return _conclude(out_dir, verdicts, cfg, files)
+    return _conclude(out_dir, verdicts, [_manifest(out_dir, cfg, files, {})])
 
 
 def cmd_verify(out: str, seed: int = 0) -> int:
@@ -565,21 +616,18 @@ def cmd_verify(out: str, seed: int = 0) -> int:
         raise MissingArtifact("verify needs full-resolution artifacts (output_every 1)")
 
     stored = read_run_npz(out_dir / "run.npz", cfg)
-    # the export is compared whenever it is there, whatever the manifest lists
-    with_csv = "trajectory.csv" in files or (out_dir / "trajectory.csv").exists()
     xi = accumulate_xi(stored)
-    match = _derived_files_match(out_dir, stored, xi, with_csv)
+    # the export is compared whenever it is there, whatever the manifest lists
+    exported = lambda name: name in files or (out_dir / name).exists()
+    match = _derived_files_match(out_dir, stored, xi, exported)
     # the battery runs once, on the recomputed records: when they equal the
     # stored ones, its verdict values are simulate's
     traj, records_ok = _recompute_records(stored)
     del stored  # its reaction records are an (n_steps, n_x) array the battery does not use
     verdicts = _standard_checks(traj, xi, seed)
-    ledger = ("energy.csv", "xi.csv", "summary.json")
-    verdicts["energy_ledger_consistent"] = {"passed": records_ok and all(match[f] for f in ledger)}
-    if "trajectory.csv" in match:
-        verdicts["trajectory_csv_consistent"] = {"passed": match["trajectory.csv"]}
-    verdicts["jump_report_consistent"] = {"passed": match["jumps.json"]}
-    return _conclude(out_dir, verdicts)
+    match[LEDGER] = records_ok and match[LEDGER]
+    verdicts.update((name, {"passed": ok}) for name, ok in match.items())
+    return _conclude(out_dir, verdicts, store="verify_verdicts.json")
 
 
 # ---------------------------------------------------------------------------

@@ -293,21 +293,20 @@ def yosida(pot: RegularizedPotential, r):
 
 def yosida_and_derivative(pot: RegularizedPotential, r):
     """``yosida(r)`` and its a.e. derivative (kinks resolved actively) from a
-    single resolvent solve."""
+    single resolvent solve; two Python floats for a float ``r``."""
     eps = pot.epsilon
     kind = pot.graph.kind
     if kind == GraphKind.LOGARITHMIC:
         x, d = _log_resolvent(r, eps)
-        if np.isscalar(r):
-            x, d = float(x), float(d)
-        return (r - x) / eps, d / (1.0 + eps * d)
-    x = resolvent(pot, r)
-    y = (r - x) / eps
-    if kind == GraphKind.INDICATOR:
-        return y, np.where(np.abs(r) >= 1.0, 1.0 / eps, 0.0)
-    rt = pot.graph.r_threshold
-    e2 = pot.graph.eps_param ** 2
-    return y, np.where(np.abs(r) >= rt, 1.0 / (e2 + eps), 0.0)
+        y, dy = (r - x) / eps, d / (1.0 + eps * d)
+    else:
+        y = (r - resolvent(pot, r)) / eps
+        if kind == GraphKind.INDICATOR:
+            edge, slope = 1.0, 1.0 / eps
+        else:
+            edge, slope = pot.graph.r_threshold, 1.0 / (pot.graph.eps_param ** 2 + eps)
+        dy = np.where(np.abs(r) >= edge, slope, 0.0)
+    return (float(y), float(dy)) if np.isscalar(r) else (y, dy)
 
 
 def indicator_scalar(epsilon: float):

@@ -166,8 +166,11 @@ def _traj_diff(grid, times, Ua, Ub) -> dict:
 
 
 def checked_eps_list(eps_list) -> tuple:
-    """The entries as floats; ValueError unless >= 3 of them, strictly decreasing."""
+    """The entries as floats; ValueError unless >= 3 of them, finite,
+    positive and strictly decreasing."""
     eps_list = tuple(float(e) for e in eps_list)
+    if not all(math.isfinite(e) and e > 0.0 for e in eps_list):
+        raise ValueError("every entry must be finite and positive")
     if len(eps_list) < 3:
         raise ValueError("need >= 3 sweep entries")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

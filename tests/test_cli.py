@@ -400,6 +400,19 @@ class TestRunNpz:
 
 
 NOT_READABLE = "not a readable npz archive"
+
+
+def _central_directory_field(offset, value):
+    """An edit that sets a 2-byte field of the first central directory entry of a zip."""
+    def edit(path):
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"PK\x01\x02") + offset
+        raw[at:at + 2] = value.to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+
+    return edit
+
+
 MALFORMED_NPZ = {
     "missing_file": (lambda p: p.unlink(), NOT_READABLE),
     "truncated": (lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]), NOT_READABLE),
@@ -414,6 +427,8 @@ MALFORMED_NPZ = {
     "non_finite": (_replace("V", _set((7, 2), np.nan)), "V has a non-finite value"),
     "times_not_increasing": (_replace("times", lambda a: _set(3, a[2])(a)), "strictly increasing"),
     "object_array": (_replace("U", lambda a: a.astype(object)), "allow_pickle"),
+    "encrypted_flag": (_central_directory_field(8, 1), NOT_READABLE),
+    "unknown_compression": (_central_directory_field(10, 99), NOT_READABLE),
 }
 
 
@@ -585,11 +600,35 @@ class TestSweepEpsList:
         assert "error: eps: bad eps list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "eps", ["1e-2,1e-3,-1e-4", "1e-2,1e-3,1e-4,nan", "inf,1e-2,1e-3", "1e-2,1e-3,0"],
+        ids=["negative", "nan", "inf", "zero"],
+    )
+    def test_non_finite_or_non_positive_entry_exits_2(self, tmp_path, capsys, eps):
+        cfg = write_config(tmp_path, TOY_DOC)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--eps", eps, "--out", str(out)]) == 2
+        assert "error: eps: bad eps list" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epsilon", v) for v in ("-1", "0", "nan", "inf")]
+    + [("--T", v) for v in ("-2", "nan", "inf")],
+)
+def test_bad_toy_number_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "toy"
+    assert main(["toy", "--out", str(out), flag, value]) == 2
+    assert f"error: {flag}: must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # verify re-renders every derived file from run.npz and compares bytes
 
 DERIVED = ("energy.csv", "xi.csv", "summary.json", "jumps.json", "trajectory.csv")
+RUN_FILES = DERIVED + ("run.npz", "verdicts.json", "manifest.json")
 
 
 def _copy_editing(run_dir, tmp_path, name, edit):
@@ -706,7 +745,7 @@ class TestVerifyDerivedFiles:
         return run
 
     @settings(max_examples=40, deadline=None)
-    @given(name=st.sampled_from(DERIVED), at=st.floats(0.0, 1.0), flip=st.integers(1, 255))
+    @given(name=st.sampled_from(RUN_FILES), at=st.floats(0.0, 1.0), flip=st.integers(1, 255))
     def test_any_one_byte_change_is_caught(self, scratch_run, name, at, flip):
         p = scratch_run / name
         raw = p.read_bytes()
@@ -723,7 +762,7 @@ def _files_5(manifest):
 
 
 class TestVerifyMalformedJson:
-    """A manifest or jump report that is not the JSON verify expects exits 2."""
+    """A manifest, jump report or verdicts file that is not the JSON verify expects exits 2."""
 
     @pytest.mark.parametrize(
         "name, edit",
@@ -733,15 +772,98 @@ class TestVerifyMalformedJson:
             ("manifest.json", _files_5),
             ("jumps.json", lambda text: "not json"),
             ("jumps.json", lambda text: text[:-1]),
+            ("verdicts.json", lambda text: "[1, 2]"),
+            ("verdicts.json", lambda text: '{"overshoot": 5}'),
+            ("verdicts.json", lambda text: text.replace("true", "1", 1)),
         ],
         ids=["manifest_truncated", "manifest_not_object", "manifest_files_5", "jumps_text",
-             "jumps_truncated"],
+             "jumps_truncated", "verdicts_not_object", "verdict_not_object",
+             "verdict_passed_not_boolean"],
     )
     def test_exits_2(self, toy_run_dir, tmp_path, name, edit):
         bad = tmp_path / "bad"
         shutil.copytree(toy_run_dir, bad)
         (bad / name).write_text(edit((bad / name).read_text()))
         assert main(["verify", "--out", str(bad)]) == 2
+
+
+def _replace_in(key, edit):
+    """A JSON edit that replaces the document's entry ``key`` with edit(entry)."""
+    return _edit_json(lambda d: {**d, key: edit(d[key])})
+
+
+class TestVerifyManifest:
+    """verify renders manifest.json again; an edit of it, of verdicts.json or
+    of the bytes of run.npz fails the ledger and nothing else."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", _replace_in("tool_version", lambda v: v + "1")),
+            ("manifest.json", _replace_in("config_hash", lambda h: h[::-1])),
+            ("manifest.json", _replace_in("verdicts", lambda f: {**f, "overshoot": False})),
+            ("manifest.json", _replace_in("sha256", lambda d: {**d, "run.npz": "0" * 64})),
+            ("manifest.json", _replace_in("files", lambda f: f[:-1])),
+            ("verdicts.json", _replace_in("overshoot", lambda v: {**v, "passed": False})),
+            ("verdicts.json", _replace_in(
+                "energy_inequality", lambda v: {**v, "worst_slack": v["worst_slack"] + 1.0})),
+        ],
+        ids=["tool_version", "config_hash", "verdict_flag", "npz_digest", "files",
+             "verdicts_passed", "verdicts_worst_slack"],
+    )
+    def test_edit_fails_the_ledger_only(self, toy_run_dir, tmp_path, name, edit):
+        bad = _copy_editing(toy_run_dir, tmp_path, name, edit)
+        assert main(["verify", "--out", str(bad)]) == 1
+        verdicts = _verify_verdicts(bad)
+        assert not verdicts.pop("energy_ledger_consistent")["passed"]
+        assert all(v["passed"] for v in verdicts.values())
+
+    def test_reordered_npz_fails_the_ledger(self, toy_run_dir, tmp_path):
+        """The same arrays in another order are other bytes, which the manifest's digest catches."""
+        bad = _copy_with(toy_run_dir, tmp_path, _arrays(lambda a: dict(reversed(list(a.items())))))
+        assert main(["verify", "--out", str(bad)]) == 1
+        assert not _verify_verdicts(bad)["energy_ledger_consistent"]["passed"]
+
+    def test_manifest_schema(self, toy_run_dir):
+        manifest = json.loads((toy_run_dir / "manifest.json").read_text())
+        assert sorted(manifest) == [
+            "config", "config_hash", "files", "sha256", "tool_version", "verdicts",
+        ]
+        assert sorted(manifest["sha256"]) == manifest["files"]
+        for name, digest in manifest["sha256"].items():
+            assert hashlib.sha256((toy_run_dir / name).read_bytes()).hexdigest() == digest
+
+
+def test_two_simulate_runs_give_identical_directories(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        config = CONFIGS / "toy_jump.yaml"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--csv"]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir()) and len(names) == 8
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_simulate_calls_the_traced_writers(tmp_path, monkeypatch):
+    """perfbench/tracer.py replaces the writers on ``dampedwave.cli`` by name
+    when it installs; simulate must call them from there, once each, with
+    the path of the file each writes."""
+    calls = []
+    for name in ("write_trajectory_csv", "write_energy_csv", "write_xi_csv"):
+        def counted(path, *args, _name=name, _writer=getattr(dampedwave.cli, name)):
+            calls.append((_name, Path(path).name))
+            return _writer(path, *args)
+
+        monkeypatch.setattr(dampedwave.cli, name, counted)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, TOY_DOC)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--csv"]) == 0
+    assert sorted(calls) == [
+        ("write_energy_csv", "energy.csv"),
+        ("write_trajectory_csv", "trajectory.csv"),
+        ("write_xi_csv", "xi.csv"),
+    ]
 
 
 def test_verify_calls_no_writer(toy_run_dir, monkeypatch):

@@ -250,6 +250,15 @@ class TestDerivatives:
                 fd = (yosida(pot, r + h) - yosida(pot, r - h)) / (2 * h)
                 assert yosida_and_derivative(pot, r)[1] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("graph", ALL_GRAPHS, ids=[g.kind.value for g in ALL_GRAPHS])
+    def test_float_input_gives_two_floats_with_the_array_bits(self, graph):
+        pot = RegularizedPotential(graph, 1e-3)
+        pair = yosida_and_derivative(pot, 1.5)
+        assert [type(v) for v in pair] == [float, float]
+        y, dy = yosida_and_derivative(pot, np.array([1.5]))
+        assert [v.hex() for v in pair] == [float(y[0]).hex(), float(dy[0]).hex()]
+        assert pair[1] > 0.0  # r = 1.5 is on the active side for every kind
+
 
 def test_bad_graph_parameters_rejected():
     with pytest.raises(ValueError):

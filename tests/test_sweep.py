@@ -45,6 +45,13 @@ class TestPolicyAndValidation:
             with pytest.raises(ValueError):
                 checked_eps_list(bad)
 
+    @pytest.mark.parametrize("last", ["-1e-4", "0", "nan", "-inf"])
+    def test_checked_eps_list_needs_finite_positive_entries(self, last):
+        with pytest.raises(ValueError, match="finite and positive"):
+            checked_eps_list(["1e-2", "1e-3", last])
+        with pytest.raises(ValueError, match="finite and positive"):
+            checked_eps_list(["inf", "1e-2", "1e-3"])
+
     def test_state_pairings_need_full_resolution(self):
         # two records per run: the theta-combined u would broadcast against every step
         base = dw.SimConfig(n_nodes=9, bc="neumann", graph_kind="indicator", epsilon=1e-2,
