@@ -9,9 +9,11 @@ problem made concrete.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import dampedwave as dw
+from dampedwave.cli import exit_code
 
 
 def main():
@@ -27,4 +29,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -8,10 +8,11 @@ reaction/state pairing identity across the sweep.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import dampedwave as dw
-from dampedwave.cli import sweep_payload
+from dampedwave.cli import eps_list_arg, exit_code, sweep_payload
 from dampedwave.sweep import mu_vanishing_sequence
 
 
@@ -26,7 +27,7 @@ def main():
     ap.add_argument("--eps", default="1e-2,1e-3,1e-4,1e-5")
     ap.add_argument("--out", default="out/sweep")
     args = ap.parse_args()
-    eps_list = [float(v) for v in args.eps.split(",")]
+    eps_list = eps_list_arg(args.eps)
 
     toy = dw.SimConfig(
         n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=eps_list[0],
@@ -47,4 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

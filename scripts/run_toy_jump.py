@@ -9,10 +9,11 @@ prints the deviation from the closed-form boundary-layer solution.
 import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 import dampedwave as dw
-from dampedwave.cli import toy_run_config
+from dampedwave.cli import exit_code, toy_run_config
 from dampedwave.toy import yosida_layer_toy
 
 
@@ -55,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -6,7 +6,8 @@ the trajectory as ``run.npz`` (the canonical binary record that
 ``verify`` reads; the ``trajectory.csv`` text export is opt-in with
 ``simulate --csv``), the energy ledger and the reaction-measure
 histogram as CSV, jump and verdict reports as JSON.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 configuration or I/O error.
+checks pass, 1 a check failed, 2 configuration or I/O error (a run too
+large for memory included).
 
 One table, ``_artifacts``, holds every file ``simulate`` writes after
 ``run.npz`` and ``verdicts.json``: its name, the writer ``simulate``
@@ -28,7 +29,7 @@ own verdict only, and an edit of the manifest, ``verdicts.json`` or
 ``run.npz`` fails ``energy_ledger_consistent``.
 
 ``verify`` also recomputes the per-step records of ``run.npz`` from its
-states with the step kernel's own record function
+states with the function ``simulate`` records them with
 (``integrator.run_records``) and requires the stored bits, with no
 tolerance.  The battery then runs on records equal to the ones
 ``simulate`` checked, so it gives the same verdict values.
@@ -61,7 +62,6 @@ from .integrator import (
     Trajectory,
     _resolve_steps,
     map_row_blocks,
-    record_indices,
     run_records,
     simulate,
 )
@@ -113,7 +113,7 @@ def _jsonable(obj):
 
 # run.npz holds exactly these Trajectory arrays
 RUN_FIELDS = (
-    "times", "U", "V", "step_edges", "beta_theta", "diss_incr", "power_incr", "newton_iters",
+    "times", "U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters",
 )
 
 
@@ -144,12 +144,10 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
         raise MissingArtifact(f"{path} is not a readable npz archive ({exc})") from exc
 
     n_steps = _resolve_steps(cfg)
-    rec_idx = record_indices(n_steps, cfg.output_every)
-    n_t, n_x = len(rec_idx), cfg.n_nodes
+    n_t, n_x = n_steps + 1, cfg.n_nodes
     shapes = {
-        "times": (n_t,), "U": (n_t, n_x), "V": (n_t, n_x), "step_edges": (n_steps + 1,),
-        "beta_theta": (n_steps, n_x), "diss_incr": (n_steps,), "power_incr": (n_steps,),
-        "newton_iters": (n_steps,),
+        "times": (n_t,), "U": (n_t, n_x), "V": (n_t, n_x), "beta_theta": (n_steps, n_x),
+        "diss_incr": (n_steps,), "power_incr": (n_steps,), "newton_iters": (n_steps,),
     }
     for k, shape in shapes.items():
         a = stored[k]
@@ -159,9 +157,7 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
         if not np.all(np.isfinite(a)):
             raise MissingArtifact(f"{path}: {k} has a non-finite value")
     # the grid dt*k, exactly as the integrator writes it, is strictly increasing
-    times, edges = stored["times"], stored["step_edges"]
-    grid_edges = cfg.dt * np.arange(n_steps + 1, dtype=float)
-    if not (np.array_equal(edges, grid_edges) and np.array_equal(times, grid_edges[rec_idx])):
+    if not np.array_equal(stored["times"], cfg.dt * np.arange(n_t, dtype=float)):
         raise MissingArtifact(f"{path}: the times are not the run's strictly increasing grid")
 
     return Trajectory(cfg, **stored)
@@ -199,7 +195,7 @@ def _render_trajectory_csv(write, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(path: Path, cfg: SimConfig) -> Trajectory:
-    """Rebuild a trajectory from its CSV export (full resolution only)."""
+    """Rebuild a trajectory from its CSV export."""
     times, U, V = _parse_trajectory_csv(path, int(round(cfg.T / cfg.dt)) + 1, cfg.n_nodes)
     return _rebuild_diagnostics(cfg, times, U, V)
 
@@ -231,9 +227,10 @@ def _parse_trajectory_csv(path: Path, n_t: int, n_x: int):
 
 
 def _rebuild_diagnostics(cfg: SimConfig, times, U, V) -> Trajectory:
-    """Recompute per-step records from full-resolution states."""
+    """Recompute per-step records from the states; the Newton counts are 0."""
     iters = np.zeros(len(times) - 1, dtype=int)
-    return Trajectory(cfg, times, U, V, times.copy(), *run_records(cfg, U, V), iters)
+    B = map_row_blocks(cfg.reaction().beta, U)
+    return Trajectory(cfg, times, U, V, *run_records(cfg, V, B), iters)
 
 
 def write_energy_csv(path: Path, traj: Trajectory, es) -> None:
@@ -289,7 +286,7 @@ def _summary_payload(traj: Trajectory, xi, es) -> dict:
             "t": [float(v) for v in es["t"][::stride]],
             "total": [float(v) for v in es["total"][::stride]],
         },
-        "dissipation_total": dissipation_between(traj, 0.0, float(traj.step_edges[-1])),
+        "dissipation_total": dissipation_between(traj, 0.0, float(traj.times[-1])),
         "xi_total_l1": xi.total_l1,
         "newton_total_iters": int(np.sum(traj.newton_iters)),
         "newton_max_iters": int(np.max(traj.newton_iters, initial=0)),
@@ -425,11 +422,7 @@ def _derived_files_match(out_dir: Path, stored: Trajectory, xi, export) -> dict:
 
 
 def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
-    """The post-run verification battery; shapes the verdict summary.
-
-    Checks that need the full step-resolution state history are simply
-    omitted for strided runs: verdicts only come from executed checks.
-    """
+    """The post-run verification battery: six verdicts."""
     rng = np.random.default_rng(seed)
     verdicts = {}
 
@@ -448,16 +441,14 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
         "bound": summ.overshoot_bound,
     }
 
-    if not traj.full_resolution:
-        return verdicts
-
+    T = float(traj.times[-1])
     worst = 0.0
     pairings = SpacePairings(traj, xi)
-    for phi in default_dictionary(traj.grid, float(traj.step_edges[-1])):
+    for phi in default_dictionary(traj.grid, T):
         if not phi.admissible_for(traj.grid.bc):
             continue
-        r = weak_residual(traj, xi, phi, float(traj.step_edges[-1]), pairings)
-        scale = 1.0 + float(traj.step_edges[-1])
+        r = weak_residual(traj, xi, phi, T, pairings)
+        scale = 1.0 + T
         worst = max(worst, r / scale)
     verdicts["weak_residual"] = {
         "passed": worst <= WEAK_C * traj.dt,
@@ -481,8 +472,8 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
         "n_significant": support.n_significant,
     }
 
-    r_sol = solution_identity_residual(traj, xi, 0.0, float(traj.step_edges[-1]))
-    scale = (1.0 + float(traj.step_edges[-1])) * (1.0 + summ.e_max)
+    r_sol = solution_identity_residual(traj, xi, 0.0, T)
+    scale = (1.0 + T) * (1.0 + summ.e_max)
     verdicts["solution_identity"] = {
         "passed": r_sol <= WEAK_C * traj.dt * scale,
         "residual": r_sol,
@@ -539,25 +530,30 @@ def sweep_payload(cfg: SimConfig, eps_list) -> tuple:
 
 def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = False) -> int:
     cfg = load_config(config_path)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj = simulate(cfg)
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     xi = accumulate_xi(traj, run_id=cfg.label)
     write_run_npz(out_dir / "run.npz", traj)
     rows = _artifacts(out_dir, traj, xi, energy_series(traj), lambda name: write_csv, {})
     return _conclude(out_dir, _standard_checks(traj, xi, seed), rows)
 
 
-def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
-    cfg = load_config(config_path)
+def eps_list_arg(eps: str) -> tuple:
+    """The comma list of ``--eps`` as floats; ConfigError unless ``checked_eps_list`` takes it."""
     try:
-        eps_list = checked_eps_list(v for v in eps.split(",") if v.strip())
+        return checked_eps_list(v for v in eps.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError("eps", f"bad eps list {eps!r}: {exc}") from exc
+
+
+def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
+    cfg = load_config(config_path)
+    eps_list = eps_list_arg(eps)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload, report, audit = sweep_payload(cfg, eps_list)
@@ -575,9 +571,9 @@ def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
 def cmd_toy(out: str, epsilon: float = 1e-4, T: float = 2.0) -> int:
     """Oracle-vs-numeric comparison plus a phase-portrait sample."""
     cfg = toy_run_config(epsilon, T)
+    traj = simulate(cfg)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = simulate(cfg)
     stride = max(1, traj.n_steps // 2000)
     t = traj.times[::stride]
     numeric = np.column_stack((traj.U[::stride, 0], traj.V[::stride, 0]))
@@ -612,8 +608,6 @@ def cmd_verify(out: str, seed: int = 0) -> int:
     if "config" not in manifest:
         raise MissingArtifact("manifest lacks the resolved config")
     cfg = from_dict(manifest["config"])
-    if cfg.output_every != 1:
-        raise MissingArtifact("verify needs full-resolution artifacts (output_every 1)")
 
     stored = read_run_npz(out_dir / "run.npz", cfg)
     xi = accumulate_xi(stored)
@@ -663,21 +657,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(fn, *args) -> int:
+    """``fn(*args)``, or EXIT_CONFIG_ERROR with ``error: ...`` on stderr for
+    a configuration, I/O or memory error; a None result is EXIT_OK."""
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.seed, args.csv)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.eps, args.out, args.seed)
-        if args.command == "toy":
-            return cmd_toy(args.out, args.epsilon, args.T)
-        if args.command == "verify":
-            return cmd_verify(args.out, args.seed)
-    except (DampedWaveError, OSError) as exc:
+        return fn(*args) or EXIT_OK
+    except (DampedWaveError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+
+
+def _command(args) -> int:
+    if args.command == "simulate":
+        return cmd_simulate(args.config, args.out, args.seed, args.csv)
+    if args.command == "sweep":
+        return cmd_sweep(args.config, args.eps, args.out, args.seed)
+    if args.command == "toy":
+        return cmd_toy(args.out, args.epsilon, args.T)
+    if args.command == "verify":
+        return cmd_verify(args.out, args.seed)
     return EXIT_CONFIG_ERROR
+
+
+def main(argv=None) -> int:
+    return exit_code(_command, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

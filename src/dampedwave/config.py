@@ -1,8 +1,11 @@
 """Run configuration: dataclasses, named profiles, YAML loading.
 
 A run is described by one YAML document with sections ``space``,
-``graph``, ``time``, ``init``, ``forcing``, ``newton`` plus the optional
-top-level keys ``lambda``, ``output_every``, ``label``.  Initial data
+``graph``, ``time``, ``init``, ``newton`` plus the optional top-level
+keys ``forcing``, ``lambda``, ``regularize_u0``, ``label``; any other
+key is rejected.  A run keeps every state, so ``time.T / time.dt`` and
+``space.n_nodes`` set its memory: ``simulate`` refuses, naming
+``time.dt``, a run larger than physical memory.  Initial data
 are named profiles ("zero", "constant:c", "sine:k[:amp]",
 "cosine:k[:amp]", "ramp") or a CSV column ("csv:path:col"); forcing is
 "zero", "constant:c", or a sampled time-by-node CSV table
@@ -164,7 +167,6 @@ class SimConfig:
     lam: float = 0.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    output_every: int = 1
     regularize_u0: bool = True
     label: str = ""
 
@@ -198,8 +200,6 @@ class SimConfig:
             raise ConfigError("newton.tol", "must be positive")
         if self.newton_max_iter < 1:
             raise ConfigError("newton.max_iter", "must be >= 1")
-        if self.output_every < 1:
-            raise ConfigError("output_every", "must be >= 1")
         return self
 
     # -- derived objects ----------------------------------------------------
@@ -247,7 +247,6 @@ class SimConfig:
             "forcing": _spec_repr(self.forcing),
             "newton": {"tol": self.newton_tol, "max_iter": self.newton_max_iter},
             "lambda": self.lam,
-            "output_every": self.output_every,
             "regularize_u0": self.regularize_u0,
             "label": self.label,
         }
@@ -278,7 +277,7 @@ _SECTION_KEYS = {
     "init": ("u0", "u1"),
     "newton": ("tol", "max_iter"),
 }
-_TOP_KEYS = ("forcing", "lambda", "output_every", "regularize_u0", "label")
+_TOP_KEYS = ("forcing", "lambda", "regularize_u0", "label")
 _REQUIRED = object()
 
 
@@ -363,7 +362,6 @@ def from_dict(doc: dict) -> SimConfig:
         lam=num("lambda", 0.0),
         newton_tol=num("newton.tol", 1e-10),
         newton_max_iter=num("newton.max_iter", 50, int),
-        output_every=num("output_every", 1, int),
         regularize_u0=regularize,
         label=str(flat.get("label", "")),
     )

@@ -22,13 +22,14 @@ convergence u+ is the last Newton iterate, so its reaction is already
 known: it becomes the next step's beta(u) and is never recomputed.  A
 step with one Newton iteration therefore costs two resolvent solves.
 
-Every step records the theta-combined reaction field (the raw material
-for the constraint-measure histogram), the dissipation and forcing
-power increments in the scheme-consistent quadrature, and the Newton
-iteration count.  Each kernel has one ``record`` function for the first
-three; ``advance`` calls it per step, and ``run_records`` applies it to
-the stacked steps of stored states, which gives the run's records bit
-for bit.
+A run keeps every state and the reaction of each.  After the loop,
+``run_records`` gives every step its records: the theta-combined
+reaction field (the raw material for the constraint-measure histogram),
+the dissipation and forcing power increments in the scheme-consistent
+quadrature.  It applies the kernel's one ``record`` function to blocks
+of stacked steps, and ``verify`` calls it on stored states, so both get
+the same bits.  A run's arrays take ``run_bytes`` bytes; a run larger
+than the physical memory is refused before anything is allocated.
 
 One driver (``_run``) allocates, records and wraps solver failures for
 every run, over one of two step kernels with the same ``advance``
@@ -46,6 +47,7 @@ trajectories bit for bit.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -53,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SimConfig
-from .errors import NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
+from .errors import ConfigError, NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
 from .graphs import Reaction
 from .grid import Grid, edge_inner, laplacian_banded
 
@@ -105,11 +107,10 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """A completed run: recorded states plus per-step diagnostics.
+    """A completed run: every state plus per-step diagnostics.
 
-    ``times``/``U``/``V`` hold the states at stride ``output_every``
-    (always including the initial and final state).  ``step_edges`` are
-    all step boundary times; ``beta_theta`` row k is the theta-combined
+    ``times``/``U``/``V`` hold the initial state and the state after each
+    step, ``times[k] = k*dt``; ``beta_theta`` row k is the theta-combined
     reaction of step k, so dt * weights * beta_theta is exactly the
     reaction mass the scheme injected during that step.
     """
@@ -118,7 +119,6 @@ class Trajectory:
     times: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    step_edges: np.ndarray
     beta_theta: np.ndarray
     diss_incr: np.ndarray
     power_incr: np.ndarray
@@ -142,11 +142,7 @@ class Trajectory:
 
     @property
     def n_steps(self) -> int:
-        return len(self.step_edges) - 1
-
-    @property
-    def full_resolution(self) -> bool:
-        return len(self.times) == len(self.step_edges)
+        return len(self.times) - 1
 
     def state(self, i: int) -> SimState:
         return SimState(float(self.times[i]), self.U[i], self.V[i])
@@ -168,9 +164,7 @@ class Trajectory:
         return th * Q[1:] + (1.0 - th) * Q[:-1]
 
     def theta_u(self):
-        """Theta-combined u per step; needs full resolution."""
-        if not self.full_resolution:
-            raise TimeNotOnGrid("theta-combined states need output_every == 1")
+        """Theta-combined u per step."""
         return self.theta_combine(self.U)
 
     def theta_states(self):
@@ -182,16 +176,8 @@ class Trajectory:
         g = g or self.cfg.forcing_fn(self.grid)
         if g is None:
             return None
-        G = [np.broadcast_to(g(t), (self.grid.n_nodes,)) for t in self.step_edges]
+        G = [np.broadcast_to(g(t), (self.grid.n_nodes,)) for t in self.times]
         return self.theta_combine(np.array(G))
-
-
-def record_indices(n_steps: int, stride: int) -> list[int]:
-    """The steps whose states a run records: every ``stride``-th, and the last."""
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    return rec_idx
 
 
 def _resolve_steps(cfg: SimConfig) -> int:
@@ -199,6 +185,27 @@ def _resolve_steps(cfg: SimConfig) -> int:
     if n < 1 or abs(n * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise RunError(f"time.T={cfg.T} is not an integer multiple of dt={cfg.dt}")
     return n
+
+
+def run_bytes(n_steps: float, n_x: int) -> float:
+    """Bytes a run of ``n_steps`` steps on ``n_x`` nodes holds: u, v and the
+    reaction of every state, and the Newton count of every step."""
+    return 8.0 * (3.0 * (n_steps + 1) * n_x + n_steps)
+
+
+def _check_run_size(cfg: SimConfig) -> None:
+    """ConfigError naming ``time.dt`` if the run would not fit in physical
+    memory; T/dt is taken as a float, so that a ratio too large for an
+    integer step count is refused here too."""
+    n_steps = cfg.T / cfg.dt
+    need = run_bytes(n_steps, cfg.n_nodes)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            "time.dt",
+            f"{n_steps:.3g} steps on {cfg.n_nodes} nodes need {need / 1e9:.3g} GB, "
+            f"more than the {have / 1e9:.3g} GB of physical memory",
+        )
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -212,6 +219,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
             "boundary layers may be under-resolved",
             stacklevel=2,
         )
+    _check_run_size(cfg)
     n_steps = _resolve_steps(cfg)
     u0, v0 = cfg.initial_fields(grid)
     kernel, u, v = _kernel(cfg, grid, reaction, u0, v0)
@@ -244,80 +252,73 @@ def _kernel(cfg, grid, reaction, u, v):
 
 
 def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
-    """Advance (u, v) n_steps times with ``kernel``, recording states and records.
+    """Advance (u, v) n_steps times with ``kernel``, keeping every state and
+    its reaction, then record every step with ``run_records``.
 
     The arrays take the state's shape, so a float state fills 1-D arrays
     by item assignment, which is cheaper than (i, 0) indexing; they get
-    one column per node at the end, as a view.  A dissipation or power
-    record of None is left at 0 unwritten, so its pages are never touched.
+    one column per node at the end, as a view.
     """
     dt = cfg.dt
-    rec_idx = record_indices(n_steps, cfg.output_every)
-    n_rec = len(rec_idx)
-    U = np.empty((n_rec,) + np.shape(u))
-    V = np.empty((n_rec,) + np.shape(u))
-    beta_theta = np.empty((n_steps,) + np.shape(u))
-    diss = np.zeros(n_steps)
-    power = np.zeros(n_steps)
+    U, V, B = (np.empty((n_steps + 1,) + np.shape(u)) for _ in range(3))
     iters = np.zeros(n_steps, dtype=int)
 
     advance = kernel.advance
     beta = kernel.beta(u)
-    U[0], V[0] = u, v
-    r = 1
+    U[0], V[0], B[0] = u, v, beta
     try:
         for k in range(n_steps):
-            u, v, beta, iters[k], (beta_theta[k], d, p) = advance(u, v, k * dt, k, beta)
-            if d is not None:
-                diss[k] = d
-            if p is not None:
-                power[k] = p
-            if r < n_rec and k + 1 == rec_idx[r]:
-                U[r], V[r] = u, v
-                r += 1
+            u, v, beta, iters[k] = advance(u, v, k * dt, k, beta)
+            U[k + 1], V[k + 1], B[k + 1] = u, v, beta
     except (NewtonDiverged, StepRejected) as exc:
         raise RunError(f"run '{cfg.label}' failed: {exc}") from exc
 
-    times = dt * np.asarray(rec_idx, dtype=float)
-    edges = dt * np.arange(n_steps + 1, dtype=float)
-    return Trajectory(
-        cfg, times, U.reshape(n_rec, -1), V.reshape(n_rec, -1), edges,
-        beta_theta.reshape(n_steps, -1), diss, power, iters,
-    )
+    U, V, B = (M.reshape(n_steps + 1, -1) for M in (U, V, B))
+    times = dt * np.arange(n_steps + 1, dtype=float)
+    return Trajectory(cfg, times, U, V, *run_records(cfg, V, B), iters)
 
 
-def run_records(cfg: SimConfig, U, V):
+def run_records(cfg: SimConfig, V, B):
     """(beta_theta, dissipation, power) of every step of the run through the
-    full-resolution states ``U``, ``V``, from its step kernel's ``record``.
+    states with velocities ``V`` and reactions ``B``, from its step kernel's
+    ``record``; beta_theta is written over the first n_steps rows of ``B``.
 
     Each step gets the inputs ``advance`` gave it: the reaction of each
-    state, which is elementwise bit for bit (so it is evaluated in row
-    blocks; on one node ``Reaction.beta`` gives the scalar kernel's bits),
-    and the forcing at k*dt and k*dt + dt.  So on the states a run stored,
-    the records are the run's own, bit for bit.
+    state, and the forcing at k*dt and k*dt + dt.  The reaction of a state
+    is elementwise bit for bit, so ``B`` may come from the Newton loop or
+    from ``Reaction.beta`` on stored states (on one node it gives the scalar
+    kernel's bits).  ``record`` takes blocks of about BLOCK_ELEMENTS
+    elements, in order: a block reads one row past its end, which the next
+    block writes, so the reactions need no second array.  Each row's record
+    is the one-step record, bit for bit, whatever the block.
     """
     grid = cfg.grid()
-    reaction = cfg.reaction()
-    kernel = _kernel(cfg, grid, reaction, U[0], V[0])[0]
-    B = map_row_blocks(reaction.beta, U)
-    if grid.is_homogeneous:
-        V, B = V[:, 0], B[:, 0]
+    kernel = _kernel(cfg, grid, cfg.reaction(), V[0], V[0])[0]
     g, dt, n = kernel.forcing, cfg.dt, len(V) - 1
-    t = [k * dt for k in range(n)]
-    G0, G1 = (None, None) if g is None else np.array([[g(s) for s in t], [g(s + dt) for s in t]])
-    beta_theta, diss, power = kernel.record(V[:-1], V[1:], B[:-1], B[1:], G0, G1)
-    return (
-        beta_theta.reshape(n, -1),
-        np.zeros(n) if diss is None else diss,
-        np.zeros(n) if power is None else power,
-    )
+    diss, power = np.zeros(n), np.zeros(n)
+    Vk, Bk = (V[:, 0], B[:, 0]) if grid.is_homogeneous else (V, B)
+    rows = max(1, BLOCK_ELEMENTS // V.shape[1])
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        G0 = G1 = None
+        if g is not None:
+            G0 = np.array([g(k * dt) for k in range(i, j)])
+            G1 = np.array([g(k * dt + dt) for k in range(i, j)])
+        step, next_ = slice(i, j), slice(i + 1, j + 1)
+        Bk[step], d, p = kernel.record(Vk[step], Vk[next_], Bk[step], Bk[next_], G0, G1)
+        # a dissipation or power of None is 0 by construction: its pages are never touched
+        if d is not None:
+            diss[i:j] = d
+        if p is not None:
+            power[i:j] = p
+    return B[:n], diss, power
 
 
 # ---------------------------------------------------------------------------
 # step kernels: advance(u, v, t, k, beta(u)) -> (u1, v1, beta(u1), Newton
-# iterations, record), record = record(v, v1, beta(u), beta(u1), g(t), g(t+dt))
-# = (beta_theta, dissipation, forcing power), with None for a dissipation or
-# power that is zero by construction; record also maps stacked steps (rows)
+# iterations); record(v, v1, beta(u), beta(u1), g(t), g(t+dt)) = (beta_theta,
+# dissipation, forcing power) of a step, with None for a dissipation or power
+# that is zero by construction; record maps stacked steps (rows) too
 
 
 class _VectorWorkspace:
@@ -346,9 +347,8 @@ class _VectorWorkspace:
     def advance(self, u, v, t, k, beta0):
         """One step from (u, v) with beta0 = beta(u).
 
-        Returns (u1, v1, beta(u1), iterations, record); beta(u1) is the
-        converged Newton iterate's reaction, which the next step takes as
-        its beta0.
+        Returns (u1, v1, beta(u1), iterations); beta(u1) is the converged
+        Newton iterate's reaction, which the next step takes as its beta0.
         """
         dt, th, a, lam, g = self.dt, self.theta, self.a, self.lam, self.forcing
         g0, g1 = (None, None) if g is None else (g(t), g(t + dt))
@@ -392,7 +392,7 @@ class _VectorWorkspace:
             raise StepRejected(k, res, tol)
 
         # at convergence u1 = u_bar + a*w is the last iterate up, so beta(u1) = bw
-        return up, w, bw, iters, self.record(v, w, beta0, bw, g0, g1)
+        return up, w, bw, iters
 
     def record(self, v, v1, beta0, beta1, g0, g1):
         dt, th = self.dt, self.theta
@@ -466,7 +466,7 @@ class _ScalarWorkspace:
         else:
             raise StepRejected(k, res, tol)
 
-        return up, w, bw, iters, self.record(v, w, b0, bw, g0, g1)
+        return up, w, bw, iters
 
     def record(self, v, v1, b0, b1, g0, g1):
         th = self.theta

@@ -337,7 +337,7 @@ def mu_vanishing_sequence(report: SweepReport) -> dict:
     for e in report.eps_list:
         traj = report.trajectories[e]
         u_th = traj.theta_u()
-        t_th = traj.theta_combine(traj.step_edges)
+        t_th = traj.theta_combine(traj.times)
         u_fin = _interp_states(finest.times, finest.U, t_th)
         w = traj.grid.mass_weights
         out[e] = traj.dt * float(

@@ -1,10 +1,10 @@
 """Constraint-reaction measure, weak-form residuals, and jump diagnostics.
 
 The reaction beta_eps(u_eps), recorded per step by the integrator, is
-binned into a space-time histogram (XiMeasure).  At full resolution the
-cell mass of step k and node i is dt * w_i * beta_theta, exactly the
-mass the scheme injected, so pairings of the histogram against test
-functions reproduce the scheme's own quadrature.  Dirac atoms of the
+binned into a space-time histogram (XiMeasure) with one time cell per
+step.  The cell mass of step k and node i is dt * w_i * beta_theta,
+exactly the mass the scheme injected, so pairings of the histogram
+against test functions reproduce the scheme's own quadrature.  Dirac atoms of the
 limit measure show up as mass concentrating in O(layer-width) time
 bands; the window-refinement profile makes that visible.
 
@@ -186,9 +186,10 @@ class XiMeasure:
     """Space-time histogram of the constraint reaction.
 
     ``masses[k, i]`` is the signed reaction mass of time cell k and
-    space cell i; ``t_edges`` has one more entry than time cells.  At
-    full resolution time cells coincide with integrator steps and
-    ``theta`` locates the scheme's evaluation point inside each cell.
+    space cell i; ``t_edges`` has one more entry than time cells.  In a
+    run's measure (``accumulate_xi``) time cells coincide with integrator
+    steps and ``theta`` locates the scheme's evaluation point inside each
+    cell.
     """
 
     t_edges: np.ndarray
@@ -266,13 +267,13 @@ class XiMeasure:
 
 
 def accumulate_xi(traj: Trajectory, run_id: str = "") -> XiMeasure:
-    """Bin the recorded reaction into the full-resolution cell grid."""
+    """Bin the recorded reaction into one time cell per step."""
     if traj.beta_theta is None or len(traj.beta_theta) != traj.n_steps:
         raise MissingReactionRecords("trajectory has no per-step reaction records")
     w = traj.grid.mass_weights
     masses = traj.dt * traj.beta_theta * w[None, :]
     return XiMeasure(
-        traj.step_edges.copy(),
+        traj.times.copy(),
         traj.grid.x,
         masses,
         traj.theta,
@@ -365,8 +366,6 @@ def weak_residual(
         raise InadmissibleTestFunction(
             f"{phi.name or phi}: spatial factor not admissible for {traj.grid.bc}"
         )
-    if not traj.full_resolution:
-        raise MissingReactionRecords("weak residual needs output_every == 1")
     n_end = traj.time_index(t_end)
     if n_end == 0:
         raise TimeNotOnGrid("t_end must be positive")
@@ -425,8 +424,6 @@ def solution_identity_residual(
     all time integrals in the scheme's theta-quadrature and the reaction
     term through the measure cells.  The value decays like C*dt.
     """
-    if not traj.full_resolution:
-        raise MissingReactionRecords("solution identity needs output_every == 1")
     ks, kt = traj.time_index(s), traj.time_index(t)
     if not ks < kt:
         raise TimeNotOnGrid(f"need s < t on the grid, got s={s}, t={t}")
@@ -492,8 +489,6 @@ def subdifferential_check(
     Each candidate costs one dot product and, for an indicator limit,
     no potential integral (see the module docstring).
     """
-    if not traj.full_resolution:
-        raise MissingReactionRecords("subdifferential check needs output_every == 1")
     u_th = traj.theta_u()
     graph = traj.reaction.graph
     indicator = limit_is_indicator(graph)
@@ -542,11 +537,11 @@ def random_candidates(
 def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
     """The candidates of ``random_candidates``, drawn one at a time to hold one in memory."""
     u_shape = (traj.n_steps, traj.grid.n_nodes)
-    t_eval = traj.theta_combine(traj.step_edges)
+    t_eval = traj.theta_combine(traj.times)
     x = traj.grid.x
     for _ in range(n):
         n_knots = int(rng.integers(3, 9))
-        knots_t = np.linspace(traj.step_edges[0], traj.step_edges[-1], n_knots)
+        knots_t = np.linspace(traj.times[0], traj.times[-1], n_knots)
         vals_t = rng.uniform(-1.0, 1.0, n_knots)
         tau = np.interp(t_eval, knots_t, vals_t)
         if traj.grid.n_nodes == 1:
@@ -605,8 +600,6 @@ def singular_support_check(
     Reports max over significant cells of (1 - sign(mass) * u_cell);
     values of order sqrt(eps) + dt confirm wall support.
     """
-    if not traj.full_resolution:
-        raise MissingReactionRecords("support check needs output_every == 1")
     u_th = traj.theta_u()
     if u_th.shape != xi.masses.shape:
         raise MissingReactionRecords("measure is not at trajectory resolution")
@@ -643,8 +636,6 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if not traj.full_resolution:
-        raise MissingReactionRecords("jump detection needs output_every == 1")
     if window is None:
         window = traj.reaction.layer_width
     w = traj.grid.mass_weights
@@ -663,7 +654,7 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
 
     events = []
     group = [flagged[0]]
-    t_mid = 0.5 * (traj.step_edges[:-1] + traj.step_edges[1:])
+    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])
     for k in flagged[1:]:
         if t_mid[k] - t_mid[group[-1]] <= window:
             group.append(k)
@@ -677,7 +668,7 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
 def _make_event(traj, group, changes, w):
     group = np.asarray(group)
     peak_k = int(group[np.argmax(changes[group])])
-    t_mid = 0.5 * (traj.step_edges[peak_k] + traj.step_edges[peak_k + 1])
+    t_mid = 0.5 * (traj.times[peak_k] + traj.times[peak_k + 1])
     i_before = max(int(group[0]) - 2, 0)
     i_after = min(int(group[-1]) + 3, len(traj.V) - 1)
     v_b = traj.V[i_before].copy()

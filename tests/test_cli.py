@@ -624,6 +624,14 @@ def test_bad_toy_number_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_toy_run_too_large_for_memory_exits_2(tmp_path, capsys):
+    # dt = sqrt(eps)/100 gives 2e152 steps: refused by their size, never allocated
+    out = tmp_path / "toy"
+    assert main(["toy", "--out", str(out), "--epsilon", "1e-300"]) == 2
+    assert "error: time.dt: 2e+152 steps on 1 nodes need" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify re-renders every derived file from run.npz and compares bytes
 

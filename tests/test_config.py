@@ -160,6 +160,7 @@ class TestStrictDocument:
             (lambda d: d.update(newton={"tolerance": 1e-3}), "newton.tolerance"),
             (lambda d: d["time"].update(theta_=0.5), "time.theta_"),
             (lambda d: d.update(lamda=0.5), "lamda"),
+            (lambda d: d.update(output_every=1), "output_every"),
         ],
     )
     def test_unknown_key_rejected(self, edit, key):
@@ -213,7 +214,7 @@ def test_round_trip_with_array_data_and_flags():
     cfg = SimConfig(
         length=1.0, n_nodes=3, bc="neumann", graph_kind="family", r_threshold=0.9,
         eps_param=0.1, epsilon=None, T=0.1, dt=0.01, u0=np.array([0.1, 0.2, 0.3]),
-        forcing="constant:1", regularize_u0=False, output_every=2, label="arrays",
+        forcing="constant:1", regularize_u0=False, label="arrays",
     )
     back = from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()

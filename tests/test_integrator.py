@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave.errors import RunError, TimeNotOnGrid
-from dampedwave.integrator import SimState, simulate, step
+from dampedwave.errors import ConfigError, RunError, TimeNotOnGrid
+from dampedwave.integrator import SimState, run_bytes, simulate, step
 from dampedwave.toy import yosida_layer_toy
 from tests.conftest import toy_config
 
@@ -129,13 +129,6 @@ class TestSimulate:
         g = cfg.forcing_fn()
         assert g(0.5)[0] == pytest.approx(2.0)
 
-    def test_output_stride_keeps_endpoints(self):
-        cfg = dataclasses.replace(toy_config(1e-3, T=1.0, dt_divisor=10.0), output_every=7)
-        traj = simulate(cfg)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
-        assert len(traj.beta_theta) == traj.n_steps  # reaction stays full-res
-
     def test_newton_failure_reported_with_step_context(self):
         cfg = dw.SimConfig(
             n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-8,
@@ -153,6 +146,29 @@ class TestSimulate:
         )
         with pytest.raises(RunError):
             simulate(cfg)
+
+    @pytest.mark.parametrize("n_nodes", [1, 9])
+    def test_run_bytes_counts_the_runs_arrays(self, n_nodes):
+        cfg = dw.SimConfig(
+            n_nodes=n_nodes, bc="neumann", graph_kind="indicator", epsilon=1e-2,
+            T=0.1, dt=0.01, u0="zero", u1="constant:1",
+        )
+        traj = simulate(cfg)
+        # beta_theta holds the reactions' first n_steps rows
+        held = traj.U.nbytes + traj.V.nbytes + traj.beta_theta.nbytes + 8 * n_nodes
+        assert run_bytes(traj.n_steps, n_nodes) == held + traj.newton_iters.nbytes
+
+    def test_run_larger_than_physical_memory_rejected(self, monkeypatch):
+        cfg = toy_config(1e-2, T=1.0, dt=1 / 64)  # 64 steps exactly
+        need = run_bytes(64, 1)
+        # one byte short of the run: refused before anything is allocated
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+        monkeypatch.setattr(dw.integrator.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match="physical memory") as info:
+            simulate(cfg)
+        assert info.value.key == "time.dt"
+        pages["SC_PHYS_PAGES"] = need
+        assert simulate(cfg).n_steps == 64
 
 
 class TestEntryPoints:

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave.integrator import run_records, simulate
+from dampedwave import integrator
+from dampedwave.integrator import map_row_blocks, run_records, simulate
 
 FIELDS = ("U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters")
 
@@ -43,7 +44,7 @@ CASES = {
     "logarithmic_dirichlet_half": dict(
         length=1.0, n_nodes=21, bc="dirichlet", graph_kind="logarithmic",
         epsilon=0.05, T=0.2, dt=2e-3, theta=0.5, u0="sine:1:0.5", u1="sine:1:30",
-        forcing="sine:2:1", output_every=3,
+        forcing="sine:2:1",
     ),
     "family_neumann_half": dict(
         length=1.0, n_nodes=17, bc="neumann", graph_kind="family",
@@ -97,8 +98,8 @@ REFERENCE = {
         "newton_iters": "3e8b015893d91350",
     },
     "logarithmic_dirichlet_half": {
-        "U": "9e01d47529f38b0f",
-        "V": "cf6e27c7c4393145",
+        "U": "34f975765b92da83",
+        "V": "35dfdb3116ea8cc2",
         "beta_theta": "a3fe1d0385a535ec",
         "diss_incr": "b82243185eb8f052",
         "power_incr": "b40798b4501fb682",
@@ -152,8 +153,8 @@ def run(name):
     return simulate(dw.SimConfig(label=name, **CASES[name]))
 
 
-def run_digests(name):
-    traj = run(name)
+def run_digests(name, traj=None):
+    traj = traj or run(name)
     out = {}
     for field in FIELDS:
         arr = getattr(traj, field)
@@ -165,6 +166,16 @@ def run_digests(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_matches_stored_reference(name):
     assert run_digests(name) == REFERENCE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("block", [7, 100])
+def test_stored_reference_in_small_row_blocks(name, block, monkeypatch):
+    """The per-step records of a run are recorded in row blocks; blocks of
+    a few elements put block edges inside every case."""
+    monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
+    traj = simulate(dw.SimConfig(label=name, **CASES[name]))
+    assert run_digests(name, traj) == REFERENCE[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -180,9 +191,9 @@ def test_case_exercises_contact_and_newton(name):
 def test_records_rebuilt_from_the_states_are_the_runs(name):
     """What verify recomputes (the reaction of the stored states in row
     blocks) gives each step's records bit for bit, on every graph."""
-    cfg = dw.SimConfig(label=name, **{**CASES[name], "output_every": 1})
-    traj = simulate(cfg)
-    rebuilt = run_records(cfg, traj.U, traj.V)
+    cfg = dw.SimConfig(label=name, **CASES[name])
+    traj = run(name)
+    rebuilt = run_records(cfg, traj.V, map_row_blocks(cfg.reaction().beta, traj.U))
     for field, arr in zip(("beta_theta", "diss_incr", "power_incr"), rebuilt):
         assert arr.tobytes() == getattr(traj, field).tobytes(), field
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import runpy
 import sys
 from pathlib import Path
 
@@ -39,3 +40,18 @@ def test_run_sweep(monkeypatch, tmp_path):
         assert sorted(map(float, audit["s_eps"])) == sorted(eps)
         assert sorted(map(float, payload["mu_vanishing"])) == sorted(eps)
         assert set(payload["ratios"]) >= {"sup_v", "l1_mass"}
+
+
+@pytest.mark.parametrize(
+    "name, args, key",
+    [
+        ("run_toy_jump", ["--epsilon", "-1"], "--epsilon"),
+        ("run_sweep", ["--eps", "1e-2,1e-3"], "eps"),
+    ],
+)
+def test_config_error_exits_2_with_one_line(monkeypatch, capsys, tmp_path, name, args, key):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args, "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / f"{name}.py"), run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")

@@ -254,14 +254,14 @@ class TestChecksMatchPerRowLoops:
 
     def test_weak_residual(self, short_run):
         traj, xi = short_run
-        T = float(traj.step_edges[-1])
+        T = float(traj.times[-1])
         for phi in default_dictionary(traj.grid, T):
             if phi.admissible_for(traj.grid.bc):
                 assert_close(ref_weak_residual(traj, xi, phi, T), weak_residual(traj, xi, phi, T))
 
     def test_solution_identity_residual(self, short_run):
         traj, xi = short_run
-        T = float(traj.step_edges[-1])
+        T = float(traj.times[-1])
         for s, t in ((0.0, T), (traj.times[3], traj.times[-4])):
             assert_close(
                 ref_solution_identity(traj, xi, s, t),
@@ -282,7 +282,7 @@ class TestChecksMatchPerRowLoops:
         traj, _ = short_run
         n_x = traj.grid.n_nodes
         g = lambda t: np.full(n_x, 1.0 + t)  # noqa: E731
-        T = float(traj.step_edges[-1])
+        T = float(traj.times[-1])
         e_0 = energy(traj.grid, traj.U[0], traj.V[0], traj.reaction, traj.cfg.lam).total
         e_T = energy(traj.grid, traj.U[-1], traj.V[-1], traj.reaction, traj.cfg.lam).total
         diss = float(np.sum(traj.diss_incr))
@@ -304,7 +304,7 @@ class TestChecksMatchPerRowLoops:
         assert_close(beta_theta, rebuilt.beta_theta)
         assert_close(diss, rebuilt.diss_incr)
         assert_close(power, rebuilt.power_incr)
-        assert isinstance(rebuilt, Trajectory) and rebuilt.full_resolution
+        assert isinstance(rebuilt, Trajectory)
 
 
 # ---------------------------------------------------------------------------

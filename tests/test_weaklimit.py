@@ -233,21 +233,6 @@ class TestSubdifferential:
         rep = subdifferential_check(traj, xi, [u_th], tol=1e-6)
         assert rep.entries[0].slack == 0.0
 
-    def test_stride_guard(self):
-        cfg = dw.SimConfig(
-            n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=0.1,
-            T=0.5, dt=1e-3, theta=0.5, u0="zero", u1="constant:1", output_every=5,
-        )
-        traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
-        from dampedwave.errors import MissingReactionRecords
-
-        with pytest.raises(MissingReactionRecords):
-            subdifferential_check(traj, xi, [], tol=1e-6)
-        phi = TestFunction(TimeProfile("one", 0.5), SpaceProfile("one", 1.0))
-        with pytest.raises(MissingReactionRecords):
-            weak_residual(traj, xi, phi, 0.5)
-
     def test_equality_candidate_zero_slack(self, pressed_run):
         traj, xi = pressed_run
         u_th, _ = traj.theta_states()
