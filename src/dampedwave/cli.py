@@ -2,20 +2,27 @@
 
 Every command owns one output directory and writes its artifacts there
 (no images): a run manifest listing and digesting every emitted file,
-the trajectory as ``run.npz`` (the canonical binary record that
-``verify`` reads; the ``trajectory.csv`` text export is opt-in with
-``simulate --csv``), the energy ledger and the reaction-measure
-histogram as CSV, jump and verdict reports as JSON.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 configuration or I/O error (a run too
-large for memory included).
+the states as ``run.npz`` (the canonical binary record that ``verify``
+reads; the ``trajectory.csv`` text export is opt-in with ``simulate
+--csv``), the energy ledger and the reaction-measure histogram as CSV,
+jump and verdict reports as JSON.  Exit codes: 0 all checks pass, 1 a
+check failed, 2 configuration or I/O error (a run too large for memory
+included).
+
+``run.npz`` keeps only what the states cannot give back: the times, u,
+v and the Newton counts.  The per-step records are a function of the
+states, so ``read_run_npz`` rebuilds them with the function ``simulate``
+records them with (``integrator.run_records``), bit for bit.  ``verify``
+builds one trajectory and one measure from it and renders and checks
+everything from them, so its battery gives ``simulate``'s verdict values.
 
 One table, ``_artifacts``, holds every file ``simulate`` writes after
 ``run.npz`` and ``verdicts.json``: its name, the writer ``simulate``
 calls, the renderer ``verify`` calls, their arguments, the reader of a
 stored file whose bytes differ, and the verdict that covers it.  Each
 renderer ``_render_*(write, ...)`` passes its text to a sink.  The
-writers send it to a file; ``verify`` sends it, built from the stored
-records of ``run.npz``, to a sha256 and compares that with the stored
+writers send it to a file; ``verify`` sends it, built from the run that
+``read_run_npz`` rebuilt, to a sha256 and compares that with the stored
 file's.  Only a file whose bytes differ is parsed: a reader error exits
 2, a file that parses fails its verdict.
 
@@ -27,12 +34,6 @@ same bytes.  ``verify`` renders it again like any other row, with the
 digests of the files it rendered, so an edited derived file fails its
 own verdict only, and an edit of the manifest, ``verdicts.json`` or
 ``run.npz`` fails ``energy_ledger_consistent``.
-
-``verify`` also recomputes the per-step records of ``run.npz`` from its
-states with the function ``simulate`` records them with
-(``integrator.run_records``) and requires the stored bits, with no
-tolerance.  The battery then runs on records equal to the ones
-``simulate`` checked, so it gives the same verdict values.
 """
 
 from __future__ import annotations
@@ -111,19 +112,21 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-# run.npz holds exactly these Trajectory arrays
-RUN_FIELDS = (
-    "times", "U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters",
-)
+# run.npz holds exactly these Trajectory arrays; the per-step records are
+# a function of the states and are rebuilt from them
+RUN_FIELDS = ("times", "U", "V", "newton_iters")
 
 
 def write_run_npz(path: Path, traj: Trajectory) -> None:
-    """The canonical run artifact: the Trajectory arrays in one uncompressed npz."""
+    """The canonical run artifact: the states and Newton counts in one uncompressed npz."""
     np.savez(path, **{k: getattr(traj, k) for k in RUN_FIELDS})
 
 
 def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
-    """The trajectory that ``write_run_npz`` stored, bit for bit.
+    """The trajectory that ``write_run_npz`` stored: its arrays bit for bit,
+    and the per-step records rebuilt from its states with the function
+    ``simulate`` records them with (``integrator.run_records``), so they
+    have ``simulate``'s bits.
 
     MissingArtifact unless the file is an intact npz of exactly the run's
     arrays, with the dtypes and shapes of ``cfg``'s run, finite values,
@@ -145,10 +148,7 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
 
     n_steps = _resolve_steps(cfg)
     n_t, n_x = n_steps + 1, cfg.n_nodes
-    shapes = {
-        "times": (n_t,), "U": (n_t, n_x), "V": (n_t, n_x), "beta_theta": (n_steps, n_x),
-        "diss_incr": (n_steps,), "power_incr": (n_steps,), "newton_iters": (n_steps,),
-    }
+    shapes = {"times": (n_t,), "U": (n_t, n_x), "V": (n_t, n_x), "newton_iters": (n_steps,)}
     for k, shape in shapes.items():
         a = stored[k]
         dtype = np.dtype(np.int64 if k == "newton_iters" else np.float64)
@@ -160,24 +160,7 @@ def read_run_npz(path: Path, cfg: SimConfig) -> Trajectory:
     if not np.array_equal(stored["times"], cfg.dt * np.arange(n_t, dtype=float)):
         raise MissingArtifact(f"{path}: the times are not the run's strictly increasing grid")
 
-    return Trajectory(cfg, **stored)
-
-
-def _recompute_records(stored: Trajectory) -> tuple[Trajectory, bool]:
-    """The run with its per-step records recomputed from the states, and
-    whether the stored records have their bits; the Newton counts are kept.
-
-    The step kernel's own record function recomputes them from the inputs
-    each step had, so an intact run's records are equal bit for bit, the
-    sign of each zero included (hence the comparison as integers).
-    """
-    traj = _rebuild_diagnostics(stored.cfg, stored.times, stored.U, stored.V)
-    traj.newton_iters = stored.newton_iters
-    records = ("beta_theta", "diss_incr", "power_incr")
-    return traj, all(
-        np.array_equal(getattr(stored, k).view(np.int64), getattr(traj, k).view(np.int64))
-        for k in records
-    )
+    return _rebuild_diagnostics(cfg, **stored)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -226,11 +209,12 @@ def _parse_trajectory_csv(path: Path, n_t: int, n_x: int):
     return times, U, V
 
 
-def _rebuild_diagnostics(cfg: SimConfig, times, U, V) -> Trajectory:
-    """Recompute per-step records from the states; the Newton counts are 0."""
-    iters = np.zeros(len(times) - 1, dtype=int)
+def _rebuild_diagnostics(cfg: SimConfig, times, U, V, newton_iters=None) -> Trajectory:
+    """Recompute per-step records from the states; the Newton counts are 0 unless given."""
+    if newton_iters is None:
+        newton_iters = np.zeros(len(times) - 1, dtype=int)
     B = map_row_blocks(cfg.reaction().beta, U)
-    return Trajectory(cfg, times, U, V, *run_records(cfg, V, B), iters)
+    return Trajectory(cfg, times, U, V, *run_records(cfg, V, B), newton_iters)
 
 
 def write_energy_csv(path: Path, traj: Trajectory, es) -> None:
@@ -241,11 +225,10 @@ def _render_energy_csv(write, traj: Trajectory, es) -> None:
     """The energy components of ``es`` with the cumulative dissipation and the balance residual."""
     diss_cum = np.concatenate([[0.0], np.cumsum(traj.diss_incr)])
     power_cum = np.concatenate([[0.0], np.cumsum(traj.power_incr)])
-    steps = np.rint(np.asarray(traj.times) / traj.dt).astype(int)
-    resid = np.abs(es["total"] + diss_cum[steps] - es["total"][0] - power_cum[steps])
+    resid = np.abs(es["total"] + diss_cum - es["total"][0] - power_cum)
     resid[0] = 0.0
     header = "t,kinetic,gradient,potential,concave,total,dissipation_cum,equality_residual"
-    columns = [es[c] for c in header.split(",")[:6]] + [diss_cum[steps], resid]
+    columns = [es[c] for c in header.split(",")[:6]] + [diss_cum, resid]
     _render_csv(write, header, ["%.12g"] + ["%.17g"] * 7, columns)
 
 
@@ -397,10 +380,11 @@ def _artifacts(out_dir: Path, traj: Trajectory, xi, es, export, digests) -> list
     return table + [_manifest(out_dir, traj.cfg, ["run.npz", *(a.name for a in table)], digests)]
 
 
-def _derived_files_match(out_dir: Path, stored: Trajectory, xi, export) -> dict:
+def _derived_files_match(out_dir: Path, traj: Trajectory, xi, es, export) -> dict:
     """For each verdict of the artifact table, whether every file it covers
-    holds the bytes its renderer gives from the stored records (``xi`` is
-    theirs) and the directory.
+    holds the bytes its renderer gives from the run that ``read_run_npz``
+    rebuilt (``xi`` and ``es`` are its measure and energy series) and the
+    directory.
 
     The manifest takes each earlier row's digest from its rendering, so an
     edited derived file fails its own verdict only; the manifest covers
@@ -410,7 +394,7 @@ def _derived_files_match(out_dir: Path, stored: Trajectory, xi, export) -> dict:
     an OSError.
     """
     match, digests = {}, {}
-    for a in _artifacts(out_dir, stored, xi, energy_series(stored), export, digests):
+    for a in _artifacts(out_dir, traj, xi, es, export, digests):
         rendered = hashlib.sha256()
         a.render(lambda text: rendered.update(text.encode()), *a.args)
         digests[a.name] = rendered.hexdigest()
@@ -421,8 +405,9 @@ def _derived_files_match(out_dir: Path, stored: Trajectory, xi, export) -> dict:
     return match
 
 
-def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
-    """The post-run verification battery: six verdicts."""
+def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
+    """The post-run verification battery on the run, its measure ``xi`` and
+    its energy series ``es``: six verdicts."""
     rng = np.random.default_rng(seed)
     verdicts = {}
 
@@ -434,7 +419,7 @@ def _standard_checks(traj: Trajectory, xi, seed: int) -> dict:
         "tol": ineq.tol,
     }
 
-    summ = summarize_run(traj, xi)
+    summ = summarize_run(traj, xi, es)
     verdicts["overshoot"] = {
         "passed": summ.overshoot_ok,
         "overshoot": summ.overshoot,
@@ -537,10 +522,10 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = Fa
         return EXIT_CONFIG_ERROR
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xi = accumulate_xi(traj, run_id=cfg.label)
+    xi, es = accumulate_xi(traj), energy_series(traj)
     write_run_npz(out_dir / "run.npz", traj)
-    rows = _artifacts(out_dir, traj, xi, energy_series(traj), lambda name: write_csv, {})
-    return _conclude(out_dir, _standard_checks(traj, xi, seed), rows)
+    rows = _artifacts(out_dir, traj, xi, es, lambda name: write_csv, {})
+    return _conclude(out_dir, _standard_checks(traj, xi, es, seed), rows)
 
 
 def eps_list_arg(eps: str) -> tuple:
@@ -609,17 +594,12 @@ def cmd_verify(out: str, seed: int = 0) -> int:
         raise MissingArtifact("manifest lacks the resolved config")
     cfg = from_dict(manifest["config"])
 
-    stored = read_run_npz(out_dir / "run.npz", cfg)
-    xi = accumulate_xi(stored)
+    traj = read_run_npz(out_dir / "run.npz", cfg)
+    xi, es = accumulate_xi(traj), energy_series(traj)
     # the export is compared whenever it is there, whatever the manifest lists
     exported = lambda name: name in files or (out_dir / name).exists()
-    match = _derived_files_match(out_dir, stored, xi, exported)
-    # the battery runs once, on the recomputed records: when they equal the
-    # stored ones, its verdict values are simulate's
-    traj, records_ok = _recompute_records(stored)
-    del stored  # its reaction records are an (n_steps, n_x) array the battery does not use
-    verdicts = _standard_checks(traj, xi, seed)
-    match[LEDGER] = records_ok and match[LEDGER]
+    match = _derived_files_match(out_dir, traj, xi, es, exported)
+    verdicts = _standard_checks(traj, xi, es, seed)
     verdicts.update((name, {"passed": ok}) for name, ok in match.items())
     return _conclude(out_dir, verdicts, store="verify_verdicts.json")
 

@@ -68,22 +68,14 @@ def energy_series(traj: Trajectory) -> np.ndarray:
     return out
 
 
-def _step_index(traj: Trajectory, t: float, tol: float = 1e-9) -> int:
-    dt = traj.dt
-    k = int(round(t / dt))
-    if k < 0 or k > traj.n_steps or abs(k * dt - t) > tol:
-        raise TimeNotOnGrid(f"t={t} is not a step boundary (dt={dt})")
-    return k
-
-
 def dissipation_between(traj: Trajectory, s: float, t: float) -> float:
     """Scheme-consistent integral of ||grad u_t||^2 over (s, t)."""
-    ks, kt = _step_index(traj, s), _step_index(traj, t)
+    ks, kt = traj.time_index(s), traj.time_index(t)
     return float(np.sum(traj.diss_incr[ks:kt]))
 
 
 def forcing_power_between(traj: Trajectory, s: float, t: float) -> float:
-    ks, kt = _step_index(traj, s), _step_index(traj, t)
+    ks, kt = traj.time_index(s), traj.time_index(t)
     return float(np.sum(traj.power_incr[ks:kt]))
 
 
@@ -114,7 +106,7 @@ def _balance_terms(traj: Trajectory, s: float, t: float, g):
 
 
 def _recompute_power(traj: Trajectory, s: float, t: float, g) -> float:
-    ks, kt = _step_index(traj, s), _step_index(traj, t)
+    ks, kt = traj.time_index(s), traj.time_index(t)
     v_th = traj.theta_combine(traj.V)
     g_th = traj.theta_forcing(g)
     w = traj.grid.mass_weights

@@ -27,8 +27,8 @@ A run keeps every state and the reaction of each.  After the loop,
 reaction field (the raw material for the constraint-measure histogram),
 the dissipation and forcing power increments in the scheme-consistent
 quadrature.  It applies the kernel's one ``record`` function to blocks
-of stacked steps, and ``verify`` calls it on stored states, so both get
-the same bits.  A run's arrays take ``run_bytes`` bytes; a run larger
+of stacked steps, and ``cli.read_run_npz`` calls it on the states of
+``run.npz``, which stores no records, so both get the same bits.  A run's arrays take ``run_bytes`` bytes; a run larger
 than the physical memory is refused before anything is allocated.
 
 One driver (``_run``) allocates, records and wraps solver failures for
@@ -144,9 +144,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def state(self, i: int) -> SimState:
-        return SimState(float(self.times[i]), self.U[i], self.V[i])
-
     def time_index(self, t: float, tol: float = 1e-9) -> int:
         """Index of a recorded time, or TimeNotOnGrid."""
         i = int(np.searchsorted(self.times, t - tol))
@@ -168,7 +165,7 @@ class Trajectory:
         return self.theta_combine(self.U)
 
     def theta_states(self):
-        """Theta-combined u and v per step; needs full resolution."""
+        """Theta-combined u and v per step."""
         return self.theta_u(), self.theta_combine(self.V)
 
     def theta_forcing(self, g=None):

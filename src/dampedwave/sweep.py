@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import SimConfig
 from .energy import energy_series
-from .errors import RunError
+from .errors import ConfigError, RunError
 from .grid import apply_A, edge_inner
 from .integrator import Trajectory, simulate
 from .weaklimit import XiMeasure, accumulate_xi
@@ -30,7 +30,13 @@ RATIO_ATOL = 1e-12
 
 
 def snap_dt(T: float, dt_target: float) -> float:
-    """Largest dt <= dt_target that divides the horizon T exactly."""
+    """Largest dt <= dt_target that divides the horizon T exactly.
+
+    ConfigError naming ``time.dt`` if T / dt_target is not a finite step
+    count (a dt_target that underflowed to 0 included).
+    """
+    if not (dt_target > 0.0 and math.isfinite(T / dt_target)):
+        raise ConfigError("time.dt", f"T / dt = {T:g} / {dt_target:g} is not a finite step count")
     n = max(1, math.ceil(T / dt_target - 1e-12))
     return T / n
 
@@ -76,9 +82,6 @@ class SweepReport:
     def all_bounded(self) -> bool:
         return all(self.verdicts.values())
 
-    def finest(self):
-        return self.eps_list[-1]
-
     def to_dict(self) -> dict:
         return {
             "eps_list": list(self.eps_list),
@@ -101,11 +104,11 @@ def uniform_ratio(values, atol: float = RATIO_ATOL) -> float:
     return hi / lo
 
 
-def summarize_run(traj: Trajectory, xi: XiMeasure) -> RunSummary:
+def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
+    """The run's bounds and energies; ``es`` is its ``energy_series``."""
     grid = traj.grid
     w = grid.mass_weights
     reaction = traj.reaction
-    es = energy_series(traj)
     sup_v = float(np.max(np.sqrt(np.maximum((traj.V * traj.V) @ w, 0.0))))
     sup_pot = float(np.max(es["potential"]))
     bv = float(np.sum(np.abs(traj.V[1:] - traj.V[:-1]) @ w))
@@ -202,9 +205,9 @@ def epsilon_sweep(
         except RunError as exc:
             raise RunError(f"sweep member eps={eps:g} failed") from exc
         runs[eps] = traj
-        xis[eps] = accumulate_xi(traj, run_id=cfg.label)
+        xis[eps] = accumulate_xi(traj)
 
-    summaries = tuple(summarize_run(runs[e], xis[e]) for e in eps_list)
+    summaries = tuple(summarize_run(runs[e], xis[e], energy_series(runs[e])) for e in eps_list)
 
     finest = runs[eps_list[-1]]
     grid = finest.grid
@@ -361,8 +364,13 @@ def nonuniqueness_exhibit(
     samples cos(phase) there.  Both satisfy the energy inequality and
     the overshoot bound, exhibiting how the limit's jump data depend on
     the approximation family.
+
+    ConfigError naming ``--epsilon`` unless ``epsilon`` is finite and positive.
     """
     from .energy import energy_inequality_verdict, random_time_pairs
+
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError("--epsilon", f"must be finite and positive, not {epsilon!r}")
 
     toy = SimConfig(
         n_nodes=1,
@@ -398,7 +406,7 @@ def nonuniqueness_exhibit(
         i1 = traj.time_index(1.0)
         v_at_1 = float(traj.V[i1, 0])
         xi = accumulate_xi(traj)
-        summ = summarize_run(traj, xi)
+        summ = summarize_run(traj, xi, energy_series(traj))
         s_times, t_times = random_time_pairs(traj, np.random.default_rng(0), 20)
         verdict = energy_inequality_verdict(traj, s_times, t_times)
         out["runs"][cfg.label] = {

@@ -111,18 +111,6 @@ class SpaceProfile:
             return np.cos(self.k * math.pi * x / self.L)
         return np.maximum(0.0, 1.0 - np.abs(x - self.center) / self.halfwidth)
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        c = self.k * math.pi / self.L
-        if self.kind == "one":
-            return np.zeros_like(x)
-        if self.kind == "sin":
-            return c * np.cos(self.k * math.pi * x / self.L)
-        if self.kind == "cos":
-            return -c * np.sin(self.k * math.pi * x / self.L)
-        inside = np.abs(x - self.center) < self.halfwidth
-        return np.where(inside, -np.sign(x - self.center) / self.halfwidth, 0.0)
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -197,7 +185,6 @@ class XiMeasure:
     masses: np.ndarray
     theta: float
     epsilon: float
-    run_id: str = ""
 
     @property
     def n_t(self) -> int:
@@ -255,7 +242,7 @@ class XiMeasure:
         )
         masses = np.zeros((n_t, self.n_x))
         np.add.at(masses, idx, self.masses)
-        return XiMeasure(edges, self.x, masses, 0.5, self.epsilon, self.run_id)
+        return XiMeasure(edges, self.x, masses, 0.5, self.epsilon)
 
     def pair_with(self, phi: TestFunction, t_end: float | None = None) -> float:
         """Integral of phi against the measure, cells evaluated at t_eval."""
@@ -266,7 +253,7 @@ class XiMeasure:
         return float(np.dot(tvals, self.masses @ svals))
 
 
-def accumulate_xi(traj: Trajectory, run_id: str = "") -> XiMeasure:
+def accumulate_xi(traj: Trajectory) -> XiMeasure:
     """Bin the recorded reaction into one time cell per step."""
     if traj.beta_theta is None or len(traj.beta_theta) != traj.n_steps:
         raise MissingReactionRecords("trajectory has no per-step reaction records")
@@ -278,7 +265,6 @@ def accumulate_xi(traj: Trajectory, run_id: str = "") -> XiMeasure:
         masses,
         traj.theta,
         traj.reaction.epsilon,
-        run_id,
     )
 
 

@@ -25,7 +25,7 @@ def toy_config(epsilon, T=2.0, dt_divisor=100.0, theta=0.5, **kw):
 def toy_jump_run():
     """The reference jump run: eps=1e-6, dt = sqrt(eps)/100, theta=1/2."""
     traj = dw.simulate(toy_config(1e-6))
-    xi = dw.accumulate_xi(traj, run_id="toy-jump")
+    xi = dw.accumulate_xi(traj)
     return traj, xi
 
 
@@ -57,7 +57,7 @@ def pressed_run():
         u0="zero", u1="zero", forcing="constant:2", label="pressed",
     )
     traj = dw.simulate(cfg)
-    xi = dw.accumulate_xi(traj, run_id="pressed")
+    xi = dw.accumulate_xi(traj)
     return traj, xi
 
 

@@ -47,6 +47,7 @@ def test_run_sweep(monkeypatch, tmp_path):
     [
         ("run_toy_jump", ["--epsilon", "-1"], "--epsilon"),
         ("run_sweep", ["--eps", "1e-2,1e-3"], "eps"),
+        ("run_nonuniqueness", ["--epsilon", "-1"], "--epsilon"),
     ],
 )
 def test_config_error_exits_2_with_one_line(monkeypatch, capsys, tmp_path, name, args, key):

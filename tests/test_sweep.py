@@ -8,6 +8,7 @@ import dampedwave as dw
 from dampedwave.sweep import (
     checked_eps_list,
     da_regularity_check,
+    default_dt_policy,
     epsilon_sweep,
     limsup_identity_audit,
     mu_vanishing_sequence,
@@ -24,6 +25,14 @@ class TestPolicyAndValidation:
             assert dt <= target * (1 + 1e-12)
             n = round(T / dt)
             assert n * dt == pytest.approx(T, abs=1e-12)
+
+    def test_step_count_not_finite_names_time_dt(self):
+        # the sweep policy's sqrt(eps)/10 for eps = 1e-300 leaves T / dt = inf
+        with pytest.raises(dw.ConfigError, match="^time.dt: T / dt = 1e[+]300 / 1e-151"):
+            default_dt_policy(1e300, 1.0)(1e-300)
+        # the exhibit's family step eps/50 underflows to 0 for the smallest subnormal eps
+        with pytest.raises(dw.ConfigError, match="^time.dt: T / dt = 0.5 / 0 "):
+            snap_dt(0.5, 5e-324 / 50.0)
 
     def test_eps_list_validation(self):
         base = dw.SimConfig(n_nodes=1, bc="neumann", graph_kind="indicator",

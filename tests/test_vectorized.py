@@ -270,7 +270,7 @@ class TestChecksMatchPerRowLoops:
 
     def test_summarize_run(self, short_run):
         traj, xi = short_run
-        summ = summarize_run(traj, xi)
+        summ = summarize_run(traj, xi, energy_series(traj))
         assert_close(ref_sup_Au(traj), summ.sup_Au)
         assert_close(ref_h1_time_v(traj), summ.h1_time_v)
         totals = ref_energy_series(traj)["total"]

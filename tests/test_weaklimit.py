@@ -189,7 +189,7 @@ def test_battery_weak_residuals_equal_lone_calls(shipped_runs, monkeypatch, name
         return r
 
     monkeypatch.setattr(dampedwave.cli, "weak_residual", recording)
-    dampedwave.cli._standard_checks(traj, xi, 0)
+    dampedwave.cli._standard_checks(traj, xi, dw.energy_series(traj), 0)
     n_phi = sum(phi.admissible_for(traj.grid.bc) for phi in default_dictionary(traj.grid, 1.0))
     assert len(seen) == n_phi >= 12
     for phi, t_end, r in seen:
