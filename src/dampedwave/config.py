@@ -9,8 +9,10 @@ key is rejected.  A run keeps every state, so ``time.T / time.dt`` and
 are named profiles ("zero", "constant:c", "sine:k[:amp]",
 "cosine:k[:amp]", "ramp") or a CSV column ("csv:path:col"); forcing is
 "zero", "constant:c", or a sampled time-by-node CSV table
-("table:path").  ``SimConfig.reaction`` builds the solver's reaction with
-``graphs.make_reaction``; every reaction formula lives in ``graphs``.
+("table:path").  A profile or forcing with a value that is not finite
+is a ConfigError naming ``init`` or ``forcing``.  ``SimConfig.reaction``
+builds the solver's reaction with ``graphs.make_reaction``; every
+reaction formula lives in ``graphs``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,23 @@ from .grid import DIRICHLET, NEUMANN, Grid, regularize_initial
 # profiles
 
 
+def _finite(values: np.ndarray, key: str, spec) -> np.ndarray:
+    """``values``, built from ``spec``, if every entry is finite; else a ConfigError naming ``key``."""
+    if not np.all(np.isfinite(values)):
+        shown = "the array" if isinstance(spec, np.ndarray) else repr(spec)
+        raise ConfigError(key, f"{shown} gives a value that is not finite")
+    return values
+
+
 def profile_field(grid: Grid, spec, key: str = "init") -> np.ndarray:
-    """Materialize a named profile on the grid nodes; errors name ``key``."""
+    """Materialize a named profile on the grid nodes; errors name ``key``.
+
+    A profile with a value that is not finite is an error too.
+    """
+    return _finite(_profile(grid, spec, key), key, spec)
+
+
+def _profile(grid: Grid, spec, key: str) -> np.ndarray:
     if isinstance(spec, np.ndarray):
         grid.check_field(spec, "profile")
         return np.array(spec, dtype=float)
@@ -106,6 +123,7 @@ def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
                 g = float(parts[1]) * np.ones(grid.n_nodes)
             except (IndexError, ValueError) as exc:
                 raise ConfigError("forcing", f"bad spec {spec!r}") from exc
+            _finite(g, "forcing", spec)
             return lambda t: g
         if parts[0] == "table":
             return _table_forcing(grid, spec[len("table:"):])
@@ -130,6 +148,7 @@ def _table_forcing(grid: Grid, path: str):
         raise ConfigError(
             "forcing", f"table needs {grid.n_nodes + 1} columns (t + nodes)"
         )
+    _finite(table, "forcing", "table:" + path)
     times = table[:, 0]
     values = table[:, 1:]
 

@@ -16,6 +16,10 @@ Fields are plain float ndarrays of the grid dimension.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,19 +124,79 @@ def laplacian_banded(grid: Grid) -> np.ndarray:
     return ab
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_dgtsv = None  # LAPACK gtsv, loaded by the first solve on two or more nodes
+
+
+def _flapack_spec():
+    """The spec of scipy's compiled LAPACK wrappers, found without importing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    return finder.find_spec(_FLAPACK)
+
+
+def load_dgtsv():
+    """scipy's LAPACK ``dgtsv`` wrapper, without running ``scipy.linalg``'s import.
+
+    The extension ``scipy.linalg._flapack`` is executed on its own and
+    registered in ``sys.modules`` under its name, so a later ``import
+    scipy.linalg`` reuses it and ``scipy.linalg.lapack.dgtsv`` is this
+    function.  If the extension is not where scipy's layout puts it, the
+    public ``scipy.linalg.lapack.dgtsv`` (the same function) is imported.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = _flapack_spec()
+        if spec is None:
+            from scipy.linalg.lapack import dgtsv
+
+            return dgtsv
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.dgtsv
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded`` for ``l_and_u == (1, 1)``, minus its checks.
+
+    ``ab`` is in ``laplacian_banded``'s layout.  It makes the same LAPACK
+    ``gtsv`` call as scipy (a single division on one node), so the solution
+    is bit-identical; what it skips is the input validation (finiteness
+    included) that costs more than the solve at a few hundred nodes.  A
+    singular matrix raises ``np.linalg.LinAlgError``.  ``dgtsv`` is loaded
+    by the first call on two or more nodes (``load_dgtsv``), so a command
+    that never makes one (``verify``, a one-node run) does not load LAPACK.
+    """
+    global _dgtsv
+    if len(b) == 1:
+        return b / ab[1]
+    if _dgtsv is None:
+        _dgtsv = load_dgtsv()
+    x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def regularize_initial(grid: Grid, u0: Field, epsilon: float) -> Field:
     """Solve (I + epsilon*A) w = u0; the elliptic smoothing of initial data.
 
     The matrix is an M-matrix for every epsilon > 0, so the solve is
-    order-preserving and cannot be singular; the guard is defensive.
+    order-preserving and cannot be singular; the guard is defensive.  The
+    solve is ``solve_banded``, which does not check ``u0`` for finiteness:
+    ``config`` refuses a non-finite profile before it gets here.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     grid.check_field(u0, "u0")
     if grid.is_homogeneous:
         return np.array(u0, dtype=float, copy=True)
-    from scipy.linalg import solve_banded  # here, so that importing grid stays cheap
-
     ab = epsilon * laplacian_banded(grid)
     ab[1, :] += 1.0
     try:

@@ -16,8 +16,9 @@ Per step, the work is: one evaluation of the explicit part F(u, v, t)
 (only for theta < 1), then per Newton iteration one reaction evaluation
 (``Reaction.beta_and_dbeta``: value and derivative from a single
 resolvent solve), one residual and, unless the residual is already
-below tolerance, one tridiagonal solve (a direct LAPACK ``gtsv`` call on
-a copy of the fixed matrix part with the diagonal term added).  At
+below tolerance, one tridiagonal solve (``grid.solve_banded``, a direct
+LAPACK ``gtsv`` call, on a copy of the fixed matrix part with the
+diagonal term added).  At
 convergence u+ is the last Newton iterate, so its reaction is already
 known: it becomes the next step's beta(u) and is never recomputed.  A
 step with one Newton iteration therefore costs two resolvent solves.
@@ -57,37 +58,13 @@ import numpy as np
 from .config import SimConfig
 from .errors import ConfigError, NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
 from .graphs import Reaction
-from .grid import Grid, edge_inner, laplacian_banded
+from .grid import Grid, edge_inner, laplacian_banded, solve_banded
 
 _DIVERGENCE_FACTOR = 1e8
 
 # elements per block when a row-wise map runs over a whole run: bounds the
 # temporaries (the logarithmic resolvent keeps several per element)
 BLOCK_ELEMENTS = 1 << 16
-
-_dgtsv = None  # scipy's LAPACK gtsv, imported by the first solve
-
-
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded`` for ``l_and_u == (1, 1)``, minus its checks.
-
-    It makes the same LAPACK ``gtsv`` call as scipy (a single division on
-    one node), so the solution is bit-identical; what it skips is the
-    input validation that costs more than the solve at a few hundred nodes.
-    ``scipy.linalg`` is imported by the first call that needs it, so a
-    command that never solves a tridiagonal system (``verify``, a one-node
-    run) does not pay its import, about a quarter second.
-    """
-    global _dgtsv
-    if len(b) == 1:
-        return b / ab[1]
-    if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv as _dgtsv
-    x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
-
 
 def map_row_blocks(fn, M: np.ndarray) -> np.ndarray:
     """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of ``M``."""

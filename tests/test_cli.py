@@ -309,6 +309,32 @@ class TestMalformedConfigExits2:
         doc = {**TOY_DOC, "newton": {"tolerance": 1e-3}}
         self._assert_config_error(tmp_path, doc, "newton.tolerance")
 
+    @pytest.mark.parametrize("base", [TOY_DOC, GRID_DOC], ids=["one_node", "grid"])
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("init", {"init": {"u0": "constant:nan", "u1": "zero"}}),
+            ("init", {"init": {"u0": "constant:inf", "u1": "zero"}}),
+            ("init", {"init": {"u0": "sine:1:nan", "u1": "zero"}}),
+            ("init", {"init": {"u0": "cosine:1:inf", "u1": "zero"}}),
+            ("init", {"init": {"u0": "zero", "u1": "constant:nan"}}),
+            ("forcing", {"forcing": "constant:nan"}),
+            ("forcing", {"forcing": "table:{tmp}/g.csv"}),
+        ],
+        ids=["u0_nan", "u0_inf", "u0_sine_nan", "u0_cosine_inf", "u1_nan", "forcing_nan",
+             "forcing_table_nan"],
+    )
+    def test_non_finite_profile_names_key(self, tmp_path, capsys, base, key, edit):
+        """A profile or forcing with a value that is not finite exits 2 with one
+        error line naming ``init`` or ``forcing``: no traceback, no Newton failure."""
+        n = base["space"]["n_nodes"]
+        (tmp_path / "g.csv").write_text("0" + ",nan" * n + "\n1" + ",0" * n + "\n")
+        edit = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in edit.items()}
+        self._assert_config_error(tmp_path, {**base, **edit}, key)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "not finite" in err
+        assert "Traceback" not in err
+
 
 def test_unwritable_output_exits_2(tmp_path):
     blocker = tmp_path / "file"
@@ -923,3 +949,12 @@ def test_one_node_simulate_and_verify_do_not_import_scipy_linalg(tmp_path):
 
 def test_grid_verify_does_not_import_scipy_linalg(npz_run_dir):
     assert _fresh_cli(f"verify --out {npz_run_dir}") == "[0] False"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_grid_solves_do_not_import_scipy_linalg(tmp_path, command):
+    """A grid run loads LAPACK's gtsv from scipy's compiled extension alone."""
+    config = write_config(tmp_path, GRID_DOC)
+    eps = " --eps 1e-2,1e-3,1e-4" if command == "sweep" else ""
+    argv = f"{command} --config {config}{eps} --out {tmp_path / 'out'}"
+    assert _fresh_cli(argv) == "[0] False"

@@ -1,12 +1,20 @@
 """Spatial grid: operator, norms, smoothing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dampedwave.grid
+from dampedwave.config import load_config, profile_field
 from dampedwave.errors import DimensionMismatch
 from dampedwave.graphs import RegularizedPotential, indicator_graph, moreau
 from dampedwave.grid import (
@@ -16,9 +24,15 @@ from dampedwave.grid import (
     apply_A,
     edge_inner,
     inner,
+    laplacian_banded,
+    load_dgtsv,
     norms,
     regularize_initial,
+    solve_banded,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def dirichlet_eigenvalue(grid: Grid, k: int = 1) -> float:
@@ -110,6 +124,83 @@ class TestRegularizeInitial:
             assert np.max(np.abs(w)) <= np.max(np.abs(u0)) + 1e-12
             pot = RegularizedPotential(indicator_graph(), eps)
             assert float(np.sum(moreau(pot, w) * g.mass_weights)) <= 1e-15
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestSolveBanded:
+    """``solve_banded`` gives ``scipy.linalg.solve_banded((1, 1), ...)``'s bits."""
+
+    def test_same_bits_as_scipy(self):
+        rng = np.random.default_rng(14)
+        for n in range(2, 301):
+            for pivot in (False, True):
+                ab = rng.standard_normal((3, n))
+                if pivot:
+                    # |dl| > |d| in every column of the input: dgtsv swaps rows
+                    ab[2] = np.sign(ab[2]) * (1.0 + np.abs(ab[2]))
+                    ab[1] = rng.uniform(-1.0, 1.0, n)
+                else:
+                    ab[1] = 4.0 + np.abs(ab[1])  # diagonally dominant
+                b = rng.standard_normal(n)
+                ours = solve_banded((1, 1), ab, b)
+                theirs = scipy.linalg.solve_banded((1, 1), ab, b)
+                np.testing.assert_array_equal(bits(ours), bits(theirs))
+
+    def test_singular_raises(self):
+        ab = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])  # [[1, 1], [1, 1]]
+        b = np.ones(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_banded((1, 1), ab, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((1, 1), ab, b)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_regularize_initial_same_bits_as_scipy(self, path):
+        """On each shipped config's grid and epsilon, with its u0 and a random one."""
+        cfg = load_config(path)
+        grid, eps = cfg.grid(), cfg.reaction().epsilon
+        ab = eps * laplacian_banded(grid)
+        ab[1, :] += 1.0
+        rng = np.random.default_rng(len(path.stem))
+        for u0 in (profile_field(grid, cfg.u0), rng.uniform(-1.0, 1.0, grid.n_nodes)):
+            np.testing.assert_array_equal(
+                bits(regularize_initial(grid, u0, eps)),
+                bits(scipy.linalg.solve_banded((1, 1), ab, u0)),
+            )
+
+
+FRESH_LOAD = """
+import sys
+from dampedwave.grid import load_dgtsv
+dgtsv = load_dgtsv()
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+import scipy.linalg.lapack
+print(loaded, scipy.linalg.lapack.dgtsv is dgtsv)
+"""
+
+
+class TestLoadDgtsv:
+    def test_loads_the_extension_alone_and_scipy_reuses_it(self):
+        """In a new interpreter, only ``scipy.linalg._flapack`` is loaded (not
+        ``scipy`` itself), and a later ``import scipy.linalg`` hands back the
+        same ``dgtsv``."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_LOAD],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "['scipy.linalg._flapack'] True"
+
+    def test_falls_back_to_the_public_function(self, monkeypatch):
+        looked_up = []
+        # the lookup records its call and finds nothing
+        monkeypatch.setattr(dampedwave.grid, "_flapack_spec", lambda: looked_up.append(1))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        assert load_dgtsv() is scipy.linalg.lapack.dgtsv
+        assert looked_up == [1]
 
 
 class TestNorms:
