@@ -339,10 +339,18 @@ def _number(value, key: str, cast=float):
     return x
 
 
-def _init_spec(spec):
-    if isinstance(spec, dict) and "array" in spec:
-        return np.asarray(spec["array"], dtype=float)
-    return spec
+def _init_spec(spec, n_nodes: int):
+    """The profile spec of an ``init`` entry: ``{array: [...]}`` gives the
+    array, which must be a list of ``n_nodes`` finite numbers, one per node;
+    otherwise a ConfigError naming ``init``."""
+    if not (isinstance(spec, dict) and "array" in spec):
+        return spec
+    values = spec["array"]
+    if not isinstance(values, list):
+        raise ConfigError("init", f"array must be a list of {n_nodes} numbers, got {values!r}")
+    if len(values) != n_nodes:
+        raise ConfigError("init", f"array has {len(values)} entries, the grid has {n_nodes} nodes")
+    return np.array([_number(v, "init") for v in values])
 
 
 def from_dict(doc: dict) -> SimConfig:
@@ -364,9 +372,10 @@ def from_dict(doc: dict) -> SimConfig:
     regularize = flat.get("regularize_u0", True)
     if not isinstance(regularize, bool):
         raise ConfigError("regularize_u0", f"must be true or false, got {regularize!r}")
+    n_nodes = num("space.n_nodes", 1, int)
     cfg = SimConfig(
         length=num("space.length", 1.0),
-        n_nodes=num("space.n_nodes", 1, int),
+        n_nodes=n_nodes,
         bc=str(flat.get("space.bc", NEUMANN)),
         graph_kind=str(flat["graph.kind"]),
         epsilon=num("graph.epsilon", None),
@@ -375,8 +384,8 @@ def from_dict(doc: dict) -> SimConfig:
         T=num("time.T"),
         dt=num("time.dt"),
         theta=num("time.theta", 1.0),
-        u0=_init_spec(flat.get("init.u0", "zero")),
-        u1=_init_spec(flat.get("init.u1", "zero")),
+        u0=_init_spec(flat.get("init.u0", "zero"), n_nodes),
+        u1=_init_spec(flat.get("init.u1", "zero"), n_nodes),
         forcing=forcing,
         lam=num("lambda", 0.0),
         newton_tol=num("newton.tol", 1e-10),

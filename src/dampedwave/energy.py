@@ -107,10 +107,10 @@ def _balance_terms(traj: Trajectory, s: float, t: float, g):
 
 def _recompute_power(traj: Trajectory, s: float, t: float, g) -> float:
     ks, kt = traj.time_index(s), traj.time_index(t)
-    v_th = traj.theta_combine(traj.V)
-    g_th = traj.theta_forcing(g)
     w = traj.grid.mass_weights
-    return traj.dt * float(np.sum((g_th[ks:kt] * v_th[ks:kt]) @ w))
+    G = lambda records: traj.forcing_rows(records, g)
+    power = traj.step_values(lambda steps, g_th, v_th: np.vecdot(g_th * v_th, w), G, traj.V)
+    return traj.dt * float(np.sum(power[ks:kt]))
 
 
 @dataclass(frozen=True)

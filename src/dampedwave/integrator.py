@@ -30,7 +30,10 @@ the dissipation and forcing power increments in the scheme-consistent
 quadrature.  It applies the kernel's one ``record`` function to blocks
 of stacked steps, and ``cli.read_run_npz`` calls it on the states of
 ``run.npz``, which stores no records, so both get the same bits.  A run's arrays take ``run_bytes`` bytes; a run larger
-than the physical memory is refused before anything is allocated.
+than the physical memory is refused before anything is allocated.  The
+checks that follow a run reduce per-step values that
+``Trajectory.step_values`` computes over the same row blocks, so nothing
+the size of the run is allocated after the loop.
 
 One driver (``_run``) allocates, records and wraps solver failures for
 every run, over one of two step kernels with the same ``advance``
@@ -66,13 +69,45 @@ _DIVERGENCE_FACTOR = 1e8
 # temporaries (the logarithmic resolvent keeps several per element)
 BLOCK_ELEMENTS = 1 << 16
 
-def map_row_blocks(fn, M: np.ndarray) -> np.ndarray:
-    """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of ``M``."""
-    out = np.empty(M.shape)
-    rows = max(1, BLOCK_ELEMENTS // M.shape[1])
-    for i in range(0, len(M), rows):
-        out[i : i + rows] = fn(M[i : i + rows])
+def map_row_blocks(fn, *Ms) -> np.ndarray:
+    """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of the
+    equally long ``Ms``: ``fn(*blocks)`` gives one value, or one row of
+    values, per row, and the blocks' values are stacked."""
+    return _map_blocks(len(Ms[0]), Ms[0].shape[1], lambda i, j: fn(*(M[i:j] for M in Ms)))
+
+
+def _map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
+    """``fn(i, j)`` over the row blocks [i, j) of about BLOCK_ELEMENTS
+    elements of an (n_rows, n_x) array, stacked into one array."""
+    out = None
+    rows = max(1, BLOCK_ELEMENTS // n_x)
+    for i in range(0, n_rows, rows):
+        j = min(i + rows, n_rows)
+        values = fn(i, j)
+        if out is None:
+            out = np.empty((n_rows,) + np.shape(values)[1:])
+        out[i:j] = values
     return out
+
+
+def pairwise_sum(fn, M: np.ndarray) -> float:
+    """``np.sum(fn(M))`` for an elementwise ``fn``, bit for bit, with no
+    ``fn(M)`` array.
+
+    numpy sums a contiguous array pairwise: it halves a piece of more than
+    128 elements at a multiple of 8 and sums smaller pieces directly.  This
+    follows those splits down to pieces of at most BLOCK_ELEMENTS elements
+    of M's C-order elements and sums each piece with ``np.sum``.
+    """
+    flat = np.ravel(M)
+
+    def piece(i, n):
+        if n <= max(BLOCK_ELEMENTS, 128):
+            return np.sum(fn(flat[i : i + n]))
+        half = n // 2 - (n // 2) % 8
+        return piece(i, half) + piece(i + half, n - half)
+
+    return float(piece(0, flat.size))
 
 
 @dataclass(frozen=True)
@@ -145,13 +180,42 @@ class Trajectory:
         """Theta-combined u and v per step."""
         return self.theta_u(), self.theta_combine(self.V)
 
-    def theta_forcing(self, g=None):
-        """Theta-combined forcing g (default: the run's) per step; None if zero."""
-        g = g or self.cfg.forcing_fn(self.grid)
-        if g is None:
-            return None
-        G = [np.broadcast_to(g(t), (self.grid.n_nodes,)) for t in self.times]
-        return self.theta_combine(np.array(G))
+    @cached_property
+    def forcing(self):
+        """The run's forcing g(t) -> field, or None if it is zero."""
+        return self.cfg.forcing_fn(self.grid)
+
+    def forcing_rows(self, records: slice, g=None) -> np.ndarray:
+        """The forcing ``g`` (default: the run's) at ``times[records]``, one row per record."""
+        g = g or self.forcing
+        times = self.times[records]
+        rows = np.empty((len(times), self.grid.n_nodes))
+        for i, t in enumerate(times):
+            rows[i] = g(t)
+        return rows
+
+    def step_values(self, fn, *Qs) -> np.ndarray:
+        """The (n_steps, ...) values of ``fn(steps, *blocks)``, computed over
+        row blocks of about BLOCK_ELEMENTS elements.
+
+        ``steps`` is the slice of a block's steps, for indexing per-step
+        arrays (the measure's masses, a candidate); each block is
+        ``theta_combine`` of one Q over the block's records, steps.start to
+        steps.stop inclusive.  A Q is a per-record array (U, V) or a function
+        of a record slice that gives its rows (``forcing_rows``).  A block
+        holds the bits of the whole-run ``theta_combine``, which is
+        elementwise, so ``fn`` built from row-wise operations (``np.vecdot``,
+        ``grid.edge_inner``, a row maximum) gives each step the same value
+        whatever the block size.  A post-run reduction sums or maximizes
+        these values and builds no array the size of the run.
+        """
+
+        def block(i, j):
+            records = slice(i, j + 1)
+            rows = (Q(records) if callable(Q) else Q[records] for Q in Qs)
+            return fn(slice(i, j), *map(self.theta_combine, rows))
+
+        return _map_blocks(self.n_steps, self.U.shape[1], block)
 
 
 def _resolve_steps(cfg: SimConfig) -> int:

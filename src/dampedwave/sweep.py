@@ -23,7 +23,7 @@ from .config import SimConfig
 from .energy import energy_series
 from .errors import ConfigError, RunError
 from .grid import apply_A, edge_inner
-from .integrator import Trajectory, simulate
+from .integrator import Trajectory, map_row_blocks, simulate
 from .weaklimit import XiMeasure, accumulate_xi
 
 RATIO_ATOL = 1e-12
@@ -105,16 +105,29 @@ def uniform_ratio(values, atol: float = RATIO_ATOL) -> float:
 
 
 def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
-    """The run's bounds and energies; ``es`` is its ``energy_series``."""
-    grid = traj.grid
-    w = grid.mass_weights
+    """The run's bounds and energies; ``es`` is its ``energy_series``.
+
+    Every norm is taken per record or per step over row blocks
+    (``map_row_blocks``, ``Trajectory.step_values``), so no array the size
+    of the run is built.
+    """
+    w = traj.grid.mass_weights
     reaction = traj.reaction
-    sup_v = float(np.max(np.sqrt(np.maximum((traj.V * traj.V) @ w, 0.0))))
+    V = traj.V
+    v_sq = map_row_blocks(lambda v: np.vecdot(v * v, w), V)
+    sup_v = float(np.max(np.sqrt(np.maximum(v_sq, 0.0))))
     sup_pot = float(np.max(es["potential"]))
-    bv = float(np.sum(np.abs(traj.V[1:] - traj.V[:-1]) @ w))
+
+    def variation(steps):
+        return np.vecdot(np.abs(np.diff(V[steps.start : steps.stop + 1], axis=0)), w)
+
+    def excess(u):
+        return np.max(np.maximum(np.abs(u) - 1.0, 0.0), axis=1)
+
+    bv = float(np.sum(traj.step_values(variation)))
     sup_Au = _sup_Au(traj)
     h1tv = _h1_time_v_norm(traj)
-    overshoot = float(np.max(np.maximum(np.abs(traj.U) - 1.0, 0.0)))
+    overshoot = float(np.max(map_row_blocks(excess, traj.U)))
     e_max = float(np.max(es["total"]))
     bound = math.sqrt(2.0 * reaction.epsilon * max(e_max, 0.0)) + 2.0 * traj.dt
     return RunSummary(
@@ -136,16 +149,25 @@ def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
 
 def _sup_Au(traj: Trajectory) -> float:
     """sup over the recorded times of ||A u(t)||."""
-    AU = apply_A(traj.grid, traj.U)
-    return math.sqrt(max(float(np.max((AU * AU) @ traj.grid.mass_weights)), 0.0))
+    grid = traj.grid
+
+    def norm_sq(u):
+        Au = apply_A(grid, u)
+        return np.vecdot(Au * Au, grid.mass_weights)
+
+    return math.sqrt(max(float(np.max(map_row_blocks(norm_sq, traj.U))), 0.0))
 
 
 def _h1_time_v_norm(traj: Trajectory) -> float:
     """Discrete H1-in-time norm of u with values in V (trapezoid in time)."""
     grid = traj.grid
     w = grid.mass_weights
-    U, V = traj.U, traj.V
-    sq = (U * U) @ w + edge_inner(grid, U, U) + (V * V) @ w + edge_inner(grid, V, V)
+
+    def norm_sq(u, v):
+        u_sq = np.vecdot(u * u, w) + edge_inner(grid, u, u)
+        return u_sq + np.vecdot(v * v, w) + edge_inner(grid, v, v)
+
+    sq = map_row_blocks(norm_sq, traj.U, traj.V)
     return float(np.sqrt(max(np.trapezoid(sq, traj.times), 0.0)))
 
 

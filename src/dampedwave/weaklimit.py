@@ -25,13 +25,19 @@ one dot product per candidate with <xi, u> taken once.  When the limit
 potential is the indicator of [-1, 1] the mass weights are positive, so
 J(u) of the clipped trajectory is exactly 0 and J(v) is 0 or +inf as
 max|v| is at most 1 or not; only the logarithmic limit integrates J.
+The seeded candidates are separable, v = tau (x) sigma, and are kept as
+their two factors (SeparableCandidate).
+
+Every check reduces per-step or per-record values that are computed over
+row blocks (``Trajectory.step_values``, ``integrator.map_row_blocks``), so
+the battery builds no array the size of the run: its extra memory is a few
+blocks of ``integrator.BLOCK_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .errors import (
 )
 from .graphs import limit_is_indicator, limit_j
 from .grid import DIRICHLET, Grid, edge_inner
-from .integrator import Trajectory
+from .integrator import Trajectory, map_row_blocks, pairwise_sum
 
 # ---------------------------------------------------------------------------
 # test-function dictionary
@@ -201,7 +207,8 @@ class XiMeasure:
 
     @property
     def total_l1(self) -> float:
-        return float(np.sum(np.abs(self.masses)))
+        """sum |masses|, with the bits of the whole-array sum and no |masses| array."""
+        return pairwise_sum(np.abs, self.masses)
 
     def restrict_mass(self, t: float) -> float:
         """Signed mass of [0, t]: whole cells below plus a fractional cell."""
@@ -257,8 +264,8 @@ def accumulate_xi(traj: Trajectory) -> XiMeasure:
     """Bin the recorded reaction into one time cell per step."""
     if traj.beta_theta is None or len(traj.beta_theta) != traj.n_steps:
         raise MissingReactionRecords("trajectory has no per-step reaction records")
-    w = traj.grid.mass_weights
-    masses = traj.dt * traj.beta_theta * w[None, :]
+    masses = traj.dt * traj.beta_theta
+    masses *= traj.grid.mass_weights
     return XiMeasure(
         traj.times.copy(),
         traj.grid.x,
@@ -295,17 +302,14 @@ class SpacePairings:
 
     A battery tests a dozen or more functions that share a few spatial
     factors.  Passing one instance to each of its weak_residual calls
-    pairs the states with every distinct factor once, and builds the
-    theta-combined forcing once, with the operations of a lone call.
+    pairs the states and the forcing with every distinct factor once, with
+    the operations of a lone call.  The gradient and forcing pairings are
+    taken over row blocks, so no array the size of the run is built.
     """
 
     def __init__(self, traj: Trajectory, xi: XiMeasure):
         self.traj, self.xi = traj, xi
         self._terms = {}
-
-    @cached_property
-    def _g_th(self):
-        return self.traj.theta_forcing()
 
     def terms(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
         key = (space, n_end)
@@ -319,10 +323,13 @@ class SpacePairings:
         wS = grid.mass_weights * S
         U = traj.U[: n_end + 1]
         V = traj.V[: n_end + 1]
-        edge = None
+        edge = g_S = None
         if not grid.is_homogeneous:  # summation-by-parts form
-            edge = traj.theta_combine(edge_inner(grid, V, S) + edge_inner(grid, U, S))
-        g_th = self._g_th
+            edge = traj.theta_combine(
+                map_row_blocks(lambda v, u: edge_inner(grid, v, S) + edge_inner(grid, u, S), V, U)
+            )
+        if traj.forcing is not None:
+            g_S = traj.step_values(lambda steps, g: np.vecdot(g, wS), traj.forcing_rows)[:n_end]
         return _SpaceTerms(
             v_dot_S=traj.theta_combine(V @ wS),
             u_dot_S=traj.theta_combine(U @ wS),
@@ -330,7 +337,7 @@ class SpacePairings:
             v_last=float(np.dot(wS, V[n_end])),
             edge=edge,
             xi_S=self.xi.masses[:n_end] @ space.value(self.xi.x),
-            g_S=None if g_th is None else g_th[:n_end] @ wS,
+            g_S=g_S,
         )
 
 
@@ -408,7 +415,8 @@ def solution_identity_residual(
         - <<g, u>>  ~  0,
 
     all time integrals in the scheme's theta-quadrature and the reaction
-    term through the measure cells.  The value decays like C*dt.
+    term through the measure cells.  The value decays like C*dt.  Each
+    term is a sum over steps of per-step pairings (``step_values``).
     """
     ks, kt = traj.time_index(s), traj.time_index(t)
     if not ks < kt:
@@ -418,19 +426,27 @@ def solution_identity_residual(
     w = grid.mass_weights
     lam = traj.cfg.lam
 
-    u_th, v_th = traj.theta_states()
-    u_th, v_th = u_th[ks:kt], v_th[ks:kt]
+    def terms(steps, u, v):
+        # columns: ||v||^2, the gradient pairings, <xi, u>, ||u||^2
+        return np.stack([
+            np.vecdot(v * v, w),
+            edge_inner(grid, v, u) + edge_inner(grid, u, u),
+            np.vecdot(xi.masses[steps], u),
+            np.vecdot(u * u, w),
+        ], axis=1)
 
-    acc = -dt * float(np.sum((v_th * v_th) @ w))
+    # each column summed on its own, pairwise like a whole-run sum
+    vv, grad, xi_u, uu = map(np.sum, traj.step_values(terms, traj.U, traj.V)[ks:kt].T)
+    acc = -dt * float(vv)
     acc += float(np.dot(w * traj.V[kt], traj.U[kt]))
     acc -= float(np.dot(w * traj.V[ks], traj.U[ks]))
     if not grid.is_homogeneous:
-        acc += dt * float(np.sum(edge_inner(grid, v_th, u_th) + edge_inner(grid, u_th, u_th)))
-    acc += float(np.sum(xi.masses[ks:kt] * u_th))
-    acc -= lam * dt * float(np.sum((u_th * u_th) @ w))
-    g_th = traj.theta_forcing()
-    if g_th is not None:
-        acc -= dt * float(np.sum((g_th[ks:kt] * u_th) @ w))
+        acc += dt * float(grad)
+    acc += float(xi_u)
+    acc -= lam * dt * float(uu)
+    if traj.forcing is not None:
+        gu = traj.step_values(lambda steps, g, u: np.vecdot(g * u, w), traj.forcing_rows, traj.U)
+        acc -= dt * float(np.sum(gu[ks:kt]))
     return abs(acc)
 
 
@@ -472,57 +488,102 @@ def subdifferential_check(
     points, must lie in [-1, 1], and for Dirichlet runs represent
     interior values (their boundary trace is zero by convention).
 
-    Each candidate costs one dot product and, for an indicator limit,
-    no potential integral (see the module docstring).
+    A candidate is an (n_steps, n_nodes) array or a ``SeparableCandidate``.
+    Each costs one pairing and, for an indicator limit, no potential
+    integral (see the module docstring).  Everything is reduced per step
+    over row blocks (``Trajectory.step_values``); a separable candidate
+    pairs as tau @ (masses @ sigma) and has max|v| = max|tau| * max|sigma|
+    (``SeparableCandidate.max_abs``), so neither it nor theta-combined u
+    is built.
     """
-    u_th = traj.theta_u()
     graph = traj.reaction.graph
     indicator = limit_is_indicator(graph)
     w = traj.grid.mass_weights
     dt = traj.dt
-    ju = 0.0
-    if not indicator:
-        ju = _limit_potential_time_integral(graph, np.clip(u_th, -1.0, 1.0), w, dt)
-    xi_u = float(np.vdot(xi.masses, u_th))
+    shape = (traj.n_steps, traj.grid.n_nodes)
+
+    def step_sum(fn, *Qs):
+        return float(np.sum(traj.step_values(fn, *Qs)))
+
+    def J(rows, *Qs):
+        """J of the field whose rows ``rows(steps, *blocks)`` gives."""
+        return dt * step_sum(lambda steps, *b: np.vecdot(limit_j(graph, rows(steps, *b)), w), *Qs)
+
+    def pair(steps, v):
+        return np.vecdot(xi.masses[steps], v)
+
+    ju = 0.0 if indicator else J(lambda steps, u: np.clip(u, -1.0, 1.0), traj.U)
+    xi_u = step_sum(pair, traj.U)
     entries = []
     for idx, v in enumerate(candidates):
-        v = np.asarray(v, dtype=float)
-        if v.shape != u_th.shape:
-            raise InadmissibleCandidate(
-                f"candidate {idx}: shape {v.shape} != {u_th.shape}"
-            )
-        v_max = _max_abs(v)
+        if not isinstance(v, SeparableCandidate):
+            v = np.asarray(v, dtype=float)
+        if v.shape != shape:
+            raise InadmissibleCandidate(f"candidate {idx}: shape {v.shape} != {shape}")
+        if isinstance(v, SeparableCandidate):
+            rows, v_max = v.rows, v.max_abs
+            xi_v = float(v.tau @ (xi.masses @ v.sigma))
+        else:
+            rows = v.__getitem__
+            v_max = _max_abs(v)
+            xi_v = step_sum(lambda steps: pair(steps, v[steps]))
         if v_max > 1.0 + 1e-12:
             raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
         if indicator:
             jv = 0.0 if v_max <= 1.0 else math.inf
         else:
-            jv = _limit_potential_time_integral(graph, v, w, dt)
-        pairing = float(np.vdot(xi.masses, v)) - xi_u
-        slack = jv - ju - pairing
+            jv = J(rows)
+        slack = jv - ju - (xi_v - xi_u)
         entries.append(SubdiffEntry(idx, slack, slack >= -tol))
     return SubdiffReport(tol, tuple(entries))
 
 
 def _max_abs(v: np.ndarray) -> float:
-    """max|v| without a |v| array."""
-    return max(v.max(), -v.min())
+    """max|v| without a |v| array; a zero maximum is +0.0."""
+    return abs(max(v.max(), -v.min()))
 
 
-def _limit_potential_time_integral(graph, fields, w, dt) -> float:
-    return dt * float(np.sum(limit_j(graph, fields) * w[None, :]))
+@dataclass(frozen=True, eq=False)
+class SeparableCandidate:
+    """The candidate v[k, i] = tau[k] * sigma[i], kept as its two factors.
+
+    ``np.asarray`` gives the outer product, so it serves wherever an array
+    candidate does; ``subdifferential_check`` uses the factors.
+    """
+
+    tau: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.tau), len(self.sigma))
+
+    @property
+    def max_abs(self) -> float:
+        """``_max_abs`` of the outer product, bit for bit: |tau_k * sigma_i|
+        rounds monotonically in |tau_k| and |sigma_i|."""
+        return _max_abs(self.tau) * _max_abs(self.sigma)
+
+    def rows(self, steps: slice) -> np.ndarray:
+        """The candidate's rows ``steps``."""
+        return np.outer(self.tau[steps], self.sigma)
+
+    def __array__(self, dtype=None, copy=None):
+        v = np.outer(self.tau, self.sigma)
+        return v if dtype is None else v.astype(dtype, copy=False)
 
 
 def random_candidates(
     traj: Trajectory, n: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Seeded admissible candidates: products of piecewise-linear factors."""
-    return list(iter_random_candidates(traj, n, rng))
+    return [np.asarray(v) for v in iter_random_candidates(traj, n, rng)]
 
 
 def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
-    """The candidates of ``random_candidates``, drawn one at a time to hold one in memory."""
-    u_shape = (traj.n_steps, traj.grid.n_nodes)
+    """The candidates of ``random_candidates``, drawn one at a time, each as
+    a ``SeparableCandidate``: its two factors take n_steps + n_nodes floats,
+    where the array takes their product."""
     t_eval = traj.theta_combine(traj.times)
     x = traj.grid.x
     for _ in range(n):
@@ -537,9 +598,7 @@ def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
             knots_x = np.linspace(x[0], x[-1], n_kx)
             vals_x = rng.uniform(-1.0, 1.0, n_kx)
             sigma = np.interp(x, knots_x, vals_x)
-        v = np.outer(tau, sigma)
-        assert v.shape == u_shape
-        yield v
+        yield SeparableCandidate(tau, sigma)
 
 
 def static_boundary_example(alpha: float, candidates) -> list[float]:
@@ -584,21 +643,28 @@ def singular_support_check(
     """Check that significant mass sits where u is at the matching wall.
 
     Reports max over significant cells of (1 - sign(mass) * u_cell);
-    values of order sqrt(eps) + dt confirm wall support.
+    values of order sqrt(eps) + dt confirm wall support.  The counts and
+    the maximum are taken per step over row blocks, which leaves them exact.
     """
-    u_th = traj.theta_u()
-    if u_th.shape != xi.masses.shape:
+    if xi.masses.shape != (traj.n_steps, traj.grid.n_nodes):
         raise MissingReactionRecords("measure is not at trajectory resolution")
-    sig = np.abs(xi.masses) > threshold
-    if not np.any(sig):
+
+    def per_step(steps, u):
+        # columns: significant cells, their largest misalignment (-inf if
+        # none), positive and negative significant cells
+        m = xi.masses[steps]
+        sig = np.abs(m) > threshold
+        mis = np.where(sig, 1.0 - np.sign(m) * u, -np.inf)
+        return np.stack([
+            np.sum(sig, axis=1), np.max(mis, axis=1),
+            np.sum(sig & (m > 0), axis=1), np.sum(sig & (m < 0), axis=1),
+        ], axis=1)
+
+    values = traj.step_values(per_step, traj.U)
+    n_sig, positive, negative = (int(np.sum(values[:, c])) for c in (0, 2, 3))
+    if n_sig == 0:
         return SupportReport(0, 0.0, 0, 0)
-    mis = 1.0 - np.sign(xi.masses[sig]) * u_th[sig]
-    return SupportReport(
-        int(np.sum(sig)),
-        float(np.max(mis)),
-        int(np.sum(xi.masses[sig] > 0)),
-        int(np.sum(xi.masses[sig] < 0)),
-    )
+    return SupportReport(n_sig, float(np.max(values[:, 1])), positive, negative)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +691,13 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
     if window is None:
         window = traj.reaction.layer_width
     w = traj.grid.mass_weights
-    dV = traj.V[1:] - traj.V[:-1]
-    changes = np.sqrt(np.maximum((dV * dV) @ w, 0.0))
+    V = traj.V
+
+    def change_sq(steps):
+        dV = np.diff(V[steps.start : steps.stop + 1], axis=0)
+        return np.vecdot(dV * dV, w)
+
+    changes = np.sqrt(np.maximum(traj.step_values(change_sq), 0.0))
     if not len(changes):
         return []
     med = float(np.median(changes))

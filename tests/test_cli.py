@@ -336,6 +336,28 @@ class TestMalformedConfigExits2:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("base", [TOY_DOC, GRID_DOC], ids=["one_node", "grid"])
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda n: [1] + ["x"] * n,
+            lambda n: "x",
+            lambda n: 0.5,
+            lambda n: [0.1] * (n + 1),
+            lambda n: [[0.1]] * n,
+        ],
+        ids=["text_entry", "text", "number", "wrong_length", "nested"],
+    )
+    def test_malformed_init_array_names_init(self, tmp_path, capsys, base, array):
+        """An ``init.u0: {array: ...}`` that is not a list of one number per
+        node exits 2 with one error line naming ``init``, not a traceback."""
+        n = base["space"]["n_nodes"]
+        doc = {**base, "init": {"u0": {"array": array(n)}, "u1": "zero"}}
+        self._assert_config_error(tmp_path, doc, "init")
+        err = capsys.readouterr().err
+        assert err.startswith("error: init: ") and "Traceback" not in err
+
+
 def test_unwritable_output_exits_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
