@@ -6,6 +6,11 @@ promises: energy balance and inequality, uniform bounds along the
 regularization continuation, the constraint-reaction measure and its
 wall-supported singular part, velocity jumps, and the weak-form
 residuals.
+
+The reference oracles that only the tests use (the closed-form limit toy,
+the D(A) audit, restriction compatibility of the measure, grid norms, the
+energy-equality residual, a one-step entry point) live in
+``tests/oracles.py``, not here.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +18,6 @@ __version__ = "0.1.0"
 from .config import SimConfig, from_dict, load_config
 from .energy import (
     EnergyBreakdown,
-    energy_equality_residual,
     energy_inequality_verdict,
     energy_series,
 )
@@ -23,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     InadmissibleCandidate,
     InadmissibleTestFunction,
-    InvalidEll,
     MissingArtifact,
     MissingReactionRecords,
     NewtonDiverged,
@@ -50,11 +53,10 @@ from .graphs import (
     resolvent,
     yosida,
 )
-from .grid import DIRICHLET, NEUMANN, Field, Grid, apply_A, norms, regularize_initial
-from .integrator import SimState, Trajectory, simulate, step
+from .grid import DIRICHLET, NEUMANN, Field, Grid, apply_A, regularize_initial
+from .integrator import Trajectory, simulate
 from .sweep import (
     SweepReport,
-    da_regularity_check,
     default_dt_policy,
     epsilon_sweep,
     limsup_identity_audit,
@@ -62,29 +64,15 @@ from .sweep import (
     nonuniqueness_exhibit,
     snap_dt,
 )
-from .toy import (
-    LevelSet,
-    ToySolution,
-    exact_family_toy,
-    exact_limit_toy,
-    limit_toy_solution,
-    phase_level_set,
-    toy_weak_identity_residual,
-    toy_xi_atom,
-    yosida_layer_toy,
-)
+from .toy import LevelSet, exact_family_toy, phase_level_set, yosida_layer_toy
 from .weaklimit import (
     TestFunction,
     XiMeasure,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
-    l1_mass,
-    random_candidates,
-    restriction_compat,
     singular_support_check,
     solution_identity_residual,
-    static_boundary_example,
     subdifferential_check,
     weak_residual,
 )

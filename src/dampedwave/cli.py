@@ -498,7 +498,7 @@ def toy_run_config(epsilon: float, T: float = 2.0, label: str = "toy-compare") -
 
 def sweep_payload(cfg: SimConfig, eps_list) -> tuple:
     """Run the epsilon sweep; its JSON report with the limsup audit, the report and the audit."""
-    report = epsilon_sweep(cfg, eps_list, keep_trajectories=True)
+    report = epsilon_sweep(cfg, eps_list)
     audit = limsup_identity_audit(report)
     payload = report.to_dict()
     payload["limsup_audit"] = {
@@ -537,7 +537,7 @@ def eps_list_arg(eps: str) -> tuple:
         raise ConfigError("eps", f"bad eps list {eps!r}: {exc}") from exc
 
 
-def cmd_sweep(config_path: str, eps: str, out: str, seed: int = 0) -> int:
+def cmd_sweep(config_path: str, eps: str, out: str) -> int:
     cfg = load_config(config_path)
     eps_list = eps_list_arg(eps)
     out_dir = Path(out)
@@ -625,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--eps", required=True, help="comma list, strictly decreasing")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted for uniformity with "
+                   "simulate and verify; unused, a sweep draws no random numbers")
 
     p = sub.add_parser("toy", help="homogeneous-model oracle comparison")
     p.add_argument("--out", required=True)
@@ -652,7 +653,7 @@ def _command(args) -> int:
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out, args.seed, args.csv)
     if args.command == "sweep":
-        return cmd_sweep(args.config, args.eps, args.out, args.seed)
+        return cmd_sweep(args.config, args.eps, args.out)
     if args.command == "toy":
         return cmd_toy(args.out, args.epsilon, args.T)
     if args.command == "verify":

@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -235,8 +235,7 @@ class SimConfig:
     def reaction(self) -> Reaction:
         return make_reaction(self.graph(), self.epsilon)
 
-    def initial_fields(self, grid: Grid | None = None):
-        grid = grid or self.grid()
+    def initial_fields(self, grid: Grid):
         u0 = profile_field(grid, self.u0)
         u1 = profile_field(grid, self.u1)
         if self.regularize_u0:
@@ -397,8 +396,12 @@ def from_dict(doc: dict) -> SimConfig:
 
 
 def load_config(path) -> SimConfig:
+    """The validated config of the YAML file ``path``; ConfigError naming the
+    file unless it can be read and parsed.  The file is read as bytes and
+    YAML decodes it (UTF-8 unless a byte-order mark says UTF-16), so text
+    that does not decode is a parse error."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc

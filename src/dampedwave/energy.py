@@ -1,4 +1,4 @@
-"""Energy functional, equality residual, and inequality verdicts.
+"""Energy functional, energy-balance terms, and inequality verdicts.
 
 The energy of a state is E = 1/2||v||^2 + 1/2||grad u||^2 + J_eps(u)
 - lambda/2 ||u||^2.  For the regularized runs the continuum satisfies
@@ -74,43 +74,13 @@ def dissipation_between(traj: Trajectory, s: float, t: float) -> float:
     return float(np.sum(traj.diss_incr[ks:kt]))
 
 
-def forcing_power_between(traj: Trajectory, s: float, t: float) -> float:
-    ks, kt = traj.time_index(s), traj.time_index(t)
-    return float(np.sum(traj.power_incr[ks:kt]))
-
-
-def energy_equality_residual(traj: Trajectory, s: float, t: float, g=None) -> float:
-    """|E(t) + D(s,t) - E(s) - P(s,t)| with scheme-consistent quadrature.
-
-    ``g`` defaults to the forcing the run actually used (recorded during
-    integration); passing a callable recomputes the power term with it.
-    """
-    if not 0.0 <= s < t <= traj.times[-1] + 1e-12:
-        raise TimeNotOnGrid(f"need 0 <= s < t <= T, got s={s}, t={t}")
-    e_s, e_t, diss, power = _balance_terms(traj, s, t, g)
-    return abs(e_t + diss - e_s - power)
-
-
-def _balance_terms(traj: Trajectory, s: float, t: float, g):
-    """E(s), E(t), D(s, t) and P(s, t); P from the records unless ``g`` is given."""
+def _balance_terms(traj: Trajectory, s: float, t: float):
+    """E(s), E(t), D(s, t) and P(s, t), D and P summed from the run's records."""
     i_s, i_t = traj.time_index(s), traj.time_index(t)
     grid, reaction, lam = traj.grid, traj.reaction, traj.cfg.lam
     e_s = energy(grid, traj.U[i_s], traj.V[i_s], reaction, lam).total
     e_t = energy(grid, traj.U[i_t], traj.V[i_t], reaction, lam).total
-    diss = dissipation_between(traj, s, t)
-    if g is None:
-        power = forcing_power_between(traj, s, t)
-    else:
-        power = _recompute_power(traj, s, t, g)
-    return e_s, e_t, diss, power
-
-
-def _recompute_power(traj: Trajectory, s: float, t: float, g) -> float:
-    ks, kt = traj.time_index(s), traj.time_index(t)
-    w = traj.grid.mass_weights
-    G = lambda records: traj.forcing_rows(records, g)
-    power = traj.step_values(lambda steps, g_th, v_th: np.vecdot(g_th * v_th, w), G, traj.V)
-    return traj.dt * float(np.sum(power[ks:kt]))
+    return e_s, e_t, *(float(np.sum(q[i_s:i_t])) for q in (traj.diss_incr, traj.power_incr))
 
 
 @dataclass(frozen=True)
@@ -135,21 +105,18 @@ class InequalityReport:
         return min((p.slack for p in self.pairs), default=0.0)
 
 
-def energy_inequality_verdict(
-    traj: Trajectory, s_samples, t_samples, g=None, tol: float | None = None
-) -> InequalityReport:
+def energy_inequality_verdict(traj: Trajectory, s_samples, t_samples) -> InequalityReport:
     """Per-pair slack E(s) + P - E(t) - D; a pair fails only if slack < -tol.
 
-    The default tolerance 10*(dt + eps) combines the scheme error with
-    the regularization penetration depth.
+    The tolerance 10*(dt + eps) combines the scheme error with the
+    regularization penetration depth.
     """
-    if tol is None:
-        tol = 10.0 * (traj.dt + traj.reaction.epsilon)
+    tol = 10.0 * (traj.dt + traj.reaction.epsilon)
     pairs = []
     for s, t in zip(s_samples, t_samples):
         if not s < t:
             raise TimeNotOnGrid(f"need s < t, got s={s}, t={t}")
-        e_s, e_t, diss, power = _balance_terms(traj, s, t, g)
+        e_s, e_t, diss, power = _balance_terms(traj, s, t)
         slack = e_s + power - e_t - diss
         pairs.append(InequalityPair(s, t, slack, slack >= -tol))
     return InequalityReport(tol, tuple(pairs))

@@ -63,10 +63,6 @@ class OutOfValidityWindow(DampedWaveError):
     """Closed-form toy solution queried beyond its derivation window."""
 
 
-class InvalidEll(DampedWaveError):
-    """Post-impact velocity has the wrong sign for the wall being hit."""
-
-
 class ConfigError(DampedWaveError):
     """Configuration invalid; `key` names the offending entry."""
 

@@ -1,4 +1,4 @@
-"""1D spatial grid, discrete Laplacian, norms, and initial-data smoothing.
+"""1D spatial grid, discrete Laplacian, edge pairing, and initial-data smoothing.
 
 Finite differences on a uniform mesh.  The Dirichlet grid stores interior
 nodes only (the boundary values are identically zero); the Neumann grid
@@ -205,11 +205,6 @@ def regularize_initial(grid: Grid, u0: Field, epsilon: float) -> Field:
         raise SingularSystem(str(exc)) from exc
 
 
-def inner(grid: Grid, u: Field, v: Field) -> float:
-    """Discrete L2 inner product with the grid's mass weights."""
-    return float(np.dot(grid.mass_weights * u, v))
-
-
 def edge_inner(grid: Grid, u: Field, v: Field):
     """Sum over edges of (du)(dv)/h; equals <A u, v> in the weighted product.
 
@@ -231,10 +226,3 @@ def edge_inner(grid: Grid, u: Field, v: Field):
         acc += u[..., 0] * v[..., 0] + u[..., -1] * v[..., -1]
     return acc / grid.h
 
-
-def norms(grid: Grid, u: Field) -> dict:
-    """L2 norm and H1 seminorm of a field under the grid's conventions."""
-    grid.check_field(u)
-    l2 = float(np.sqrt(inner(grid, u, u)))
-    h1 = float(np.sqrt(max(edge_inner(grid, u, u), 0.0)))
-    return {"l2": l2, "h1_semi": h1}

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,13 +108,6 @@ def pairwise_sum(fn, M: np.ndarray) -> float:
         return piece(i, half) + piece(i + half, n - half)
 
     return float(piece(0, flat.size))
-
-
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass
@@ -172,26 +165,17 @@ class Trajectory:
         th = self.theta
         return th * Q[1:] + (1.0 - th) * Q[:-1]
 
-    def theta_u(self):
-        """Theta-combined u per step."""
-        return self.theta_combine(self.U)
-
-    def theta_states(self):
-        """Theta-combined u and v per step."""
-        return self.theta_u(), self.theta_combine(self.V)
-
     @cached_property
     def forcing(self):
         """The run's forcing g(t) -> field, or None if it is zero."""
         return self.cfg.forcing_fn(self.grid)
 
-    def forcing_rows(self, records: slice, g=None) -> np.ndarray:
-        """The forcing ``g`` (default: the run's) at ``times[records]``, one row per record."""
-        g = g or self.forcing
+    def forcing_rows(self, records: slice) -> np.ndarray:
+        """The run's forcing at ``times[records]``, one row per record."""
         times = self.times[records]
         rows = np.empty((len(times), self.grid.n_nodes))
         for i, t in enumerate(times):
-            rows[i] = g(t)
+            rows[i] = self.forcing(t)
         return rows
 
     def step_values(self, fn, *Qs) -> np.ndarray:
@@ -262,18 +246,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
     u0, v0 = cfg.initial_fields(grid)
     kernel, u, v = _kernel(cfg, grid, reaction, u0, v0)
     return _run(cfg, kernel, n_steps, u, v)
-
-
-def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance a single state by cfg.dt (one-off entry point)."""
-    cfg = cfg.validate()
-    grid = cfg.grid()
-    grid.check_field(state.u, "u")
-    grid.check_field(state.v, "v")
-    one = replace(cfg, T=cfg.dt, regularize_u0=False)
-    kernel, u, v = _kernel(one, grid, one.reaction(), state.u, state.v)
-    u1, v1 = kernel.advance(u, v, state.t, 0, kernel.beta(u))[:2]
-    return SimState(state.t + cfg.dt, np.atleast_1d(u1), np.atleast_1d(v1))
 
 
 def _kernel(cfg, grid, reaction, u, v):

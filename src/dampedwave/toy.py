@@ -1,23 +1,22 @@
 """Closed-form reference solutions for the spatially homogeneous model.
 
 The homogeneous Neumann problem with zero forcing reduces to the scalar
-ODE u'' + beta(u) = 0.  For the hard constraint the limit trajectory is
-free flight interrupted by instantaneous velocity jumps at the walls
-u = +-1; the post-impact level ell is a free datum of the limit problem
-(the regularization selects one), so it stays an explicit parameter
-here.  For the regularized problems the first wall passage is a
-harmonic half-arch in closed form:
+ODE u'' + beta(u) = 0.  For the regularized problems the first wall
+passage is a harmonic half-arch in closed form:
 
-* Yosida regularization of the hard constraint at eps, data (0, 1):
-  u(t) = t up to t = 1, then 1 + sqrt(eps)*sin((t-1)/sqrt(eps)) for a
-  half period, exiting with velocity -1.
 * piecewise-linear family (dead zone r_threshold, slope eps_param^-2),
   data (0, 1): u(t) = t up to r_threshold, then
   r_threshold + eps_param*sin((t-r_threshold)/eps_param), exiting with
   velocity -1.
+* Yosida regularization of the hard constraint at eps, data (0, 1): the
+  family passage with r_threshold = 1 and eps_param = sqrt(eps), that is
+  u(t) = t up to t = 1, then 1 + sqrt(eps)*sin((t-1)/sqrt(eps)) for a
+  half period, exiting with velocity -1.
 
 Both refuse evaluation beyond their derivation window instead of
-composing further events.
+composing further events.  The module also samples phase-plane level
+sets.  The limit trajectory of the hard constraint (free flight and
+velocity jumps at the walls) is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,85 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEll, OutOfValidityWindow
+from .errors import OutOfValidityWindow
 from .graphs import MonotoneGraph, RegularizedPotential, eval_j, moreau
-from .weaklimit import TestFunction
-
-
-@dataclass(frozen=True)
-class ToySegment:
-    t0: float
-    t1: float
-    u0: float
-    v: float
-
-    def eval(self, t: float):
-        return self.u0 + self.v * (t - self.t0), self.v
-
-
-@dataclass(frozen=True)
-class ToySolution:
-    """Piecewise-affine limit trajectory with its jump events and atoms."""
-
-    segments: tuple
-    jumps: tuple  # (t, v_before, v_after)
-    atoms: tuple  # (t, mass), mass = v_before - v_after
-
-    def eval(self, t: float):
-        for seg in self.segments:
-            if seg.t0 <= t <= seg.t1:
-                return seg.eval(t)
-        raise OutOfValidityWindow(f"t={t} beyond constructed horizon")
-
-    def u_t_right(self, t: float) -> float:
-        """Right-continuous velocity representative at time t."""
-        for seg in self.segments:
-            if seg.t0 <= t < seg.t1:
-                return seg.v
-        return self.segments[-1].v
-
-
-def limit_toy_solution(u0: float, u1: float, ell: float, T: float) -> ToySolution:
-    """Free flight plus wall jumps up to horizon T.
-
-    ``ell`` is the post-impact velocity at a hit of the +1 wall and must
-    be <= 0 there; the opposite wall mirrors it (post velocity -ell).
-    """
-    if not -1.0 <= u0 <= 1.0:
-        raise ValueError("u0 must lie in [-1, 1]")
-    segments, jumps, atoms = [], [], []
-    t, u, v = 0.0, float(u0), float(u1)
-    speed = abs(ell)
-    while t < T:
-        if v == 0.0:
-            segments.append(ToySegment(t, T, u, 0.0))
-            break
-        wall = 1.0 if v > 0.0 else -1.0
-        t_hit = t + (wall - u) / v
-        if t_hit >= T:
-            segments.append(ToySegment(t, T, u, v))
-            break
-        segments.append(ToySegment(t, t_hit, u, v))
-        if wall > 0 and ell > 0.0:
-            raise InvalidEll(f"ell={ell} > 0 at a +1 hit")
-        v_after = -wall * speed
-        jumps.append((t_hit, v, v_after))
-        atoms.append((t_hit, v - v_after))
-        t, u, v = t_hit, wall, v_after
-    return ToySolution(tuple(segments), tuple(jumps), tuple(atoms))
-
-
-def exact_limit_toy(u0: float, u1: float, ell: float, t: float):
-    """Evaluate the limit trajectory (u, v) at time t."""
-    sol = limit_toy_solution(u0, u1, ell, T=max(t, 1e-300) * (1.0 + 1e-12))
-    return sol.eval(t)
-
-
-def toy_xi_atom(ell: float) -> float:
-    """Mass of the reaction atom at the first +1 impact of data (0, 1)."""
-    if ell > 0.0:
-        raise InvalidEll(f"ell={ell} must be <= 0")
-    return 1.0 - ell
 
 
 def exact_family_toy(r_threshold: float, eps_param: float, t: float):
@@ -129,19 +51,14 @@ def exact_family_toy(r_threshold: float, eps_param: float, t: float):
 
 
 def yosida_layer_toy(epsilon: float, t: float):
-    """First wall passage of the Yosida regularization with data (0, 1)."""
+    """First wall passage of the Yosida regularization with data (0, 1).
+
+    It is the family passage with r_threshold = 1 and eps_param =
+    sqrt(epsilon), term for term.
+    """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    se = math.sqrt(epsilon)
-    t_exit = 1.0 + math.pi * se
-    if t < 0.0 or t > t_exit + 2.0:
-        raise OutOfValidityWindow(f"t={t} beyond first return to the dead zone")
-    if t <= 1.0:
-        return t, 1.0
-    if t <= t_exit:
-        phase = (t - 1.0) / se
-        return 1.0 + se * math.sin(phase), math.cos(phase)
-    return 1.0 - (t - t_exit), -1.0
+    return exact_family_toy(1.0, math.sqrt(epsilon), t)
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +131,3 @@ def _bisect_level(jfun, c: float, u_cap: float) -> float:
             hi = mid
     return lo
 
-
-# ---------------------------------------------------------------------------
-# weak identity of the limit toy problem
-
-
-def toy_weak_identity_residual(sol: ToySolution, phi: TestFunction, T: float) -> float:
-    """Residual of -int u_t phi_t + phi(T) u_t(T) + <xi, phi> - phi(0) u_t(0).
-
-    u_t is piecewise constant, so the time integral is evaluated segment
-    by segment in closed form; the only error left is roundoff.
-    """
-    acc = 0.0
-    for seg in sol.segments:
-        t1 = min(seg.t1, T)
-        if t1 <= seg.t0:
-            continue
-        acc -= seg.v * (float(phi.time.value(t1)) - float(phi.time.value(seg.t0)))
-        if t1 >= T:
-            break
-    acc += float(phi.time.value(T)) * sol.u_t_right(T)
-    for t_a, mass in sol.atoms:
-        if t_a <= T:
-            acc += mass * float(phi.time.value(t_a))
-    acc -= float(phi.time.value(0.0)) * sol.segments[0].v
-    return abs(acc)

@@ -120,19 +120,13 @@ class SpaceProfile:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function phi(t, x)."""
+    """Separable space-time test function phi(t, x) = time(t) * space(x)."""
 
     __test__ = False  # not a pytest class, despite the name
 
     time: TimeProfile
     space: SpaceProfile
     name: str = ""
-
-    def __call__(self, t, x):
-        return np.outer(self.time.value(np.atleast_1d(t)), self.space.value(x))
-
-    def vanishes_at(self, t: float, tol: float = 1e-12) -> bool:
-        return abs(float(self.time.value(t))) <= tol
 
     def admissible_for(self, bc: str) -> bool:
         return bc != DIRICHLET or self.space.dirichlet_ok
@@ -197,10 +191,6 @@ class XiMeasure:
         return self.masses.shape[0]
 
     @property
-    def n_x(self) -> int:
-        return self.masses.shape[1]
-
-    @property
     def t_eval(self) -> np.ndarray:
         """Per-cell evaluation times (theta point inside each cell)."""
         return (1.0 - self.theta) * self.t_edges[:-1] + self.theta * self.t_edges[1:]
@@ -209,16 +199,6 @@ class XiMeasure:
     def total_l1(self) -> float:
         """sum |masses|, with the bits of the whole-array sum and no |masses| array."""
         return pairwise_sum(np.abs, self.masses)
-
-    def restrict_mass(self, t: float) -> float:
-        """Signed mass of [0, t]: whole cells below plus a fractional cell."""
-        edges = self.t_edges
-        k = int(np.searchsorted(edges, t, side="right")) - 1
-        acc = float(np.sum(self.masses[:max(k, 0)]))
-        if 0 <= k < self.n_t:
-            frac = (t - edges[k]) / (edges[k + 1] - edges[k])
-            acc += frac * float(np.sum(self.masses[k]))
-        return acc
 
     def window_mass(self, t0: float, halfwidth: float) -> float:
         """Absolute mass inside |t - t0| <= halfwidth (fractional cells)."""
@@ -232,32 +212,15 @@ class XiMeasure:
         """Mass in nested windows around t0; flags concentration."""
         return {f: self.window_mass(t0, f * width) for f in factors}
 
-    def concentration_at(self, t: float, width: float) -> float:
-        """Fraction of total mass within |tau - t| <= width.
-
-        A cut time with a large value here sits inside a concentration
-        band, where restrictions are genuinely before/after-sensitive.
-        """
-        tot = self.total_l1
-        return self.window_mass(t, width) / tot if tot > 0.0 else 0.0
-
     def rebin(self, n_t: int) -> "XiMeasure":
         """Coarsen to n_t uniform time cells (for export and plotting)."""
         edges = np.linspace(self.t_edges[0], self.t_edges[-1], n_t + 1)
         idx = np.clip(
             np.searchsorted(edges, self.t_eval, side="right") - 1, 0, n_t - 1
         )
-        masses = np.zeros((n_t, self.n_x))
+        masses = np.zeros((n_t, self.masses.shape[1]))
         np.add.at(masses, idx, self.masses)
         return XiMeasure(edges, self.x, masses, 0.5, self.epsilon)
-
-    def pair_with(self, phi: TestFunction, t_end: float | None = None) -> float:
-        """Integral of phi against the measure, cells evaluated at t_eval."""
-        tvals = phi.time.value(self.t_eval)
-        svals = phi.space.value(self.x)
-        if t_end is not None:
-            tvals = np.where(self.t_eval <= t_end + 1e-12, tvals, 0.0)
-        return float(np.dot(tvals, self.masses @ svals))
 
 
 def accumulate_xi(traj: Trajectory) -> XiMeasure:
@@ -273,11 +236,6 @@ def accumulate_xi(traj: Trajectory) -> XiMeasure:
         traj.theta,
         traj.reaction.epsilon,
     )
-
-
-def l1_mass(xi: XiMeasure) -> float:
-    """Total-variation proxy: sum of absolute cell masses."""
-    return xi.total_l1
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +353,6 @@ def weak_residual(
     if p.g_S is not None:
         acc -= dt * float(np.dot(T_th, p.g_S))
     return abs(acc)
-
-
-def xi_pairing_partial(xi: XiMeasure, phi: TestFunction, n_cells: int) -> float:
-    tvals = phi.time.value(xi.t_eval[:n_cells])
-    svals = phi.space.value(xi.x)
-    return float(np.dot(tvals, xi.masses[:n_cells] @ svals))
 
 
 def solution_identity_residual(
@@ -573,17 +525,10 @@ class SeparableCandidate:
         return v if dtype is None else v.astype(dtype, copy=False)
 
 
-def random_candidates(
-    traj: Trajectory, n: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Seeded admissible candidates: products of piecewise-linear factors."""
-    return [np.asarray(v) for v in iter_random_candidates(traj, n, rng)]
-
-
 def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
-    """The candidates of ``random_candidates``, drawn one at a time, each as
-    a ``SeparableCandidate``: its two factors take n_steps + n_nodes floats,
-    where the array takes their product."""
+    """Seeded admissible candidates, products of piecewise-linear factors,
+    drawn one at a time, each as a ``SeparableCandidate``: its two factors
+    take n_steps + n_nodes floats, where the array takes their product."""
     t_eval = traj.theta_combine(traj.times)
     x = traj.grid.x
     for _ in range(n):
@@ -599,26 +544,6 @@ def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
             vals_x = rng.uniform(-1.0, 1.0, n_kx)
             sigma = np.interp(x, knots_x, vals_x)
         yield SeparableCandidate(tau, sigma)
-
-
-def static_boundary_example(alpha: float, candidates) -> list[float]:
-    """Slacks for the static picture u(x) = x on (-1, 1) with xi = alpha*delta_1.
-
-    Candidates are callables on [-1, 1] with values in [-1, 1]; the
-    subdifferential slack reduces to alpha*(1 - v(1)), nonnegative for
-    every admissible candidate, with equality when v(1) = 1.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    slacks = []
-    xs = np.linspace(-1.0, 1.0, 201)
-    for v in candidates:
-        vals = np.asarray([float(v(x)) for x in xs])
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            raise InadmissibleCandidate("static candidate leaves [-1, 1]")
-        # J(v) = J(u) = 0 for the hard constraint; only the atom pairs
-        slacks.append(-alpha * (float(v(1.0)) - 1.0))
-    return slacks
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +604,16 @@ class JumpEvent:
     impulse: float
 
 
-def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = None):
+def detect_jumps(traj: Trajectory, kappa: float = 20.0):
     """Flag steps whose velocity change dwarfs the trajectory's median.
 
-    Flags closer than ``window`` (default: the run's boundary-layer
-    width) merge into one event; each event reports the flanking
-    plateau velocities and the impulse (momentum lost across it).
+    Flags closer than the run's boundary-layer width merge into one
+    event; each event reports the flanking plateau velocities and the
+    impulse (momentum lost across it).
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if window is None:
-        window = traj.reaction.layer_width
+    window = traj.reaction.layer_width
     w = traj.grid.mass_weights
     V = traj.V
 
@@ -700,7 +624,7 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
     changes = np.sqrt(np.maximum(traj.step_values(change_sq), 0.0))
     if not len(changes):
         return []
-    med = float(np.median(changes))
+    med = _median(changes)
     peak = float(np.max(changes))
     if peak == 0.0:
         return []
@@ -722,6 +646,16 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0, window: float | None = N
     return events
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit: the mean of its
+    middle order statistics, or the nan that sorts last if an entry is nan.
+    ``np.median`` imports ``numpy.ma`` on its first call; this takes one
+    ``np.partition``."""
+    n = len(x)
+    part = np.partition(x, [(n - 1) // 2, n // 2, n - 1])  # nan sorts last
+    return float(part[-1] if np.isnan(part[-1]) else np.mean(part[(n - 1) // 2 : n // 2 + 1]))
+
+
 def _make_event(traj, group, changes, w):
     group = np.asarray(group)
     peak_k = int(group[np.argmax(changes[group])])
@@ -733,22 +667,3 @@ def _make_event(traj, group, changes, w):
     impulse = float(np.dot(w, v_b - v_a))
     return JumpEvent(float(t_mid), v_b, v_a, impulse)
 
-
-# ---------------------------------------------------------------------------
-# restriction compatibility
-
-
-def restriction_compat(
-    xi_full: XiMeasure, xi_sub: XiMeasure, phi: TestFunction, t: float
-) -> float:
-    """|int phi d(xi_sub) - int phi~ d(xi_full)| for phi vanishing at t.
-
-    phi~ is the zero extension of phi beyond t.  The value stays at
-    quadrature size even when an atom sits exactly at the cut time,
-    because phi(t) = 0 kills it; a nonvanishing phi is rejected.
-    """
-    if not phi.vanishes_at(t):
-        raise InadmissibleTestFunction(f"phi({t}) != 0: not in the vanishing subspace")
-    sub = xi_sub.pair_with(phi)
-    full = xi_full.pair_with(phi, t_end=t)
-    return abs(sub - full)

@@ -35,7 +35,7 @@ def toy_sweep():
         n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-3,
         T=2.0, dt=1e-3, theta=0.5, u0="zero", u1="constant:1", label="toy-sweep",
     )
-    return dw.epsilon_sweep(base, EPS_SWEEP, keep_trajectories=True)
+    return dw.epsilon_sweep(base, EPS_SWEEP)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def contact_sweep():
         epsilon=1e-3, T=2.0, dt=1e-3, theta=1.0,
         u0="cosine:1:0.01", u1="constant:1", label="contact-1d",
     )
-    return dw.epsilon_sweep(base, EPS_SWEEP, keep_trajectories=True)
+    return dw.epsilon_sweep(base, EPS_SWEEP)
 
 
 @pytest.fixture(scope="session")

@@ -8,15 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import dampedwave as dw
-from dampedwave.energy import (
-    energy,
-    energy_equality_residual,
-    energy_inequality_verdict,
-    energy_series,
-)
+from dampedwave.energy import energy, energy_inequality_verdict, energy_series, random_time_pairs
 from dampedwave.graphs import (
     RegularizedPotential,
     eval_j,
@@ -26,12 +20,7 @@ from dampedwave.graphs import (
     moreau,
     yosida,
 )
-from dampedwave.toy import (
-    exact_family_toy,
-    limit_toy_solution,
-    toy_weak_identity_residual,
-    yosida_layer_toy,
-)
+from dampedwave.toy import exact_family_toy, yosida_layer_toy
 from dampedwave.weaklimit import (
     SpaceProfile,
     TestFunction,
@@ -39,12 +28,17 @@ from dampedwave.weaklimit import (
     accumulate_xi,
     default_dictionary,
     detect_jumps,
-    random_candidates,
-    static_boundary_example,
+    iter_random_candidates,
     subdifferential_check,
     weak_residual,
 )
 from tests.conftest import toy_config
+from tests.oracles import (
+    energy_equality_residual,
+    limit_toy_solution,
+    static_boundary_example,
+    toy_weak_identity_residual,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -139,13 +133,8 @@ def test_criterion_04_energy_inequality_limit_candidate(toy_sweep, rng):
     finest = toy_sweep.eps_list[-1]
     traj = toy_sweep.trajectories[finest]
     tol = 10.0 * (traj.dt + finest)
-    n_rec = len(traj.times)
-    s_idx = rng.integers(0, n_rec - 1, 50)
-    t_idx = rng.integers(1, n_rec, 50)
-    s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
-    rep = energy_inequality_verdict(
-        traj, traj.times[s_idx], traj.times[t_idx], tol=tol
-    )
+    rep = energy_inequality_verdict(traj, *random_time_pairs(traj, rng, 50))
+    assert rep.tol == tol
     grid, reaction = traj.grid, traj.reaction
     i_b = int(np.argmin(np.abs(traj.times - 0.5)))
     i_a = int(np.argmin(np.abs(traj.times - 1.5)))
@@ -180,9 +169,11 @@ def test_criterion_06_constraint_satisfaction(toy_sweep, contact_sweep):
 def test_criterion_07_weak_constraint_inequality(toy_jump_run, pressed_run):
     rng = np.random.default_rng(2024)
     traj, xi = toy_jump_run
-    rep_toy = subdifferential_check(traj, xi, random_candidates(traj, 100, rng), tol=1e-6)
+    cands = [np.asarray(v) for v in iter_random_candidates(traj, 100, rng)]
+    rep_toy = subdifferential_check(traj, xi, cands, tol=1e-6)
     trp, xip = pressed_run
-    rep_pr = subdifferential_check(trp, xip, random_candidates(trp, 100, rng), tol=1e-6)
+    cands = [np.asarray(v) for v in iter_random_candidates(trp, 100, rng)]
+    rep_pr = subdifferential_check(trp, xip, cands, tol=1e-6)
     slacks = static_boundary_example(
         0.5, [lambda x: x, lambda x: np.tanh(x), lambda x: 0 * x - 0.2]
     )

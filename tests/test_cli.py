@@ -357,6 +357,27 @@ class TestMalformedConfigExits2:
         err = capsys.readouterr().err
         assert err.startswith("error: init: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "data", [b"\x00\xff", yaml.safe_dump(TOY_DOC).encode() + b"\xff", "label: caf\xe9".encode("latin-1")],
+        ids=["nul_ff", "trailing_ff", "latin1"],
+    )
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys, data):
+        """A config file that is not UTF-8 text exits 2 with one error line
+        naming the file, not a traceback."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(data)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: file: cannot parse config {cfg}") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_utf8_config_with_crlf_loads_as_its_text(self, tmp_path):
+        """UTF-8 text, non-ASCII and CRLF line ends included, gives the config of its text."""
+        text = yaml.safe_dump({**TOY_DOC, "label": "café ±1"}, allow_unicode=True)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_config(cfg) == from_dict(yaml.safe_load(text))
+
 
 def test_unwritable_output_exits_2(tmp_path):
     blocker = tmp_path / "file"

@@ -9,7 +9,6 @@ import dampedwave as dw
 from dampedwave.energy import (
     dissipation_between,
     energy,
-    energy_equality_residual,
     energy_inequality_verdict,
     energy_series,
     random_time_pairs,
@@ -17,6 +16,7 @@ from dampedwave.energy import (
 from dampedwave.errors import TimeNotOnGrid
 from dampedwave.grid import Grid
 from tests.conftest import toy_config
+from tests.oracles import energy_equality_residual
 
 
 def test_energy_module_is_reachable_by_name():
@@ -117,16 +117,6 @@ class TestEqualityResidual:
         traj = dw.simulate(toy_config(1e-3, T=1.0, dt_divisor=10.0))
         with pytest.raises(TimeNotOnGrid):
             energy_equality_residual(traj, 0.0, 0.123456)
-
-    def test_forcing_override_matches_recorded(self):
-        cfg = dw.SimConfig(
-            n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-2,
-            T=1.0, dt=1e-2, theta=1.0, u0="zero", u1="zero", forcing="constant:2",
-        )
-        traj = dw.simulate(cfg)
-        r_rec = energy_equality_residual(traj, 0.0, 1.0)
-        r_ext = energy_equality_residual(traj, 0.0, 1.0, g=lambda t: np.array([2.0]))
-        assert r_rec == pytest.approx(r_ext, abs=1e-14)
 
 
 class TestInequalityVerdict:

@@ -23,13 +23,12 @@ from dampedwave.grid import (
     Grid,
     apply_A,
     edge_inner,
-    inner,
     laplacian_banded,
     load_dgtsv,
-    norms,
     regularize_initial,
     solve_banded,
 )
+from tests.oracles import inner, norms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))

@@ -8,9 +8,10 @@ import pytest
 
 import dampedwave as dw
 from dampedwave.errors import ConfigError, RunError, TimeNotOnGrid
-from dampedwave.integrator import SimState, run_bytes, simulate, step
+from dampedwave.integrator import run_bytes, simulate
 from dampedwave.toy import yosida_layer_toy
 from tests.conftest import toy_config
+from tests.oracles import SimState, energy_equality_residual, step
 
 
 class TestStep:
@@ -245,7 +246,7 @@ class TestRandomizedInvariants:
 class TestConcaveTerm:
     def test_lambda_pushes_toward_wall_and_identity_holds(self):
         # u'' = lambda*u - beta(u): growth from 0.5 into the wall
-        from dampedwave.energy import energy_equality_residual, energy_series
+        from dampedwave.energy import energy_series
 
         cfg = dw.SimConfig(
             n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=0.01,
@@ -260,8 +261,6 @@ class TestConcaveTerm:
         assert np.all(es["concave"] <= 0.0)
 
     def test_lambda_vector_path_first_order(self):
-        from dampedwave.energy import energy_equality_residual
-
         res = []
         for dt in (2e-3, 1e-3):
             cfg = dw.SimConfig(

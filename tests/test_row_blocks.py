@@ -56,8 +56,7 @@ def oracle_solution_identity(traj, xi, s, t):
     ks, kt = traj.time_index(s), traj.time_index(t)
     grid, dt, lam = traj.grid, traj.dt, traj.cfg.lam
     w = grid.mass_weights
-    u_th, v_th = traj.theta_states()
-    u_th, v_th = u_th[ks:kt], v_th[ks:kt]
+    u_th, v_th = traj.theta_combine(traj.U)[ks:kt], traj.theta_combine(traj.V)[ks:kt]
     terms = [
         -dt * float(np.sum((v_th * v_th) @ w)),
         float(np.dot(w * traj.V[kt], traj.U[kt])),
@@ -76,7 +75,7 @@ def oracle_solution_identity(traj, xi, s, t):
 
 
 def oracle_support(xi, traj, threshold):
-    u_th = traj.theta_u()
+    u_th = traj.theta_combine(traj.U)
     sig = np.abs(xi.masses) > threshold
     if not np.any(sig):
         return 0, 0.0, 0, 0
@@ -239,8 +238,7 @@ def battery_peak_bytes(traj):
 def test_battery_builds_no_run_sized_array():
     """On dirichlet_sine the whole-array battery peaked at 4.1 times U; over
     row blocks it holds a few blocks of BLOCK_ELEMENTS elements.  A short run
-    goes first, so that numpy's lazy imports (np.median loads numpy.ma) are
-    not counted."""
+    goes first, so that imports made on a first call are not counted."""
     cfg = load_config(CONFIGS / "dirichlet_sine.yaml")
     battery_peak_bytes(simulate(dataclasses.replace(cfg, T=cfg.T / 50)))
     traj = simulate(cfg)

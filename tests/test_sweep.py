@@ -7,7 +7,6 @@ import pytest
 import dampedwave as dw
 from dampedwave.sweep import (
     checked_eps_list,
-    da_regularity_check,
     default_dt_policy,
     epsilon_sweep,
     limsup_identity_audit,
@@ -16,6 +15,7 @@ from dampedwave.sweep import (
     snap_dt,
     uniform_ratio,
 )
+from tests.oracles import da_regularity_check
 
 
 class TestPolicyAndValidation:
@@ -69,7 +69,7 @@ class TestZeroDataSweep:
     def test_all_differences_vanish(self):
         base = dw.SimConfig(n_nodes=9, bc="neumann", graph_kind="indicator",
                             epsilon=1e-2, T=0.5, dt=0.01, u0="zero", u1="zero")
-        rep = epsilon_sweep(base, [1e-2, 1e-3, 1e-4], keep_trajectories=True)
+        rep = epsilon_sweep(base, [1e-2, 1e-3, 1e-4])
         for d in rep.diff_to_finest.values():
             assert d["linf_H"] == 0.0 and d["l2_V"] == 0.0
         audit = limsup_identity_audit(rep)
@@ -86,7 +86,7 @@ class TestToySweep:
             assert 1.5 < a / b < 7.0
 
     def test_uniform_bounds_hold(self, toy_sweep):
-        assert toy_sweep.all_bounded
+        assert all(toy_sweep.verdicts.values())
         assert all(r <= 10.0 for r in toy_sweep.ratios.values())
 
     def test_limsup_identity(self, toy_sweep):
@@ -134,7 +134,7 @@ class TestDirichletSineSweep:
             length=1.0, n_nodes=32, bc="dirichlet", graph_kind="indicator",
             epsilon=1e-2, T=0.2, dt=1e-3, theta=1.0, u0="sine:1:0.5", u1="zero",
         )
-        rep = epsilon_sweep(base, [1e-2, 1e-3, 1e-4], keep_trajectories=True)
+        rep = epsilon_sweep(base, [1e-2, 1e-3, 1e-4])
         audit = limsup_identity_audit(rep)
         assert all(v == 0.0 for v in audit.s_eps.values())
         assert audit.pairing == 0.0 and audit.passed

@@ -5,23 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from dampedwave.errors import InvalidEll, OutOfValidityWindow
+from dampedwave.errors import OutOfValidityWindow
 from dampedwave.graphs import (
     RegularizedPotential,
     indicator_graph,
     logarithmic_graph,
     eval_j,
 )
-from dampedwave.toy import (
-    exact_family_toy,
+from dampedwave.toy import exact_family_toy, phase_level_set, yosida_layer_toy
+from dampedwave.weaklimit import SpaceProfile, TestFunction, TimeProfile
+from tests.oracles import (
+    InvalidEll,
     exact_limit_toy,
     limit_toy_solution,
-    phase_level_set,
     toy_weak_identity_residual,
     toy_xi_atom,
-    yosida_layer_toy,
 )
-from dampedwave.weaklimit import SpaceProfile, TestFunction, TimeProfile
 
 
 class TestLimitToy:

@@ -16,9 +16,9 @@ import pytest
 
 from dampedwave.cli import _rebuild_diagnostics, read_trajectory_csv, write_trajectory_csv
 from dampedwave.config import load_config, make_reaction
-from dampedwave.energy import energy, energy_equality_residual, energy_series
+from dampedwave.energy import energy, energy_series
 from dampedwave.graphs import family_graph, indicator_graph, logarithmic_graph
-from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner, inner
+from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner
 from dampedwave.integrator import Trajectory, map_row_blocks, simulate
 from dampedwave.sweep import _traj_diff, summarize_run
 from dampedwave.weaklimit import (
@@ -27,6 +27,7 @@ from dampedwave.weaklimit import (
     solution_identity_residual,
     weak_residual,
 )
+from tests.oracles import inner
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,16 +133,6 @@ def ref_h1_time_v(traj):
         for u, v in zip(traj.U, traj.V)
     ]
     return math.sqrt(max(np.trapezoid(sq, traj.times), 0.0))
-
-
-def ref_power(traj, s, t, g):
-    ks, kt = traj.time_index(s), traj.time_index(t)
-    w = traj.grid.mass_weights
-    acc = 0.0
-    for k in range(ks, kt):
-        v_th = traj.theta * traj.V[k + 1] + (1.0 - traj.theta) * traj.V[k]
-        acc += traj.dt * float(np.dot(w * ref_theta_forcing(traj, k, g), v_th))
-    return acc
 
 
 def ref_rebuild(cfg, times, U, V):
@@ -277,17 +268,6 @@ class TestChecksMatchPerRowLoops:
         assert_close(max(totals), summ.e_max)
         assert_close(totals[0], summ.e_initial)
         assert_close(totals[-1], summ.e_final)
-
-    def test_recomputed_power(self, short_run):
-        traj, _ = short_run
-        n_x = traj.grid.n_nodes
-        g = lambda t: np.full(n_x, 1.0 + t)  # noqa: E731
-        T = float(traj.times[-1])
-        e_0 = energy(traj.grid, traj.U[0], traj.V[0], traj.reaction, traj.cfg.lam).total
-        e_T = energy(traj.grid, traj.U[-1], traj.V[-1], traj.reaction, traj.cfg.lam).total
-        diss = float(np.sum(traj.diss_incr))
-        ref = abs(e_T + diss - e_0 - ref_power(traj, 0.0, T, g))
-        assert_close(ref, energy_equality_residual(traj, 0.0, T, g=g))
 
     def test_traj_diff(self, short_run):
         traj, _ = short_run
