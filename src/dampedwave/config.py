@@ -399,12 +399,32 @@ def load_config(path) -> SimConfig:
     """The validated config of the YAML file ``path``; ConfigError naming the
     file unless it can be read and parsed.  The file is read as bytes and
     YAML decodes it (UTF-8 unless a byte-order mark says UTF-16), so text
-    that does not decode is a parse error."""
+    that does not decode is a parse error.  A parse error is one line
+    (``_yaml_error_line``)."""
     try:
         with open(path, "rb") as fh:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError("file", f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError("file", f"cannot parse config {path}: {_yaml_error_line(exc)}") from exc
     return from_dict(doc)
+
+
+def _yaml_error_line(exc: yaml.YAMLError) -> str:
+    """A YAML error in one line.  Bytes that do not decode are named with
+    their byte offset in the file; a character YAML forbids, with its
+    offset in the decoded text; a syntax error, with its line and column."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        if exc.encoding == "unicode":
+            return f"character U+{exc.character:04X} at character {exc.position} ({exc.reason})"
+        enc = exc.encoding.upper()
+        return f"not {enc} text: byte 0x{exc.character:02x} at offset {exc.position} ({exc.reason})"
+    if isinstance(exc, yaml.MarkedYAMLError):
+        parts = []
+        for text, mark in ((exc.context, exc.context_mark), (exc.problem, exc.problem_mark)):
+            if text:
+                where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+                parts.append(text + where)
+        return "; ".join(parts)
+    return " ".join(str(exc).split())

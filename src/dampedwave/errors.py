@@ -68,7 +68,12 @@ class ConfigError(DampedWaveError):
 
     def __init__(self, key, message):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}")
+
+    def __reduce__(self):
+        # a sweep member's process sends its error pickled
+        return type(self), (self.key, self.message)
 
 
 class RunError(DampedWaveError):

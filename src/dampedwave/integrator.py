@@ -230,6 +230,18 @@ def _check_run_size(cfg: SimConfig) -> None:
         )
 
 
+def _check_initial_energy(cfg: SimConfig, grid, reaction, u0, v0) -> None:
+    """ConfigError naming ``init`` unless the initial data have a finite
+    regularized energy E_eps(u0, u1), the hypothesis of the existence
+    result; the overflow that makes it infinite is not warned about."""
+    from .energy import energy  # energy imports this module
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energy(grid, u0, v0, reaction, cfg.lam).total
+    if not math.isfinite(e):
+        raise ConfigError("init", f"the initial energy E_eps(u0, u1) = {e} is not finite")
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the theta-scheme from t=0 to T and collect diagnostics."""
     cfg.validate()
@@ -244,6 +256,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     _check_run_size(cfg)
     n_steps = _resolve_steps(cfg)
     u0, v0 = cfg.initial_fields(grid)
+    _check_initial_energy(cfg, grid, reaction, u0, v0)
     kernel, u, v = _kernel(cfg, grid, reaction, u0, v0)
     return _run(cfg, kernel, n_steps, u, v)
 

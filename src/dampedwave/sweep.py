@@ -10,11 +10,29 @@ finest on the finest run's output times by linear interpolation.
 "Uniformly bounded" is operationalized as a max/min ratio across the
 sweep staying below a threshold; quantities that are identically zero
 (to absolute tolerance) count as trivially bounded.
+
+The members are independent runs (``_member``: run, measure, summary),
+so they run concurrently, one process per CPU in the affinity mask.
+``_lpt_shares`` splits them by longest processing time first on their
+node-steps; the calling process keeps the heaviest share and ``os.fork``s
+a child for each other share.  A child runs its whole share, sends it
+once through a pipe (pickle protocol 5, the arrays out of band, read
+straight into the arrays the parent rebuilds) and ends with
+``os._exit``; it also ends when the parent does.  With one CPU, or no
+``os.fork``, the same code runs every member in-process.  Each member's
+warnings are recorded and issued again in member order, and a failure is
+the one a loop over the members would have stopped at, so the report,
+stdout and stderr are the same bytes whatever the number of processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import struct
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,6 +218,228 @@ def checked_eps_list(eps_list) -> tuple:
     return eps_list
 
 
+# ---------------------------------------------------------------------------
+# the members of a sweep, one process per usable CPU
+
+
+def _member(cfg: SimConfig):
+    """One member of a sweep: its trajectory, measure and RunSummary.
+
+    The trajectory drops its cached reaction and forcing, which hold
+    closures that do not pickle; ``traj.reaction`` and ``traj.forcing``
+    rebuild them from the config.
+    """
+    traj = simulate(cfg)
+    xi = accumulate_xi(traj)
+    summary = summarize_run(traj, xi, energy_series(traj))
+    for name in ("reaction", "forcing"):
+        vars(traj).pop(name, None)
+    return traj, xi, summary
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _lpt_shares(weights, n: int) -> list:
+    """The indices of ``weights`` in at most ``n`` shares, longest processing
+    time first (Graham, SIAM J. Appl. Math. 17, 1969): each index, the
+    heaviest first, joins the share with the least load so far.  The shares
+    come heaviest first, each in index order, and none is empty."""
+    n = max(1, min(n, len(weights)))
+    shares, loads = [[] for _ in range(n)], [0.0] * n
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] += weights[i]
+    return [sorted(shares[s]) for s in sorted(range(n), key=lambda s: -loads[s])]
+
+
+def _run_share(member, share) -> list:
+    """``member(i)`` for each i of ``share`` in order, each under
+    ``warnings.catch_warnings(record=True)``, up to the first that raises.
+
+    One outcome per member run: (i, its warnings as (text, category,
+    filename, lineno), whether it returned, its result or exception).
+    """
+    outcomes = []
+    for i in share:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, ok = member(i), True
+            except Exception as exc:
+                value, ok = exc, False
+        issued = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        outcomes.append((i, issued, ok, value))
+        if not ok:
+            break
+    return outcomes
+
+
+def _warn_again(text, category, filename, lineno) -> None:
+    """Issue a recorded warning as ``warnings.warn`` issued it from
+    ``filename``: through this process's filters and the registry of the
+    module that holds the line, so a repeat shows as often as it would
+    have in one process."""
+    module = next(
+        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
+    )
+    g = vars(module) if module is not None else {}
+    warnings.warn_explicit(
+        text, category, filename, lineno, module=g.get("__name__"),
+        registry=g.setdefault("__warningregistry__", {}), module_globals=g or None,
+    )
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to ``fd`` once: its pickle (protocol 5) and then the
+    bytes of each array it holds, out of band, with their sizes first."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    views = [memoryview(data), *(b.raw() for b in buffers)]
+    with open(fd, "wb") as pipe:
+        pipe.write(struct.pack(f"<Q{len(views)}Q", len(views), *(v.nbytes for v in views)))
+        for v in views:
+            pipe.write(v)
+
+
+def _receive(fd: int):
+    """The object ``_send`` wrote to ``fd``; each out-of-band buffer is
+    read straight into the bytearray its array is rebuilt on.  EOFError if
+    the pipe closes first."""
+    with open(fd, "rb", buffering=0, closefd=False) as pipe:
+
+        def read(n):
+            buf = bytearray(n)
+            view, got = memoryview(buf), 0
+            while got < n:
+                k = pipe.readinto(view[got:])
+                if not k:
+                    raise EOFError
+                got += k
+            return buf
+
+        (count,) = struct.unpack("<Q", read(8))
+        data, *buffers = [read(n) for n in struct.unpack(f"<{count}Q", read(8 * count))]
+    return pickle.loads(data, buffers=buffers)
+
+
+def _fork_share(member, share, read_fds) -> tuple:
+    """(pid, read end of its pipe) of a child that runs ``_run_share`` on
+    ``share`` and sends the outcomes; it ends with ``os._exit``, so it runs
+    no atexit handler and flushes no inherited stdio buffer."""
+    r, w = os.pipe()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _end_with_parent(parent)
+            for fd in (r, *read_fds):
+                os.close(fd)
+            _send(w, _run_share(member, share))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _end_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this child when ``parent`` ends (Linux
+    ``prctl(PR_SET_PDEATHSIG)``), so that a parent killed by a signal it
+    does not catch leaves no child running; end at once if it already has.
+    Without ``prctl`` a child ends when it finds the pipe closed."""
+    import ctypes
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except AttributeError:
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _reap(pid: int, kill: bool = False) -> int:
+    """The wait status of child ``pid``, which is SIGKILLed first if ``kill``."""
+    if kill:
+        import signal  # only here: the command imports no module it does not use
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
+
+
+def _map_members(fn, cfgs, eps_list) -> list:
+    """``[fn(cfg) for cfg in cfgs]``, the members of the sweep over
+    ``eps_list``, run in ``_usable_cpus()`` processes.
+
+    The members are split by ``_lpt_shares`` on their node-steps
+    T/dt * n_nodes.  This process runs the heaviest share and forks one
+    child for each other share; with one CPU it runs every member itself.
+    The outcomes are taken in member order: each member's warnings are
+    issued again, and the first member that raised (the one a loop over
+    ``cfgs`` would stop at) raises here, a RunError as ``sweep member
+    eps=... failed``.  A child that ends without sending its outcomes is
+    a RunError naming its members.  Whatever is raised, every child is
+    killed and reaped first.
+    """
+
+    def member(i):
+        try:
+            return fn(cfgs[i])
+        except RunError as exc:
+            raise RunError(f"sweep member eps={eps_list[i]:g} failed") from exc
+
+    weights = [cfg.T / cfg.dt * cfg.n_nodes for cfg in cfgs]
+    mine, *others = _lpt_shares(weights, _usable_cpus())
+    children = {}  # pid -> (read end of its pipe, its share)
+    outcomes = []
+    try:
+        for share in others:
+            pid, fd = _fork_share(member, share, [fd for fd, _ in children.values()])
+            children[pid] = (fd, share)
+        outcomes += _run_share(member, mine)
+        for pid, (fd, share) in list(children.items()):
+            if any(not ok and i < share[0] for i, _, ok, _ in outcomes):
+                continue  # an earlier member failed; the finally kills this child
+            try:
+                got = _receive(fd)
+            except EOFError:
+                got = None
+            status = _reap(pid)
+            del children[pid]
+            os.close(fd)
+            if got is None or status != 0:
+                why = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                       else f"exit status {os.waitstatus_to_exitcode(status)}")
+                names = ",".join(f"{eps_list[i]:g}" for i in share)
+                got = [(share[0], [], False, RunError(
+                    f"sweep member{'s' * (len(share) > 1)} eps={names} failed: "
+                    f"the process running {'them' if len(share) > 1 else 'it'} "
+                    f"ended without a result ({why})"))]
+            outcomes += got
+    finally:
+        for pid, (fd, _) in children.items():
+            _reap(pid, kill=True)
+            os.close(fd)
+
+    results = []
+    for _, issued, ok, value in sorted(outcomes, key=lambda o: o[0]):
+        for w in issued:
+            _warn_again(*w)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     """Run the continuation family and audit the uniform bounds.
 
@@ -207,23 +447,23 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     Runs share the grid, data, forcing, and theta; only the
     regularization index and (through ``default_dt_policy``) the step
     move.  The report keeps every member's trajectory and measure.
+
+    The members are independent runs (``_member``), so ``_map_members``
+    runs them concurrently, one process per CPU the process may run on;
+    the report, the warnings and a member's error are those of the
+    members run one after another in ``eps_list`` order.
     """
     eps_list = checked_eps_list(eps_list)
     dt_policy = default_dt_policy(base_cfg.T, base_cfg.dt)
-
-    runs: dict[float, Trajectory] = {}
-    xis: dict[float, XiMeasure] = {}
-    for eps in eps_list:
-        cfg = base_cfg.with_epsilon(eps, dt=dt_policy(eps))
-        cfg = replace(cfg, label=f"{base_cfg.label or 'sweep'}-eps={eps:g}")
-        try:
-            traj = simulate(cfg)
-        except RunError as exc:
-            raise RunError(f"sweep member eps={eps:g} failed") from exc
-        runs[eps] = traj
-        xis[eps] = accumulate_xi(traj)
-
-    summaries = tuple(summarize_run(runs[e], xis[e], energy_series(runs[e])) for e in eps_list)
+    label = base_cfg.label or "sweep"
+    cfgs = [
+        replace(base_cfg.with_epsilon(eps, dt=dt_policy(eps)), label=f"{label}-eps={eps:g}")
+        for eps in eps_list
+    ]
+    members = _map_members(_member, cfgs, eps_list)
+    runs = {e: m[0] for e, m in zip(eps_list, members)}
+    xis = {e: m[1] for e, m in zip(eps_list, members)}
+    summaries = tuple(m[2] for m in members)
 
     finest = runs[eps_list[-1]]
     grid = finest.grid

@@ -371,6 +371,33 @@ class TestMalformedConfigExits2:
         assert err.startswith(f"error: file: cannot parse config {cfg}") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"\x00\xff", "not UTF-8 text: byte 0xff at offset 1 (invalid start byte)"),
+         (b"a: [1, 2\nb: 3\n", "while parsing a flow sequence at line 1, column 4; "
+                                "expected ',' or ']', but got ':' at line 2, column 2"),
+         (b"a: 1\x07\n", "character U+0007 at character 4 (special characters are not allowed)")],
+        ids=["nul_ff", "syntax", "control_character"],
+    )
+    def test_parse_error_is_one_line(self, tmp_path, capsys, data, message):
+        """A config that does not parse prints exactly one ``error: file:``
+        line: bytes that are not UTF-8 are named with their offset, a syntax
+        error with its line and column."""
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(data)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: file: cannot parse config {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("base", [TOY_DOC, GRID_DOC], ids=["one_node", "grid"])
+    def test_infinite_initial_energy_names_init(self, tmp_path, capsys, base):
+        """Finite initial values whose energy E_eps(u0, u1) overflows exit 2 with
+        one error line naming ``init``: no overflow warning, no verdict file."""
+        doc = {**base, "init": {"u0": "constant:1e300", "u1": "zero"}}
+        self._assert_config_error(tmp_path, doc, "init")
+        err = capsys.readouterr().err
+        assert err.startswith("error: init: the initial energy ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_utf8_config_with_crlf_loads_as_its_text(self, tmp_path):
         """UTF-8 text, non-ASCII and CRLF line ends included, gives the config of its text."""
         text = yaml.safe_dump({**TOY_DOC, "label": "café ±1"}, allow_unicode=True)

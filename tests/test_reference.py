@@ -200,7 +200,8 @@ def test_records_rebuilt_from_the_states_are_the_runs(name):
 
 def test_scalar_logarithmic_newton_iteration_costs_one_resolvent(monkeypatch):
     """The scalar kernel takes beta and dbeta from one resolvent solve per
-    Newton iteration: one for beta(u0), then one per residual."""
+    Newton iteration: one for the potential in the initial energy check,
+    one for beta(u0), then one per residual."""
     real = dw.graphs._log_resolvent
     calls = []
 
@@ -212,7 +213,7 @@ def test_scalar_logarithmic_newton_iteration_costs_one_resolvent(monkeypatch):
     traj = simulate(dw.SimConfig(label="count", **CASES["scalar_logarithmic_backward"]))
     solves = int(traj.newton_iters.sum())  # Newton iterations with a linear solve
     assert solves > traj.n_steps // 2
-    assert len(calls) == 1 + traj.n_steps + solves
+    assert len(calls) == 2 + traj.n_steps + solves
 
 
 if __name__ == "__main__":

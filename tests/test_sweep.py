@@ -1,11 +1,25 @@
 """Continuation sweeps: convergence trends, uniform bounds, audits."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 import dampedwave as dw
+import dampedwave.sweep
+from dampedwave.cli import main
+from dampedwave.config import load_config
 from dampedwave.sweep import (
+    _lpt_shares,
+    _usable_cpus,
     checked_eps_list,
     default_dt_policy,
     epsilon_sweep,
@@ -186,3 +200,269 @@ class TestNonuniquenessExhibit:
         assert ex["velocity_gap"] > 0.2
         assert ex["runs"]["yosida"]["v_at_1"] == pytest.approx(1.0, abs=1e-2)
         assert ex["runs"]["family"]["v_at_1"] == pytest.approx(0.5, abs=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the members of a sweep run concurrently, one process per usable CPU
+
+ROOT = Path(__file__).resolve().parent.parent
+EPS4 = "1e-2,1e-3,1e-4,1e-5"
+
+# a CLI command in a new interpreter that may run on argv[1] CPUs
+WITH_CPUS = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from dampedwave.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+FAMILY_DOC = {
+    "label": "family-contact",
+    "space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
+    "graph": {"kind": "family", "r_threshold": 0.9, "eps_param": 1e-2},
+    "time": {"T": 0.5, "dt": 1e-2, "theta": 0.5},
+    "init": {"u0": "cosine:1:0.02", "u1": "constant:1"},
+}
+
+
+def _short(tmp_path, config, T):
+    """``config`` with the horizon T, written to tmp_path."""
+    doc = yaml.safe_load((ROOT / config).read_text())
+    doc["time"]["T"] = T
+    path = tmp_path / Path(config).name
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _sweep_with_cpus(cpus, config, eps, out):
+    """(exit code, stdout, stderr) of ``dampedwave sweep`` in a new interpreter
+    whose affinity mask holds ``cpus`` CPUs."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITH_CPUS, str(cpus), "sweep", "--config", str(config),
+         "--eps", eps, "--out", str(out)],
+        env=env, capture_output=True, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def grid_base():
+    """A 9-node wall-impact sweep base with a short horizon."""
+    return dw.SimConfig(
+        length=1.0, n_nodes=9, bc="neumann", graph_kind="indicator", epsilon=1e-3,
+        T=0.05, dt=1e-3, theta=1.0, u0="cosine:1:0.01", u1="constant:1", label="grid",
+    )
+
+
+class TestMembersConcurrently:
+    @pytest.mark.parametrize(
+        "config, eps, warns",
+        [("configs/neumann_contact.yaml", EPS4, 0),
+         ("perfbench/configs/neumann_contact_log.yaml", EPS4, 0),
+         (None, "1e-1,1e-2,1e-3", 2)],
+        ids=["indicator", "logarithmic", "family"],
+    )
+    def test_one_cpu_and_forked_runs_write_the_same_bytes(self, tmp_path, config, eps, warns):
+        """The sweep_report.json, verdicts.json, manifest.json, stdout, stderr
+        and exit code of a one-CPU run and of a run forked over three CPUs
+        are the same bytes; the family members' dt warnings come in member
+        order."""
+        if config is None:
+            path = tmp_path / "family.yaml"
+            path.write_text(yaml.safe_dump(FAMILY_DOC))
+        else:
+            path = _short(tmp_path, config, 1.2)
+        serial = _sweep_with_cpus(1, path, eps, tmp_path / "one")
+        forked = _sweep_with_cpus(3, path, eps, tmp_path / "three")
+        assert serial == forked
+        assert serial[0] in (0, 1) and serial[2].count(b"UserWarning: dt=") == warns
+        names = ["manifest.json", "sweep_report.json", "verdicts.json"]
+        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+
+    @pytest.mark.parametrize("forcing", ["zero", "constant:2"])
+    def test_forked_report_holds_the_one_cpu_arrays(self, grid_base, monkeypatch, forcing):
+        """Forked over two CPUs, a sweep forks one child and gives every
+        array and number of the one-CPU sweep, bit for bit, forced or not."""
+        grid_base = replace(grid_base, forcing=forcing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counting_fork)
+        forked = epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
+        assert len(forks) == 1
+        _no_child_left()
+        assert forked.to_dict() == serial.to_dict()
+        assert forked.summaries == serial.summaries
+        for e in serial.eps_list:
+            a, b = serial.trajectories[e], forked.trajectories[e]
+            for name in ("times", "U", "V", "beta_theta", "diss_incr", "power_incr",
+                         "newton_iters"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.reaction.epsilon == b.reaction.epsilon
+            if forcing == "zero":
+                assert a.forcing is None and b.forcing is None
+            else:
+                assert np.array_equal(a.forcing_rows(slice(0, 3)), b.forcing_rows(slice(0, 3)))
+            assert np.array_equal(serial.measures[e].masses, forked.measures[e].masses)
+
+    def test_lpt_gives_this_process_the_finest_benchmark_member(self):
+        """On two CPUs the benchmark sweep's 6,325-step member runs in this
+        process, and the three 2,000-step members in one child."""
+        base = load_config(ROOT / "configs/neumann_contact.yaml")
+        policy = default_dt_policy(base.T, base.dt)
+        steps = [round(base.T / policy(e)) for e in (1e-2, 1e-3, 1e-4, 1e-5)]
+        assert steps == [2000, 2000, 2000, 6325]
+        assert _lpt_shares([n * base.n_nodes for n in steps], 2) == [[3], [0, 1, 2]]
+        assert _lpt_shares([n * base.n_nodes for n in steps], 8) == [[3], [0], [1], [2]]
+        assert _lpt_shares([1.0, 1.0, 1.0], 1) == [[0, 1, 2]]
+
+    def test_one_cpu_where_there_is_no_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert _usable_cpus() == 4
+        monkeypatch.delattr(os, "fork")
+        assert _usable_cpus() == 1
+
+
+class TestMemberFailures:
+    """A failing member exits 2 with one error line, as in a one-CPU run,
+    and no child process is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def _sweep(self, tmp_path, capsys):
+        """Exit code and stderr lines of a 4-member sweep on a short grid config."""
+        path = _short(tmp_path, "configs/neumann_contact.yaml", 0.05)
+        code = main(["sweep", "--config", str(path), "--eps", EPS4, "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err.splitlines()
+
+    def _member_that(self, monkeypatch, act):
+        """Replace ``_member`` with one that calls ``act(cfg, in_child)`` first."""
+        real, parent = dampedwave.sweep._member, os.getpid()
+
+        def member(cfg):
+            act(cfg, os.getpid() != parent)
+            return real(cfg)
+
+        monkeypatch.setattr(dampedwave.sweep, "_member", member)
+
+    def test_member_error_in_a_child(self, tmp_path, capsys, monkeypatch):
+        def act(cfg, in_child):
+            if cfg.epsilon == 1e-3:
+                assert in_child
+                raise dw.RunError("injected")
+
+        self._member_that(monkeypatch, act)
+        assert self._sweep(tmp_path, capsys) == (2, ["error: sweep member eps=0.001 failed"])
+        _no_child_left()
+
+    def test_first_failure_in_eps_order_wins(self, tmp_path, capsys, monkeypatch):
+        """Every member fails, this process's (the finest) first: the error is
+        the coarsest member's, which a one-CPU run stops at."""
+
+        def act(cfg, in_child):
+            if in_child:
+                time.sleep(0.5)
+            raise dw.RunError("injected")
+
+        self._member_that(monkeypatch, act)
+        assert self._sweep(tmp_path, capsys) == (2, ["error: sweep member eps=0.01 failed"])
+        _no_child_left()
+
+    def test_config_error_in_a_child_keeps_its_key(self, tmp_path, capsys, monkeypatch):
+        def act(cfg, in_child):
+            if in_child:
+                raise dw.ConfigError("time.dt", "injected")
+
+        self._member_that(monkeypatch, act)
+        assert self._sweep(tmp_path, capsys) == (2, ["error: time.dt: injected"])
+        _no_child_left()
+
+    def test_child_killed_by_sigkill(self, tmp_path, capsys, monkeypatch):
+        def act(cfg, in_child):
+            if in_child and cfg.epsilon == 1e-3:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self._member_that(monkeypatch, act)
+        code, err = self._sweep(tmp_path, capsys)
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error: sweep members eps=0.01,0.001,0.0001 failed: ")
+        assert err[0].endswith(f"ended without a result (signal {int(signal.SIGKILL)})")
+        _no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_children(self, grid_base, monkeypatch):
+        """A KeyboardInterrupt in this process's own share kills the children,
+        which would otherwise sleep for a minute, and reaps them."""
+
+        def act(cfg, in_child):
+            if in_child:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        self._member_that(monkeypatch, act)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
+        assert time.monotonic() - t0 < 30
+        _no_child_left()
+
+    def test_children_end_with_a_parent_killed_by_sigterm(self, tmp_path):
+        """A sweep killed by SIGTERM, which it does not catch, leaves no child
+        running: the kernel kills each child with its parent, well before the
+        child's share of about 60,000 steps would end."""
+        if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+            pytest.skip("finding the child needs Linux's /proc/<pid>/task/<tid>/children")
+        doc = {"space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
+               "graph": {"kind": "indicator", "epsilon": 1e-3},
+               "time": {"T": 20.0, "dt": 1e-3, "theta": 1.0},
+               "init": {"u0": "cosine:1:0.01", "u1": "constant:1"}}
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", WITH_CPUS, "2", "sweep", "--config", str(path),
+             "--eps", EPS4, "--out", str(tmp_path / "o")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 30
+            while not children.read_text().split():
+                assert time.monotonic() < deadline, "the sweep forked no child"
+                time.sleep(0.01)
+            (child,) = children.read_text().split()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+
+        def running():
+            try:
+                state = Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state not in ("Z", "X")
+
+        deadline = time.monotonic() + 2
+        while running():
+            assert time.monotonic() < deadline, "a child outlived its parent"
+            time.sleep(0.01)
