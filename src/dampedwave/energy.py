@@ -39,7 +39,8 @@ def energy(grid: Grid, u, v, reaction, lam: float = 0.0) -> EnergyBreakdown:
     kinetic = 0.5 * float(np.dot(w * v, v))
     gradient = 0.5 * edge_inner(grid, u, u)
     potential = float(np.dot(w, reaction.pot(u)))
-    concave = -0.5 * lam * float(np.dot(w * u, u))
+    # lam = 0 gives an exact 0.0, not 0 * inf = nan when ||u||^2 overflows
+    concave = -0.5 * lam * float(np.dot(w * u, u)) if lam else 0.0
     return EnergyBreakdown(kinetic, gradient, potential, concave)
 
 

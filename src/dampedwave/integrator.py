@@ -170,6 +170,11 @@ class Trajectory:
         """The run's forcing g(t) -> field, or None if it is zero."""
         return self.cfg.forcing_fn(self.grid)
 
+    def __getstate__(self) -> dict:
+        """The pickled state: the cached reaction and forcing hold closures
+        that do not pickle, so they are left out and rebuilt from ``cfg``."""
+        return {k: v for k, v in vars(self).items() if k not in ("reaction", "forcing")}
+
     def forcing_rows(self, records: slice) -> np.ndarray:
         """The run's forcing at ``times[records]``, one row per record."""
         times = self.times[records]

@@ -15,14 +15,15 @@ The members are independent runs (``_member``: run, measure, summary),
 so they run concurrently, one process per CPU in the affinity mask.
 ``_lpt_shares`` splits them by longest processing time first on their
 node-steps; the calling process keeps the heaviest share and ``os.fork``s
-a child for each other share.  A child runs its whole share, sends it
-once through a pipe (pickle protocol 5, the arrays out of band, read
-straight into the arrays the parent rebuilds) and ends with
-``os._exit``; it also ends when the parent does.  With one CPU, or no
-``os.fork``, the same code runs every member in-process.  Each member's
-warnings are recorded and issued again in member order, and a failure is
-the one a loop over the members would have stopped at, so the report,
-stdout and stderr are the same bytes whatever the number of processes.
+a child for each other share.  A child runs its whole share, writes its
+outcomes to a pipe as one pickle stream (protocol 5, which holds each
+array's bytes once and which ``pickle.load`` reads straight into the
+array it rebuilds) and ends with ``os._exit``; it also ends when the
+parent does.  With one CPU, or no ``os.fork``, the same code runs every
+member in-process.  Each member's warnings are recorded and issued again
+in member order, and a failure is the one a loop over the members would
+have stopped at, so the report, stdout and stderr are the same bytes
+whatever the number of processes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import struct
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -223,18 +223,10 @@ def checked_eps_list(eps_list) -> tuple:
 
 
 def _member(cfg: SimConfig):
-    """One member of a sweep: its trajectory, measure and RunSummary.
-
-    The trajectory drops its cached reaction and forcing, which hold
-    closures that do not pickle; ``traj.reaction`` and ``traj.forcing``
-    rebuild them from the config.
-    """
+    """One member of a sweep: its trajectory, measure and RunSummary."""
     traj = simulate(cfg)
     xi = accumulate_xi(traj)
-    summary = summarize_run(traj, xi, energy_series(traj))
-    for name in ("reaction", "forcing"):
-        vars(traj).pop(name, None)
-    return traj, xi, summary
+    return traj, xi, summarize_run(traj, xi, energy_series(traj))
 
 
 def _usable_cpus() -> int:
@@ -294,43 +286,12 @@ def _warn_again(text, category, filename, lineno) -> None:
     )
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to ``fd`` once: its pickle (protocol 5) and then the
-    bytes of each array it holds, out of band, with their sizes first."""
-    buffers = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    views = [memoryview(data), *(b.raw() for b in buffers)]
-    with open(fd, "wb") as pipe:
-        pipe.write(struct.pack(f"<Q{len(views)}Q", len(views), *(v.nbytes for v in views)))
-        for v in views:
-            pipe.write(v)
-
-
-def _receive(fd: int):
-    """The object ``_send`` wrote to ``fd``; each out-of-band buffer is
-    read straight into the bytearray its array is rebuilt on.  EOFError if
-    the pipe closes first."""
-    with open(fd, "rb", buffering=0, closefd=False) as pipe:
-
-        def read(n):
-            buf = bytearray(n)
-            view, got = memoryview(buf), 0
-            while got < n:
-                k = pipe.readinto(view[got:])
-                if not k:
-                    raise EOFError
-                got += k
-            return buf
-
-        (count,) = struct.unpack("<Q", read(8))
-        data, *buffers = [read(n) for n in struct.unpack(f"<{count}Q", read(8 * count))]
-    return pickle.loads(data, buffers=buffers)
-
-
-def _fork_share(member, share, read_fds) -> tuple:
+def _fork_share(member, share, pipes) -> tuple:
     """(pid, read end of its pipe) of a child that runs ``_run_share`` on
-    ``share`` and sends the outcomes; it ends with ``os._exit``, so it runs
-    no atexit handler and flushes no inherited stdio buffer."""
+    ``share`` and writes the outcomes to the pipe as one pickle (protocol
+    5); it closes ``pipes``, the read ends of the children forked before
+    it, and ends with ``os._exit``, so it runs no atexit handler and
+    flushes no inherited stdio buffer."""
     r, w = os.pipe()
     parent = os.getpid()
     pid = os.fork()
@@ -338,14 +299,16 @@ def _fork_share(member, share, read_fds) -> tuple:
         status = 1
         try:
             _end_with_parent(parent)
-            for fd in (r, *read_fds):
-                os.close(fd)
-            _send(w, _run_share(member, share))
+            os.close(r)
+            for pipe in pipes:
+                pipe.close()
+            with open(w, "wb") as pipe:
+                pickle.dump(_run_share(member, share), pipe, protocol=5)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    return pid, r
+    return pid, open(r, "rb")
 
 
 def _end_with_parent(parent: int) -> None:
@@ -367,15 +330,6 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _reap(pid: int, kill: bool = False) -> int:
-    """The wait status of child ``pid``, which is SIGKILLed first if ``kill``."""
-    if kill:
-        import signal  # only here: the command imports no module it does not use
-
-        os.kill(pid, signal.SIGKILL)
-    return os.waitpid(pid, 0)[1]
-
-
 def _map_members(fn, cfgs, eps_list) -> list:
     """``[fn(cfg) for cfg in cfgs]``, the members of the sweep over
     ``eps_list``, run in ``_usable_cpus()`` processes.
@@ -386,9 +340,11 @@ def _map_members(fn, cfgs, eps_list) -> list:
     The outcomes are taken in member order: each member's warnings are
     issued again, and the first member that raised (the one a loop over
     ``cfgs`` would stop at) raises here, a RunError as ``sweep member
-    eps=... failed``.  A child that ends without sending its outcomes is
-    a RunError naming its members.  Whatever is raised, every child is
-    killed and reaped first.
+    eps=... failed``.  Each child's outcomes are one protocol-5 pickle
+    stream on its pipe, read by ``pickle.load``; a child whose stream
+    ends empty or cut short, or that exits other than 0, is a RunError
+    naming its members.  Whatever is raised, every child is killed and
+    reaped first.
     """
 
     def member(i):
@@ -403,19 +359,19 @@ def _map_members(fn, cfgs, eps_list) -> list:
     outcomes = []
     try:
         for share in others:
-            pid, fd = _fork_share(member, share, [fd for fd, _ in children.values()])
-            children[pid] = (fd, share)
+            pid, pipe = _fork_share(member, share, [p for p, _ in children.values()])
+            children[pid] = (pipe, share)
         outcomes += _run_share(member, mine)
-        for pid, (fd, share) in list(children.items()):
+        for pid, (pipe, share) in list(children.items()):
             if any(not ok and i < share[0] for i, _, ok, _ in outcomes):
                 continue  # an earlier member failed; the finally kills this child
             try:
-                got = _receive(fd)
-            except EOFError:
+                got = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the stream ended empty or cut
                 got = None
-            status = _reap(pid)
+            status = os.waitpid(pid, 0)[1]
             del children[pid]
-            os.close(fd)
+            pipe.close()
             if got is None or status != 0:
                 why = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
                        else f"exit status {os.waitstatus_to_exitcode(status)}")
@@ -426,9 +382,12 @@ def _map_members(fn, cfgs, eps_list) -> list:
                     f"ended without a result ({why})"))]
             outcomes += got
     finally:
-        for pid, (fd, _) in children.items():
-            _reap(pid, kill=True)
-            os.close(fd)
+        for pid, (pipe, _) in children.items():
+            import signal  # only here: the command imports no module it does not use
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
     results = []
     for _, issued, ok, value in sorted(outcomes, key=lambda o: o[0]):
@@ -608,11 +567,9 @@ def nonuniqueness_exhibit(
 
     out = {"epsilon": epsilon, "family_r_threshold": rt, "runs": {}}
     for cfg in (cfg_yosida, cfg_family):
-        traj = simulate(cfg)
+        traj, _, summ = _member(cfg)
         i1 = traj.time_index(1.0)
         v_at_1 = float(traj.V[i1, 0])
-        xi = accumulate_xi(traj)
-        summ = summarize_run(traj, xi, energy_series(traj))
         s_times, t_times = random_time_pairs(traj, np.random.default_rng(0), 20)
         verdict = energy_inequality_verdict(traj, s_times, t_times)
         out["runs"][cfg.label] = {

@@ -391,11 +391,12 @@ class TestMalformedConfigExits2:
     @pytest.mark.parametrize("base", [TOY_DOC, GRID_DOC], ids=["one_node", "grid"])
     def test_infinite_initial_energy_names_init(self, tmp_path, capsys, base):
         """Finite initial values whose energy E_eps(u0, u1) overflows exit 2 with
-        one error line naming ``init``: no overflow warning, no verdict file."""
+        one error line naming ``init``: no overflow warning, no verdict file.
+        With lambda = 0 the energy is +inf, not the nan of 0 * inf."""
         doc = {**base, "init": {"u0": "constant:1e300", "u1": "zero"}}
         self._assert_config_error(tmp_path, doc, "init")
         err = capsys.readouterr().err
-        assert err.startswith("error: init: the initial energy ") and err.count("\n") == 1
+        assert err == "error: init: the initial energy E_eps(u0, u1) = inf is not finite\n"
         assert not (tmp_path / "o").exists()
 
     def test_utf8_config_with_crlf_loads_as_its_text(self, tmp_path):

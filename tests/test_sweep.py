@@ -2,10 +2,12 @@
 
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from dampedwave.cli import main
 from dampedwave.config import load_config
 from dampedwave.sweep import (
     _lpt_shares,
+    _map_members,
     _usable_cpus,
     checked_eps_list,
     default_dt_policy,
@@ -339,6 +342,26 @@ class TestMembersConcurrently:
         monkeypatch.delattr(os, "fork")
         assert _usable_cpus() == 1
 
+    def test_gathering_a_forked_share_copies_no_array_twice(self, grid_base, monkeypatch):
+        """A child's arrays are read from its pipe straight into the arrays
+        returned: the peak this process traces while it runs its own share
+        and gathers the child's stays within 1.1 times the returned bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfgs = [replace(grid_base, epsilon=e) for e in (1e-1, 1e-2, 1e-3, 1e-4)]
+
+        def fn(cfg):
+            return np.full(2**18, cfg.epsilon)  # 2 MiB
+
+        tracemalloc.start()
+        try:
+            results = _map_members(fn, cfgs, [cfg.epsilon for cfg in cfgs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _no_child_left()
+        assert all(np.array_equal(r, fn(cfg)) for r, cfg in zip(results, cfgs))
+        assert peak <= 1.1 * sum(r.nbytes for r in results)
+
 
 class TestMemberFailures:
     """A failing member exits 2 with one error line, as in a one-CPU run,
@@ -406,6 +429,21 @@ class TestMemberFailures:
         assert code == 2 and len(err) == 1
         assert err[0].startswith("error: sweep members eps=0.01,0.001,0.0001 failed: ")
         assert err[0].endswith(f"ended without a result (signal {int(signal.SIGKILL)})")
+        _no_child_left()
+
+    @pytest.mark.parametrize("kept", [0.0, 0.5], ids=["empty", "cut"])
+    def test_child_stream_cut_short(self, tmp_path, capsys, monkeypatch, kept):
+        """A child that writes none or half of its pickle and then exits 0
+        has ended without a result."""
+
+        def part_dump(obj, file, protocol):
+            data = pickle.dumps(obj, protocol=protocol)
+            file.write(data[: int(len(data) * kept)])
+
+        monkeypatch.setattr(pickle, "dump", part_dump)
+        assert self._sweep(tmp_path, capsys) == (2, [
+            "error: sweep members eps=0.01,0.001,0.0001 failed: "
+            "the process running them ended without a result (exit status 0)"])
         _no_child_left()
 
     def test_interrupt_kills_and_reaps_the_children(self, grid_base, monkeypatch):
