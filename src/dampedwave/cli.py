@@ -430,8 +430,6 @@ def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
     worst = 0.0
     pairings = SpacePairings(traj, xi)
     for phi in default_dictionary(traj.grid, T):
-        if not phi.admissible_for(traj.grid.bc):
-            continue
         r = weak_residual(traj, xi, phi, T, pairings)
         scale = 1.0 + T
         worst = max(worst, r / scale)

@@ -2,17 +2,23 @@
 
 A run is described by one YAML document with sections ``space``,
 ``graph``, ``time``, ``init``, ``newton`` plus the optional top-level
-keys ``forcing``, ``lambda``, ``regularize_u0``, ``label``; any other
-key is rejected.  A run keeps every state, so ``time.T / time.dt`` and
-``space.n_nodes`` set its memory: ``simulate`` refuses, naming
-``time.dt``, a run larger than physical memory.  Initial data
-are named profiles ("zero", "constant:c", "sine:k[:amp]",
-"cosine:k[:amp]", "ramp") or a CSV column ("csv:path:col"); forcing is
-"zero", "constant:c", or a sampled time-by-node CSV table
-("table:path").  A profile or forcing with a value that is not finite
-is a ConfigError naming ``init`` or ``forcing``.  ``SimConfig.reaction``
-builds the solver's reaction with ``graphs.make_reaction``; every
-reaction formula lives in ``graphs``.
+keys ``forcing``, ``lambda``, ``regularize_u0``, ``label``.  ``_KEYS``
+is the document's one definition: one row per key, with the
+``SimConfig`` field it sets (whose default is the key's default), the
+parser of its value and its own bound.  ``from_dict``, ``to_dict`` and
+``SimConfig.validate`` read it.  Any other key is rejected, and a value
+of the wrong type is a ConfigError naming its key.
+
+A run keeps every state, so ``time.T / time.dt`` and ``space.n_nodes``
+set its memory: ``simulate`` refuses, naming ``time.dt``, a run larger
+than physical memory.  Initial data are named profiles ("zero",
+"constant:c", "sine:k[:amp]", "cosine:k[:amp]", "ramp") or a CSV column
+("csv:path:col"); forcing is "zero", a number c (the profile
+"constant:c"), a named profile other than "csv", or a sampled
+time-by-node CSV table ("table:path").  A profile or forcing with a
+value that is not finite is a ConfigError naming ``init`` or
+``forcing``.  ``SimConfig.reaction`` builds the solver's reaction with
+``graphs.make_reaction``; every reaction formula lives in ``graphs``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -67,14 +73,10 @@ def _profile(grid: Grid, spec, key: str) -> np.ndarray:
             return np.zeros(grid.n_nodes)
         if name == "constant":
             return float(parts[1]) * np.ones(grid.n_nodes)
-        if name == "sine":
+        if name in ("sine", "cosine"):
             k = int(parts[1])
             amp = float(parts[2]) if len(parts) > 2 else 1.0
-            return amp * np.sin(k * math.pi * x / L)
-        if name == "cosine":
-            k = int(parts[1])
-            amp = float(parts[2]) if len(parts) > 2 else 1.0
-            return amp * np.cos(k * math.pi * x / L)
+            return amp * (np.sin if name == "sine" else np.cos)(k * math.pi * x / L)
         if name == "ramp":
             return x / L
         if name == "csv":
@@ -110,29 +112,19 @@ def _read_csv_column(path: str, col: int) -> list[float]:
 
 
 def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
-    """Build g(t) -> field, or None for zero forcing."""
+    """Build g(t) -> field, or None for zero forcing.  A number c is the
+    profile ``constant:c``; a ``constant``, ``sine``, ``cosine`` or ``ramp``
+    profile is constant in time."""
     if spec is None or spec == "zero":
         return None
+    if isinstance(spec, str) and spec.startswith("table:"):
+        return _table_forcing(grid, spec[len("table:"):])
     if isinstance(spec, (int, float)):
-        g = float(spec) * np.ones(grid.n_nodes)
-        return lambda t: g
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if parts[0] == "constant":
-            try:
-                g = float(parts[1]) * np.ones(grid.n_nodes)
-            except (IndexError, ValueError) as exc:
-                raise ConfigError("forcing", f"bad spec {spec!r}") from exc
-            _finite(g, "forcing", spec)
-            return lambda t: g
-        if parts[0] == "table":
-            return _table_forcing(grid, spec[len("table:"):])
-        if parts[0] in ("sine", "cosine", "ramp"):
-            # time-constant spatial profile
-            g = profile_field(grid, spec, "forcing")
-            return lambda t: g
+        spec = f"constant:{spec!r}"
+    if not isinstance(spec, str) or spec.split(":")[0] not in ("constant", "sine", "cosine", "ramp"):
         raise ConfigError("forcing", f"unknown forcing {spec!r}")
-    raise ConfigError("forcing", f"unknown forcing {spec!r}")
+    g = profile_field(grid, spec, "forcing")
+    return lambda t: g
 
 
 def _table_forcing(grid: Grid, path: str):
@@ -165,7 +157,118 @@ def _table_forcing(grid: Grid, path: str):
 
 
 # ---------------------------------------------------------------------------
-# the run configuration
+# the run document: one row per key
+
+
+def _real(value, key: str) -> float:
+    """A finite float from a YAML scalar, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(key, f"must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except ValueError:
+        raise ConfigError(key, f"must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, key: str) -> int:
+    x = _real(value, key)
+    if x != int(x):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+    return int(x)
+
+
+def _optional_real(value, key: str):
+    return None if value is None else _real(value, key)
+
+
+def _instance(kind: type, name: str):
+    """The parser of a value that must be a ``kind``, said as ``name``."""
+    def parse(value, key: str):
+        if not isinstance(value, kind):
+            raise ConfigError(key, f"must be {name}, got {value!r}")
+        return value
+    return parse
+
+
+_string = _instance(str, "a string")
+
+
+def _init(spec, key: str):
+    """An ``init`` profile: a string, or ``{array: [...]}``, which gives an
+    array of finite numbers (one per node, checked by ``validate``); any
+    other value is a ConfigError naming ``init``."""
+    if isinstance(spec, str):
+        return spec
+    if not (isinstance(spec, dict) and "array" in spec):
+        raise ConfigError("init", f"profile must be a string or array, got {spec!r}")
+    values = spec["array"]
+    if not isinstance(values, list):
+        raise ConfigError("init", f"array must be a list of numbers, one per node, got {values!r}")
+    return np.array([_real(v, "init") for v in values])
+
+
+def _forcing(spec, key: str):
+    """A forcing as written: a finite number, a string or null (zero)."""
+    if spec is not None and not isinstance(spec, str):
+        _real(spec, key)
+    return spec
+
+
+def _positive(x) -> bool:
+    return x is not None and x > 0
+
+
+class _Key(NamedTuple):
+    """A key of the run document: the ``SimConfig`` field it sets, the
+    parser of its YAML value (``parse(value, key)``), and the bound of that
+    value alone (``ok``) with its message (``rule``, which may show the
+    value as ``{!r}`` and the graph kind as ``{kind}``).  A key with
+    ``kinds`` belongs to those graph kinds only: it is checked and written
+    for them alone.  The other rules over two keys are in
+    ``SimConfig.validate``."""
+
+    key: str
+    field: str
+    parse: Callable
+    ok: Callable | None = None
+    rule: str = ""
+    required: bool = False
+    kinds: tuple = ()
+
+
+_KEYS = (
+    _Key("space.length", "length", _real, _positive, "must be positive"),
+    _Key("space.n_nodes", "n_nodes", _integer),
+    _Key("space.bc", "bc", _string, lambda s: s in (DIRICHLET, NEUMANN),
+         "must be dirichlet or neumann, got {!r}"),
+    _Key("graph.kind", "graph_kind", _string, lambda s: s in [k.value for k in GraphKind],
+         "unknown kind {!r}", required=True),
+    _Key("graph.epsilon", "epsilon", _optional_real, _positive,
+         "must be a positive real for graph.kind {kind}", kinds=("indicator", "logarithmic")),
+    _Key("graph.r_threshold", "r_threshold", _optional_real, lambda x: x is not None and 0 < x <= 1,
+         "must lie in (0, 1] for graph.kind family", kinds=("family",)),
+    _Key("graph.eps_param", "eps_param", _optional_real, _positive,
+         "must be positive for graph.kind family", kinds=("family",)),
+    _Key("time.T", "T", _real, _positive, "must be positive", required=True),
+    _Key("time.dt", "dt", _real, _positive, "must be positive", required=True),
+    _Key("time.theta", "theta", _real, lambda x: 0.5 <= x <= 1.0, "must lie in [1/2, 1]"),
+    _Key("init.u0", "u0", _init),
+    _Key("init.u1", "u1", _init),
+    _Key("forcing", "forcing", _forcing),
+    _Key("newton.tol", "newton_tol", _real, _positive, "must be positive"),
+    _Key("newton.max_iter", "newton_max_iter", _integer, lambda n: n >= 1, "must be >= 1"),
+    _Key("lambda", "lam", _real, lambda x: x >= 0, "must be nonnegative"),
+    _Key("regularize_u0", "regularize_u0", _instance(bool, "true or false")),
+    _Key("label", "label", _string),
+)
+# each key as its path, ("section", "name") or ("name",)
+_ROWS = {tuple(row.key.split(".")): row for row in _KEYS}
+_SECTIONS = {path[0] for path in _ROWS if len(path) == 2}
 
 
 @dataclass(frozen=True)
@@ -174,7 +277,7 @@ class SimConfig:
     n_nodes: int = 1
     bc: str = NEUMANN
     graph_kind: str = "indicator"
-    epsilon: float | None = 1e-3
+    epsilon: float | None = None
     r_threshold: float | None = None
     eps_param: float | None = None
     T: float = 1.0
@@ -189,36 +292,25 @@ class SimConfig:
     regularize_u0: bool = True
     label: str = ""
 
+    def _rows(self):
+        """The rows of ``_KEYS`` that this config's graph kind uses."""
+        return [row for row in _KEYS if not row.kinds or self.graph_kind in row.kinds]
+
     def validate(self) -> "SimConfig":
-        if self.length <= 0:
-            raise ConfigError("space.length", "must be positive")
-        if self.bc not in (DIRICHLET, NEUMANN):
-            raise ConfigError("space.bc", f"must be dirichlet or neumann, got {self.bc!r}")
+        """This config, if each field keeps its ``_KEYS`` bound and the rules
+        over two keys hold; else a ConfigError naming the key.  A rule over
+        two keys names one and says the other in its message."""
+        for row in self._rows():
+            value = getattr(self, row.field)
+            if row.ok is not None and not row.ok(value):
+                raise ConfigError(row.key, row.rule.format(value, kind=self.graph_kind))
         if self.n_nodes < 3 and not (self.n_nodes == 1 and self.bc == NEUMANN):
-            raise ConfigError("space.n_nodes", "must be >= 3 (or 1 with Neumann bc)")
-        if self.graph_kind not in ("indicator", "logarithmic", "family"):
-            raise ConfigError("graph.kind", f"unknown kind {self.graph_kind!r}")
-        if self.graph_kind == "family":
-            if self.r_threshold is None or not 0.0 < self.r_threshold <= 1.0:
-                raise ConfigError("graph.r_threshold", "must lie in (0, 1]")
-            if self.eps_param is None or self.eps_param <= 0.0:
-                raise ConfigError("graph.eps_param", "must be positive")
-        elif self.epsilon is None or self.epsilon <= 0.0:
-            raise ConfigError("graph.epsilon", "must be a positive real")
-        if self.T <= 0:
-            raise ConfigError("time.T", "must be positive")
-        if self.dt <= 0:
-            raise ConfigError("time.dt", "must be positive")
+            raise ConfigError("space.n_nodes", "must be >= 3 (or 1 with space.bc neumann)")
         if self.dt > self.T:
             raise ConfigError("time.dt", "must not exceed time.T")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ConfigError("time.theta", "must lie in [1/2, 1]")
-        if self.lam < 0:
-            raise ConfigError("lambda", "must be nonnegative")
-        if self.newton_tol <= 0:
-            raise ConfigError("newton.tol", "must be positive")
-        if self.newton_max_iter < 1:
-            raise ConfigError("newton.max_iter", "must be >= 1")
+        for spec in (self.u0, self.u1):
+            if isinstance(spec, np.ndarray) and len(spec) != self.n_nodes:
+                raise ConfigError("init", f"array has {len(spec)} entries, the grid has {self.n_nodes} nodes")
         return self
 
     # -- derived objects ----------------------------------------------------
@@ -257,22 +349,18 @@ class SimConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "space": {"length": self.length, "n_nodes": self.n_nodes, "bc": self.bc},
-            "graph": {"kind": self.graph_kind},
-            "time": {"T": self.T, "dt": self.dt, "theta": self.theta},
-            "init": {"u0": _spec_repr(self.u0), "u1": _spec_repr(self.u1)},
-            "forcing": _spec_repr(self.forcing),
-            "newton": {"tol": self.newton_tol, "max_iter": self.newton_max_iter},
-            "lambda": self.lam,
-            "regularize_u0": self.regularize_u0,
-            "label": self.label,
-        }
-        if self.graph_kind == "family":
-            d["graph"]["r_threshold"] = self.r_threshold
-            d["graph"]["eps_param"] = self.eps_param
-        else:
-            d["graph"]["epsilon"] = self.epsilon
+        """The run document of this config, in ``_KEYS`` order, with the
+        keys of its graph kind only (``_Key.kinds``): the family kind
+        leaves out ``graph.epsilon``, the Yosida kinds ``graph.r_threshold``
+        and ``graph.eps_param``.  An array profile is written as
+        ``{array: [...]}``."""
+        d = {}
+        for row in self._rows():
+            path = row.key.split(".")
+            value = getattr(self, row.field)
+            if isinstance(value, np.ndarray):
+                value = {"array": [float(v) for v in value]}
+            (d.setdefault(path[0], {}) if len(path) == 2 else d)[path[-1]] = value
         return d
 
     def config_hash(self) -> str:
@@ -280,119 +368,35 @@ class SimConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _spec_repr(spec):
-    if isinstance(spec, np.ndarray):
-        return {"array": [float(v) for v in spec]}
-    return spec
-
-
-# the keys a run document may hold; any other key is rejected, so that a
-# misspelt option cannot be dropped silently
-_SECTION_KEYS = {
-    "space": ("length", "n_nodes", "bc"),
-    "graph": ("kind", "epsilon", "r_threshold", "eps_param"),
-    "time": ("T", "dt", "theta"),
-    "init": ("u0", "u1"),
-    "newton": ("tol", "max_iter"),
-}
-_TOP_KEYS = ("forcing", "lambda", "regularize_u0", "label")
-_REQUIRED = object()
-
-
-def _flatten(doc) -> dict:
-    """The document as {"section.key" or "key": value}, checking its layout."""
+def _entries(doc):
+    """The (path, value) pairs of a run document; a section must be a mapping."""
     if not isinstance(doc, dict):
         raise ConfigError("document", "config must be a mapping")
-    flat = {}
     for name, value in doc.items():
-        if name in _SECTION_KEYS:
-            if value is None:
-                value = {}
-            if not isinstance(value, dict):
-                raise ConfigError(name, f"must be a mapping, got {value!r}")
-            for key, v in value.items():
-                if key not in _SECTION_KEYS[name]:
-                    raise ConfigError(f"{name}.{key}", "unknown key")
-                flat[f"{name}.{key}"] = v
-        elif name in _TOP_KEYS:
-            flat[name] = value
+        if name not in _SECTIONS:
+            yield (name,), value
+        elif value is None or isinstance(value, dict):
+            yield from (((name, key), v) for key, v in (value or {}).items())
         else:
-            raise ConfigError(str(name), "unknown key")
-    return flat
-
-
-def _number(value, key: str, cast=float):
-    """A finite float (or integer, for cast=int) from a YAML scalar, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(key, f"must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except ValueError:
-        raise ConfigError(key, f"must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(key, f"must be finite, got {value!r}")
-    if cast is int:
-        if x != int(x):
-            raise ConfigError(key, f"must be an integer, got {value!r}")
-        return int(x)
-    return x
-
-
-def _init_spec(spec, n_nodes: int):
-    """The profile spec of an ``init`` entry: ``{array: [...]}`` gives the
-    array, which must be a list of ``n_nodes`` finite numbers, one per node;
-    otherwise a ConfigError naming ``init``."""
-    if not (isinstance(spec, dict) and "array" in spec):
-        return spec
-    values = spec["array"]
-    if not isinstance(values, list):
-        raise ConfigError("init", f"array must be a list of {n_nodes} numbers, got {values!r}")
-    if len(values) != n_nodes:
-        raise ConfigError("init", f"array has {len(values)} entries, the grid has {n_nodes} nodes")
-    return np.array([_number(v, "init") for v in values])
+            raise ConfigError(name, f"must be a mapping, got {value!r}")
 
 
 def from_dict(doc: dict) -> SimConfig:
-    """Build and validate a SimConfig from a parsed YAML document."""
-    flat = _flatten(doc)
-
-    def num(key, default=_REQUIRED, cast=float):
-        if key not in flat or (flat[key] is None and default is None):
-            if default is _REQUIRED:
-                raise ConfigError(key, "missing required key")
-            return default
-        return _number(flat[key], key, cast)
-
-    if "graph.kind" not in flat:
-        raise ConfigError("graph.kind", "missing required key")
-    forcing = flat.get("forcing", "zero")
-    if forcing is not None and not isinstance(forcing, str):
-        _number(forcing, "forcing")
-    regularize = flat.get("regularize_u0", True)
-    if not isinstance(regularize, bool):
-        raise ConfigError("regularize_u0", f"must be true or false, got {regularize!r}")
-    n_nodes = num("space.n_nodes", 1, int)
-    cfg = SimConfig(
-        length=num("space.length", 1.0),
-        n_nodes=n_nodes,
-        bc=str(flat.get("space.bc", NEUMANN)),
-        graph_kind=str(flat["graph.kind"]),
-        epsilon=num("graph.epsilon", None),
-        r_threshold=num("graph.r_threshold", None),
-        eps_param=num("graph.eps_param", None),
-        T=num("time.T"),
-        dt=num("time.dt"),
-        theta=num("time.theta", 1.0),
-        u0=_init_spec(flat.get("init.u0", "zero"), n_nodes),
-        u1=_init_spec(flat.get("init.u1", "zero"), n_nodes),
-        forcing=forcing,
-        lam=num("lambda", 0.0),
-        newton_tol=num("newton.tol", 1e-10),
-        newton_max_iter=num("newton.max_iter", 50, int),
-        regularize_u0=regularize,
-        label=str(flat.get("label", "")),
-    )
-    return cfg.validate()
+    """Build and validate a SimConfig from a parsed YAML document.  Each
+    value goes through its ``_KEYS`` row's parser; a key the table lacks,
+    so that a misspelt option cannot be dropped silently, or a required
+    key that is missing is a ConfigError naming it."""
+    fields = {}
+    for path, value in _entries(doc):
+        key = ".".join(map(str, path))
+        if path not in _ROWS:
+            raise ConfigError(key, "unknown key")
+        row = _ROWS[path]
+        fields[row.field] = row.parse(value, key)
+    for row in _KEYS:
+        if row.required and row.field not in fields:
+            raise ConfigError(row.key, "missing required key")
+    return SimConfig(**fields).validate()
 
 
 def load_config(path) -> SimConfig:
@@ -406,7 +410,7 @@ def load_config(path) -> SimConfig:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar YAML cannot build
         raise ConfigError("file", f"cannot parse config {path}: {_yaml_error_line(exc)}") from exc
     return from_dict(doc)
 

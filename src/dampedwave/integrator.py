@@ -238,13 +238,18 @@ def _check_run_size(cfg: SimConfig) -> None:
 def _check_initial_energy(cfg: SimConfig, grid, reaction, u0, v0) -> None:
     """ConfigError naming ``init`` unless the initial data have a finite
     regularized energy E_eps(u0, u1), the hypothesis of the existence
-    result; the overflow that makes it infinite is not warned about."""
+    result; the overflow that makes it infinite is not warned about.  The
+    error names the terms that are not finite, or the total if only their
+    sum overflows, so that +inf and -inf terms do not read as nan."""
     from .energy import energy  # energy imports this module
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e = energy(grid, u0, v0, reaction, cfg.lam).total
-    if not math.isfinite(e):
-        raise ConfigError("init", f"the initial energy E_eps(u0, u1) = {e} is not finite")
+        e = energy(grid, u0, v0, reaction, cfg.lam)
+        total = e.total
+    if not math.isfinite(total):
+        terms = [f"{name} = {x}" for name, x in vars(e).items() if not math.isfinite(x)]
+        shown = ", ".join(terms or [f"total = {total}"])
+        raise ConfigError("init", f"the initial energy E_eps(u0, u1) is not finite: {shown}")
 
 
 def simulate(cfg: SimConfig) -> Trajectory:

@@ -388,16 +388,56 @@ class TestMalformedConfigExits2:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: file: cannot parse config {cfg}: {message}\n"
 
-    @pytest.mark.parametrize("base", [TOY_DOC, GRID_DOC], ids=["one_node", "grid"])
-    def test_infinite_initial_energy_names_init(self, tmp_path, capsys, base):
+    @pytest.mark.parametrize(
+        "base, lam, terms",
+        [(TOY_DOC, 0.0, "potential = inf"), (GRID_DOC, 0.0, "potential = inf"),
+         (TOY_DOC, 1.0, "potential = inf, concave = -inf"),
+         (GRID_DOC, 1.0, "potential = inf, concave = -inf")],
+        ids=["one_node", "grid", "one_node_lambda1", "grid_lambda1"],
+    )
+    def test_infinite_initial_energy_names_init(self, tmp_path, capsys, base, lam, terms):
         """Finite initial values whose energy E_eps(u0, u1) overflows exit 2 with
-        one error line naming ``init``: no overflow warning, no verdict file.
-        With lambda = 0 the energy is +inf, not the nan of 0 * inf."""
-        doc = {**base, "init": {"u0": "constant:1e300", "u1": "zero"}}
+        one error line naming ``init`` and the terms that are not finite: no
+        overflow warning, no verdict file.  With lambda = 0 the concave term
+        is 0, not the nan of 0 * inf; with lambda > 0 the line names the +inf
+        potential and the -inf concave term instead of their sum, nan."""
+        doc = {**base, "lambda": lam, "init": {"u0": "constant:1e300", "u1": "zero"}}
         self._assert_config_error(tmp_path, doc, "init")
         err = capsys.readouterr().err
-        assert err == "error: init: the initial energy E_eps(u0, u1) = inf is not finite\n"
+        assert err == f"error: init: the initial energy E_eps(u0, u1) is not finite: {terms}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_initial_energy_whose_terms_sum_past_the_float_range_names_the_total(self, tmp_path, capsys):
+        """Finite kinetic and potential terms whose sum overflows name the total."""
+        doc = {**TOY_DOC, "regularize_u0": False,
+               "init": {"u0": "constant:4.9e152", "u1": "constant:1.3e154"}}
+        self._assert_config_error(tmp_path, doc, "init")
+        err = capsys.readouterr().err
+        assert err == "error: init: the initial energy E_eps(u0, u1) is not finite: total = inf\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("label", [1, 2]), ("label", None), ("space.bc", None), ("graph.kind", 5)],
+        ids=["label_list", "label_null", "bc_null", "kind_number"],
+    )
+    def test_string_key_of_another_type_names_it(self, tmp_path, capsys, key, value):
+        """``space.bc``, ``graph.kind`` and ``label`` must be strings: any
+        other value exits 2 with one error line naming the key."""
+        *section, name = key.split(".")
+        if section:
+            doc = {**TOY_DOC, section[0]: {**TOY_DOC[section[0]], name: value}}
+        else:
+            doc = {**TOY_DOC, name: value}
+        self._assert_config_error(tmp_path, doc, key)
+        assert capsys.readouterr().err == f"error: {key}: must be a string, got {value!r}\n"
+
+    def test_value_yaml_cannot_build_is_a_parse_error(self, tmp_path, capsys):
+        """A scalar YAML reads as a value it cannot build (a date with month
+        13) prints one ``error: file:`` line, not a traceback."""
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({**TOY_DOC, "label": "x"}).replace("label: x", "label: 2024-13-01"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: file: cannot parse config {cfg}: month must be in 1..12\n"
 
     def test_utf8_config_with_crlf_loads_as_its_text(self, tmp_path):
         """UTF-8 text, non-ASCII and CRLF line ends included, gives the config of its text."""

@@ -1,12 +1,17 @@
 """Configuration parsing, profiles, validation messages."""
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampedwave.config import (
+    _KEYS,
     SimConfig,
     forcing_function,
     from_dict,
@@ -223,6 +228,41 @@ def test_round_trip_with_array_data_and_flags():
 
 
 @pytest.mark.parametrize(
+    "path, digest",
+    [("configs/dirichlet_sine.yaml", "3e7c6f95281e7a6e"),
+     ("configs/neumann_contact.yaml", "55af4a2f17e1cc12"),
+     ("configs/pressed_wall.yaml", "74a5fd66ad3eb845"),
+     ("configs/toy_jump.yaml", "c7a0a1e38775f8c0"),
+     ("perfbench/configs/neumann_contact_log.yaml", "886560522b17e1a7")],
+    ids=lambda v: Path(v).stem if "/" in v else None,
+)
+def test_config_hash_is_pinned(path, digest):
+    """The hash that ``manifest.json`` records for each shipped config."""
+    assert load_config(Path(__file__).parent.parent / path).config_hash() == digest
+
+
+def test_to_dict_writes_the_keys_of_the_graph_kind_in_table_order():
+    """``manifest.json`` holds ``to_dict()`` as it is ordered: the Yosida
+    kinds write ``graph.epsilon`` only, the family ``r_threshold`` and
+    ``eps_param`` only."""
+    toy = load_config(Path(__file__).parent.parent / "configs" / "toy_jump.yaml")
+    assert json.dumps(toy.to_dict()) == (
+        '{"space": {"length": 1.0, "n_nodes": 1, "bc": "neumann"}, '
+        '"graph": {"kind": "indicator", "epsilon": 0.001}, '
+        '"time": {"T": 2.0, "dt": 0.001, "theta": 0.5}, '
+        '"init": {"u0": "zero", "u1": "constant:1"}, "forcing": "zero", '
+        '"newton": {"tol": 1e-10, "max_iter": 50}, "lambda": 0.0, '
+        '"regularize_u0": true, "label": "toy-jump"}'
+    )
+    family = SimConfig(n_nodes=3, graph_kind="family", r_threshold=0.9, eps_param=0.1,
+                       T=0.1, dt=0.01, u0=np.array([0.1, 0.2, 0.3]), forcing="constant:1",
+                       regularize_u0=False, label="arrays")
+    assert family.to_dict()["graph"] == {"kind": "family", "r_threshold": 0.9, "eps_param": 0.1}
+    assert family.to_dict()["init"]["u0"] == {"array": [0.1, 0.2, 0.3]}
+    assert family.config_hash() == "9a418cf6779f5982"
+
+
+@pytest.mark.parametrize(
     "graph",
     [
         dict(graph_kind="indicator", epsilon=1e-3),
@@ -246,3 +286,118 @@ def test_beta_and_dbeta_bitwise_equal_to_separate_calls(graph):
     assert np.array_equal(db, reaction.dbeta(u))
     # the kinks resolve toward the active side, as dbeta does
     assert np.all(db[np.abs(u) >= (0.8 if graph["graph_kind"] == "family" else 1.0)] > 0)
+
+
+# ---------------------------------------------------------------------------
+# the key table against odd values: each key fails alone and names itself
+
+SHIPPED = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")) + [
+    Path(__file__).parent.parent / "perfbench" / "configs" / "neumann_contact_log.yaml"
+]
+SHIPPED_DOCS = [yaml.safe_load(p.read_text()) for p in SHIPPED]
+
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, -1e300, 1e-300, -1e-300, 1e300, 10 ** 400]
+ODD_STRINGS = ["", "abc", "nan", "-inf", "1e-3", "1e300", "dirichlet", "neumann", "indicator",
+               "logarithmic", "family", "zero", "constant:1", "constant:x", "csv:u.csv:1", "table:g.csv"]
+ODD_VALUES = st.one_of(
+    st.sampled_from(ODD_NUMBERS + ODD_STRINGS + [None, True, False]),
+    st.text(max_size=8),
+    st.floats(),
+    st.integers(-10, 10),
+    st.lists(st.one_of(st.floats(), st.text(max_size=3), st.none()), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    st.fixed_dictionaries({"array": st.one_of(
+        st.lists(st.floats(), min_size=1, max_size=70), st.text(max_size=3), st.floats())}),
+)
+
+
+def _with_key(doc: dict, key: str, value) -> dict:
+    """A copy of ``doc`` whose ``key`` ("section.name" or "name") holds ``value``."""
+    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
+    *section, name = key.split(".")
+    (doc.setdefault(section[0], {}) if section else doc)[name] = value
+    return doc
+
+
+class TestKeyTableFuzz:
+    """``from_dict`` on a shipped document with exactly one key changed
+    either loads or raises a ConfigError naming that key (``init`` for an
+    ``init.*`` key).  A rule over two keys names one of them and says the
+    other in its message (``time.dt: must not exceed time.T``), so an
+    error may instead name the other key if its message says the changed
+    one.  A value that loads is kept as written, or as the number its text
+    spells: ``label: [1, 2]`` may not load as the label "[1, 2]".  No other
+    exception escapes; no run is started."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=st.sampled_from(SHIPPED_DOCS), row=st.sampled_from(_KEYS), value=ODD_VALUES)
+    def test_one_changed_key_loads_or_names_itself(self, doc, row, value):
+        try:
+            cfg = from_dict(_with_key(doc, row.key, value))
+        except ConfigError as exc:
+            named = "init" if row.key.startswith("init.") else row.key
+            assert exc.key == named or row.key in exc.message, (row.key, value, str(exc))
+        else:
+            *section, name = row.key.split(".")
+            out = cfg.to_dict()
+            # a key its graph kind leaves out of the document is not written
+            written = (out[section[0]] if section else out).get(name, value)
+            assert written == value or (isinstance(value, str) and written == float(value)), (
+                row.key, value, written)
+
+    @pytest.mark.parametrize("doc", SHIPPED_DOCS, ids=[p.stem for p in SHIPPED])
+    @pytest.mark.parametrize("key", [row.key for row in _KEYS if row.required])
+    def test_dropped_required_key_names_itself(self, doc, key):
+        *section, name = key.split(".")
+        doc = _with_key(doc, key, None)
+        del (doc[section[0]] if section else doc)[name]
+        with pytest.raises(ConfigError) as info:
+            from_dict(doc)
+        assert (info.value.key, info.value.message) == (key, "missing required key")
+
+    @pytest.mark.parametrize("doc", SHIPPED_DOCS, ids=[p.stem for p in SHIPPED])
+    @pytest.mark.parametrize(
+        "section, name", [(None, "colour"), ("time", "steps"), ("space", "length.x"), ("time", "dt.x")]
+    )
+    def test_unknown_key_names_itself(self, doc, section, name):
+        doc = {**doc, section: {**doc[section], name: 1}} if section else {**doc, name: 1}
+        with pytest.raises(ConfigError) as info:
+            from_dict(doc)
+        key = f"{section}.{name}" if section else name
+        assert (info.value.key, info.value.message) == (key, "unknown key")
+
+    def test_dotted_top_level_key_is_not_a_section_key(self):
+        """A top-level ``time.dt`` is an unknown key, not the ``dt`` of ``time``."""
+        with pytest.raises(ConfigError) as info:
+            from_dict({**SHIPPED_DOCS[0], "time.dt": 1e-3})
+        assert info.value.key == "time.dt" and info.value.message == "unknown key"
+
+    @pytest.mark.parametrize("key", ["space.bc", "graph.kind", "label"])
+    @pytest.mark.parametrize("value", [None, [1, 2], 5, True, {"a": 1}], ids=["null", "list", "int", "bool", "mapping"])
+    def test_string_key_of_another_type_names_itself(self, key, value):
+        """At one time ``str()`` let any value through: ``label: [1, 2]``
+        loaded as the label "[1, 2]" and ``label: null`` as "None"."""
+        with pytest.raises(ConfigError) as info:
+            from_dict(_with_key(SHIPPED_DOCS[0], key, value))
+        assert info.value.key == key and info.value.message == f"must be a string, got {value!r}"
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        with pytest.raises(ConfigError) as info:
+            from_dict(_with_key(SHIPPED_DOCS[0], "time.T", 10 ** 400))
+        assert info.value.key == "time.T" and info.value.message.startswith("must be finite")
+
+
+def test_defaults_are_the_simconfig_field_defaults():
+    """A document with only the required keys and ``graph.epsilon`` gives
+    ``SimConfig``'s defaults; every other field keeps its default too."""
+    doc = {"graph": {"kind": "indicator", "epsilon": 1e-3}, "time": {"T": 1.0, "dt": 0.1}}
+    assert from_dict(doc) == SimConfig(epsilon=1e-3, T=1.0, dt=0.1)
+    assert SimConfig().epsilon is None  # a document without graph.epsilon is refused
+
+
+def test_readme_configuration_lists_every_key():
+    """README's Configuration section names every key of the run document."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    missing = [row.key for row in _KEYS if f"`{row.key}`" not in section]
+    assert not missing, f"README's Configuration section lacks {missing}"

@@ -17,6 +17,7 @@ from dampedwave.errors import (
     InadmissibleTestFunction,
 )
 from dampedwave.graphs import limit_j
+from dampedwave.grid import Grid
 from dampedwave.weaklimit import (
     SpacePairings,
     SpaceProfile,
@@ -145,6 +146,20 @@ class TestWeakResidual:
         phi = TestFunction(TimeProfile("one", 0.2), SpaceProfile("one", 1.0))
         with pytest.raises(InadmissibleTestFunction):
             weak_residual(traj, xi, phi, 0.2)
+
+    @pytest.mark.parametrize(
+        "n_nodes, bc", [(1, "neumann"), (9, "neumann"), (9, "dirichlet")],
+        ids=["one_node", "neumann", "dirichlet"],
+    )
+    def test_default_dictionary_is_admissible(self, n_nodes, bc):
+        """The check battery takes every function of ``default_dictionary``
+        with no skip, so each must be admissible for the grid's bc: an
+        inadmissible entry would make ``weak_residual`` raise
+        InadmissibleTestFunction."""
+        grid = Grid(1.0, n_nodes, bc)
+        for T in (0.2, 2.0):
+            for phi in default_dictionary(grid, T):
+                assert phi.admissible_for(bc), phi.name
 
     def test_1d_dirichlet_residual_budget(self):
         rs = {}
