@@ -97,19 +97,11 @@ def _to_file(path: Path, render, *args) -> None:
 
 
 def _render_json(write, payload) -> None:
-    write(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable))
+    write(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_json(path: Path, payload) -> None:
     _to_file(path, _render_json, payload)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 # run.npz holds exactly these Trajectory arrays; the per-step records are

@@ -7,15 +7,16 @@ is the document's one definition: one row per key, with the
 ``SimConfig`` field it sets (whose default is the key's default), the
 parser of its value and its own bound.  ``from_dict``, ``to_dict`` and
 ``SimConfig.validate`` read it.  Any other key is rejected, and a value
-of the wrong type is a ConfigError naming its key.
+of the wrong type is a ConfigError naming its key, whether it comes
+from a document or from a ``SimConfig`` built in code.
 
 A run keeps every state, so ``time.T / time.dt`` and ``space.n_nodes``
 set its memory: ``simulate`` refuses, naming ``time.dt``, a run larger
 than physical memory.  Initial data are named profiles ("zero",
-"constant:c", "sine:k[:amp]", "cosine:k[:amp]", "ramp") or a CSV column
-("csv:path:col"); forcing is "zero", a number c (the profile
-"constant:c"), a named profile other than "csv", or a sampled
-time-by-node CSV table ("table:path").  A profile or forcing with a
+"constant:c", "sine:k[:amp]", "cosine:k[:amp]") or sampled values
+(``{array: [...]}``, one per node).  The forcing is one field g,
+constant in time: "zero", a number c (the profile "constant:c") or a
+"constant", "sine" or "cosine" profile.  A profile or forcing with a
 value that is not finite is a ConfigError naming ``init`` or
 ``forcing``.  ``SimConfig.reaction`` builds the solver's reaction with
 ``graphs.make_reaction``; every reaction formula lives in ``graphs``.
@@ -23,7 +24,6 @@ value that is not finite is a ConfigError naming ``init`` or
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -66,8 +66,6 @@ def _profile(grid: Grid, spec, key: str) -> np.ndarray:
         raise ConfigError(key, f"profile must be a string or array, got {spec!r}")
     parts = spec.split(":")
     name = parts[0]
-    x = grid.x
-    L = grid.length
     try:
         if name == "zero":
             return np.zeros(grid.n_nodes)
@@ -76,84 +74,23 @@ def _profile(grid: Grid, spec, key: str) -> np.ndarray:
         if name in ("sine", "cosine"):
             k = int(parts[1])
             amp = float(parts[2]) if len(parts) > 2 else 1.0
-            return amp * (np.sin if name == "sine" else np.cos)(k * math.pi * x / L)
-        if name == "ramp":
-            return x / L
-        if name == "csv":
-            path, col = parts[1], int(parts[2])
-            vals = _read_csv_column(path, col)
-            if len(vals) != grid.n_nodes:
-                raise ConfigError(
-                    key, f"csv column has {len(vals)} rows, grid needs {grid.n_nodes}"
-                )
-            return np.asarray(vals, dtype=float)
+            return amp * (np.sin if name == "sine" else np.cos)(k * math.pi * grid.x / grid.length)
     except (IndexError, ValueError) as exc:
         raise ConfigError(key, f"bad profile spec {spec!r}: {exc}") from exc
     raise ConfigError(key, f"unknown profile {name!r}")
 
 
-def _read_csv_rows(path: str, key: str) -> list[list[str]]:
-    """The non-empty rows of a data file that a config names under ``key``."""
-    try:
-        with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise ConfigError(key, f"cannot read {path!r}: {exc}") from exc
-
-
-def _read_csv_column(path: str, col: int) -> list[float]:
-    out = []
-    for row in _read_csv_rows(path, "init"):
-        try:
-            out.append(float(row[col]))
-        except ValueError:
-            continue  # header line
-    return out
-
-
-def forcing_function(grid: Grid, spec) -> Callable[[float], np.ndarray] | None:
-    """Build g(t) -> field, or None for zero forcing.  A number c is the
-    profile ``constant:c``; a ``constant``, ``sine``, ``cosine`` or ``ramp``
-    profile is constant in time."""
+def forcing_field(grid: Grid, spec) -> np.ndarray | None:
+    """The forcing field g, constant in time, or None for zero forcing.  A
+    number c is the profile ``constant:c``; the other forcings are the
+    ``constant``, ``sine`` and ``cosine`` profiles."""
     if spec is None or spec == "zero":
         return None
-    if isinstance(spec, str) and spec.startswith("table:"):
-        return _table_forcing(grid, spec[len("table:"):])
     if isinstance(spec, (int, float)):
         spec = f"constant:{spec!r}"
-    if not isinstance(spec, str) or spec.split(":")[0] not in ("constant", "sine", "cosine", "ramp"):
+    if not isinstance(spec, str) or spec.split(":")[0] not in ("constant", "sine", "cosine"):
         raise ConfigError("forcing", f"unknown forcing {spec!r}")
-    g = profile_field(grid, spec, "forcing")
-    return lambda t: g
-
-
-def _table_forcing(grid: Grid, path: str):
-    """Sampled forcing: column 0 is time, remaining columns are node values."""
-    rows = []
-    for row in _read_csv_rows(path, "forcing"):
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            continue
-    table = np.asarray(rows)
-    if table.ndim != 2 or table.shape[1] != grid.n_nodes + 1:
-        raise ConfigError(
-            "forcing", f"table needs {grid.n_nodes + 1} columns (t + nodes)"
-        )
-    _finite(table, "forcing", "table:" + path)
-    times = table[:, 0]
-    values = table[:, 1:]
-
-    def g(t: float) -> np.ndarray:
-        i = np.searchsorted(times, t)
-        if i == 0:
-            return values[0]
-        if i >= len(times):
-            return values[-1]
-        w = (t - times[i - 1]) / (times[i] - times[i - 1])
-        return (1.0 - w) * values[i - 1] + w * values[i]
-
-    return g
+    return profile_field(grid, spec, "forcing")
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +137,12 @@ _string = _instance(str, "a string")
 
 def _init(spec, key: str):
     """An ``init`` profile: a string, or ``{array: [...]}``, which gives an
-    array of finite numbers (one per node, checked by ``validate``); any
-    other value is a ConfigError naming ``init``."""
+    array of finite numbers (one per node, checked by ``validate``), or
+    such an array; any other value is a ConfigError naming ``init``."""
     if isinstance(spec, str):
         return spec
+    if isinstance(spec, np.ndarray):
+        spec = {"array": spec.tolist()}
     if not (isinstance(spec, dict) and "array" in spec):
         raise ConfigError("init", f"profile must be a string or array, got {spec!r}")
     values = spec["array"]
@@ -297,11 +236,16 @@ class SimConfig:
         return [row for row in _KEYS if not row.kinds or self.graph_kind in row.kinds]
 
     def validate(self) -> "SimConfig":
-        """This config, if each field keeps its ``_KEYS`` bound and the rules
-        over two keys hold; else a ConfigError naming the key.  A rule over
-        two keys names one and says the other in its message."""
+        """This config, if each field passes its ``_KEYS`` parser and keeps
+        its bound and the rules over two keys hold; else a ConfigError naming
+        the key.  A rule over two keys names one and says the other in its
+        message.  A field keeps the value it was given: a number spelt as
+        text, which only a document may hold, is refused here."""
         for row in self._rows():
-            value = getattr(self, row.field)
+            given = getattr(self, row.field)
+            value = row.parse(given, row.key)
+            if isinstance(value, str) != isinstance(given, str):
+                raise ConfigError(row.key, f"must be a number, got {given!r}")
             if row.ok is not None and not row.ok(value):
                 raise ConfigError(row.key, row.rule.format(value, kind=self.graph_kind))
         if self.n_nodes < 3 and not (self.n_nodes == 1 and self.bc == NEUMANN):
@@ -334,8 +278,8 @@ class SimConfig:
             u0 = regularize_initial(grid, u0, self.reaction().epsilon)
         return u0, u1
 
-    def forcing_fn(self, grid: Grid | None = None):
-        return forcing_function(grid or self.grid(), self.forcing)
+    def forcing_field(self, grid: Grid | None = None):
+        return forcing_field(grid or self.grid(), self.forcing)
 
     def with_epsilon(self, epsilon: float, dt: float | None = None) -> "SimConfig":
         """Sweep helper: moves the regularization index, optionally the step."""

@@ -1,10 +1,12 @@
 """Implicit theta-scheme integration of the regularized equation.
 
 The second-order equation u_tt + A u_t + A u + beta_eps(u) - lambda*u = g
-is advanced as the first-order system u' = v, v' = F(u, v, t) with
+is advanced as the first-order system u' = v, v' = F(u, v) with
 
     u+ = u + dt*(theta*v+ + (1-theta)*v)
-    v+ = v + dt*(theta*F(u+, v+, t+) + (1-theta)*F(u, v, t)).
+    v+ = v + dt*(theta*F(u+, v+) + (1-theta)*F(u, v)).
+
+The forcing g is one field, constant in time (``config.forcing_field``).
 
 Eliminating u+ leaves one nonlinear system in w = v+, solved by a
 semismooth Newton iteration whose Jacobian is tridiagonal plus a
@@ -12,7 +14,7 @@ diagonal (the a.e. derivative of the reaction).  The reaction is
 treated fully implicitly: its Lipschitz constant is 1/eps, so any
 explicit treatment would force dt = O(eps).
 
-Per step, the work is: one evaluation of the explicit part F(u, v, t)
+Per step, the work is: one evaluation of the explicit part F(u, v)
 (only for theta < 1), then per Newton iteration one reaction evaluation
 (``Reaction.beta_and_dbeta``: value and derivative from a single
 resolvent solve), one residual and, unless the residual is already
@@ -166,22 +168,22 @@ class Trajectory:
         return th * Q[1:] + (1.0 - th) * Q[:-1]
 
     @cached_property
-    def forcing(self):
-        """The run's forcing g(t) -> field, or None if it is zero."""
-        return self.cfg.forcing_fn(self.grid)
+    def forcing(self) -> np.ndarray | None:
+        """The run's forcing field g, constant in time, or None if it is zero."""
+        return self.cfg.forcing_field(self.grid)
+
+    @property
+    def forcing_theta(self) -> np.ndarray:
+        """theta*g + (1-theta)*g, the forcing that the scheme's quadrature
+        pairs in every step: g up to round-off, with the bits of the step
+        kernels' ``record``."""
+        th, g = self.theta, self.forcing
+        return th * g + (1.0 - th) * g
 
     def __getstate__(self) -> dict:
-        """The pickled state: the cached reaction and forcing hold closures
-        that do not pickle, so they are left out and rebuilt from ``cfg``."""
-        return {k: v for k, v in vars(self).items() if k not in ("reaction", "forcing")}
-
-    def forcing_rows(self, records: slice) -> np.ndarray:
-        """The run's forcing at ``times[records]``, one row per record."""
-        times = self.times[records]
-        rows = np.empty((len(times), self.grid.n_nodes))
-        for i, t in enumerate(times):
-            rows[i] = self.forcing(t)
-        return rows
+        """The pickled state: the cached reaction holds closures that do not
+        pickle, so it is left out and rebuilt from ``cfg``."""
+        return {k: v for k, v in vars(self).items() if k != "reaction"}
 
     def step_values(self, fn, *Qs) -> np.ndarray:
         """The (n_steps, ...) values of ``fn(steps, *blocks)``, computed over
@@ -189,9 +191,8 @@ class Trajectory:
 
         ``steps`` is the slice of a block's steps, for indexing per-step
         arrays (the measure's masses, a candidate); each block is
-        ``theta_combine`` of one Q over the block's records, steps.start to
-        steps.stop inclusive.  A Q is a per-record array (U, V) or a function
-        of a record slice that gives its rows (``forcing_rows``).  A block
+        ``theta_combine`` of one per-record array Q (U, V) over the block's
+        records, steps.start to steps.stop inclusive.  A block
         holds the bits of the whole-run ``theta_combine``, which is
         elementwise, so ``fn`` built from row-wise operations (``np.vecdot``,
         ``grid.edge_inner``, a row maximum) gives each step the same value
@@ -200,9 +201,7 @@ class Trajectory:
         """
 
         def block(i, j):
-            records = slice(i, j + 1)
-            rows = (Q(records) if callable(Q) else Q[records] for Q in Qs)
-            return fn(slice(i, j), *map(self.theta_combine, rows))
+            return fn(slice(i, j), *(self.theta_combine(Q[i : j + 1]) for Q in Qs))
 
         return _map_blocks(self.n_steps, self.U.shape[1], block)
 
@@ -277,7 +276,7 @@ def _kernel(cfg, grid, reaction, u, v):
     A one-node grid gets the scalar kernel and plain floats, any other
     grid the vector kernel and float arrays.
     """
-    forcing = cfg.forcing_fn(grid)
+    forcing = cfg.forcing_field(grid)
     if grid.is_homogeneous:
         return _ScalarWorkspace(cfg, grid, reaction, forcing), float(u[0]), float(v[0])
     kernel = _VectorWorkspace(cfg, grid, reaction, forcing)
@@ -301,7 +300,7 @@ def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
     U[0], V[0], B[0] = u, v, beta
     try:
         for k in range(n_steps):
-            u, v, beta, iters[k] = advance(u, v, k * dt, k, beta)
+            u, v, beta, iters[k] = advance(u, v, k, beta)
             U[k + 1], V[k + 1], B[k + 1] = u, v, beta
     except (NewtonDiverged, StepRejected) as exc:
         raise RunError(f"run '{cfg.label}' failed: {exc}") from exc
@@ -317,7 +316,7 @@ def run_records(cfg: SimConfig, V, B):
     ``record``; beta_theta is written over the first n_steps rows of ``B``.
 
     Each step gets the inputs ``advance`` gave it: the reaction of each
-    state, and the forcing at k*dt and k*dt + dt.  The reaction of a state
+    state, and the kernel's forcing.  The reaction of a state
     is elementwise bit for bit, so ``B`` may come from the Newton loop or
     from ``Reaction.beta`` on stored states (on one node it gives the scalar
     kernel's bits).  ``record`` takes blocks of about BLOCK_ELEMENTS
@@ -327,18 +326,14 @@ def run_records(cfg: SimConfig, V, B):
     """
     grid = cfg.grid()
     kernel = _kernel(cfg, grid, cfg.reaction(), V[0], V[0])[0]
-    g, dt, n = kernel.forcing, cfg.dt, len(V) - 1
+    n = len(V) - 1
     diss, power = np.zeros(n), np.zeros(n)
     Vk, Bk = (V[:, 0], B[:, 0]) if grid.is_homogeneous else (V, B)
     rows = max(1, BLOCK_ELEMENTS // V.shape[1])
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        G0 = G1 = None
-        if g is not None:
-            G0 = np.array([g(k * dt) for k in range(i, j)])
-            G1 = np.array([g(k * dt + dt) for k in range(i, j)])
         step, next_ = slice(i, j), slice(i + 1, j + 1)
-        Bk[step], d, p = kernel.record(Vk[step], Vk[next_], Bk[step], Bk[next_], G0, G1)
+        Bk[step], d, p = kernel.record(Vk[step], Vk[next_], Bk[step], Bk[next_])
         # a dissipation or power of None is 0 by construction: its pages are never touched
         if d is not None:
             diss[i:j] = d
@@ -348,10 +343,11 @@ def run_records(cfg: SimConfig, V, B):
 
 
 # ---------------------------------------------------------------------------
-# step kernels: advance(u, v, t, k, beta(u)) -> (u1, v1, beta(u1), Newton
-# iterations); record(v, v1, beta(u), beta(u1), g(t), g(t+dt)) = (beta_theta,
-# dissipation, forcing power) of a step, with None for a dissipation or power
-# that is zero by construction; record maps stacked steps (rows) too
+# step kernels: advance(u, v, k, beta(u)) -> (u1, v1, beta(u1), Newton
+# iterations); record(v, v1, beta(u), beta(u1)) = (beta_theta, dissipation,
+# forcing power) of a step, with None for a dissipation or power that is zero
+# by construction; record maps stacked steps (rows) too.  Both read the
+# forcing field from ``self.forcing``
 
 
 class _VectorWorkspace:
@@ -377,18 +373,17 @@ class _VectorWorkspace:
         out[1:] += ab[2, :-1] * z[:-1]
         return out
 
-    def advance(self, u, v, t, k, beta0):
-        """One step from (u, v) with beta0 = beta(u).
+    def advance(self, u, v, k, beta0):
+        """Step k from (u, v) with beta0 = beta(u).
 
         Returns (u1, v1, beta(u1), iterations); beta(u1) is the converged
         Newton iterate's reaction, which the next step takes as its beta0.
         """
         dt, th, a, lam, g = self.dt, self.theta, self.a, self.lam, self.forcing
-        g0, g1 = (None, None) if g is None else (g(t), g(t + dt))
         if th < 1.0:
             F0 = -self.apply_A(v) - self.apply_A(u) - beta0 + lam * u
-            if g0 is not None:
-                F0 = F0 + g0
+            if g is not None:
+                F0 = F0 + g
             v_bar = v + dt * (1.0 - th) * F0
         else:
             v_bar = v
@@ -403,8 +398,8 @@ class _VectorWorkspace:
             up = u_bar + a * w
             bw, db = self.reaction.beta_and_dbeta(up)
             R = w - v_bar + a * (self.apply_A(w) + self.apply_A(up) + bw - lam * up)
-            if g1 is not None:
-                R -= a * g1
+            if g is not None:
+                R -= a * g
             res = float(np.max(np.abs(R)))
             if not math.isfinite(res) or (res0 is not None and res > _DIVERGENCE_FACTOR * res0):
                 raise NewtonDiverged(k, it, res)
@@ -427,14 +422,14 @@ class _VectorWorkspace:
         # at convergence u1 = u_bar + a*w is the last iterate up, so beta(u1) = bw
         return up, w, bw, iters
 
-    def record(self, v, v1, beta0, beta1, g0, g1):
-        dt, th = self.dt, self.theta
+    def record(self, v, v1, beta0, beta1):
+        dt, th, g = self.dt, self.theta, self.forcing
         beta_th = th * beta1 + (1.0 - th) * beta0
         v_th = th * v1 + (1.0 - th) * v
         diss = dt * edge_inner(self.grid, v_th, v_th)
-        if self.forcing is None:
+        if g is None:
             return beta_th, diss, None
-        g_th = th * g1 + (1.0 - th) * g0
+        g_th = th * g + (1.0 - th) * g  # Trajectory.forcing_theta, bit for bit
         return beta_th, diss, dt * np.vecdot(self.w * g_th, v_th)
 
 
@@ -450,9 +445,8 @@ class _ScalarWorkspace:
 
     def __init__(self, cfg, grid, reaction, forcing):
         self.beta_and_dbeta = reaction.scalar_beta_and_dbeta
-        self.forcing = None if forcing is None else (lambda t: float(forcing(t)[0]))
+        self.forcing = None if forcing is None else float(forcing[0])
         dt, th = cfg.dt, cfg.theta
-        self.dt = dt
         self.theta = th
         self.lam = cfg.lam
         self.a = th * dt
@@ -465,11 +459,11 @@ class _ScalarWorkspace:
     def beta(self, u):
         return self.beta_and_dbeta(u)[0]
 
-    def advance(self, u, v, t, k, b0):
-        th, a, lam, g = self.theta, self.a, self.lam, self.forcing
-        g0, g1 = (0.0, 0.0) if g is None else (g(t), g(t + self.dt))
+    def advance(self, u, v, k, b0):
+        th, a, lam = self.theta, self.a, self.lam
+        g = 0.0 if self.forcing is None else self.forcing
         if th < 1.0:
-            v_bar = v + self.dt_explicit * (-b0 + lam * u + g0)
+            v_bar = v + self.dt_explicit * (-b0 + lam * u + g)
         else:
             v_bar = v
         u_bar = u + self.dt_explicit * v
@@ -482,7 +476,7 @@ class _ScalarWorkspace:
         for it in range(self.newton_max_iter):
             up = u_bar + a * w
             bw, db = beta_and_dbeta(up)
-            R = w - v_bar + a * (bw - lam * up - g1)
+            R = w - v_bar + a * (bw - lam * up - g)
             res = abs(R)
             if not math.isfinite(res) or (res0 is not None and res > _DIVERGENCE_FACTOR * res0):
                 raise NewtonDiverged(k, it, res)
@@ -501,10 +495,10 @@ class _ScalarWorkspace:
 
         return up, w, bw, iters
 
-    def record(self, v, v1, b0, b1, g0, g1):
-        th = self.theta
+    def record(self, v, v1, b0, b1):
+        th, g = self.theta, self.forcing
         beta_th = th * b1 + (1.0 - th) * b0
-        if self.forcing is None:
+        if g is None:
             return beta_th, None, None
-        g_th = th * g1 + (1.0 - th) * g0
+        g_th = th * g + (1.0 - th) * g
         return beta_th, None, self.dt_weight * g_th * (th * v1 + (1.0 - th) * v)

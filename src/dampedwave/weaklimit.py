@@ -287,7 +287,7 @@ class SpacePairings:
                 map_row_blocks(lambda v, u: edge_inner(grid, v, S) + edge_inner(grid, u, S), V, U)
             )
         if traj.forcing is not None:
-            g_S = traj.step_values(lambda steps, g: np.vecdot(g, wS), traj.forcing_rows)[:n_end]
+            g_S = np.full(n_end, np.vecdot(traj.forcing_theta, wS))
         return _SpaceTerms(
             v_dot_S=traj.theta_combine(V @ wS),
             u_dot_S=traj.theta_combine(U @ wS),
@@ -397,7 +397,8 @@ def solution_identity_residual(
     acc += float(xi_u)
     acc -= lam * dt * float(uu)
     if traj.forcing is not None:
-        gu = traj.step_values(lambda steps, g, u: np.vecdot(g * u, w), traj.forcing_rows, traj.U)
+        g_th = traj.forcing_theta
+        gu = traj.step_values(lambda steps, u: np.vecdot(g_th * u, w), traj.U)
         acc -= dt * float(np.sum(gu[ks:kt]))
     return abs(acc)
 

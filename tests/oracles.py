@@ -296,5 +296,5 @@ class SimState:
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance a single state by cfg.dt with the step kernel ``simulate`` picks."""
     kernel, u, v = _kernel(cfg, cfg.grid(), cfg.reaction(), state.u, state.v)
-    u1, v1 = kernel.advance(u, v, state.t, 0, kernel.beta(u))[:2]
+    u1, v1 = kernel.advance(u, v, 0, kernel.beta(u))[:2]
     return SimState(state.t + cfg.dt, np.atleast_1d(u1), np.atleast_1d(v1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from dampedwave.config import (
     _KEYS,
     SimConfig,
-    forcing_function,
+    forcing_field,
     from_dict,
     load_config,
     profile_field,
@@ -33,13 +34,6 @@ class TestProfiles:
         np.testing.assert_allclose(
             profile_field(g, "cosine:1"), np.cos(math.pi * g.x), atol=1e-15
         )
-        np.testing.assert_allclose(profile_field(g, "ramp"), g.x, atol=1e-15)
-
-    def test_csv_profile(self, tmp_path):
-        g = Grid(1.0, 3, "neumann")
-        p = tmp_path / "u.csv"
-        p.write_text("x,u\n0.0,0.1\n0.5,0.2\n1.0,0.3\n")
-        np.testing.assert_allclose(profile_field(g, f"csv:{p}:1"), [0.1, 0.2, 0.3])
 
     def test_unknown_profile(self):
         g = Grid(1.0, 5, "neumann")
@@ -195,7 +189,7 @@ class TestStrictDocument:
     @pytest.mark.parametrize("spec", ["sine:abc", "cosine:", "sine:1:x"])
     def test_bad_forcing_profile_names_forcing(self, spec):
         with pytest.raises(ConfigError) as info:
-            forcing_function(Grid(1.0, 5, "neumann"), spec)
+            forcing_field(Grid(1.0, 5, "neumann"), spec)
         assert info.value.key == "forcing"
         assert str(info.value).startswith("forcing: ")
 
@@ -401,3 +395,58 @@ def test_readme_configuration_lists_every_key():
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     missing = [row.key for row in _KEYS if f"`{row.key}`" not in section]
     assert not missing, f"README's Configuration section lacks {missing}"
+
+
+# ---------------------------------------------------------------------------
+# a SimConfig built in code goes through the parsers a document does
+
+# one value of the wrong type per field; a number spelt as text is one
+WRONG_TYPE = {
+    "length": "1.0", "n_nodes": "3", "bc": None, "graph_kind": ["indicator"],
+    "epsilon": "1e-3", "r_threshold": [0.9], "eps_param": {"x": 1}, "T": None, "dt": True,
+    "theta": "0.5", "u0": 0.5, "u1": ["zero"], "forcing": [1.0], "newton_tol": None,
+    "newton_max_iter": "5", "lam": [0.0], "regularize_u0": "yes", "label": [1, 2],
+}
+CODE_BASES = {
+    "indicator": SimConfig(n_nodes=3, T=1.0, dt=0.1, epsilon=1e-3),
+    "family": SimConfig(n_nodes=3, T=1.0, dt=0.1, graph_kind="family", r_threshold=0.9,
+                        eps_param=0.1),
+}
+
+
+@pytest.mark.parametrize("row", _KEYS, ids=lambda row: row.key)
+def test_validate_refuses_a_wrong_type_naming_its_key(row):
+    """``validate`` runs each key's parser, so a config built in code with a
+    value of the wrong type (``label=[1, 2]``) is refused as a document is."""
+    base = CODE_BASES["family" if row.kinds == ("family",) else "indicator"]
+    with pytest.raises(ConfigError) as info:
+        replace(base, **{row.field: WRONG_TYPE[row.field]}).validate()
+    assert info.value.key == ("init" if row.key.startswith("init.") else row.key)
+
+
+def test_validate_keeps_an_array_profile_as_given():
+    """An ndarray of finite numbers is an ``init`` profile, as ``{array: [...]}``
+    gives; ``validate`` stores no parsed copy, so the hash does not move."""
+    u0 = np.array([0.1, 0.2, 0.3])
+    cfg = replace(CODE_BASES["family"], u0=u0, forcing="constant:1", regularize_u0=False,
+                  label="arrays", T=0.1, dt=0.01)
+    assert cfg.validate().u0 is u0
+    assert cfg.config_hash() == "9a418cf6779f5982"
+    for bad in (np.array([0.1, np.nan, 0.3]), np.array([[0.1], [0.2], [0.3]])):
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, u0=bad).validate()
+        assert info.value.key == "init"
+
+
+def test_configs_built_in_code_validate(monkeypatch):
+    """``cli.toy_run_config`` and ``sweep.nonuniqueness_exhibit`` build their
+    configs in code; each passes ``validate``, parsers included."""
+    from dampedwave.cli import toy_run_config
+    from dampedwave.sweep import nonuniqueness_exhibit
+
+    toy_run_config(1e-4).validate()
+    validated = []
+    real = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate", lambda cfg: validated.append(cfg.label) or real(cfg))
+    nonuniqueness_exhibit(epsilon=1e-2)
+    assert {"yosida", "family"} <= set(validated)

@@ -119,17 +119,6 @@ class TestSimulate:
             sups.append(float(np.max(np.abs(traj.V))))
         assert max(sups) / min(sups) < 1.05
 
-    def test_forcing_table_interpolation(self, tmp_path):
-        table = tmp_path / "g.csv"
-        table.write_text("0.0,1.0\n1.0,3.0\n")
-        cfg = dw.SimConfig(
-            n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-2,
-            T=0.5, dt=0.25, theta=1.0, u0="zero", u1="zero",
-            forcing=f"table:{table}",
-        )
-        g = cfg.forcing_fn()
-        assert g(0.5)[0] == pytest.approx(2.0)
-
     def test_newton_failure_reported_with_step_context(self):
         cfg = dw.SimConfig(
             n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-8,
@@ -370,7 +359,7 @@ class TestScalarMatchesVector:
 
         grid, reaction = cfg.grid(), cfg.reaction()
         u0, v0 = cfg.initial_fields(grid)
-        n, g = _resolve_steps(cfg), cfg.forcing_fn(grid)
+        n, g = _resolve_steps(cfg), cfg.forcing_field(grid)
         scalar = _run(cfg, _ScalarWorkspace(cfg, grid, reaction, g), n, float(u0[0]), float(v0[0]))
         vector = _run(cfg, _VectorWorkspace(cfg, grid, reaction, g), n, u0, v0)
         return scalar, vector

@@ -66,11 +66,10 @@ def oracle_solution_identity(traj, xi, s, t):
     ]
     if not grid.is_homogeneous:
         terms.append(dt * float(np.sum(edge_inner(grid, v_th, u_th) + edge_inner(grid, u_th, u_th))))
-    g = traj.cfg.forcing_fn(grid)
+    g = traj.cfg.forcing_field(grid)
     if g is not None:
-        G = np.array([np.broadcast_to(g(t), (grid.n_nodes,)) for t in traj.times])
-        g_th = traj.theta_combine(G)
-        terms.append(-dt * float(np.sum((g_th[ks:kt] * u_th) @ w)))
+        g_th = traj.theta_combine(np.array([g, g]))
+        terms.append(-dt * float(np.sum((g_th * u_th) @ w)))
     return abs(sum(terms)), sum(abs(x) for x in terms)
 
 

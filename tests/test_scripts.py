@@ -12,10 +12,13 @@ import pytest
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
-def run_script(monkeypatch, name, *args):
+def run_script(monkeypatch, name, *args, **attrs):
+    """Run a script's ``main`` with ``args``, its module's ``attrs`` replaced."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for attr, value in attrs.items():
+        monkeypatch.setattr(module, attr, value)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     module.main()
 
@@ -40,6 +43,19 @@ def test_run_sweep(monkeypatch, tmp_path):
         assert sorted(map(float, audit["s_eps"])) == sorted(eps)
         assert sorted(map(float, payload["mu_vanishing"])) == sorted(eps)
         assert set(payload["ratios"]) >= {"sup_v", "l1_mass"}
+
+
+def test_run_sweep_configs_validate(monkeypatch, tmp_path):
+    """The configs run_sweep.py builds in code pass ``SimConfig.validate``,
+    parsers included."""
+    labels = []
+
+    def run(cfg, eps_list):
+        labels.append(cfg.validate().label)
+        return {"ratios": {}, "limsup_audit": {"rel_gap": 0.0}}
+
+    run_script(monkeypatch, "run_sweep", "--out", str(tmp_path), run=run)
+    assert labels == ["toy", "contact-1d"]
 
 
 @pytest.mark.parametrize(

@@ -69,9 +69,9 @@ def ref_energy_series(traj):
     }
 
 
-def ref_theta_forcing(traj, k, g):
+def ref_theta_forcing(traj, g):
     th = traj.theta
-    return th * np.asarray(g(traj.times[k + 1])) + (1.0 - th) * np.asarray(g(traj.times[k]))
+    return th * g + (1.0 - th) * g
 
 
 def ref_weak_residual(traj, xi, phi, t_end):
@@ -84,7 +84,7 @@ def ref_weak_residual(traj, xi, phi, t_end):
     Tv, Td = phi.time.value(times), phi.time.dvalue(times)
     acc = float(Tv[-1]) * float(np.dot(wS, traj.V[n_end]))
     acc -= float(Tv[0]) * float(np.dot(wS, traj.V[0]))
-    g = traj.cfg.forcing_fn(grid)
+    g = traj.cfg.forcing_field(grid)
     for k in range(n_end):
         T_th = th * Tv[k + 1] + (1.0 - th) * Tv[k]
         Td_th = th * Td[k + 1] + (1.0 - th) * Td[k]
@@ -94,7 +94,7 @@ def ref_weak_residual(traj, xi, phi, t_end):
         acc += dt * T_th * (edge_inner(grid, v_th, S) + edge_inner(grid, u_th, S))
         acc -= lam * dt * T_th * float(np.dot(u_th, wS))
         if g is not None:
-            acc -= dt * T_th * float(np.dot(wS, ref_theta_forcing(traj, k, g)))
+            acc -= dt * T_th * float(np.dot(wS, ref_theta_forcing(traj, g)))
     tvals = phi.time.value(xi.t_eval[:n_end])
     acc += float(np.dot(tvals, xi.masses[:n_end] @ S))
     return abs(acc)
@@ -104,7 +104,7 @@ def ref_solution_identity(traj, xi, s, t):
     ks, kt = traj.time_index(s), traj.time_index(t)
     grid, th, dt, lam = traj.grid, traj.theta, traj.dt, traj.cfg.lam
     w = grid.mass_weights
-    g = traj.cfg.forcing_fn(grid)
+    g = traj.cfg.forcing_field(grid)
     acc = float(np.dot(w * traj.V[kt], traj.U[kt])) - float(np.dot(w * traj.V[ks], traj.U[ks]))
     for k in range(ks, kt):
         u_th = th * traj.U[k + 1] + (1.0 - th) * traj.U[k]
@@ -114,7 +114,7 @@ def ref_solution_identity(traj, xi, s, t):
         acc += float(np.dot(xi.masses[k], u_th))
         acc -= lam * dt * float(np.dot(w * u_th, u_th))
         if g is not None:
-            acc -= dt * float(np.dot(w * ref_theta_forcing(traj, k, g), u_th))
+            acc -= dt * float(np.dot(w * ref_theta_forcing(traj, g), u_th))
     return abs(acc)
 
 
@@ -137,7 +137,7 @@ def ref_h1_time_v(traj):
 
 def ref_rebuild(cfg, times, U, V):
     grid, reaction, th, dt = cfg.grid(), cfg.reaction(), cfg.theta, cfg.dt
-    g = cfg.forcing_fn(grid)
+    g = cfg.forcing_field(grid)
     w = grid.mass_weights
     n = len(times) - 1
     beta_theta = np.array(
@@ -148,7 +148,7 @@ def ref_rebuild(cfg, times, U, V):
         v_th = th * V[k + 1] + (1.0 - th) * V[k]
         diss[k] = dt * edge_inner(grid, v_th, v_th)
         if g is not None:
-            g_th = th * np.asarray(g(times[k + 1])) + (1.0 - th) * np.asarray(g(times[k]))
+            g_th = th * g + (1.0 - th) * g
             power[k] = dt * float(np.dot(w * g_th, v_th))
     return beta_theta, diss, power
 
