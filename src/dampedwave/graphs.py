@@ -28,7 +28,9 @@ reaction value or derivative, and ``Reaction._forms`` is the one place
 that picks the formulas by kind.  Each kind has an array form and a
 plain-float form ``r -> (beta(r), dbeta(r))`` (``indicator_scalar``,
 ``family_scalar``, and ``yosida_and_derivative`` itself on a float for
-the logarithmic graph) that gives the array form's bits.
+the logarithmic graph) that gives the array form's bits, and a dead zone
+``|r| < Reaction.dead_zone`` where both are exactly 0 (none for the
+logarithmic graph).
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def resolvent(pot: RegularizedPotential, r):
     eps = pot.epsilon
     kind = pot.graph.kind
     if kind == GraphKind.INDICATOR:
-        return np.clip(r, -1.0, 1.0)
+        return np.minimum(np.maximum(r, -1.0), 1.0)
     if kind == GraphKind.LOGARITHMIC:
         x = _log_resolvent(r, eps)[0]
         return float(x) if np.isscalar(r) else x
@@ -360,18 +362,20 @@ class Reaction:
 
     @cached_property
     def _forms(self):
-        """(beta, beta_and_dbeta, pot, scalar_beta_and_dbeta) of the graph kind."""
+        """(beta, beta_and_dbeta, pot, scalar_beta_and_dbeta, dead_zone) of
+        the graph kind."""
         g = self.graph
         if g.kind == GraphKind.FAMILY:
             rt, ep = g.r_threshold, g.eps_param
             return (
                 partial(family_beta, rt, ep), partial(family_beta_and_dbeta, rt, ep),
-                partial(family_j, rt, ep), family_scalar(rt, ep),
+                partial(family_j, rt, ep), family_scalar(rt, ep), rt,
             )
         pot = RegularizedPotential(g, self.epsilon)
         pair = partial(yosida_and_derivative, pot)
-        scalar = indicator_scalar(self.epsilon) if g.kind == GraphKind.INDICATOR else pair
-        return partial(yosida, pot), pair, partial(moreau, pot), scalar
+        if g.kind == GraphKind.INDICATOR:
+            return partial(yosida, pot), pair, partial(moreau, pot), indicator_scalar(self.epsilon), 1.0
+        return partial(yosida, pot), pair, partial(moreau, pot), pair, None
 
     def beta(self, u):
         return self._forms[0](u)
@@ -390,6 +394,13 @@ class Reaction:
     def scalar_beta_and_dbeta(self):
         """Plain-float r -> (beta(r), dbeta(r)), for the one-node step kernel."""
         return self._forms[3]
+
+    @property
+    def dead_zone(self) -> float | None:
+        """The half-width w of the dead zone -w < r < w, exactly where
+        ``scalar_beta_and_dbeta`` returns (0.0, 0.0) and the array forms give
+        0.0 for both; None for a graph without one (the logarithmic)."""
+        return self._forms[4]
 
 
 def make_reaction(graph: MonotoneGraph, epsilon: float | None) -> Reaction:

@@ -140,26 +140,27 @@ def _flapack_spec():
     return finder.find_spec(_FLAPACK)
 
 
-def load_dgtsv():
-    """scipy's LAPACK ``dgtsv`` wrapper, without running ``scipy.linalg``'s import.
+def load_lapack(name: str):
+    """scipy's LAPACK wrapper ``name`` (``dgtsv``, ``dgttrf``, ``dgttrs``),
+    without running ``scipy.linalg``'s import.
 
     The extension ``scipy.linalg._flapack`` is executed on its own and
     registered in ``sys.modules`` under its name, so a later ``import
-    scipy.linalg`` reuses it and ``scipy.linalg.lapack.dgtsv`` is this
+    scipy.linalg`` reuses it and ``scipy.linalg.lapack.<name>`` is this
     function.  If the extension is not where scipy's layout puts it, the
-    public ``scipy.linalg.lapack.dgtsv`` (the same function) is imported.
+    public ``scipy.linalg.lapack.<name>`` (the same function) is imported.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
         spec = _flapack_spec()
         if spec is None:
-            from scipy.linalg.lapack import dgtsv
+            from scipy.linalg import lapack
 
-            return dgtsv
+            return getattr(lapack, name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[_FLAPACK] = module
-    return module.dgtsv
+    return getattr(module, name)
 
 
 def solve_banded(l_and_u, ab, b):
@@ -170,18 +171,39 @@ def solve_banded(l_and_u, ab, b):
     is bit-identical; what it skips is the input validation (finiteness
     included) that costs more than the solve at a few hundred nodes.  A
     singular matrix raises ``np.linalg.LinAlgError``.  ``dgtsv`` is loaded
-    by the first call on two or more nodes (``load_dgtsv``), so a command
+    by the first call on two or more nodes (``load_lapack``), so a command
     that never makes one (``verify``, a one-node run) does not load LAPACK.
     """
     global _dgtsv
     if len(b) == 1:
         return b / ab[1]
     if _dgtsv is None:
-        _dgtsv = load_dgtsv()
+        _dgtsv = load_lapack("dgtsv")
     x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
+
+
+def factor_banded(ab):
+    """The solve b -> x of the (1, 1) banded ``ab``, from one LU
+    factorization (LAPACK ``gttrf``, then ``gttrs`` per solve).
+
+    ``gttrf`` pivots and eliminates as ``gtsv`` does and ``gttrs`` applies
+    the same operations to b, so each solve has ``solve_banded(ab, b)``'s
+    bits (on one node, the same division).  A singular matrix raises
+    ``np.linalg.LinAlgError`` here, where ``gtsv`` would refuse every
+    solve.  ``ab`` has one node or three or more, as every grid does
+    (scipy's ``gttrf`` wrapper refuses two).  The routines are loaded by the
+    first call on more than one node, as ``solve_banded``'s.
+    """
+    if ab.shape[1] == 1:
+        return lambda b: b / ab[1]
+    dgttrs = load_lapack("dgttrs")
+    *lu, info = load_lapack("dgttrf")(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lambda b: dgttrs(*lu, b)[0]
 
 
 def regularize_initial(grid: Grid, u0: Field, epsilon: float) -> Field:

@@ -4,7 +4,8 @@ No command runs these: the closed-form limit toy and its weak identity,
 the D(A) regularity audit, the static boundary-atom example, restriction
 compatibility of the reaction measure and its helpers, the grid's L2
 inner product and norms, the energy-equality residual between two times,
-and a one-step entry point.  The tests check the package against them.
+a one-step entry point and a per-step reference driver.  The tests check
+the package against them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dampedwave.errors import (
     TimeNotOnGrid,
 )
 from dampedwave.grid import Field, Grid, edge_inner
-from dampedwave.integrator import Trajectory, _kernel, simulate
+from dampedwave.integrator import Trajectory, _kernel, _resolve_steps, simulate
 from dampedwave.sweep import RATIO_THRESHOLD, _sup_Au, default_dt_policy, uniform_ratio
 from dampedwave.weaklimit import TestFunction, XiMeasure
 
@@ -298,3 +299,20 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     kernel, u, v = _kernel(cfg, cfg.grid(), cfg.reaction(), state.u, state.v)
     u1, v1 = kernel.advance(u, v, 0, kernel.beta(u))[:2]
     return SimState(state.t + cfg.dt, np.atleast_1d(u1), np.atleast_1d(v1))
+
+
+def stepwise_run(cfg: SimConfig):
+    """(U, V, B, newton_iters) of a run as a plain loop of the step kernel's
+    ``advance``, one call per step: the states, their reactions and each
+    step's Newton count, with no free-flight stretch."""
+    grid = cfg.grid()
+    kernel, u, v = _kernel(cfg, grid, cfg.reaction(), *cfg.initial_fields(grid))
+    beta = kernel.beta(u)
+    U, V, B, iters = [u], [v], [beta], []
+    for k in range(_resolve_steps(cfg)):
+        u, v, beta, it = kernel.advance(u, v, k, beta)
+        U.append(u)
+        V.append(v)
+        B.append(beta)
+        iters.append(it)
+    return np.array(U), np.array(V), np.array(B), np.array(iters, dtype=int)

@@ -260,9 +260,25 @@ def test_singular_newton_system_exits_2(tmp_path, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
+    # step 0 is a dead-zone step, whose solve is the factored one
     monkeypatch.setattr(dampedwave.integrator, "solve_banded", singular)
+    monkeypatch.setattr(dampedwave.integrator, "factor_banded", singular)
     cfg = write_config(tmp_path, GRID_DOC)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_with_dt_below_a_nanosecond_is_checked(tmp_path, capsys):
+    """The checks look up the run's own times, which a fixed 1e-9 tolerance
+    misses at dt = 1e-10 (simulate would exit 2)."""
+    doc = {
+        **GRID_DOC,
+        "space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
+        "time": {"T": 1.0e-7, "dt": 1.0e-10, "theta": 1.0},
+        "init": {"u0": "cosine:1:0.5", "u1": "constant:1"},
+    }
+    code = main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code in (0, 1)
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_malformed_energy_csv_exits_2(toy_run_dir, tmp_path):
@@ -1049,13 +1065,14 @@ FRESH_CLI = """
 import sys
 from dampedwave.cli import main
 codes = [main(argv.split()) for argv in sys.argv[1:]]
-print(codes, "scipy.linalg" in sys.modules)
+print(codes, "scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
 """
 
 
 def _fresh_cli(*argvs):
-    """Run CLI commands in a new interpreter; their exit codes and whether
-    scipy.linalg got imported."""
+    """Run CLI commands in a new interpreter; their exit codes, whether
+    scipy.linalg got imported and whether LAPACK (scipy.linalg._flapack) got
+    loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_CLI, *argvs],
@@ -1065,14 +1082,17 @@ def _fresh_cli(*argvs):
 
 
 def test_one_node_simulate_and_verify_do_not_import_scipy_linalg(tmp_path):
+    """Nor do they load LAPACK: the one-node kernel solves by division."""
     out = tmp_path / "out"
     config = write_config(tmp_path, TOY_DOC)
     codes_and_loaded = _fresh_cli(f"simulate --config {config} --out {out}", f"verify --out {out}")
-    assert codes_and_loaded == "[0, 0] False"
+    assert codes_and_loaded == "[0, 0] False False"
 
 
 def test_grid_verify_does_not_import_scipy_linalg(npz_run_dir):
-    assert _fresh_cli(f"verify --out {npz_run_dir}") == "[0] False"
+    """Nor does it load LAPACK: verify builds a step kernel only to record,
+    and the dead-zone factorization waits for the first Newton solve."""
+    assert _fresh_cli(f"verify --out {npz_run_dir}") == "[0] False False"
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -1081,4 +1101,4 @@ def test_grid_solves_do_not_import_scipy_linalg(tmp_path, command):
     config = write_config(tmp_path, GRID_DOC)
     eps = " --eps 1e-2,1e-3,1e-4" if command == "sweep" else ""
     argv = f"{command} --config {config}{eps} --out {tmp_path / 'out'}"
-    assert _fresh_cli(argv) == "[0] False"
+    assert _fresh_cli(argv) == "[0] False True"

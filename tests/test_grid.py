@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dampedwave.grid
-from dampedwave.config import load_config, profile_field
+from dampedwave.config import SimConfig, load_config, profile_field
 from dampedwave.errors import DimensionMismatch
 from dampedwave.graphs import RegularizedPotential, indicator_graph, moreau
 from dampedwave.grid import (
@@ -23,11 +23,13 @@ from dampedwave.grid import (
     Grid,
     apply_A,
     edge_inner,
+    factor_banded,
     laplacian_banded,
-    load_dgtsv,
+    load_lapack,
     regularize_initial,
     solve_banded,
 )
+from dampedwave.integrator import _VectorWorkspace
 from tests.oracles import inner, norms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -171,35 +173,96 @@ class TestSolveBanded:
             )
 
 
+class TestFactorBanded:
+    """``factor_banded`` solves with ``solve_banded``'s bits."""
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("n", [3, 33, 65, 256])
+    def test_dead_zone_matrix_same_bits_as_dgtsv(self, n, bc):
+        """The vector kernel's factored dead-zone solve gives, on random
+        right-hand sides, the bits of ``dgtsv`` on the matrix that its
+        Newton iteration builds from a zero dbeta; the last two (dt, theta,
+        lambda) make 1 - a^2 lambda negative."""
+        rng = np.random.default_rng(n)
+        for dt, theta, lam in ((1e-3, 0.5, 0.0), (2e-3, 1.0, 0.5), (1e-5, 0.5, 0.0),
+                               (0.05, 1.0, 500.0), (0.5, 0.5, 20.0)):
+            cfg = SimConfig(length=1.0, n_nodes=n, bc=bc, graph_kind="indicator",
+                            epsilon=1e-3, T=dt, dt=dt, theta=theta, lam=lam)
+            kernel = _VectorWorkspace(cfg, cfg.grid(), cfg.reaction(), None)
+            a = kernel.a
+            J = kernel.J_A.copy()
+            J[1] += 1.0 + a * a * (np.zeros(n) - lam)
+            for _ in range(25):
+                b = rng.standard_normal(n) * 10.0 ** float(rng.integers(-6, 7))
+                np.testing.assert_array_equal(
+                    bits(kernel.dead_zone_solve(b)), bits(solve_banded((1, 1), J, b))
+                )
+
+    def test_random_matrices_same_bits_as_solve_banded(self):
+        """Row swaps included, as in ``TestSolveBanded``."""
+        rng = np.random.default_rng(24)
+        for n in range(3, 120):
+            for pivot in (False, True):
+                ab = rng.standard_normal((3, n))
+                if pivot:
+                    ab[2] = np.sign(ab[2]) * (1.0 + np.abs(ab[2]))
+                    ab[1] = rng.uniform(-1.0, 1.0, n)
+                else:
+                    ab[1] = 4.0 + np.abs(ab[1])
+                solve = factor_banded(ab)
+                for _ in range(3):
+                    b = rng.standard_normal(n)
+                    np.testing.assert_array_equal(bits(solve(b)), bits(solve_banded((1, 1), ab, b)))
+
+    def test_singular_raises(self):
+        ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])  # rows 1 and 2 equal
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((1, 1), ab, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_banded(ab)
+
+
 FRESH_LOAD = """
 import sys
-from dampedwave.grid import load_dgtsv
-dgtsv = load_dgtsv()
+from dampedwave.grid import load_lapack
+names = sys.argv[1:]
+routines = [load_lapack(name) for name in names]
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 import scipy.linalg.lapack
-print(loaded, scipy.linalg.lapack.dgtsv is dgtsv)
+print(loaded, all(getattr(scipy.linalg.lapack, n) is f for n, f in zip(names, routines)))
 """
 
 
+def _fresh_load(*names):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_LOAD, *names],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
 class TestLoadDgtsv:
+    """``load_lapack``, which loads ``dgtsv`` and the ``dgttrf``/``dgttrs`` pair."""
+
     def test_loads_the_extension_alone_and_scipy_reuses_it(self):
         """In a new interpreter, only ``scipy.linalg._flapack`` is loaded (not
         ``scipy`` itself), and a later ``import scipy.linalg`` hands back the
         same ``dgtsv``."""
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
-            [sys.executable, "-c", FRESH_LOAD],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        assert proc.stdout.splitlines()[-1] == "['scipy.linalg._flapack'] True"
+        assert _fresh_load("dgtsv") == "['scipy.linalg._flapack'] True"
+
+    def test_factor_routines_load_from_the_extension_alone(self):
+        """The same holds for the factorization's ``dgttrf`` and ``dgttrs``."""
+        assert _fresh_load("dgttrf", "dgttrs") == "['scipy.linalg._flapack'] True"
 
     def test_falls_back_to_the_public_function(self, monkeypatch):
         looked_up = []
         # the lookup records its call and finds nothing
         monkeypatch.setattr(dampedwave.grid, "_flapack_spec", lambda: looked_up.append(1))
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        assert load_dgtsv() is scipy.linalg.lapack.dgtsv
-        assert looked_up == [1]
+        for name in ("dgtsv", "dgttrf", "dgttrs"):
+            assert load_lapack(name) is getattr(scipy.linalg.lapack, name)
+        assert looked_up == [1, 1, 1]
 
 
 class TestNorms:

@@ -2,16 +2,21 @@
 
 import dataclasses
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave.errors import ConfigError, RunError, TimeNotOnGrid
 from dampedwave.integrator import run_bytes, simulate
 from dampedwave.toy import yosida_layer_toy
 from tests.conftest import toy_config
-from tests.oracles import SimState, energy_equality_residual, step
+from tests.oracles import SimState, energy_equality_residual, step, stepwise_run
 
 
 class TestStep:
@@ -295,11 +300,63 @@ def test_time_index_rejects_off_grid():
         traj.time_index(0.12345678)
 
 
+def test_time_index_finds_every_time_of_a_run_with_dt_below_its_tolerance():
+    """With dt = 1e-10, below the 1e-9 tolerance, each recorded time is
+    still found at its own index."""
+    traj = simulate(dw.SimConfig(
+        n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-3,
+        T=1e-8, dt=1e-10, theta=1.0, u0="zero", u1="constant:1",
+    ))
+    assert [traj.time_index(float(t)) for t in traj.times] == list(range(len(traj.times)))
+    with pytest.raises(TimeNotOnGrid):
+        traj.time_index(0.5e-10)
+
+
+UNIT = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u0=UNIT, u1=UNIT,
+    theta=st.sampled_from([0.5, 0.75, 1.0]),
+    eps=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    kind=st.sampled_from(["indicator", "family", "logarithmic"]),
+    lam=st.sampled_from([0.0, 0.7]),
+    forcing=st.sampled_from(["zero", "constant:0.3", "constant:-2"]),
+    block=st.sampled_from([7, 1 << 16]),
+)
+def test_one_node_simulate_is_the_stepwise_loop(u0, u1, theta, eps, kind, lam, forcing, block):
+    """On one node, ``simulate`` (with its free-flight stretches, in blocks
+    of ``block`` steps) gives a per-step ``advance`` loop's states, reactions
+    and Newton counts bit for bit, or fails at the same step."""
+    graph = (dict(graph_kind="family", r_threshold=0.8, eps_param=math.sqrt(eps), epsilon=None)
+             if kind == "family" else dict(graph_kind=kind, epsilon=eps))
+    cfg = dw.SimConfig(
+        n_nodes=1, bc="neumann", **graph, T=2.0, dt=1e-3, theta=theta, lam=lam,
+        u0=f"constant:{u0!r}", u1=f"constant:{u1!r}", forcing=forcing,
+    )
+    try:
+        with warnings.catch_warnings(), mock.patch.object(dw.integrator, "BLOCK_ELEMENTS", block):
+            warnings.simplefilter("ignore")
+            traj = simulate(cfg)
+    except RunError as exc:
+        with pytest.raises(type(exc.__cause__), match=re.escape(str(exc.__cause__))):
+            stepwise_run(cfg)
+        return
+    U, V, B, iters = stepwise_run(cfg)
+    assert traj.U[:, 0].tobytes() == U.tobytes()
+    assert traj.V[:, 0].tobytes() == V.tobytes()
+    assert traj.beta_theta[:, 0].tobytes() == (theta * B[1:] + (1.0 - theta) * B[:-1]).tobytes()
+    assert traj.newton_iters.tobytes() == iters.tobytes()
+
+
 def test_singular_newton_system_is_rejected_step(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
+    # step 0 is a dead-zone step, whose solve is the factored one
     monkeypatch.setattr(dw.integrator, "solve_banded", singular)
+    monkeypatch.setattr(dw.integrator, "factor_banded", singular)
     cfg = dw.SimConfig(
         n_nodes=9, bc="neumann", graph_kind="indicator", epsilon=1e-2,
         T=0.1, dt=1e-2, theta=1.0, u0="cosine:1:0.5", u1="constant:1",

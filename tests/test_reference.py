@@ -70,6 +70,22 @@ CASES = {
         eps_param=0.02, epsilon=None, T=1.0, dt=1e-2, theta=0.5, u0="zero",
         u1="constant:3", forcing="constant:1", lam=0.3,
     ),
+    # free flight longer than one accumulate block, with an impact inside it
+    "scalar_indicator_long_half": dict(
+        n_nodes=1, bc="neumann", graph_kind="indicator", epsilon=1e-6,
+        T=2.0, dt=1e-5, theta=0.5, u0="zero", u1="constant:1",
+    ),
+    "scalar_family_backward": dict(
+        n_nodes=1, bc="neumann", graph_kind="family", r_threshold=0.9,
+        eps_param=0.02, epsilon=None, T=2.0, dt=1e-4, theta=1.0, u0="zero",
+        u1="constant:2",
+    ),
+    # the factored dead-zone matrix carries 1 - a^2 lambda
+    "indicator_neumann_lambda_half": dict(
+        length=1.0, n_nodes=33, bc="neumann", graph_kind="indicator",
+        epsilon=1e-3, T=0.3, dt=2e-3, theta=0.5, u0="cosine:1:0.5",
+        u1="constant:3", lam=0.5,
+    ),
 }
 
 REFERENCE = {
@@ -144,6 +160,30 @@ REFERENCE = {
         "diss_incr": "67042dfda5683aea",
         "power_incr": "b73af1bd4ea2f9b6",
         "newton_iters": "8bfde4c9813ac6d9",
+    },
+    "scalar_indicator_long_half": {
+        "U": "6bac89df4c312ce3",
+        "V": "c0f3c2f655b41941",
+        "beta_theta": "905d14785be99810",
+        "diss_incr": "58e0a2f7c0e88d03",
+        "power_incr": "58e0a2f7c0e88d03",
+        "newton_iters": "375cfd7fc51689fa",
+    },
+    "scalar_family_backward": {
+        "U": "f0e958374373716c",
+        "V": "919902cd96de6fd2",
+        "beta_theta": "cc2e9a3cc31cd7cf",
+        "diss_incr": "b9ce164d30e4101b",
+        "power_incr": "b9ce164d30e4101b",
+        "newton_iters": "49f03dd45971bf67",
+    },
+    "indicator_neumann_lambda_half": {
+        "U": "cb0f11dca894d188",
+        "V": "fa91f6132a0a3e03",
+        "beta_theta": "529133a569287fc2",
+        "diss_incr": "c793889cd6de64a3",
+        "power_incr": "655a3ef0465a9f30",
+        "newton_iters": "b29f00e8a4e67703",
     },
 }
 
