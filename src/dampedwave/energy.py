@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TimeNotOnGrid
 from .grid import Grid, edge_inner
-from .integrator import Trajectory, map_row_blocks
+from .integrator import Trajectory, row_blocks
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,17 @@ def energy(grid: Grid, u, v, reaction, lam: float = 0.0) -> EnergyBreakdown:
 
 
 def energy_series(traj: Trajectory) -> np.ndarray:
-    """Structured array of energy components at the recorded times."""
+    """Structured array of energy components at the recorded times.
+
+    The components are taken record by record over row blocks of a
+    multiple of ``integrator.GEMV_ROWS`` rows (``row_blocks``), so no array
+    the size of the run is built: each ``@ w`` is a matrix-vector product
+    over such a block, which gives each record the bits of the whole-array
+    product on one BLAS thread.
+    """
     grid = traj.grid
     w = grid.mass_weights
+    pot, lam = traj.reaction.pot, traj.cfg.lam
     U, V = traj.U, traj.V
     out = np.zeros(
         len(traj.times),
@@ -61,10 +69,12 @@ def energy_series(traj: Trajectory) -> np.ndarray:
         ],
     )
     out["t"] = traj.times
-    out["kinetic"] = 0.5 * ((V * V) @ w)
-    out["gradient"] = 0.5 * edge_inner(grid, U, U)
-    out["potential"] = map_row_blocks(traj.reaction.pot, U) @ w
-    out["concave"] = -0.5 * traj.cfg.lam * ((U * U) @ w)
+    for rows in row_blocks(*U.shape):
+        u, v = U[rows], V[rows]
+        out["kinetic"][rows] = 0.5 * ((v * v) @ w)
+        out["gradient"][rows] = 0.5 * edge_inner(grid, u, u)
+        out["potential"][rows] = pot(u) @ w
+        out["concave"][rows] = -0.5 * lam * ((u * u) @ w)
     out["total"] = out["kinetic"] + out["gradient"] + out["potential"] + out["concave"]
     return out
 

@@ -70,7 +70,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -82,48 +82,101 @@ from .grid import Grid, edge_inner, factor_banded, laplacian_banded, solve_bande
 _DIVERGENCE_FACTOR = 1e8
 
 # elements per block when a row-wise map runs over a whole run: bounds the
-# temporaries (the logarithmic resolvent keeps several per element)
-BLOCK_ELEMENTS = 1 << 16
+# temporaries (the logarithmic resolvent keeps several per element).  A check
+# holds a few blocks at once: at 256 KiB a block, a whole command stays under
+# a quarter of u on configs/dirichlet_sine.yaml; at 128 KiB the battery took
+# about 20% longer there, from the cost of each block
+BLOCK_ELEMENTS = 1 << 15
+
+# the bytes of a default block for ``_keep_freed_blocks``, fixed at import so
+# that a smaller BLOCK_ELEMENTS set later cannot shrink the malloc thresholds
+_BLOCK_BYTES = 8 * BLOCK_ELEMENTS
+
+# a row block has a multiple of GEMV_ROWS rows: OpenBLAS's dgemv (0.3.31) then
+# gives each row of a product ``M @ w`` taken over the blocks the bits of the
+# whole-array product on one thread, which blocks of 7 or of 1,985 rows do
+# not (``tests/test_row_blocks.py`` checks this)
+GEMV_ROWS = 64
+
+
+def row_blocks(n_rows: int, n_x: int):
+    """The slices [i, j) of the row blocks of an (n_rows, n_x) array, in
+    order: about BLOCK_ELEMENTS elements each, rounded down to a multiple of
+    GEMV_ROWS rows, and at least GEMV_ROWS rows."""
+    _keep_freed_blocks()
+    rows = max(1, BLOCK_ELEMENTS // n_x)
+    rows = max(GEMV_ROWS, rows - rows % GEMV_ROWS)
+    for i in range(0, n_rows, rows):
+        yield slice(i, min(i + rows, n_rows))
+
+
+@cache
+def _keep_freed_blocks() -> None:
+    """Have glibc's malloc mmap only requests of 4 default blocks or more and
+    keep up to 16 blocks of freed heap before it trims the heap
+    (``mallopt``), once per process; nothing happens without glibc.
+
+    A block consumer allocates and frees a few block-sized temporaries per
+    block.  glibc's default thresholds follow the largest mmapped chunk
+    freed so far, and once no array the size of the run is freed they stay
+    near a block: a block's temporaries are mmapped, or the heap top is
+    trimmed after them, and every block faults its pages in anew.  On
+    ``configs/dirichlet_sine.yaml`` that made the check battery in
+    ``simulate`` 0.15 s against 0.10 s; thresholds of 2/8, 4/16, 16/64 and
+    64/256 blocks all took 0.10 s.  A run's arrays are still mmapped.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt(-3, 4 * _BLOCK_BYTES)  # M_MMAP_THRESHOLD
+    mallopt(-1, 16 * _BLOCK_BYTES)  # M_TRIM_THRESHOLD
+
+
+def block_columns(n_rows: int) -> int:
+    """How many columns of ``n_rows`` values fit in BLOCK_ELEMENTS elements, at least one."""
+    return max(1, BLOCK_ELEMENTS // n_rows)
+
 
 def map_row_blocks(fn, *Ms) -> np.ndarray:
     """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of the
     equally long ``Ms``: ``fn(*blocks)`` gives one value, or one row of
     values, per row, and the blocks' values are stacked."""
-    return _map_blocks(len(Ms[0]), Ms[0].shape[1], lambda i, j: fn(*(M[i:j] for M in Ms)))
+    return map_blocks(len(Ms[0]), Ms[0].shape[1], lambda rows: fn(*(M[rows] for M in Ms)))
 
 
-def _map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
-    """``fn(i, j)`` over the row blocks [i, j) of about BLOCK_ELEMENTS
-    elements of an (n_rows, n_x) array, stacked into one array."""
+def map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
+    """``fn(rows)`` over the slices ``row_blocks(n_rows, n_x)`` of an
+    (n_rows, n_x) array, stacked into one array."""
     out = None
-    rows = max(1, BLOCK_ELEMENTS // n_x)
-    for i in range(0, n_rows, rows):
-        j = min(i + rows, n_rows)
-        values = fn(i, j)
+    for rows in row_blocks(n_rows, n_x):
+        values = fn(rows)
         if out is None:
             out = np.empty((n_rows,) + np.shape(values)[1:])
-        out[i:j] = values
+        out[rows] = values
     return out
 
 
-def pairwise_sum(fn, M: np.ndarray) -> float:
-    """``np.sum(fn(M))`` for an elementwise ``fn``, bit for bit, with no
-    ``fn(M)`` array.
+def pairwise_pieces(piece_sum, size: int) -> float:
+    """The ``np.sum`` of ``size`` values, bit for bit, from ``piece_sum(piece)``,
+    the ``np.sum`` of the values of the slice ``piece``.
 
     numpy sums a contiguous array pairwise: it halves a piece of more than
     128 elements at a multiple of 8 and sums smaller pieces directly.  This
-    follows those splits down to pieces of at most BLOCK_ELEMENTS elements
-    of M's C-order elements and sums each piece with ``np.sum``.
+    follows those splits down to pieces of at most BLOCK_ELEMENTS values,
+    which ``piece_sum`` sums.
     """
-    flat = np.ravel(M)
+    limit = max(BLOCK_ELEMENTS, 128)
 
     def piece(i, n):
-        if n <= max(BLOCK_ELEMENTS, 128):
-            return np.sum(fn(flat[i : i + n]))
+        if n <= limit:
+            return piece_sum(slice(i, i + n))
         half = n // 2 - (n // 2) % 8
         return piece(i, half) + piece(i + half, n - half)
 
-    return float(piece(0, flat.size))
+    return float(piece(0, size))
 
 
 @dataclass
@@ -204,7 +257,7 @@ class Trajectory:
 
     def step_values(self, fn, *Qs) -> np.ndarray:
         """The (n_steps, ...) values of ``fn(steps, *blocks)``, computed over
-        row blocks of about BLOCK_ELEMENTS elements.
+        the row blocks of ``row_blocks``.
 
         ``steps`` is the slice of a block's steps, for indexing per-step
         arrays (the measure's masses, a candidate); each block is
@@ -217,15 +270,19 @@ class Trajectory:
         these values and builds no array the size of the run.
         """
 
-        def block(i, j):
-            return fn(slice(i, j), *(self.theta_combine(Q[i : j + 1]) for Q in Qs))
+        def block(steps):
+            records = slice(steps.start, steps.stop + 1)
+            return fn(steps, *(self.theta_combine(Q[records]) for Q in Qs))
 
-        return _map_blocks(self.n_steps, self.U.shape[1], block)
+        return map_blocks(self.n_steps, self.U.shape[1], block)
 
 
 def _resolve_steps(cfg: SimConfig) -> int:
+    """The step count T/dt; RunError unless T is that many steps within
+    1e-9 * max(1, T), or within a quarter step if that is smaller, so that a
+    dt below 1e-9 cannot round to a run that ends at another time."""
     n = int(round(cfg.T / cfg.dt))
-    if n < 1 or abs(n * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+    if n < 1 or abs(n * cfg.dt - cfg.T) > min(1e-9 * max(1.0, cfg.T), 0.25 * cfg.dt):
         raise RunError(f"time.T={cfg.T} is not an integer multiple of dt={cfg.dt}")
     return n
 
@@ -351,8 +408,8 @@ def run_records(cfg: SimConfig, V, B):
     state, and the kernel's forcing.  The reaction of a state
     is elementwise bit for bit, so ``B`` may come from the Newton loop or
     from ``Reaction.beta`` on stored states (on one node it gives the scalar
-    kernel's bits).  ``record`` takes blocks of about BLOCK_ELEMENTS
-    elements, in order: a block reads one row past its end, which the next
+    kernel's bits).  ``record`` takes the row blocks of ``row_blocks``,
+    in order: a block reads one row past its end, which the next
     block writes, so the reactions need no second array.  Each row's record
     is the one-step record, bit for bit, whatever the block.
     """
@@ -361,16 +418,14 @@ def run_records(cfg: SimConfig, V, B):
     n = len(V) - 1
     diss, power = np.zeros(n), np.zeros(n)
     Vk, Bk = (V[:, 0], B[:, 0]) if grid.is_homogeneous else (V, B)
-    rows = max(1, BLOCK_ELEMENTS // V.shape[1])
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        step, next_ = slice(i, j), slice(i + 1, j + 1)
+    for step in row_blocks(n, V.shape[1]):
+        next_ = slice(step.start + 1, step.stop + 1)
         Bk[step], d, p = kernel.record(Vk[step], Vk[next_], Bk[step], Bk[next_])
         # a dissipation or power of None is 0 by construction: its pages are never touched
         if d is not None:
-            diss[i:j] = d
+            diss[step] = d
         if p is not None:
-            power[i:j] = p
+            power[step] = p
     return B[:n], diss, power
 
 

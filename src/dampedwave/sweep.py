@@ -492,7 +492,7 @@ def limsup_identity_audit(report: SweepReport) -> LimsupAudit:
     traj = report.trajectories[finest]
     xi = report.measures[finest].rebin(min(400, traj.n_steps))
     u_on_cells = _interp_states(traj.times, traj.U, xi.t_eval)
-    pairing = float(np.sum(xi.masses * u_on_cells))
+    pairing = float(np.sum(xi.rows(slice(None)) * u_on_cells))
     s_last = s_eps[finest]
     rel_gap = abs(s_last - pairing) / (1.0 + abs(pairing))
     return LimsupAudit(s_eps, pairing, rel_gap, rel_gap <= 0.02)

@@ -28,14 +28,21 @@ max|v| is at most 1 or not; only the logarithmic limit integrates J.
 The seeded candidates are separable, v = tau (x) sigma, and are kept as
 their two factors (SeparableCandidate).
 
-Every check reduces per-step or per-record values that are computed over
-row blocks (``Trajectory.step_values``, ``integrator.map_row_blocks``), so
-the battery builds no array the size of the run: its extra memory is a few
-blocks of ``integrator.BLOCK_ELEMENTS`` elements.
+The measure is not stored as an array: a run's XiMeasure holds the run's
+own per-step records and forms the masses of a row block only when a check
+asks for it (``XiMeasure.rows``).  Every check reduces per-step or
+per-record values that are computed over row blocks
+(``Trajectory.step_values``, ``integrator.map_row_blocks``), so neither
+the measure nor the battery builds an array the size of the run: the
+extra memory is a few blocks of ``integrator.BLOCK_ELEMENTS`` elements.  A
+block has a multiple of ``integrator.GEMV_ROWS`` rows, so a product of
+blocks with a vector, such as masses @ S, gives the bits of the
+whole-array product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +56,14 @@ from .errors import (
 )
 from .graphs import limit_is_indicator, limit_j
 from .grid import DIRICHLET, Grid, edge_inner
-from .integrator import Trajectory, map_row_blocks, pairwise_sum
+from .integrator import (
+    Trajectory,
+    block_columns,
+    map_blocks,
+    map_row_blocks,
+    pairwise_pieces,
+    row_blocks,
+)
 
 # ---------------------------------------------------------------------------
 # test-function dictionary
@@ -173,22 +187,42 @@ def default_dictionary(grid: Grid, T: float) -> list[TestFunction]:
 class XiMeasure:
     """Space-time histogram of the constraint reaction.
 
-    ``masses[k, i]`` is the signed reaction mass of time cell k and
-    space cell i; ``t_edges`` has one more entry than time cells.  In a
-    run's measure (``accumulate_xi``) time cells coincide with integrator
-    steps and ``theta`` locates the scheme's evaluation point inside each
-    cell.
+    ``rows(cells)`` gives the signed reaction masses of the time cells
+    ``cells`` (a slice), one row per time cell and one column per space
+    cell: ``(dt * records[cells]) * weights``, the bits of the whole-array
+    product, formed only when a block is asked for.  ``t_edges`` has one
+    more entry than time cells.  A run's measure (``accumulate_xi``) holds
+    the run's per-step reaction records themselves as ``records``
+    (``traj.beta_theta``, not a copy), with the step ``dt`` and the mass
+    ``weights``: its time cells are the integrator steps, and ``theta``
+    locates the scheme's evaluation point inside each.  A rebinned measure
+    holds its masses as ``records``, with ``dt`` 1 and ``weights`` 1, which
+    leave every bit of them.  Every method works over row blocks, so none
+    builds an array the size of the run.
     """
 
     t_edges: np.ndarray
     x: np.ndarray
-    masses: np.ndarray
+    records: np.ndarray
     theta: float
     epsilon: float
+    dt: float
+    weights: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        """(time cells, space cells)."""
+        return self.records.shape
 
     @property
     def n_t(self) -> int:
-        return self.masses.shape[0]
+        return self.records.shape[0]
+
+    def rows(self, cells: slice) -> np.ndarray:
+        """The masses of the time cells ``cells``, one row per cell."""
+        m = self.dt * self.records[cells]
+        m *= self.weights
+        return m
 
     @property
     def t_eval(self) -> np.ndarray:
@@ -198,7 +232,16 @@ class XiMeasure:
     @property
     def total_l1(self) -> float:
         """sum |masses|, with the bits of the whole-array sum and no |masses| array."""
-        return pairwise_sum(np.abs, self.masses)
+        b, n_x = np.ravel(self.records), self.shape[1]
+
+        def piece_sum(piece):
+            # flat cell j has weight weights[j % n_x]: slice a tiled row
+            i, n = piece.start % n_x, piece.stop - piece.start
+            m = self.dt * b[piece]
+            m *= np.tile(self.weights, (i + n) // n_x + 1)[i : i + n]
+            return np.sum(np.abs(m, out=m))
+
+        return pairwise_pieces(piece_sum, b.size)
 
     def window_mass(self, t0: float, halfwidth: float) -> float:
         """Absolute mass inside |t - t0| <= halfwidth (fractional cells)."""
@@ -206,35 +249,39 @@ class XiMeasure:
         edges = self.t_edges
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
         w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
-        return float(np.dot(w, np.sum(np.abs(self.masses), axis=1)))
+        cell_l1 = map_blocks(*self.shape, lambda cells: np.sum(np.abs(self.rows(cells)), axis=1))
+        return float(np.dot(w, cell_l1))
 
     def window_profile(self, t0: float, width: float, factors=(8, 4, 2, 1)) -> dict:
         """Mass in nested windows around t0; flags concentration."""
         return {f: self.window_mass(t0, f * width) for f in factors}
 
     def rebin(self, n_t: int) -> "XiMeasure":
-        """Coarsen to n_t uniform time cells (for export and plotting)."""
+        """Coarsen to n_t uniform time cells (for export and plotting); the
+        cells are added in order, as one ``np.add.at`` over all of them."""
         edges = np.linspace(self.t_edges[0], self.t_edges[-1], n_t + 1)
         idx = np.clip(
             np.searchsorted(edges, self.t_eval, side="right") - 1, 0, n_t - 1
         )
-        masses = np.zeros((n_t, self.masses.shape[1]))
-        np.add.at(masses, idx, self.masses)
-        return XiMeasure(edges, self.x, masses, 0.5, self.epsilon)
+        masses = np.zeros((n_t, self.shape[1]))
+        for cells in row_blocks(*self.shape):
+            np.add.at(masses, idx[cells], self.rows(cells))
+        return XiMeasure(edges, self.x, masses, 0.5, self.epsilon, 1.0, np.ones(len(self.x)))
 
 
 def accumulate_xi(traj: Trajectory) -> XiMeasure:
-    """Bin the recorded reaction into one time cell per step."""
+    """Bin the recorded reaction into one time cell per step: a measure over
+    the run's own ``beta_theta``, which it does not copy."""
     if traj.beta_theta is None or len(traj.beta_theta) != traj.n_steps:
         raise MissingReactionRecords("trajectory has no per-step reaction records")
-    masses = traj.dt * traj.beta_theta
-    masses *= traj.grid.mass_weights
     return XiMeasure(
         traj.times.copy(),
         traj.grid.x,
-        masses,
+        traj.beta_theta,
         traj.theta,
         traj.reaction.epsilon,
+        traj.dt,
+        traj.grid.mass_weights,
     )
 
 
@@ -261,13 +308,35 @@ class SpacePairings:
     A battery tests a dozen or more functions that share a few spatial
     factors.  Passing one instance to each of its weak_residual calls
     pairs the states and the forcing with every distinct factor once, with
-    the operations of a lone call.  The gradient and forcing pairings are
-    taken over row blocks, so no array the size of the run is built.
+    the operations of a lone call.  The gradient, forcing and reaction
+    pairings are taken over row blocks, so no array the size of the run is
+    built; the reaction's, masses @ S, has the bits of the whole-array
+    product on one BLAS thread, as the blocks have a multiple of
+    ``integrator.GEMV_ROWS`` rows.  The reaction pairings over the whole run
+    of the factors ``spaces`` are taken together, in one pass that forms
+    each block of masses once.
     """
 
-    def __init__(self, traj: Trajectory, xi: XiMeasure):
+    def __init__(self, traj: Trajectory, xi: XiMeasure, spaces=()):
         self.traj, self.xi = traj, xi
         self._terms = {}
+        self._xi_S = {}  # (space, n_end) -> masses[:n_end] @ S, taken ahead
+        spaces = list(dict.fromkeys(spaces))
+        if spaces:
+            n = traj.n_steps
+            self._xi_S = {(s, n): c for s, c in zip(spaces, self._pair_xi(spaces, n))}
+
+    def _pair_xi(self, spaces, n_end: int) -> list:
+        """masses[:n_end] @ S for the factor S of each of ``spaces``, in one pass."""
+        xi = self.xi
+        Ss = [space.value(xi.x) for space in spaces]
+
+        def pair(cells):
+            m = xi.rows(cells)
+            return np.stack([m @ S for S in Ss], axis=1)
+
+        per_cell = map_blocks(n_end, xi.shape[1], pair)
+        return [np.ascontiguousarray(c) for c in per_cell.T]
 
     def terms(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
         key = (space, n_end)
@@ -277,6 +346,9 @@ class SpacePairings:
 
     def _build(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
         traj, grid = self.traj, self.traj.grid
+        xi_S = self._xi_S.pop((space, n_end), None)
+        if xi_S is None:
+            xi_S = self._pair_xi([space], n_end)[0]
         S = space.value(grid.x)
         wS = grid.mass_weights * S
         U = traj.U[: n_end + 1]
@@ -294,7 +366,7 @@ class SpacePairings:
             v_first=float(np.dot(wS, V[0])),
             v_last=float(np.dot(wS, V[n_end])),
             edge=edge,
-            xi_S=self.xi.masses[:n_end] @ space.value(self.xi.x),
+            xi_S=xi_S,
             g_S=g_S,
         )
 
@@ -383,7 +455,7 @@ def solution_identity_residual(
         return np.stack([
             np.vecdot(v * v, w),
             edge_inner(grid, v, u) + edge_inner(grid, u, u),
-            np.vecdot(xi.masses[steps], u),
+            np.vecdot(xi.rows(steps), u),
             np.vecdot(u * u, w),
         ], axis=1)
 
@@ -443,11 +515,18 @@ def subdifferential_check(
 
     A candidate is an (n_steps, n_nodes) array or a ``SeparableCandidate``.
     Each costs one pairing and, for an indicator limit, no potential
-    integral (see the module docstring).  Everything is reduced per step
-    over row blocks (``Trajectory.step_values``); a separable candidate
-    pairs as tau @ (masses @ sigma) and has max|v| = max|tau| * max|sigma|
-    (``SeparableCandidate.max_abs``), so neither it nor theta-combined u
-    is built.
+    integral (see the module docstring).  The candidates are taken in
+    groups of ``2 * block_columns(n_steps)``: a group's per-step pairings
+    take at most two blocks and its factors tau at most two more (pairing
+    the battery's 20 in one group lifted the post-run peak of ``simulate``
+    on ``configs/dirichlet_sine.yaml`` from 0.20 to 0.26 of u).  Each group is
+    paired in one pass over row blocks of the measure
+    (``Trajectory.step_values``), which forms each block of masses once
+    for the whole group: per step, <xi, v> for each candidate, a separable
+    one as masses @ sigma, so that its pairing is tau @ (masses @ sigma),
+    and on the first pass <xi, u>.  A separable candidate has max|v| =
+    max|tau| * max|sigma| (``SeparableCandidate.max_abs``), so neither it
+    nor theta-combined u is built.
     """
     graph = traj.reaction.graph
     indicator = limit_is_indicator(graph)
@@ -455,39 +534,52 @@ def subdifferential_check(
     dt = traj.dt
     shape = (traj.n_steps, traj.grid.n_nodes)
 
-    def step_sum(fn, *Qs):
-        return float(np.sum(traj.step_values(fn, *Qs)))
-
     def J(rows, *Qs):
         """J of the field whose rows ``rows(steps, *blocks)`` gives."""
-        return dt * step_sum(lambda steps, *b: np.vecdot(limit_j(graph, rows(steps, *b)), w), *Qs)
-
-    def pair(steps, v):
-        return np.vecdot(xi.masses[steps], v)
+        values = traj.step_values(lambda steps, *b: np.vecdot(limit_j(graph, rows(steps, *b)), w), *Qs)
+        return dt * float(np.sum(values))
 
     ju = 0.0 if indicator else J(lambda steps, u: np.clip(u, -1.0, 1.0), traj.U)
-    xi_u = step_sum(pair, traj.U)
+    xi_u = None
     entries = []
-    for idx, v in enumerate(candidates):
-        if not isinstance(v, SeparableCandidate):
-            v = np.asarray(v, dtype=float)
-        if v.shape != shape:
-            raise InadmissibleCandidate(f"candidate {idx}: shape {v.shape} != {shape}")
-        if isinstance(v, SeparableCandidate):
-            rows, v_max = v.rows, v.max_abs
-            xi_v = float(v.tau @ (xi.masses @ v.sigma))
-        else:
-            rows = v.__getitem__
-            v_max = _max_abs(v)
-            xi_v = step_sum(lambda steps: pair(steps, v[steps]))
-        if v_max > 1.0 + 1e-12:
-            raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
-        if indicator:
-            jv = 0.0 if v_max <= 1.0 else math.inf
-        else:
-            jv = J(rows)
-        slack = jv - ju - (xi_v - xi_u)
-        entries.append(SubdiffEntry(idx, slack, slack >= -tol))
+    candidates = iter(candidates)
+    while group := list(itertools.islice(candidates, 2 * block_columns(traj.n_steps))):
+        taken = []
+        for v in group:
+            idx = len(entries) + len(taken)
+            if not isinstance(v, SeparableCandidate):
+                v = np.asarray(v, dtype=float)
+            if v.shape != shape:
+                raise InadmissibleCandidate(f"candidate {idx}: shape {v.shape} != {shape}")
+            v_max = v.max_abs if isinstance(v, SeparableCandidate) else _max_abs(v)
+            if v_max > 1.0 + 1e-12:
+                raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
+            taken.append((v, v_max))
+
+        def pairings(steps, *u):
+            # columns: <xi, u> if u is given, then <xi, v> per candidate
+            m = xi.rows(steps)
+            return np.stack([np.vecdot(m, q) for q in u] + [
+                m @ v.sigma if isinstance(v, SeparableCandidate) else np.vecdot(m, v[steps])
+                for v, _ in taken
+            ], axis=1)
+
+        per_step = traj.step_values(pairings, *([traj.U] if xi_u is None else []))
+        if xi_u is None:
+            xi_u, per_step = float(np.sum(per_step[:, 0])), per_step[:, 1:]
+        for c, (v, v_max) in enumerate(taken):
+            if isinstance(v, SeparableCandidate):
+                rows = v.rows
+                xi_v = float(v.tau @ np.ascontiguousarray(per_step[:, c]))
+            else:
+                rows = v.__getitem__
+                xi_v = float(np.sum(per_step[:, c]))
+            if indicator:
+                jv = 0.0 if v_max <= 1.0 else math.inf
+            else:
+                jv = J(rows)
+            slack = jv - ju - (xi_v - xi_u)
+            entries.append(SubdiffEntry(len(entries), slack, slack >= -tol))
     return SubdiffReport(tol, tuple(entries))
 
 
@@ -572,13 +664,13 @@ def singular_support_check(
     values of order sqrt(eps) + dt confirm wall support.  The counts and
     the maximum are taken per step over row blocks, which leaves them exact.
     """
-    if xi.masses.shape != (traj.n_steps, traj.grid.n_nodes):
+    if xi.shape != (traj.n_steps, traj.grid.n_nodes):
         raise MissingReactionRecords("measure is not at trajectory resolution")
 
     def per_step(steps, u):
         # columns: significant cells, their largest misalignment (-inf if
         # none), positive and negative significant cells
-        m = xi.masses[steps]
+        m = xi.rows(steps)
         sig = np.abs(m) > threshold
         mis = np.where(sig, 1.0 - np.sign(m) * u, -np.inf)
         return np.stack([

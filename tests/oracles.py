@@ -203,11 +203,17 @@ def static_boundary_example(alpha: float, candidates) -> list[float]:
 # the reaction measure: pairing, restriction, concentration
 
 
+def xi_masses(xi: XiMeasure) -> np.ndarray:
+    """The measure's masses as one (time cells, space cells) array, which the
+    package forms only a row block at a time (``XiMeasure.rows``)."""
+    return xi.rows(slice(None))
+
+
 def xi_pairing(xi: XiMeasure, phi: TestFunction, n_cells: int) -> float:
     """Integral of phi against the first ``n_cells`` time cells, evaluated at t_eval."""
     tvals = phi.time.value(xi.t_eval[:n_cells])
     svals = phi.space.value(xi.x)
-    return float(np.dot(tvals, xi.masses[:n_cells] @ svals))
+    return float(np.dot(tvals, xi_masses(xi)[:n_cells] @ svals))
 
 
 def vanishes_at(phi: TestFunction, t: float, tol: float = 1e-12) -> bool:
@@ -218,10 +224,10 @@ def restrict_mass(xi: XiMeasure, t: float) -> float:
     """Signed mass of [0, t]: whole cells below plus a fractional cell."""
     edges = xi.t_edges
     k = int(np.searchsorted(edges, t, side="right")) - 1
-    acc = float(np.sum(xi.masses[:max(k, 0)]))
+    acc = float(np.sum(xi_masses(xi)[:max(k, 0)]))
     if 0 <= k < xi.n_t:
         frac = (t - edges[k]) / (edges[k + 1] - edges[k])
-        acc += frac * float(np.sum(xi.masses[k]))
+        acc += frac * float(np.sum(xi_masses(xi)[k]))
     return acc
 
 

@@ -281,6 +281,15 @@ def test_run_with_dt_below_a_nanosecond_is_checked(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_horizon_off_the_step_grid_below_a_nanosecond_exits_2(tmp_path, capsys):
+    """T / dt = 107.7 steps: a tolerance of 1e-9 on T alone accepts 108 steps,
+    a run that ends at t = 1.404e-8; a quarter step refuses it."""
+    doc = {**TOY_DOC, "time": {"T": 1.4e-8, "dt": 1.3e-10, "theta": 0.5}}
+    code = main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "is not an integer multiple of dt" in capsys.readouterr().err
+
+
 def test_malformed_energy_csv_exits_2(toy_run_dir, tmp_path):
     bad = tmp_path / "bad"
     shutil.copytree(toy_run_dir, bad)
@@ -556,6 +565,15 @@ class TestRunNpz:
         for k in RUN_FIELDS + RECORDS:
             assert getattr(back, k).dtype == getattr(traj, k).dtype
             assert getattr(back, k).tobytes() == getattr(traj, k).tobytes()
+
+    @pytest.mark.parametrize("doc", [TOY_DOC, GRID_DOC], ids=["scalar", "grid"])
+    def test_npz_holds_the_savez_bytes(self, doc, tmp_path):
+        """write_run_npz writes each array without a copy, and the file is
+        the one np.savez writes, byte for byte."""
+        traj = dampedwave.integrator.simulate(from_dict(doc))
+        write_run_npz(tmp_path / "run.npz", traj)
+        np.savez(tmp_path / "savez.npz", **{k: getattr(traj, k) for k in RUN_FIELDS})
+        assert (tmp_path / "run.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
 
     def test_csv_export_bytes_match_writer(self, grid_run_dir, tmp_path):
         ref = tmp_path / "ref.csv"

@@ -32,7 +32,7 @@ from dampedwave.sweep import (
     snap_dt,
     uniform_ratio,
 )
-from tests.oracles import da_regularity_check
+from tests.oracles import da_regularity_check, xi_masses
 
 
 class TestPolicyAndValidation:
@@ -50,6 +50,25 @@ class TestPolicyAndValidation:
         # the exhibit's family step eps/50 underflows to 0 for the smallest subnormal eps
         with pytest.raises(dw.ConfigError, match="^time.dt: T / dt = 0.5 / 0 "):
             snap_dt(0.5, 5e-324 / 50.0)
+
+    def test_every_shipped_config_and_sweep_member_resolves(self):
+        """The T/dt tolerance is bounded by a quarter step: every shipped run,
+        every member dt that snap_dt gives for it and every toy run still has
+        a whole number of steps."""
+        from dampedwave.cli import toy_run_config
+        from dampedwave.integrator import _resolve_steps
+
+        eps_list = [10.0 ** -k for k in range(1, 11)]
+        for path in [*sorted((ROOT / "configs").glob("*.yaml")), ROOT / "perfbench/configs/neumann_contact_log.yaml"]:
+            cfg = load_config(path)
+            assert _resolve_steps(cfg) == round(cfg.T / cfg.dt)
+            policy = default_dt_policy(cfg.T, cfg.dt)
+            for eps in eps_list:
+                member = cfg.with_epsilon(eps, dt=policy(eps))
+                assert _resolve_steps(member) == round(member.T / member.dt)
+        for eps in eps_list:
+            cfg = toy_run_config(eps)
+            assert _resolve_steps(cfg) == round(cfg.T / cfg.dt)
 
     def test_eps_list_validation(self):
         base = dw.SimConfig(n_nodes=1, bc="neumann", graph_kind="indicator",
@@ -323,7 +342,7 @@ class TestMembersConcurrently:
                 assert a.forcing is None and b.forcing is None
             else:
                 assert np.array_equal(a.forcing, b.forcing)
-            assert np.array_equal(serial.measures[e].masses, forked.measures[e].masses)
+            assert np.array_equal(xi_masses(serial.measures[e]), xi_masses(forked.measures[e]))
 
     def test_lpt_gives_this_process_the_finest_benchmark_member(self):
         """On two CPUs the benchmark sweep's 6,325-step member runs in this
