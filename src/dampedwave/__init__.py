@@ -5,12 +5,16 @@ reactions) plus a verification harness for everything the weak theory
 promises: energy balance and inequality, uniform bounds along the
 regularization continuation, the constraint-reaction measure and its
 wall-supported singular part, velocity jumps, and the weak-form
-residuals.
+residuals.  Each check has one path: ``weak_residual`` takes a whole
+dictionary of test functions and returns one residual per function, and
+``subdifferential_check`` takes ``SeparableCandidate``s, as
+``iter_random_candidates`` draws them.
 
 The reference oracles that only the tests use (the closed-form limit toy,
 the D(A) audit, restriction compatibility of the measure, grid norms, the
-energy-equality residual, a one-step entry point) live in
-``tests/oracles.py``, not here.
+energy-equality residual, a one-step entry point, the family's resolvent
+transforms, the level sets of a limit potential, a modal solution of the
+scheme) live in ``tests/oracles.py``, not here.
 """
 
 __version__ = "0.1.0"
@@ -66,11 +70,13 @@ from .sweep import (
 )
 from .toy import LevelSet, exact_family_toy, phase_level_set, yosida_layer_toy
 from .weaklimit import (
+    SeparableCandidate,
     TestFunction,
     XiMeasure,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
+    iter_random_candidates,
     singular_support_check,
     solution_identity_residual,
     subdifferential_check,

@@ -13,9 +13,9 @@ Three graph kinds are supported:
 * ``family`` -- the explicit piecewise-linear family with dead zone
   [-r_threshold, r_threshold] and slope eps_param**-2 outside.  Its own
   beta is already Lipschitz, so the time integrator can use it directly
-  as the regularized reaction; the genuine resolvent/Yosida/Moreau
-  transforms of the family are closed form as well and are kept for the
-  convex-analysis cross checks.
+  as the regularized reaction, and this module gives it no resolvent,
+  Yosida or Moreau transform (their closed forms are test oracles in
+  ``tests/oracles.py``).
 
 Every kind satisfies 0 in beta(0) and has [-1, 1] as the closure of its
 domain (for the family, in the graph-limit sense as eps_param -> 0).
@@ -97,14 +97,6 @@ class RegularizedPotential:
 # potentials j
 
 
-def _log_j_scalar(r: float) -> float:
-    if abs(r) > 1.0:
-        return math.inf
-    if abs(r) == 1.0:
-        return 2.0 * _LOG2
-    return (1.0 + r) * math.log1p(r) + (1.0 - r) * math.log1p(-r)
-
-
 def family_j(r_threshold: float, eps_param: float, r):
     """Potential of the piecewise-linear family: ((|r|-r_threshold)^+)^2/(2 eps^2)."""
     excess = np.maximum(np.abs(r) - r_threshold, 0.0)
@@ -142,15 +134,13 @@ def family_scalar(r_threshold: float, eps_param: float):
 
 
 def eval_j(graph: MonotoneGraph, r):
-    """Evaluate the convex potential j; +inf outside the domain, j(0) = 0."""
+    """Evaluate the convex potential j; +inf outside the domain, j(0) = 0.
+
+    One array form per kind: a float ``r`` gives a 0-d array."""
     if graph.kind == GraphKind.INDICATOR:
-        if np.isscalar(r):
-            return 0.0 if abs(r) <= 1.0 else math.inf
         r = np.asarray(r, dtype=float)
         return np.where(np.abs(r) <= 1.0, 0.0, math.inf)
     if graph.kind == GraphKind.LOGARITHMIC:
-        if np.isscalar(r):
-            return _log_j_scalar(float(r))
         r = np.asarray(r, dtype=float)
         out = np.full(r.shape, math.inf)
         inner = np.abs(r) < 1.0
@@ -270,21 +260,17 @@ def _log_resolvent(r, epsilon, tol=1e-12, max_iter=200):
 
 
 def resolvent(pot: RegularizedPotential, r):
-    """The unique x with x + epsilon*beta(x) containing r; x in [-1, 1] closure."""
-    eps = pot.epsilon
+    """The unique x with x + epsilon*beta(x) containing r; x in [-1, 1] closure.
+
+    For the indicator and logarithmic graphs, the two the solver
+    regularizes; ValueError for the family, which it uses as it stands.
+    """
     kind = pot.graph.kind
     if kind == GraphKind.INDICATOR:
         return np.minimum(np.maximum(r, -1.0), 1.0)
-    if kind == GraphKind.LOGARITHMIC:
-        x = _log_resolvent(r, eps)[0]
-        return float(x) if np.isscalar(r) else x
-    rt, ep = pot.graph.r_threshold, pot.graph.eps_param
-    # piecewise-linear graph: solve each branch in closed form
-    e2 = ep * ep
-    r_arr = np.asarray(r, dtype=float)
-    upper = (e2 * r_arr + eps * rt) / (e2 + eps)
-    lower = (e2 * r_arr - eps * rt) / (e2 + eps)
-    x = np.where(r_arr > rt, upper, np.where(r_arr < -rt, lower, r_arr))
+    if kind != GraphKind.LOGARITHMIC:
+        raise ValueError(f"no resolvent for the {kind.value} graph")
+    x = _log_resolvent(r, pot.epsilon)[0]
     return float(x) if np.isscalar(r) else x
 
 
@@ -297,17 +283,12 @@ def yosida_and_derivative(pot: RegularizedPotential, r):
     """``yosida(r)`` and its a.e. derivative (kinks resolved actively) from a
     single resolvent solve; two Python floats for a float ``r``."""
     eps = pot.epsilon
-    kind = pot.graph.kind
-    if kind == GraphKind.LOGARITHMIC:
+    if pot.graph.kind == GraphKind.LOGARITHMIC:
         x, d = _log_resolvent(r, eps)
         y, dy = (r - x) / eps, d / (1.0 + eps * d)
     else:
         y = (r - resolvent(pot, r)) / eps
-        if kind == GraphKind.INDICATOR:
-            edge, slope = 1.0, 1.0 / eps
-        else:
-            edge, slope = pot.graph.r_threshold, 1.0 / (pot.graph.eps_param ** 2 + eps)
-        dy = np.where(np.abs(r) >= edge, slope, 0.0)
+        dy = np.where(np.abs(r) >= 1.0, 1.0 / eps, 0.0)
     return (float(y), float(dy)) if np.isscalar(r) else (y, dy)
 
 
@@ -330,7 +311,7 @@ def moreau(pot: RegularizedPotential, r):
     """Moreau envelope min_s [ j(s) + (r-s)^2/(2 eps) ].
 
     Computed through the resolvent identity j(x*) + eps*yosida(r)^2/2,
-    which is exact for every kind here.
+    which is exact for the indicator and logarithmic graphs.
     """
     x = resolvent(pot, r)
     y = (r - x) / pot.epsilon

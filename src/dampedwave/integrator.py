@@ -74,9 +74,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, profile_field
 from .errors import ConfigError, NewtonDiverged, RunError, StepRejected, TimeNotOnGrid
-from .graphs import Reaction
+from .graphs import Reaction, limit_j
 from .grid import Grid, edge_inner, factor_banded, laplacian_banded, solve_banded
 
 _DIVERGENCE_FACTOR = 1e8
@@ -310,10 +310,18 @@ def _check_run_size(cfg: SimConfig) -> None:
 
 def _check_initial_energy(cfg: SimConfig, grid, reaction, u0, v0) -> None:
     """ConfigError naming ``init`` unless the initial data have a finite
-    regularized energy E_eps(u0, u1), the hypothesis of the existence
-    result; the overflow that makes it infinite is not warned about.  The
-    error names the terms that are not finite, or the total if only their
-    sum overflows, so that +inf and -inf terms do not read as nan."""
+    regularized energy E_eps(u0, u1) and a finite physical energy E(u0, u1),
+    the hypothesis of the existence result.
+
+    E_eps is checked first, on the data the run starts from; the overflow
+    that makes it infinite is not warned about.  The error names the terms
+    that are not finite, or the total if only their sum overflows, so that
+    +inf and -inf terms do not read as nan.  E takes the limit potential j
+    (``graphs.limit_j``) of the u0 profile before it is smoothed; on a grid
+    its other terms are finite, so E is finite exactly when j(u0) is at
+    every node (|u0| <= 1 for all three graphs).  The error gives the
+    largest |u0| and its node.
+    """
     from .energy import energy  # energy imports this module
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,6 +331,12 @@ def _check_initial_energy(cfg: SimConfig, grid, reaction, u0, v0) -> None:
         terms = [f"{name} = {x}" for name, x in vars(e).items() if not math.isfinite(x)]
         shown = ", ".join(terms or [f"total = {total}"])
         raise ConfigError("init", f"the initial energy E_eps(u0, u1) is not finite: {shown}")
+    u0 = profile_field(grid, cfg.u0)
+    if not np.all(np.isfinite(limit_j(cfg.graph(), u0))):
+        i = int(np.argmax(np.abs(u0)))
+        raise ConfigError(
+            "init", f"the physical energy E(u0, u1) is not finite: |u0| = {float(abs(u0[i]))!r} at node {i}"
+        )
 
 
 def simulate(cfg: SimConfig) -> Trajectory:

@@ -15,8 +15,9 @@ passage is a harmonic half-arch in closed form:
 
 Both refuse evaluation beyond their derivation window instead of
 composing further events.  The module also samples phase-plane level
-sets.  The limit trajectory of the hard constraint (free flight and
-velocity jumps at the walls) is a test oracle in ``tests/oracles.py``.
+sets of the envelope potential.  The limit trajectory of the hard
+constraint (free flight and velocity jumps at the walls) and the level
+sets of a limit potential are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfValidityWindow
-from .graphs import MonotoneGraph, RegularizedPotential, eval_j, moreau
+from .graphs import RegularizedPotential, moreau
 
 
 def exact_family_toy(r_threshold: float, eps_param: float, t: float):
@@ -72,37 +73,31 @@ class LevelSet:
     connected: bool
 
 
-def phase_level_set(pot, c: float, n_samples: int = 200) -> LevelSet:
-    """Sample {j(u) + v^2/2 = c} and report whether it is one closed curve.
+def phase_level_set(pot: RegularizedPotential, c: float, n_samples: int = 200) -> LevelSet:
+    """Sample {j_eps(u) + v^2/2 = c} for the envelope potential j_eps of
+    ``pot`` and report whether it is one closed curve (``_level_set``)."""
+    return _level_set(lambda u: float(moreau(pot, float(u))), c, _envelope_reach(pot, c), n_samples)
 
-    ``pot`` is a RegularizedPotential (envelope potential) or a bare
-    MonotoneGraph (limit potential).  The set splits into a +v and a -v
-    branch; they join into a single closed curve exactly when the
-    potential climbs to c before the domain boundary, which fails for
-    the hard constraint whenever c > 0 (and for the logarithmic graph
-    once c exceeds the boundary value of j).
+
+def _level_set(jfun, c: float, u_cap: float, n_samples: int) -> LevelSet:
+    """Sample {j(u) + v^2/2 = c} for an even potential ``jfun`` that is
+    nondecreasing on [0, u_cap] and report whether it is one closed curve.
+
+    The set splits into a +v and a -v branch; they join into a single
+    closed curve exactly when the potential climbs to c before u_cap,
+    which fails for the limit of the hard constraint (u_cap = 1) whenever
+    c > 0, and never for an envelope potential.
     """
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-
-    if isinstance(pot, RegularizedPotential):
-        jfun = lambda u: float(moreau(pot, float(u)))
-        u_cap = _envelope_reach(pot, c)
-    elif isinstance(pot, MonotoneGraph):
-        jfun = lambda u: float(eval_j(pot, float(u)))
-        u_cap = 1.0
-    else:
-        raise TypeError("pot must be a RegularizedPotential or MonotoneGraph")
-
     u_max = _bisect_level(jfun, c, u_cap)
     us = np.linspace(-u_max, u_max, n_samples)
     js = np.array([jfun(u) for u in us])
     v = np.sqrt(np.maximum(2.0 * (c - js), 0.0))
     upper = np.column_stack([us, v])
     lower = np.column_stack([us[::-1], -v[::-1]])
-    if c == 0.0:
-        return LevelSet(c, (upper,), True)
-    # branches meet iff v -> 0 at both extreme u values
+    # branches meet iff v -> 0 at both extreme u values (at c = 0 the two
+    # coincide on the segment v = 0)
     tip = math.sqrt(2.0 * max(c - jfun(u_max), 0.0))
     connected = tip <= 1e-6 * math.sqrt(2.0 * c)
     return LevelSet(c, (upper, lower), connected)
@@ -119,9 +114,10 @@ def _envelope_reach(pot: RegularizedPotential, c: float) -> float:
 
 
 def _bisect_level(jfun, c: float, u_cap: float) -> float:
-    """Largest u in [0, u_cap] with j(u) <= c (j even and nondecreasing)."""
-    if jfun(u_cap) <= c:
-        return u_cap
+    """Largest u in [0, u_cap] with j(u) <= c (j even and nondecreasing).
+    If j(u_cap) <= c, the bisection climbs to u_cap itself when u_cap is a
+    power of two, as the 1 of a limit potential is (the midpoint of 1 and
+    the float below it rounds to 1)."""
     lo, hi = 0.0, u_cap
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -13,9 +13,10 @@ separable products) with exact time derivatives, which keeps numerical
 differentiation out of the weak-residual error budget.  Spatial
 gradient pairings use the discrete summation-by-parts form, so the
 recorded solution satisfies the discrete weak identity up to pure
-time-sampling error of order dt.  The terms of a residual that depend
-on phi only through its spatial factor are computed once per factor
-(SpacePairings) and shared by the functions of a dictionary.
+time-sampling error of order dt.  ``weak_residual`` takes the whole
+dictionary: the terms of a residual that depend on phi only through its
+spatial factor are built once per distinct factor, shared by the
+functions with that factor and then dropped.
 
 The subdifferential slack of a candidate v is
 
@@ -25,8 +26,8 @@ one dot product per candidate with <xi, u> taken once.  When the limit
 potential is the indicator of [-1, 1] the mass weights are positive, so
 J(u) of the clipped trajectory is exactly 0 and J(v) is 0 or +inf as
 max|v| is at most 1 or not; only the logarithmic limit integrates J.
-The seeded candidates are separable, v = tau (x) sigma, and are kept as
-their two factors (SeparableCandidate).
+Every candidate is separable, v = tau (x) sigma, and is kept as its two
+factors (SeparableCandidate), so its pairing is tau @ (masses @ sigma).
 
 The measure is not stored as an array: a run's XiMeasure holds the run's
 own per-step records and forms the masses of a row block only when a check
@@ -154,29 +155,22 @@ def default_dictionary(grid: Grid, T: float) -> list[TestFunction]:
         TimeProfile("reverse", T),
         TimeProfile("hat", T, center=0.5 * T, halfwidth=0.25 * T),
     ]
+    L = grid.length
     if grid.is_homogeneous:
-        spaces = [SpaceProfile("one", grid.length)]
+        spaces = [SpaceProfile("one", L)]
     else:
         spaces = [
-            SpaceProfile("sin", grid.length, k=1),
-            SpaceProfile("sin", grid.length, k=2),
+            SpaceProfile("sin", L, k=1),
+            SpaceProfile("sin", L, k=2),
+            SpaceProfile("hat", L, center=0.5 * L, halfwidth=0.25 * L),
         ]
         if grid.bc != DIRICHLET:
-            spaces = [
-                SpaceProfile("one", grid.length),
-                SpaceProfile("cos", grid.length, k=1),
-            ] + spaces
-    if not grid.is_homogeneous:
-        spaces.append(
-            SpaceProfile(
-                "hat", grid.length, center=0.5 * grid.length, halfwidth=0.25 * grid.length
-            )
-        )
-    out = []
-    for tp in times:
-        for sp in spaces:
-            out.append(TestFunction(tp, sp, name=f"{tp.kind}*{sp.kind}{sp.k if sp.kind in ('sin', 'cos') else ''}"))
-    return out
+            spaces = [SpaceProfile("one", L), SpaceProfile("cos", L, k=1)] + spaces
+    return [
+        TestFunction(tp, sp, name=f"{tp.kind}*{sp.kind}{sp.k if sp.kind in ('sin', 'cos') else ''}")
+        for tp in times
+        for sp in spaces
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,70 +283,60 @@ def accumulate_xi(traj: Trajectory) -> XiMeasure:
 # weak-form residual
 
 
-@dataclass(frozen=True)
-class _SpaceTerms:
-    """The terms of weak_residual that depend on phi only through S = phi.space."""
+def _pair_xi(xi: XiMeasure, spaces, n_end: int) -> list:
+    """masses[:n_end] @ S for the factor S of each of ``spaces``, in one pass
+    over row blocks that forms each block of masses once."""
+    Ss = [space.value(xi.x) for space in spaces]
 
-    v_dot_S: np.ndarray  # theta-combined (v, S) per step
-    u_dot_S: np.ndarray  # theta-combined (u, S) per step
-    v_first: float  # (u_t(0), S)
-    v_last: float  # (u_t(t_end), S)
-    edge: np.ndarray | None  # theta-combined grad pairings; None on one node
-    xi_S: np.ndarray  # reaction mass per cell paired with S
-    g_S: np.ndarray | None  # theta-combined (g, S); None without forcing
+    def pair(cells):
+        m = xi.rows(cells)
+        return np.stack([m @ S for S in Ss], axis=1)
+
+    per_cell = map_blocks(n_end, xi.shape[1], pair)
+    return [np.ascontiguousarray(c) for c in per_cell.T]
 
 
-class SpacePairings:
-    """Memo of weak_residual's spatial terms for one (traj, xi).
+def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[float]:
+    """Residuals of the integrated weak identity over (0, t_end), one per
+    test function of ``phis``, in their order.
 
-    A battery tests a dozen or more functions that share a few spatial
-    factors.  Passing one instance to each of its weak_residual calls
-    pairs the states and the forcing with every distinct factor once, with
-    the operations of a lone call.  The gradient, forcing and reaction
-    pairings are taken over row blocks, so no array the size of the run is
-    built; the reaction's, masses @ S, has the bits of the whole-array
-    product on one BLAS thread, as the blocks have a multiple of
-    ``integrator.GEMV_ROWS`` rows.  The reaction pairings over the whole run
-    of the factors ``spaces`` are taken together, in one pass that forms
-    each block of masses once.
+    All pairings use the theta-weighted step quadrature the integrator
+    used, so a residual decays like C*dt under step refinement.  Every
+    pairing is linear in the states: each recorded state is paired with a
+    function's spatial factor S, then the per-record values are
+    theta-combined.  The terms that depend on phi only through S are built
+    once per distinct factor, used by every function with that factor and
+    dropped.  The reaction is paired with all the distinct factors in one
+    pass (``_pair_xi``).  The gradient, forcing and reaction pairings are
+    taken over row blocks, so no array the size of the run is built; the
+    reaction's, masses @ S, has the bits of the whole-array product on one
+    BLAS thread, as the blocks have a multiple of ``integrator.GEMV_ROWS``
+    rows.
     """
+    phis = list(phis)
+    for phi in phis:
+        if not phi.admissible_for(traj.grid.bc):
+            raise InadmissibleTestFunction(
+                f"{phi.name or phi}: spatial factor not admissible for {traj.grid.bc}"
+            )
+    n_end = traj.time_index(t_end)
+    if n_end == 0:
+        raise TimeNotOnGrid("t_end must be positive")
+    if not phis:
+        return []
 
-    def __init__(self, traj: Trajectory, xi: XiMeasure, spaces=()):
-        self.traj, self.xi = traj, xi
-        self._terms = {}
-        self._xi_S = {}  # (space, n_end) -> masses[:n_end] @ S, taken ahead
-        spaces = list(dict.fromkeys(spaces))
-        if spaces:
-            n = traj.n_steps
-            self._xi_S = {(s, n): c for s, c in zip(spaces, self._pair_xi(spaces, n))}
-
-    def _pair_xi(self, spaces, n_end: int) -> list:
-        """masses[:n_end] @ S for the factor S of each of ``spaces``, in one pass."""
-        xi = self.xi
-        Ss = [space.value(xi.x) for space in spaces]
-
-        def pair(cells):
-            m = xi.rows(cells)
-            return np.stack([m @ S for S in Ss], axis=1)
-
-        per_cell = map_blocks(n_end, xi.shape[1], pair)
-        return [np.ascontiguousarray(c) for c in per_cell.T]
-
-    def terms(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
-        key = (space, n_end)
-        if key not in self._terms:
-            self._terms[key] = self._build(space, n_end)
-        return self._terms[key]
-
-    def _build(self, space: SpaceProfile, n_end: int) -> _SpaceTerms:
-        traj, grid = self.traj, self.traj.grid
-        xi_S = self._xi_S.pop((space, n_end), None)
-        if xi_S is None:
-            xi_S = self._pair_xi([space], n_end)[0]
+    grid, dt, lam = traj.grid, traj.dt, traj.cfg.lam
+    times = traj.times[: n_end + 1]
+    U, V = traj.U[: n_end + 1], traj.V[: n_end + 1]
+    spaces = list(dict.fromkeys(phi.space for phi in phis))
+    xi_S = dict(zip(spaces, _pair_xi(xi, spaces, n_end)))
+    residuals = [0.0] * len(phis)
+    for space in spaces:
         S = space.value(grid.x)
         wS = grid.mass_weights * S
-        U = traj.U[: n_end + 1]
-        V = traj.V[: n_end + 1]
+        v_dot_S = traj.theta_combine(V @ wS)
+        u_dot_S = traj.theta_combine(U @ wS)
+        xi_space = xi_S.pop(space)
         edge = g_S = None
         if not grid.is_homogeneous:  # summation-by-parts form
             edge = traj.theta_combine(
@@ -360,71 +344,30 @@ class SpacePairings:
             )
         if traj.forcing is not None:
             g_S = np.full(n_end, np.vecdot(traj.forcing_theta, wS))
-        return _SpaceTerms(
-            v_dot_S=traj.theta_combine(V @ wS),
-            u_dot_S=traj.theta_combine(U @ wS),
-            v_first=float(np.dot(wS, V[0])),
-            v_last=float(np.dot(wS, V[n_end])),
-            edge=edge,
-            xi_S=xi_S,
-            g_S=g_S,
-        )
-
-
-def weak_residual(
-    traj: Trajectory,
-    xi: XiMeasure,
-    phi: TestFunction,
-    t_end: float,
-    pairings: SpacePairings | None = None,
-) -> float:
-    """Residual of the integrated weak identity over (0, t_end).
-
-    All pairings use the theta-weighted step quadrature the integrator
-    used, so the residual decays like C*dt under step refinement.
-    ``pairings``, built on the same traj and xi, shares the spatial
-    terms between calls; the residual does not depend on it.
-    """
-    if not phi.admissible_for(traj.grid.bc):
-        raise InadmissibleTestFunction(
-            f"{phi.name or phi}: spatial factor not admissible for {traj.grid.bc}"
-        )
-    n_end = traj.time_index(t_end)
-    if n_end == 0:
-        raise TimeNotOnGrid("t_end must be positive")
-    if pairings is None:
-        pairings = SpacePairings(traj, xi)
-    elif pairings.traj is not traj or pairings.xi is not xi:
-        raise ValueError("pairings were built for another trajectory or measure")
-
-    dt = traj.dt
-    lam = traj.cfg.lam
-    times = traj.times[: n_end + 1]
-
-    # every pairing is linear in the states: pair each recorded state with
-    # phi's spatial factor, then theta-combine the per-record values
-    p = pairings.terms(phi.space, n_end)
-    Tv = phi.time.value(times)
-    T_th = traj.theta_combine(Tv)
-    Td_th = traj.theta_combine(phi.time.dvalue(times))
-
-    # -<<u_t, phi_t>>
-    acc = -dt * float(np.dot(Td_th, p.v_dot_S))
-    # + (u_t(t_end), phi(t_end))
-    acc += float(Tv[-1]) * p.v_last
-    # + <<grad u_t, grad phi>> + <<grad u, grad phi>>
-    if p.edge is not None:
-        acc += dt * float(np.dot(T_th, p.edge))
-    # + int phi d(xi)
-    acc += float(np.dot(phi.time.value(xi.t_eval[:n_end]), p.xi_S))
-    # - lambda <<u, phi>>
-    acc -= lam * dt * float(np.dot(T_th, p.u_dot_S))
-    # - (u_1, phi(0))
-    acc -= float(Tv[0]) * p.v_first
-    # - <<g, phi>>
-    if p.g_S is not None:
-        acc -= dt * float(np.dot(T_th, p.g_S))
-    return abs(acc)
+        for i, phi in enumerate(phis):
+            if phi.space != space:
+                continue
+            Tv = phi.time.value(times)
+            T_th = traj.theta_combine(Tv)
+            Td_th = traj.theta_combine(phi.time.dvalue(times))
+            # -<<u_t, phi_t>>
+            acc = -dt * float(np.dot(Td_th, v_dot_S))
+            # + (u_t(t_end), phi(t_end))
+            acc += float(Tv[-1]) * float(np.dot(wS, V[n_end]))
+            # + <<grad u_t, grad phi>> + <<grad u, grad phi>>
+            if edge is not None:
+                acc += dt * float(np.dot(T_th, edge))
+            # + int phi d(xi)
+            acc += float(np.dot(phi.time.value(xi.t_eval[:n_end]), xi_space))
+            # - lambda <<u, phi>>
+            acc -= lam * dt * float(np.dot(T_th, u_dot_S))
+            # - (u_1, phi(0))
+            acc -= float(Tv[0]) * float(np.dot(wS, V[0]))
+            # - <<g, phi>>
+            if g_S is not None:
+                acc -= dt * float(np.dot(T_th, g_S))
+            residuals[i] = abs(acc)
+    return residuals
 
 
 def solution_identity_residual(
@@ -481,15 +424,13 @@ def solution_identity_residual(
 
 @dataclass(frozen=True)
 class SubdiffEntry:
-    index: int
     slack: float
     passed: bool
 
 
 @dataclass(frozen=True)
 class SubdiffReport:
-    tol: float
-    entries: tuple
+    entries: tuple  # one SubdiffEntry per candidate, in the order given
 
     @property
     def all_pass(self) -> bool:
@@ -509,24 +450,24 @@ def subdifferential_check(
     constraint and for the piecewise-linear family): it vanishes on
     admissible candidates and on the trajectory, whose excursions
     outside [-1,1] are O(sqrt(eps)) regularization overshoot.
-    Candidates are per-step-by-node samples at the scheme's evaluation
-    points, must lie in [-1, 1], and for Dirichlet runs represent
-    interior values (their boundary trace is zero by convention).
+    Candidates are ``SeparableCandidate``s, as ``iter_random_candidates``
+    draws them: per-step-by-node samples at the scheme's evaluation
+    points, in [-1, 1], which for Dirichlet runs represent interior values
+    (their boundary trace is zero by convention).
 
-    A candidate is an (n_steps, n_nodes) array or a ``SeparableCandidate``.
-    Each costs one pairing and, for an indicator limit, no potential
-    integral (see the module docstring).  The candidates are taken in
-    groups of ``2 * block_columns(n_steps)``: a group's per-step pairings
-    take at most two blocks and its factors tau at most two more (pairing
-    the battery's 20 in one group lifted the post-run peak of ``simulate``
-    on ``configs/dirichlet_sine.yaml`` from 0.20 to 0.26 of u).  Each group is
-    paired in one pass over row blocks of the measure
-    (``Trajectory.step_values``), which forms each block of masses once
-    for the whole group: per step, <xi, v> for each candidate, a separable
-    one as masses @ sigma, so that its pairing is tau @ (masses @ sigma),
-    and on the first pass <xi, u>.  A separable candidate has max|v| =
-    max|tau| * max|sigma| (``SeparableCandidate.max_abs``), so neither it
-    nor theta-combined u is built.
+    Each candidate costs one pairing and, for an indicator limit, no
+    potential integral (see the module docstring).  The candidates are
+    taken in groups of ``2 * block_columns(n_steps)``: a group's per-step
+    pairings take at most two blocks and its factors tau at most two more
+    (pairing the battery's 20 in one group lifted the post-run peak of
+    ``simulate`` on ``configs/dirichlet_sine.yaml`` from 0.20 to 0.26 of
+    u).  Each group is paired in one pass over row blocks of the measure
+    (``Trajectory.step_values``), which forms each block of masses once for
+    the whole group: per step, masses @ sigma for each candidate, so that
+    its pairing is tau @ (masses @ sigma), and on the first pass <xi, u>.
+    A candidate has max|v| = max|tau| * max|sigma|
+    (``SeparableCandidate.max_abs``), so neither it nor theta-combined u
+    is built.
     """
     graph = traj.reaction.graph
     indicator = limit_is_indicator(graph)
@@ -544,43 +485,29 @@ def subdifferential_check(
     entries = []
     candidates = iter(candidates)
     while group := list(itertools.islice(candidates, 2 * block_columns(traj.n_steps))):
-        taken = []
-        for v in group:
-            idx = len(entries) + len(taken)
-            if not isinstance(v, SeparableCandidate):
-                v = np.asarray(v, dtype=float)
+        for idx, v in enumerate(group, len(entries)):
             if v.shape != shape:
                 raise InadmissibleCandidate(f"candidate {idx}: shape {v.shape} != {shape}")
-            v_max = v.max_abs if isinstance(v, SeparableCandidate) else _max_abs(v)
-            if v_max > 1.0 + 1e-12:
+            if v.max_abs > 1.0 + 1e-12:
                 raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
-            taken.append((v, v_max))
 
         def pairings(steps, *u):
-            # columns: <xi, u> if u is given, then <xi, v> per candidate
+            # columns: <xi, u> if u is given, then masses @ sigma per candidate
             m = xi.rows(steps)
-            return np.stack([np.vecdot(m, q) for q in u] + [
-                m @ v.sigma if isinstance(v, SeparableCandidate) else np.vecdot(m, v[steps])
-                for v, _ in taken
-            ], axis=1)
+            return np.stack([np.vecdot(m, q) for q in u] + [m @ v.sigma for v in group], axis=1)
 
         per_step = traj.step_values(pairings, *([traj.U] if xi_u is None else []))
         if xi_u is None:
             xi_u, per_step = float(np.sum(per_step[:, 0])), per_step[:, 1:]
-        for c, (v, v_max) in enumerate(taken):
-            if isinstance(v, SeparableCandidate):
-                rows = v.rows
-                xi_v = float(v.tau @ np.ascontiguousarray(per_step[:, c]))
-            else:
-                rows = v.__getitem__
-                xi_v = float(np.sum(per_step[:, c]))
+        for c, v in enumerate(group):
+            xi_v = float(v.tau @ np.ascontiguousarray(per_step[:, c]))
             if indicator:
-                jv = 0.0 if v_max <= 1.0 else math.inf
+                jv = 0.0 if v.max_abs <= 1.0 else math.inf
             else:
-                jv = J(rows)
+                jv = J(v.rows)
             slack = jv - ju - (xi_v - xi_u)
-            entries.append(SubdiffEntry(len(entries), slack, slack >= -tol))
-    return SubdiffReport(tol, tuple(entries))
+            entries.append(SubdiffEntry(slack, slack >= -tol))
+    return SubdiffReport(tuple(entries))
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -590,11 +517,10 @@ def _max_abs(v: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SeparableCandidate:
-    """The candidate v[k, i] = tau[k] * sigma[i], kept as its two factors.
-
-    ``np.asarray`` gives the outer product, so it serves wherever an array
-    candidate does; ``subdifferential_check`` uses the factors.
-    """
+    """The candidate v[k, i] = tau[k] * sigma[i], kept as its two factors:
+    they take n_steps + n_nodes floats, where the array takes their
+    product.  ``rows(steps)`` forms the rows of v that a potential
+    integral asks for; nothing forms the whole array."""
 
     tau: np.ndarray
     sigma: np.ndarray
@@ -613,15 +539,10 @@ class SeparableCandidate:
         """The candidate's rows ``steps``."""
         return np.outer(self.tau[steps], self.sigma)
 
-    def __array__(self, dtype=None, copy=None):
-        v = np.outer(self.tau, self.sigma)
-        return v if dtype is None else v.astype(dtype, copy=False)
-
 
 def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
     """Seeded admissible candidates, products of piecewise-linear factors,
-    drawn one at a time, each as a ``SeparableCandidate``: its two factors
-    take n_steps + n_nodes floats, where the array takes their product."""
+    drawn one at a time, each as a ``SeparableCandidate``."""
     t_eval = traj.theta_combine(traj.times)
     x = traj.grid.x
     for _ in range(n):

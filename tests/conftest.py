@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
+from dampedwave import graphs
+from dampedwave.graphs import GraphKind
+from tests import oracles
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -19,6 +22,14 @@ def toy_config(epsilon, T=2.0, dt_divisor=100.0, theta=0.5, **kw):
     )
     base.update(kw)
     return dw.SimConfig(**base)
+
+
+def transforms(graph):
+    """The module whose ``resolvent``, ``yosida``, ``yosida_and_derivative``
+    and ``moreau`` serve ``graph``: the package's, or for the
+    piecewise-linear family, which the solver uses as it stands, the
+    closed forms in ``tests/oracles.py``."""
+    return oracles if graph.kind == GraphKind.FAMILY else graphs
 
 
 @pytest.fixture(scope="session")

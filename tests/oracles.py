@@ -4,8 +4,10 @@ No command runs these: the closed-form limit toy and its weak identity,
 the D(A) regularity audit, the static boundary-atom example, restriction
 compatibility of the reaction measure and its helpers, the grid's L2
 inner product and norms, the energy-equality residual between two times,
-a one-step entry point and a per-step reference driver.  The tests check
-the package against them.
+a one-step entry point and a per-step reference driver, the resolvent
+transforms of the piecewise-linear family, the level sets of a limit
+potential, and the scheme's dead-zone steps solved mode by mode.  The
+tests check the package against them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from dampedwave.errors import (
     OutOfValidityWindow,
     TimeNotOnGrid,
 )
-from dampedwave.grid import Field, Grid, edge_inner
+from dampedwave.graphs import MonotoneGraph, RegularizedPotential, eval_j
+from dampedwave.grid import DIRICHLET, Field, Grid, edge_inner
 from dampedwave.integrator import Trajectory, _kernel, _resolve_steps, simulate
 from dampedwave.sweep import RATIO_THRESHOLD, _sup_Au, default_dt_policy, uniform_ratio
+from dampedwave.toy import LevelSet, _level_set
 from dampedwave.weaklimit import TestFunction, XiMeasure
 
 # ---------------------------------------------------------------------------
@@ -322,3 +326,96 @@ def stepwise_run(cfg: SimConfig):
         B.append(beta)
         iters.append(it)
     return np.array(U), np.array(V), np.array(B), np.array(iters, dtype=int)
+
+
+# ---------------------------------------------------------------------------
+# the resolvent transforms of the piecewise-linear family, which the solver
+# uses as it stands; ``tests.conftest.transforms`` picks these for it
+
+
+def resolvent(pot: RegularizedPotential, r):
+    """The family's resolvent: the unique x with x + epsilon*beta(x) = r,
+    in closed form on each of the three linear branches."""
+    g, eps = pot.graph, pot.epsilon
+    rt, e2 = g.r_threshold, g.eps_param * g.eps_param
+    r_arr = np.asarray(r, dtype=float)
+    upper = (e2 * r_arr + eps * rt) / (e2 + eps)
+    lower = (e2 * r_arr - eps * rt) / (e2 + eps)
+    x = np.where(r_arr > rt, upper, np.where(r_arr < -rt, lower, r_arr))
+    return float(x) if np.isscalar(r) else x
+
+
+def yosida(pot: RegularizedPotential, r):
+    """(r - resolvent(r))/epsilon, ``graphs.yosida``'s formula."""
+    return (r - resolvent(pot, r)) / pot.epsilon
+
+
+def yosida_and_derivative(pot: RegularizedPotential, r):
+    """``yosida`` and its a.e. derivative, the kinks resolved toward the
+    active side; two Python floats for a float ``r``."""
+    g = pot.graph
+    y = yosida(pot, r)
+    dy = np.where(np.abs(r) >= g.r_threshold, 1.0 / (g.eps_param ** 2 + pot.epsilon), 0.0)
+    return (float(y), float(dy)) if np.isscalar(r) else (y, dy)
+
+
+def moreau(pot: RegularizedPotential, r):
+    """j(x*) + eps*yosida(r)^2/2, ``graphs.moreau``'s formula."""
+    y = yosida(pot, r)
+    return eval_j(pot.graph, resolvent(pot, r)) + 0.5 * pot.epsilon * y * y
+
+
+def limit_level_set(graph: MonotoneGraph, c: float, n_samples: int = 200) -> LevelSet:
+    """``toy.phase_level_set`` for the limit potential j of ``graph``, whose
+    domain is [-1, 1], in place of an envelope potential."""
+    return _level_set(lambda u: float(eval_j(graph, float(u))), c, 1.0, n_samples)
+
+
+# ---------------------------------------------------------------------------
+# the discrete modal solution of dead-zone steps
+
+
+def modal_states(cfg: SimConfig, u0: np.ndarray, v0: np.ndarray, n_steps: int) -> np.ndarray:
+    """The states u of ``n_steps`` steps of the theta-scheme from (u0, v0)
+    in which the reaction is 0 at every node, one row per state.
+
+    Then the scheme is linear: the theta-method on y' = M_k y + (0, g_k)
+    for each eigenpair (mu_k, phi_k) of ``grid.apply_A``, with
+    M_k = [[0, 1], [lambda - mu_k, -mu_k]], y = (u_k, v_k) the mode's
+    coefficients and g_k the forcing's.  The eigenvectors are
+    sin(k pi i/(n+1)) with mu_k = (4/h^2) sin^2(k pi/(2(n+1))), k = 1..n, on
+    the Dirichlet grid's interior nodes i = 1..n, and cos(k pi i/(n-1)) with
+    mu_k = (4/h^2) sin^2(k pi/(2(n-1))), k = 0..n-1, on the Neumann nodes
+    i = 0..n-1.  Both sets are orthogonal in the mass-weighted inner
+    product, which projects a field onto them.  Each step solves
+    (I - theta dt M_k) y+ = (I + (1-theta) dt M_k) y + dt (0, g_k).
+    """
+    grid = cfg.grid()
+    n, w = grid.n_nodes, grid.mass_weights
+    if grid.bc == DIRICHLET:
+        k, m = np.arange(1, n + 1), n + 1
+        modes = np.sin(np.pi / m * np.outer(k, k))
+    else:
+        k, m = np.arange(n), n - 1
+        modes = np.cos(np.pi / m * np.outer(k, k))
+    mu = 4.0 / grid.h**2 * np.sin(k * np.pi / (2 * m)) ** 2
+
+    def project(f):
+        return (modes * w) @ f / ((modes * modes) @ w)
+
+    g = cfg.forcing_field(grid)
+    f = np.zeros((n, 2))
+    if g is not None:
+        f[:, 1] = cfg.dt * project(g)
+    M = np.zeros((n, 2, 2))
+    M[:, 0, 1], M[:, 1, 0], M[:, 1, 1] = 1.0, cfg.lam - mu, -mu
+    implicit = np.eye(2) - cfg.theta * cfg.dt * M
+    step = np.linalg.solve(implicit, np.eye(2) + (1.0 - cfg.theta) * cfg.dt * M)
+    shift = np.linalg.solve(implicit, f[:, :, None])[:, :, 0]
+    y = np.column_stack([project(u0), project(v0)])
+    coefficients = np.empty((n_steps + 1, n))
+    coefficients[0] = y[:, 0]
+    for s in range(n_steps):
+        y = np.einsum("nij,nj->ni", step, y) + shift
+        coefficients[s + 1] = y[:, 0]
+    return coefficients @ modes

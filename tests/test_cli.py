@@ -183,6 +183,13 @@ GRID_DOC = {
 }
 
 
+# configs/neumann_contact.yaml on 9 nodes
+NEUMANN_CONTACT_9 = {
+    **yaml.safe_load((Path(__file__).parent.parent / "configs" / "neumann_contact.yaml").read_text()),
+    "space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
+}
+
+
 @pytest.fixture(scope="module")
 def grid_run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_grid")
@@ -447,6 +454,40 @@ class TestMalformedConfigExits2:
         err = capsys.readouterr().err
         assert err == f"error: init: the initial energy E_eps(u0, u1) is not finite: {terms}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "graph, c",
+        [({"kind": "indicator", "epsilon": 1e-3}, "1.5"),
+         ({"kind": "indicator", "epsilon": 1e-3}, "2"),
+         ({"kind": "logarithmic", "epsilon": 1e-3}, "1.5"),
+         ({"kind": "family", "r_threshold": 0.9, "eps_param": 0.1}, "1.01")],
+        ids=["indicator_1.5", "indicator_2", "logarithmic", "family"],
+    )
+    def test_initial_data_outside_the_constraint_name_init(self, tmp_path, capsys, graph, c):
+        """The existence result asks for a finite physical energy, with the
+        limit potential j: u0 = c > 1 has j(u0) = inf, though its regularized
+        energy is finite and the run would pass every check.  It exits 2 with
+        one error line naming ``init``, the largest |u0| and its node."""
+        doc = {**NEUMANN_CONTACT_9, "graph": graph, "init": {"u0": f"constant:{c}", "u1": "constant:1"}}
+        self._assert_config_error(tmp_path, doc, "init")
+        assert capsys.readouterr().err == (
+            f"error: init: the physical energy E(u0, u1) is not finite: |u0| = {float(c)!r} at node 0\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_value_outside_the_constraint_is_named_with_its_node(self, tmp_path, capsys):
+        doc = {**NEUMANN_CONTACT_9, "init": {"u0": {"array": [0, 0.5, -1.25, 1, 0, 0, 1.5, -2, 0]}}}
+        self._assert_config_error(tmp_path, doc, "init")
+        assert capsys.readouterr().err.endswith("|u0| = 2.0 at node 7\n")
+
+    @pytest.mark.parametrize("u0", ["constant:1", "constant:-1", "cosine:1:1"])
+    def test_initial_data_on_the_constraint_run(self, tmp_path, u0):
+        """|u0| = 1 has a finite physical energy: such data run."""
+        doc = {**NEUMANN_CONTACT_9, "time": {"T": 0.1, "dt": 1e-3, "theta": 1.0},
+               "init": {"u0": u0, "u1": "constant:1"}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) in (0, 1)
+        assert (out / "verdicts.json").exists()
 
     def test_initial_energy_whose_terms_sum_past_the_float_range_names_the_total(self, tmp_path, capsys):
         """Finite kinetic and potential terms whose sum overflows name the total."""
@@ -1120,3 +1161,32 @@ def test_grid_solves_do_not_import_scipy_linalg(tmp_path, command):
     eps = " --eps 1e-2,1e-3,1e-4" if command == "sweep" else ""
     argv = f"{command} --config {config}{eps} --out {tmp_path / 'out'}"
     assert _fresh_cli(argv) == "[0] False True"
+
+
+# sha256 of verdicts.json and summary.json that ``simulate`` writes, as
+# recorded before the weak residual took the whole dictionary in one call
+BATTERY_DIGESTS = {
+    "pressed_wall": {
+        "verdicts.json": "dcf41704cce6f11b3fcebe45c07967b173598e73541b261fdb76e56d98a1794b",
+        "summary.json": "0a28c0144155e95cb2725144c65dc14a88dec2fd38ff899d5d01e82f03a8052b",
+    },
+    "neumann_contact": {
+        "verdicts.json": "775fc84629e555e252bb521887ab0ee15da9f141120d9d098d4bbfd54aab66fa",
+        "summary.json": "b0555a2142232d6ad3215fdb15569a7afa444aacfeeb41d6a2777610c5061162",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY_DIGESTS))
+def test_battery_values_keep_their_bits(tmp_path, name):
+    """Every verdict value and summary number keeps its bits: ``simulate``,
+    run in an interpreter on one BLAS thread, writes the recorded bytes."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "dampedwave.cli", "simulate", "--config", str(CONFIGS / f"{name}.yaml"),
+         "--out", str(out)], env=env, capture_output=True, timeout=300, check=True,
+    )
+    for file, digest in BATTERY_DIGESTS[name].items():
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file

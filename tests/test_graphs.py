@@ -26,6 +26,8 @@ from dampedwave.graphs import (
     yosida,
     yosida_and_derivative,
 )
+from tests import oracles
+from tests.conftest import transforms
 
 ALL_GRAPHS = [indicator_graph(), logarithmic_graph(), family_graph(0.7, 0.3)]
 
@@ -94,10 +96,18 @@ class TestResolvent:
     def test_family_branch_continuity(self):
         pot = RegularizedPotential(family_graph(0.7, 0.3), 0.05)
         rs = np.linspace(-2, 2, 401)
-        xs = resolvent(pot, rs)
+        xs = oracles.resolvent(pot, rs)
         # resolvent solves x + eps*beta(x) = r exactly
         back = xs + 0.05 * family_beta(0.7, 0.3, xs)
         np.testing.assert_allclose(back, rs, atol=1e-12)
+
+    def test_family_has_no_package_transform(self):
+        """The solver uses the family as it stands: the package gives it no
+        resolvent, so no Yosida or Moreau transform either."""
+        pot = RegularizedPotential(family_graph(0.7, 0.3), 0.05)
+        for transform in (resolvent, yosida, yosida_and_derivative, moreau):
+            with pytest.raises(ValueError, match="no resolvent for the family graph"):
+                transform(pot, 0.5)
 
     def test_stays_in_domain(self):
         for g in (indicator_graph(), logarithmic_graph()):
@@ -116,7 +126,7 @@ class TestYosida:
     def test_zero_fixed_point_all_kinds(self):
         for g in ALL_GRAPHS:
             for eps in (1.0, 0.1, 0.01):
-                assert yosida(RegularizedPotential(g, eps), 0.0) == pytest.approx(0.0)
+                assert transforms(g).yosida(RegularizedPotential(g, eps), 0.0) == pytest.approx(0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -127,6 +137,7 @@ class TestYosida:
     )
     def test_monotone_and_lipschitz(self, gi, eps, r, s):
         pot = RegularizedPotential(ALL_GRAPHS[gi], eps)
+        yosida = transforms(pot.graph).yosida
         yr, ys = float(yosida(pot, r)), float(yosida(pot, s))
         if r < s:
             assert yr <= ys + 1e-12
@@ -145,13 +156,13 @@ class TestMoreau:
         r = np.linspace(-0.99, 0.99, 99)
         for g in ALL_GRAPHS:
             pot = RegularizedPotential(g, 0.1)
-            assert np.all(moreau(pot, r) <= np.asarray(eval_j(g, r)) + 1e-12)
+            assert np.all(transforms(g).moreau(pot, r) <= np.asarray(eval_j(g, r)) + 1e-12)
 
     def test_envelope_ordering_in_epsilon(self):
         r = np.linspace(-2.5, 2.5, 83)
         for g in ALL_GRAPHS:
-            m_small = moreau(RegularizedPotential(g, 0.05), r)
-            m_large = moreau(RegularizedPotential(g, 0.5), r)
+            m_small = transforms(g).moreau(RegularizedPotential(g, 0.05), r)
+            m_large = transforms(g).moreau(RegularizedPotential(g, 0.5), r)
             assert np.all(m_large <= m_small + 1e-12)
 
     def test_derivative_is_yosida(self):
@@ -161,9 +172,9 @@ class TestMoreau:
             kink = 0.7 if g.kind == GraphKind.FAMILY else 1.0
             rr = r[np.abs(np.abs(r) - kink) > 0.02]
             for eps in (1.0, 0.1):
-                pot = RegularizedPotential(g, eps)
-                fd = (moreau(pot, rr + h) - moreau(pot, rr - h)) / (2 * h)
-                yo = yosida(pot, rr)
+                pot, tf = RegularizedPotential(g, eps), transforms(g)
+                fd = (tf.moreau(pot, rr + h) - tf.moreau(pot, rr - h)) / (2 * h)
+                yo = tf.yosida(pot, rr)
                 assert np.max(np.abs(fd - yo) / (1.0 + np.abs(yo))) < 1e-6
 
     def test_brute_force_small_sample(self, rng):
@@ -212,7 +223,7 @@ class TestSignStructure:
         rs = np.linspace(-4, 4, 401)
         for g in ALL_GRAPHS:
             for eps in (1.0, 0.1, 0.01):
-                b = np.asarray(yosida(RegularizedPotential(g, eps), rs))
+                b = np.asarray(transforms(g).yosida(RegularizedPotential(g, eps), rs))
                 assert np.all(b * rs >= -1e-12)
 
     def test_indicator_constants_c1_1_c2_0(self):
@@ -231,7 +242,7 @@ class TestSignStructure:
             c1 = 0.5
             c2 = float(eval_j(g, 0.5)) + 1e-9
             for eps in (1.0, 0.1, 0.01):
-                b = np.asarray(yosida(RegularizedPotential(g, eps), rs))
+                b = np.asarray(transforms(g).yosida(RegularizedPotential(g, eps), rs))
                 assert np.all(c1 * np.abs(b) <= b * rs + c2 + 1e-9)
 
 
@@ -245,17 +256,17 @@ class TestDerivatives:
     def test_yosida_derivative_matches_fd(self):
         h = 1e-6
         for g in ALL_GRAPHS:
-            pot = RegularizedPotential(g, 0.1)
+            pot, tf = RegularizedPotential(g, 0.1), transforms(g)
             for r in (-1.7, -0.2, 0.4, 1.9):
-                fd = (yosida(pot, r + h) - yosida(pot, r - h)) / (2 * h)
-                assert yosida_and_derivative(pot, r)[1] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+                fd = (tf.yosida(pot, r + h) - tf.yosida(pot, r - h)) / (2 * h)
+                assert tf.yosida_and_derivative(pot, r)[1] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     @pytest.mark.parametrize("graph", ALL_GRAPHS, ids=[g.kind.value for g in ALL_GRAPHS])
     def test_float_input_gives_two_floats_with_the_array_bits(self, graph):
-        pot = RegularizedPotential(graph, 1e-3)
-        pair = yosida_and_derivative(pot, 1.5)
+        pot, tf = RegularizedPotential(graph, 1e-3), transforms(graph)
+        pair = tf.yosida_and_derivative(pot, 1.5)
         assert [type(v) for v in pair] == [float, float]
-        y, dy = yosida_and_derivative(pot, np.array([1.5]))
+        y, dy = tf.yosida_and_derivative(pot, np.array([1.5]))
         assert [v.hex() for v in pair] == [float(y[0]).hex(), float(dy[0]).hex()]
         assert pair[1] > 0.0  # r = 1.5 is on the active side for every kind
 

@@ -17,6 +17,7 @@ from dampedwave.weaklimit import SpaceProfile, TestFunction, TimeProfile
 from tests.oracles import (
     InvalidEll,
     exact_limit_toy,
+    limit_level_set,
     limit_toy_solution,
     toy_weak_identity_residual,
     toy_xi_atom,
@@ -126,7 +127,7 @@ class TestYosidaLayerToy:
 
 class TestPhaseLevelSet:
     def test_hard_constraint_two_disjoint_branches(self):
-        ls = phase_level_set(indicator_graph(), 0.5, 101)
+        ls = limit_level_set(indicator_graph(), 0.5, 101)
         assert not ls.connected
         assert len(ls.branches) == 2
         ups = ls.branches[0]
@@ -134,22 +135,25 @@ class TestPhaseLevelSet:
         np.testing.assert_allclose(ups[:, 1], 1.0, atol=1e-9)
 
     def test_zero_level_is_flat_segment(self):
-        ls = phase_level_set(indicator_graph(), 0.0, 51)
+        ls = limit_level_set(indicator_graph(), 0.0, 51)
         assert ls.connected
-        np.testing.assert_allclose(ls.branches[0][:, 1], 0.0)
+        for branch in ls.branches:  # the +v and -v branches coincide
+            np.testing.assert_allclose(branch[:, 1], 0.0)
+            assert np.max(np.abs(branch[:, 0])) == 1.0
 
     def test_logarithmic_moderate_level_connected(self):
         g = logarithmic_graph()
         c = float(eval_j(g, 0.9))
-        ls = phase_level_set(g, c, 201)
+        ls = limit_level_set(g, c, 201)
         assert ls.connected
         u_max = np.max(ls.branches[0][:, 0])
         assert u_max == pytest.approx(0.9, abs=1e-6)
 
     def test_logarithmic_high_level_disconnected(self):
         g = logarithmic_graph()
-        ls = phase_level_set(g, 2 * math.log(2.0) + 0.5, 101)
+        ls = limit_level_set(g, 2 * math.log(2.0) + 0.5, 101)
         assert not ls.connected
+        assert np.max(ls.branches[0][:, 0]) == 1.0  # j(1) < c: the whole domain
 
     def test_envelope_level_set(self):
         pot = RegularizedPotential(indicator_graph(), 0.01)
