@@ -36,6 +36,7 @@ def main():
         uo, vo = yosida_layer_toy(eps, float(traj.times[i]))
         err = max(err, abs(uo - traj.U[i, 0]), abs(vo - traj.V[i, 0]))
 
+    profile = xi.window_profile(1.0, math.sqrt(eps))  # windows of 8, 4, 2 and 1 layer widths
     report = {
         "epsilon": eps,
         "dt": cfg.dt,
@@ -45,8 +46,8 @@ def main():
             for e in events
         ],
         "xi_total_mass": xi.total_l1,
-        "mass_within_8_layer_widths_of_t1": xi.window_mass(1.0, 8 * math.sqrt(eps)),
-        "window_profile": {str(k): v for k, v in xi.window_profile(1.0, math.sqrt(eps)).items()},
+        "mass_within_8_layer_widths_of_t1": profile[8],
+        "window_profile": {str(k): v for k, v in profile.items()},
         "max_oracle_deviation": err,
     }
     out = Path(args.out)

@@ -35,11 +35,14 @@ reaction field (the raw material for the constraint-measure histogram),
 the dissipation and forcing power increments in the scheme-consistent
 quadrature.  It applies the kernel's one ``record`` function to blocks
 of stacked steps, and ``cli.read_run_npz`` calls it on the states of
-``run.npz``, which stores no records, so both get the same bits.  A run's arrays take ``run_bytes`` bytes; a run larger
-than the physical memory is refused before anything is allocated.  The
-checks that follow a run reduce per-step values that
-``Trajectory.step_values`` computes over the same row blocks, so nothing
-the size of the run is allocated after the loop.
+``run.npz``, which stores no records, so both get the same bits.  A run's
+arrays take ``run_bytes`` bytes; a run larger than the physical memory is
+refused before anything is allocated.  The checks that follow a run read
+it in passes over the same row blocks (``row_blocks``,
+``Trajectory.step_values``), one per check, and reduce per-step values;
+a sum over the whole run follows numpy's pairwise order piece by piece
+(``pairwise_pieces``).  Nothing the size of the run is allocated after
+the loop.
 
 One driver (``_run``) allocates, records and wraps solver failures for
 every run, over one of two step kernels with the same ``advance``
@@ -159,24 +162,26 @@ def map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
     return out
 
 
-def pairwise_pieces(piece_sum, size: int) -> float:
-    """The ``np.sum`` of ``size`` values, bit for bit, from ``piece_sum(piece)``,
-    the ``np.sum`` of the values of the slice ``piece``.
+def pairwise_pieces(rows, n_rows: int, n_x: int) -> float:
+    """The ``np.sum`` of the (n_rows, n_x) array whose rows ``rows(slice)``
+    gives, bit for bit, from pieces of its flat values.
 
     numpy sums a contiguous array pairwise: it halves a piece of more than
     128 elements at a multiple of 8 and sums smaller pieces directly.  This
     follows those splits down to pieces of at most BLOCK_ELEMENTS values,
-    which ``piece_sum`` sums.
+    and sums each piece from the rows that hold it, cut at its ends, so no
+    array the size of the whole is built.
     """
     limit = max(BLOCK_ELEMENTS, 128)
 
     def piece(i, n):
-        if n <= limit:
-            return piece_sum(slice(i, i + n))
-        half = n // 2 - (n // 2) % 8
-        return piece(i, half) + piece(i + half, n - half)
+        if n > limit:
+            half = n // 2 - (n // 2) % 8
+            return piece(i, half) + piece(i + half, n - half)
+        k, start = divmod(i, n_x)
+        return np.sum(np.ravel(rows(slice(k, -(-(i + n) // n_x))))[start : start + n])
 
-    return float(piece(0, size))
+    return float(piece(0, n_rows * n_x))
 
 
 @dataclass

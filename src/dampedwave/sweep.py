@@ -11,6 +11,13 @@ finest on the finest run's output times by linear interpolation.
 sweep staying below a threshold; quantities that are identically zero
 (to absolute tolerance) count as trivially bounded.
 
+Each member's summary (``summarize_run``) reads the run in one pass over
+row blocks.  The audits that pair a member's reaction with a state
+(``pair_reaction_with_state``, ``mu_vanishing_sequence``) sum over flat
+pieces of the member's steps (``integrator.pairwise_pieces``), with the
+bits of the whole-run sum; none of them builds an array the size of a
+run.
+
 The members are independent runs (``_member``: run, measure, summary),
 so they run concurrently, one process per CPU in the affinity mask.
 ``_lpt_shares`` splits them by longest processing time first on their
@@ -41,7 +48,7 @@ from .config import SimConfig
 from .energy import energy_series
 from .errors import ConfigError, RunError
 from .grid import apply_A, edge_inner
-from .integrator import Trajectory, map_row_blocks, simulate
+from .integrator import Trajectory, pairwise_pieces, row_blocks, simulate
 from .weaklimit import XiMeasure, accumulate_xi
 
 RATIO_ATOL = 1e-12
@@ -122,68 +129,50 @@ def uniform_ratio(values) -> float:
 def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
     """The run's bounds and energies; ``es`` is its ``energy_series``.
 
-    Every norm is taken per record or per step over row blocks
-    (``map_row_blocks``, ``Trajectory.step_values``), so no array the size
-    of the run is built.
+    One pass over the row blocks of the records gives every norm: the
+    maxima over the records of ||v||, ||A u||^2 and the overshoot, which
+    are exact in any order, are taken per block; the H1-in-time norm's
+    per-record values and the variation's per-step values are kept as
+    columns and reduced after the pass (``np.trapezoid``, ``np.sum``), as
+    a whole-run reduction would.  No array the size of the run is built.
     """
-    w = traj.grid.mass_weights
-    reaction = traj.reaction
-    V = traj.V
-    v_sq = map_row_blocks(lambda v: np.vecdot(v * v, w), V)
-    sup_v = float(np.max(np.sqrt(np.maximum(v_sq, 0.0))))
-    sup_pot = float(np.max(es["potential"]))
-
-    def variation(steps):
-        return np.vecdot(np.abs(np.diff(V[steps.start : steps.stop + 1], axis=0)), w)
-
-    def excess(u):
-        return np.max(np.maximum(np.abs(u) - 1.0, 0.0), axis=1)
-
-    bv = float(np.sum(traj.step_values(variation)))
-    sup_Au = _sup_Au(traj)
-    h1tv = _h1_time_v_norm(traj)
-    overshoot = float(np.max(map_row_blocks(excess, traj.U)))
+    grid, reaction = traj.grid, traj.reaction
+    w = grid.mass_weights
+    n = traj.n_steps
+    h1_sq, variation = np.empty(n + 1), np.empty(n)
+    maxima = []  # per block: sup ||v||, sup ||A u||^2, overshoot
+    for records in row_blocks(n + 1, grid.n_nodes):
+        steps = slice(records.start, min(records.stop, n))
+        u, v = traj.U[records], traj.V[records]
+        v_sq = np.vecdot(v * v, w)
+        Au = apply_A(grid, u)
+        maxima.append((
+            np.max(np.sqrt(np.maximum(v_sq, 0.0))),
+            np.max(np.vecdot(Au * Au, w)),
+            np.max(np.maximum(np.abs(u) - 1.0, 0.0)),
+        ))
+        # the discrete H1-in-time norm of u with values in V (trapezoid in time)
+        h1_sq[records] = np.vecdot(u * u, w) + edge_inner(grid, u, u) + v_sq + edge_inner(grid, v, v)
+        dv = np.diff(traj.V[steps.start : steps.stop + 1], axis=0)
+        variation[steps] = np.vecdot(np.abs(dv), w)
+    sup_v, sup_Au_sq, overshoot = np.max(maxima, axis=0)
     e_max = float(np.max(es["total"]))
     bound = math.sqrt(2.0 * reaction.epsilon * max(e_max, 0.0)) + 2.0 * traj.dt
     return RunSummary(
         epsilon=reaction.epsilon,
         dt=traj.dt,
-        sup_v=sup_v,
-        sup_potential=sup_pot,
+        sup_v=float(sup_v),
+        sup_potential=float(np.max(es["potential"])),
         l1_mass=xi.total_l1,
-        bv_proxy=bv,
-        sup_Au=sup_Au,
-        h1_time_v=h1tv,
-        overshoot=overshoot,
+        bv_proxy=float(np.sum(variation)),
+        sup_Au=math.sqrt(max(float(sup_Au_sq), 0.0)),
+        h1_time_v=float(np.sqrt(max(np.trapezoid(h1_sq, traj.times), 0.0))),
+        overshoot=float(overshoot),
         overshoot_bound=bound,
         e_max=e_max,
         e_initial=float(es["total"][0]),
         e_final=float(es["total"][-1]),
     )
-
-
-def _sup_Au(traj: Trajectory) -> float:
-    """sup over the recorded times of ||A u(t)||."""
-    grid = traj.grid
-
-    def norm_sq(u):
-        Au = apply_A(grid, u)
-        return np.vecdot(Au * Au, grid.mass_weights)
-
-    return math.sqrt(max(float(np.max(map_row_blocks(norm_sq, traj.U))), 0.0))
-
-
-def _h1_time_v_norm(traj: Trajectory) -> float:
-    """Discrete H1-in-time norm of u with values in V (trapezoid in time)."""
-    grid = traj.grid
-    w = grid.mass_weights
-
-    def norm_sq(u, v):
-        u_sq = np.vecdot(u * u, w) + edge_inner(grid, u, u)
-        return u_sq + np.vecdot(v * v, w) + edge_inner(grid, v, v)
-
-    sq = map_row_blocks(norm_sq, traj.U, traj.V)
-    return float(np.sqrt(max(np.trapezoid(sq, traj.times), 0.0)))
 
 
 def _interp_states(times_from, M_from, times_to):
@@ -475,9 +464,23 @@ class LimsupAudit:
 
 def pair_reaction_with_state(traj: Trajectory) -> float:
     """<<beta_eps(u_eps), u_eps>> in the scheme's own quadrature."""
-    u_th = traj.theta_combine(traj.U)
+    return _pair_reaction(traj, lambda steps, u_th: u_th)
+
+
+def _pair_reaction(traj: Trajectory, field) -> float:
+    """dt * sum(beta_theta * field(steps, u_th) * w) over the steps and
+    nodes of the run, where ``field`` maps the theta-combined states
+    ``u_th`` of the steps ``steps`` to the field paired with the reaction:
+    the bits of the whole-run sum, summed over pieces of the flat steps
+    (``integrator.pairwise_pieces``), so no array the size of the run is
+    built."""
     w = traj.grid.mass_weights
-    return traj.dt * float(np.sum(traj.beta_theta * u_th * w[None, :]))
+
+    def rows(steps):
+        u_th = traj.theta_combine(traj.U[steps.start : steps.stop + 1])
+        return traj.beta_theta[steps] * field(steps, u_th) * w[None, :]
+
+    return traj.dt * pairwise_pieces(rows, *traj.beta_theta.shape)
 
 
 def limsup_identity_audit(report: SweepReport) -> LimsupAudit:
@@ -504,12 +507,9 @@ def mu_vanishing_sequence(report: SweepReport) -> dict:
     out = {}
     for e in report.eps_list:
         traj = report.trajectories[e]
-        u_th = traj.theta_combine(traj.U)
         t_th = traj.theta_combine(traj.times)
-        u_fin = _interp_states(finest.times, finest.U, t_th)
-        w = traj.grid.mass_weights
-        out[e] = traj.dt * float(
-            np.sum(traj.beta_theta * (u_th - u_fin) * w[None, :])
+        out[e] = _pair_reaction(
+            traj, lambda steps, u_th: u_th - _interp_states(finest.times, finest.U, t_th[steps])
         )
     return out
 

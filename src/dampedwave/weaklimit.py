@@ -15,8 +15,8 @@ gradient pairings use the discrete summation-by-parts form, so the
 recorded solution satisfies the discrete weak identity up to pure
 time-sampling error of order dt.  ``weak_residual`` takes the whole
 dictionary: the terms of a residual that depend on phi only through its
-spatial factor are built once per distinct factor, shared by the
-functions with that factor and then dropped.
+spatial factor are built in one pass over the run per distinct factor,
+shared by the functions with that factor and then dropped.
 
 The subdifferential slack of a candidate v is
 
@@ -31,14 +31,20 @@ factors (SeparableCandidate), so its pairing is tau @ (masses @ sigma).
 
 The measure is not stored as an array: a run's XiMeasure holds the run's
 own per-step records and forms the masses of a row block only when a check
-asks for it (``XiMeasure.rows``).  Every check reduces per-step or
-per-record values that are computed over row blocks
-(``Trajectory.step_values``, ``integrator.map_row_blocks``), so neither
-the measure nor the battery builds an array the size of the run: the
-extra memory is a few blocks of ``integrator.BLOCK_ELEMENTS`` elements.  A
-block has a multiple of ``integrator.GEMV_ROWS`` rows, so a product of
-blocks with a vector, such as masses @ S, gives the bits of the
-whole-array product.
+asks for it (``XiMeasure.rows``).  Each check reads the run once: one pass
+over row blocks (``Trajectory.step_values``, or ``integrator.row_blocks``
+over the records) gives every per-step or per-record value it reduces,
+and the weak residual takes one pass per distinct spatial factor, the
+subdifferential check one per group of candidates.  Only maxima and
+counts are reduced per block; a sum keeps its per-step column and is
+taken after the pass, as a whole-run sum is, so it keeps that sum's bits.
+Neither the measure nor the battery builds an array the size of the run:
+the extra memory is a few blocks of ``integrator.BLOCK_ELEMENTS``
+elements and a few per-step columns.  A block has a multiple of
+``integrator.GEMV_ROWS`` rows, so a product of blocks with a vector, such
+as masses @ S or V @ (w S), gives the bits of the whole-array product.
+The total mass (``XiMeasure.total_l1``) is summed once per measure, over
+pieces that follow numpy's pairwise order (``integrator.pairwise_pieces``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +64,7 @@ from .errors import (
 )
 from .graphs import limit_is_indicator, limit_j
 from .grid import DIRICHLET, Grid, edge_inner
-from .integrator import (
-    Trajectory,
-    block_columns,
-    map_blocks,
-    map_row_blocks,
-    pairwise_pieces,
-    row_blocks,
-)
+from .integrator import Trajectory, block_columns, map_blocks, pairwise_pieces, row_blocks
 
 # ---------------------------------------------------------------------------
 # test-function dictionary
@@ -223,32 +223,34 @@ class XiMeasure:
         """Per-cell evaluation times (theta point inside each cell)."""
         return (1.0 - self.theta) * self.t_edges[:-1] + self.theta * self.t_edges[1:]
 
-    @property
+    @cached_property
     def total_l1(self) -> float:
-        """sum |masses|, with the bits of the whole-array sum and no |masses| array."""
-        b, n_x = np.ravel(self.records), self.shape[1]
+        """sum |masses|, with the bits of the whole-array sum and no |masses|
+        array; summed on the first call, so once per measure."""
 
-        def piece_sum(piece):
-            # flat cell j has weight weights[j % n_x]: slice a tiled row
-            i, n = piece.start % n_x, piece.stop - piece.start
-            m = self.dt * b[piece]
-            m *= np.tile(self.weights, (i + n) // n_x + 1)[i : i + n]
-            return np.sum(np.abs(m, out=m))
+        def abs_rows(cells):
+            m = self.rows(cells)
+            return np.abs(m, out=m)
 
-        return pairwise_pieces(piece_sum, b.size)
+        return pairwise_pieces(abs_rows, *self.shape)
 
     def window_mass(self, t0: float, halfwidth: float) -> float:
         """Absolute mass inside |t - t0| <= halfwidth (fractional cells)."""
-        lo, hi = t0 - halfwidth, t0 + halfwidth
-        edges = self.t_edges
-        overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
-        w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
-        cell_l1 = map_blocks(*self.shape, lambda cells: np.sum(np.abs(self.rows(cells)), axis=1))
-        return float(np.dot(w, cell_l1))
+        return self.window_profile(t0, halfwidth, (1,))[1]
 
     def window_profile(self, t0: float, width: float, factors=(8, 4, 2, 1)) -> dict:
-        """Mass in nested windows around t0; flags concentration."""
-        return {f: self.window_mass(t0, f * width) for f in factors}
+        """Absolute mass inside |t - t0| <= f * width for each of ``factors``
+        (nested windows around t0, which flag concentration), from one pass
+        that forms the per-cell |mass| once for every window."""
+        edges = self.t_edges
+        cell_l1 = map_blocks(*self.shape, lambda cells: np.sum(np.abs(self.rows(cells)), axis=1))
+        out = {}
+        for f in factors:
+            lo, hi = t0 - f * width, t0 + f * width
+            overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+            w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
+            out[f] = float(np.dot(w, cell_l1))
+        return out
 
     def rebin(self, n_t: int) -> "XiMeasure":
         """Coarsen to n_t uniform time cells (for export and plotting); the
@@ -283,17 +285,28 @@ def accumulate_xi(traj: Trajectory) -> XiMeasure:
 # weak-form residual
 
 
-def _pair_xi(xi: XiMeasure, spaces, n_end: int) -> list:
-    """masses[:n_end] @ S for the factor S of each of ``spaces``, in one pass
-    over row blocks that forms each block of masses once."""
-    Ss = [space.value(xi.x) for space in spaces]
+def _factor_pairings(traj: Trajectory, xi: XiMeasure, S, n_end: int) -> tuple:
+    """The per-step pairings of the spatial factor S over the first n_end
+    steps, in one pass over the row blocks of records 0 to n_end: masses @ S,
+    and theta-combined V @ (w S), U @ (w S) and the edge pairings
+    edge_inner(V, S) + edge_inner(U, S) (zero on one node).
 
-    def pair(cells):
-        m = xi.rows(cells)
-        return np.stack([m @ S for S in Ss], axis=1)
-
-    per_cell = map_blocks(n_end, xi.shape[1], pair)
-    return [np.ascontiguousarray(c) for c in per_cell.T]
+    The three record pairings are kept per record and theta-combined
+    after the pass.  A block of records starts at a multiple of
+    ``integrator.GEMV_ROWS`` rows, like the steps' block of masses, so each
+    ``@`` has the bits of the whole-array product on one BLAS thread.
+    """
+    grid = traj.grid
+    wS = grid.mass_weights * S
+    xi_S = np.empty(n_end)
+    v_S, u_S, edge = np.empty((3, n_end + 1))
+    for records in row_blocks(n_end + 1, grid.n_nodes):
+        steps = slice(records.start, min(records.stop, n_end))
+        xi_S[steps] = xi.rows(steps) @ S
+        v, u = traj.V[records], traj.U[records]
+        v_S[records], u_S[records] = v @ wS, u @ wS
+        edge[records] = edge_inner(grid, v, S) + edge_inner(grid, u, S)
+    return xi_S, traj.theta_combine(v_S), traj.theta_combine(u_S), traj.theta_combine(edge)
 
 
 def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[float]:
@@ -305,13 +318,9 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
     pairing is linear in the states: each recorded state is paired with a
     function's spatial factor S, then the per-record values are
     theta-combined.  The terms that depend on phi only through S are built
-    once per distinct factor, used by every function with that factor and
-    dropped.  The reaction is paired with all the distinct factors in one
-    pass (``_pair_xi``).  The gradient, forcing and reaction pairings are
-    taken over row blocks, so no array the size of the run is built; the
-    reaction's, masses @ S, has the bits of the whole-array product on one
-    BLAS thread, as the blocks have a multiple of ``integrator.GEMV_ROWS``
-    rows.
+    once per distinct factor, in one pass over row blocks
+    (``_factor_pairings``), used by every function with that factor and
+    dropped; no array the size of the run is built.
     """
     phis = list(phis)
     for phi in phis:
@@ -327,21 +336,12 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
 
     grid, dt, lam = traj.grid, traj.dt, traj.cfg.lam
     times = traj.times[: n_end + 1]
-    U, V = traj.U[: n_end + 1], traj.V[: n_end + 1]
-    spaces = list(dict.fromkeys(phi.space for phi in phis))
-    xi_S = dict(zip(spaces, _pair_xi(xi, spaces, n_end)))
     residuals = [0.0] * len(phis)
-    for space in spaces:
+    for space in dict.fromkeys(phi.space for phi in phis):
         S = space.value(grid.x)
         wS = grid.mass_weights * S
-        v_dot_S = traj.theta_combine(V @ wS)
-        u_dot_S = traj.theta_combine(U @ wS)
-        xi_space = xi_S.pop(space)
-        edge = g_S = None
-        if not grid.is_homogeneous:  # summation-by-parts form
-            edge = traj.theta_combine(
-                map_row_blocks(lambda v, u: edge_inner(grid, v, S) + edge_inner(grid, u, S), V, U)
-            )
+        xi_space, v_dot_S, u_dot_S, edge = _factor_pairings(traj, xi, S, n_end)
+        g_S = None
         if traj.forcing is not None:
             g_S = np.full(n_end, np.vecdot(traj.forcing_theta, wS))
         for i, phi in enumerate(phis):
@@ -353,20 +353,21 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
             # -<<u_t, phi_t>>
             acc = -dt * float(np.dot(Td_th, v_dot_S))
             # + (u_t(t_end), phi(t_end))
-            acc += float(Tv[-1]) * float(np.dot(wS, V[n_end]))
-            # + <<grad u_t, grad phi>> + <<grad u, grad phi>>
-            if edge is not None:
+            acc += float(Tv[-1]) * float(np.dot(wS, traj.V[n_end]))
+            # + <<grad u_t, grad phi>> + <<grad u, grad phi>>, summation by parts
+            if not grid.is_homogeneous:
                 acc += dt * float(np.dot(T_th, edge))
             # + int phi d(xi)
             acc += float(np.dot(phi.time.value(xi.t_eval[:n_end]), xi_space))
             # - lambda <<u, phi>>
             acc -= lam * dt * float(np.dot(T_th, u_dot_S))
             # - (u_1, phi(0))
-            acc -= float(Tv[0]) * float(np.dot(wS, V[0]))
+            acc -= float(Tv[0]) * float(np.dot(wS, traj.V[0]))
             # - <<g, phi>>
             if g_S is not None:
                 acc -= dt * float(np.dot(T_th, g_S))
             residuals[i] = abs(acc)
+        del xi_space, v_dot_S, u_dot_S, edge, g_S, Tv, T_th, Td_th  # before the next factor's pass
     return residuals
 
 
@@ -383,7 +384,8 @@ def solution_identity_residual(
 
     all time integrals in the scheme's theta-quadrature and the reaction
     term through the measure cells.  The value decays like C*dt.  Each
-    term is a sum over steps of per-step pairings (``step_values``).
+    term is a sum over steps of per-step pairings, all taken in one pass
+    (``step_values``).
     """
     ks, kt = traj.time_index(s), traj.time_index(t)
     if not ks < kt:
@@ -392,18 +394,22 @@ def solution_identity_residual(
     dt = traj.dt
     w = grid.mass_weights
     lam = traj.cfg.lam
+    g_th = None if traj.forcing is None else traj.forcing_theta
 
     def terms(steps, u, v):
-        # columns: ||v||^2, the gradient pairings, <xi, u>, ||u||^2
-        return np.stack([
+        # columns: ||v||^2, the gradient pairings, <xi, u>, ||u||^2, <g, u> if forced
+        columns = [
             np.vecdot(v * v, w),
             edge_inner(grid, v, u) + edge_inner(grid, u, u),
             np.vecdot(xi.rows(steps), u),
             np.vecdot(u * u, w),
-        ], axis=1)
+        ]
+        if g_th is not None:
+            columns.append(np.vecdot(g_th * u, w))
+        return np.stack(columns, axis=1)
 
     # each column summed on its own, pairwise like a whole-run sum
-    vv, grad, xi_u, uu = map(np.sum, traj.step_values(terms, traj.U, traj.V)[ks:kt].T)
+    vv, grad, xi_u, uu, *gu = map(np.sum, traj.step_values(terms, traj.U, traj.V)[ks:kt].T)
     acc = -dt * float(vv)
     acc += float(np.dot(w * traj.V[kt], traj.U[kt]))
     acc -= float(np.dot(w * traj.V[ks], traj.U[ks]))
@@ -411,10 +417,8 @@ def solution_identity_residual(
         acc += dt * float(grad)
     acc += float(xi_u)
     acc -= lam * dt * float(uu)
-    if traj.forcing is not None:
-        g_th = traj.forcing_theta
-        gu = traj.step_values(lambda steps, u: np.vecdot(g_th * u, w), traj.U)
-        acc -= dt * float(np.sum(gu[ks:kt]))
+    if gu:
+        acc -= dt * float(gu[0])
     return abs(acc)
 
 

@@ -8,6 +8,7 @@ below are those whole-array formulas, kept as they were before the battery
 streamed.
 """
 
+import collections
 import dataclasses
 import math
 import os
@@ -31,14 +32,16 @@ from dampedwave.weaklimit import (
     SeparableCandidate,
     SpaceProfile,
     XiMeasure,
+    _factor_pairings,
     _max_abs,
-    _pair_xi,
     accumulate_xi,
+    default_dictionary,
     detect_jumps,
     iter_random_candidates,
     singular_support_check,
     solution_identity_residual,
     subdifferential_check,
+    weak_residual,
 )
 
 from tests.oracles import xi_masses
@@ -128,13 +131,14 @@ def battery(traj, xi, es):
 def test_battery_does_not_depend_on_the_block_size(name, monkeypatch):
     """Blocks of 7 elements have the fewest rows a block takes, GEMV_ROWS;
     blocks of 2**16 elements twice the default's rows on a grid and on one
-    node; every value stays the default's."""
+    node; every value stays the default's.  Each block size gets a new
+    measure, as a measure keeps its reaction mass once summed."""
     traj = simulate(load_config(CONFIGS / f"{name}.yaml"))
-    xi, es = accumulate_xi(traj), energy_series(traj)
-    default = battery(traj, xi, es)
+    es = energy_series(traj)
+    default = battery(traj, accumulate_xi(traj), es)
     for block in (7, 1 << 16):
         monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
-        assert battery(traj, xi, es) == default, block
+        assert battery(traj, accumulate_xi(traj), es) == default, block
 
 
 def test_solution_identity_matches_the_whole_array_formula(run):
@@ -178,17 +182,18 @@ def test_total_l1_is_the_whole_array_sum_bit_for_bit(monkeypatch):
     """``XiMeasure.total_l1`` is ``np.sum(np.abs((dt * records) * weights))``
     bit for bit: a sum in another order differs in its last bits on about
     half of these draws, so four draws a shape catch a wrong split, and a
-    weight taken for the wrong cell changes the sum."""
+    weight taken for the wrong cell changes the sum.  Each block size gets a
+    new measure, as a measure keeps its sum."""
     rng = np.random.default_rng(11)
     shapes = [(0, 3), (1, 1), (7, 3), (129, 1), (1000, 65), (1001, 65), (5001, 256), (130_001, 1)]
     for n_t, n_x in shapes:
         for _ in range(4):
             records, weights = rng.uniform(-1.0, 1.0, (n_t, n_x)), rng.uniform(0.5, 1.5, n_x)
             dt = float(rng.uniform(1e-3, 1e-2))
-            xi = XiMeasure(np.arange(n_t + 1.0), np.arange(n_x + 0.0), records, 0.5, 1e-2, dt, weights)
             want = float(np.sum(np.abs((dt * records) * weights)))
             for block in (7, 100, 1 << 16):
                 monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
+                xi = XiMeasure(np.arange(n_t + 1.0), np.arange(n_x + 0.0), records, 0.5, 1e-2, dt, weights)
                 got = xi.total_l1
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n_t, n_x, block)
 
@@ -251,9 +256,10 @@ def product_cases(tmp_path_factory):
         pairs += [
             (traj.V * traj.V, w), (traj.reaction.pot(traj.U), w), (traj.U * traj.U, w),
             (masses[:n_end], S), (masses, candidate.sigma),
+            (traj.V[: n_end + 1], w * S), (traj.U[: n_end + 1], w * S),
         ]
     products = whole_array_products(tmp_path_factory.mktemp("products"), pairs)
-    return [(*case, products[5 * i : 5 * i + 5]) for i, case in enumerate(cases)]
+    return [(*case, products[7 * i : 7 * i + 7]) for i, case in enumerate(cases)]
 
 
 @pytest.mark.parametrize("block", [None, 7, 100])
@@ -266,12 +272,17 @@ def test_row_block_products_are_the_whole_array_products(product_cases, block, m
     for traj, xi, space, n_end, candidate, whole in product_cases:
         rows = [b.stop - b.start for b in row_blocks(*traj.U.shape)]
         assert len(rows) > 1 and rows[-1] < rows[0] and rows[0] % integrator.GEMV_ROWS == 0
-        vv, pot, uu, xi_S, xi_sigma = whole
+        vv, pot, uu, xi_S, xi_sigma, v_S, u_S = whole
         es = energy_series(traj)
         assert es["kinetic"].tobytes() == (0.5 * vv).tobytes()
         assert es["potential"].tobytes() == pot.tobytes()
         assert es["concave"].tobytes() == (-0.5 * traj.cfg.lam * uu).tobytes()
-        assert _pair_xi(xi, [space], n_end)[0].tobytes() == xi_S.tobytes()
+        # the weak residual's pass over records 0 to n_end: masses @ S and the
+        # theta-combined V @ (w S) and U @ (w S)
+        got = _factor_pairings(traj, xi, space.value(traj.grid.x), n_end)
+        assert got[0].tobytes() == xi_S.tobytes()
+        assert got[1].tobytes() == traj.theta_combine(v_S).tobytes()
+        assert got[2].tobytes() == traj.theta_combine(u_S).tobytes()
         # the candidate pairs as tau @ (masses @ sigma); J(v) = J(u) = 0
         xi_u = float(np.sum(np.vecdot(xi_masses(xi), traj.theta_combine(traj.U))))
         slack = 0.0 - 0.0 - (float(candidate.tau @ xi_sigma) - xi_u)
@@ -402,3 +413,84 @@ def test_commands_build_no_run_sized_array(name, dt_div, bound, tmp_path, monkey
     assert u_bytes >= 8e6
     for command, peak in zip(("simulate", "verify"), peaks):
         assert peak < bound * u_bytes, (command, peak / u_bytes)
+
+
+# ---------------------------------------------------------------------------
+# passes over the run
+
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """Counts of the passes over a run: the calls of ``integrator.row_blocks``
+    and ``integrator.pairwise_pieces``, wrapped in every package module that
+    binds them."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("row_blocks", "pairwise_pieces"):
+        fn = getattr(integrator, name)
+        wrapped = counted(name, fn)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("dampedwave") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
+def count_passes(passes, fn) -> tuple:
+    """(row-block passes, pairwise sums) that ``fn()`` makes."""
+    passes.clear()
+    fn()
+    return passes["row_blocks"], passes["pairwise_pieces"]
+
+
+def test_each_check_reads_the_run_once(run, passes):
+    """Each check reads the run's states and records in one pass; the weak
+    residual in one per distinct spatial factor of its functions, the
+    subdifferential check in one per group of candidates.  The reaction
+    mass is summed once per measure, by ``pairwise_pieces``."""
+    traj, xi, es = run
+    T = float(traj.times[-1])
+    phis = default_dictionary(traj.grid, T)
+    groups = -(-20 // (2 * integrator.block_columns(traj.n_steps)))
+    fresh = accumulate_xi(traj)
+    assert count_passes(passes, lambda: summarize_run(traj, fresh, es)) == (1, 1)
+    assert count_passes(passes, lambda: fresh.total_l1) == (0, 0)
+    assert count_passes(passes, lambda: summarize_run(traj, fresh, es)) == (1, 0)
+    assert count_passes(passes, lambda: weak_residual(traj, xi, phis, T)) == (len({p.space for p in phis}), 0)
+    candidates = iter_random_candidates(traj, 20, np.random.default_rng(0))
+    assert count_passes(passes, lambda: subdifferential_check(traj, xi, candidates)) == (groups, 0)
+    assert count_passes(passes, lambda: singular_support_check(xi, traj, 0.0)) == (1, 0)
+    assert count_passes(passes, lambda: solution_identity_residual(traj, xi, 0.0, T)) == (1, 0)
+    assert count_passes(passes, lambda: detect_jumps(traj)) == (1, 0)
+    assert count_passes(passes, lambda: xi.window_profile(T / 2, traj.dt)) == (1, 0)
+    assert count_passes(passes, lambda: xi.window_mass(T / 2, traj.dt)) == (1, 0)
+
+
+def test_commands_read_the_run_at_most_twelve_times(tmp_path, monkeypatch, passes, capsys):
+    """After its run is integrated, ``simulate`` on dirichlet_sine makes 11
+    row-block passes and sums the reaction mass once; so does ``verify``
+    after reading run.npz.  At the parent each made 16 passes and summed
+    the mass twice: ``summarize_run`` took 5 passes, the weak residual 4,
+    and the summary and the battery each summed the mass."""
+    made = []
+
+    def counted(fn):
+        def wrapper(*args):
+            traj = fn(*args)
+            passes.clear()
+            return traj
+        return wrapper
+
+    monkeypatch.setattr(cli, "simulate", counted(simulate))
+    monkeypatch.setattr(cli, "read_run_npz", counted(cli.read_run_npz))
+    out = str(tmp_path / "run")
+    for command in (lambda: cli.cmd_simulate(str(CONFIGS / "dirichlet_sine.yaml"), out),
+                    lambda: cli.cmd_verify(out)):
+        assert command() == cli.EXIT_OK
+        made.append(passes["row_blocks"] + passes["pairwise_pieces"])
+    assert max(made) <= 12, made

@@ -72,3 +72,33 @@ def test_config_error_exits_2_with_one_line(monkeypatch, capsys, tmp_path, name,
         runpy.run_path(str(SCRIPTS / f"{name}.py"), run_name="__main__")
     assert info.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+CODE_LINES_SNIPPET = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+def f(x):
+    """A docstring."""
+    y = """a string that is not a statement,
+over two lines"""
+    return (x +
+            y)
+
+
+class C:
+    "a one-line docstring"
+    z = os.sep
+'''
+
+
+def test_code_lines_counts_only_lines_with_code(monkeypatch, capsys, tmp_path):
+    """Blank lines, comment lines and docstrings count for nothing; each line
+    of a string that is not a statement counts, as does each line of a
+    statement broken inside brackets: 8 lines in all."""
+    path = tmp_path / "snippet.py"
+    path.write_text(CODE_LINES_SNIPPET)
+    run_script(monkeypatch, "code_lines", str(tmp_path))
+    assert capsys.readouterr().out.splitlines() == [f"     8 {path}", "     8 total"]

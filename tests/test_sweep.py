@@ -20,6 +20,7 @@ import dampedwave.sweep
 from dampedwave.cli import main
 from dampedwave.config import load_config
 from dampedwave.sweep import (
+    _interp_states,
     _lpt_shares,
     _map_members,
     _usable_cpus,
@@ -29,6 +30,7 @@ from dampedwave.sweep import (
     limsup_identity_audit,
     mu_vanishing_sequence,
     nonuniqueness_exhibit,
+    pair_reaction_with_state,
     snap_dt,
     uniform_ratio,
 )
@@ -152,6 +154,46 @@ class TestToySweep:
         a = epsilon_sweep(base, [1e-2, 1e-3, 1e-4])
         b = epsilon_sweep(base, [1e-2, 1e-3, 1e-4])
         assert a.to_dict() == b.to_dict()
+
+
+class TestAuditPairings:
+    """``pair_reaction_with_state`` and ``mu_vanishing_sequence`` sum over
+    flat pieces of each member (``integrator.pairwise_pieces``)."""
+
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_the_whole_run_sums_bit_for_bit(self, contact_sweep, toy_sweep, block, monkeypatch):
+        """The whole-run formulas they replaced; blocks of 100 elements put
+        piece edges inside rows of the 65-node members."""
+        if block is not None:
+            monkeypatch.setattr(dw.integrator, "BLOCK_ELEMENTS", block)
+        for rep in (contact_sweep, toy_sweep):
+            finest = rep.trajectories[rep.eps_list[-1]]
+            mu = mu_vanishing_sequence(rep)
+            for e in rep.eps_list:
+                traj = rep.trajectories[e]
+                u_th, w = traj.theta_combine(traj.U), traj.grid.mass_weights
+                u_fin = _interp_states(finest.times, finest.U, traj.theta_combine(traj.times))
+                s_want = traj.dt * float(np.sum(traj.beta_theta * u_th * w[None, :]))
+                mu_want = traj.dt * float(np.sum(traj.beta_theta * (u_th - u_fin) * w[None, :]))
+                assert pair_reaction_with_state(traj).hex() == s_want.hex()
+                assert mu[e].hex() == mu_want.hex()
+
+    def test_no_run_sized_array(self, contact_sweep):
+        """On the benchmark sweep of configs/neumann_contact.yaml (eps 1e-2
+        to 1e-5) the whole-run products peaked at 3.02 (the limsup audit)
+        and 4.41 (mu) times the finest member's U; over flat pieces both stay
+        under U.  A first call goes untraced, so that imports are not
+        counted."""
+        u_bytes = contact_sweep.trajectories[contact_sweep.eps_list[-1]].U.nbytes
+        for audit in (limsup_identity_audit, mu_vanishing_sequence):
+            audit(contact_sweep)
+            tracemalloc.start()
+            try:
+                audit(contact_sweep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < u_bytes, (audit.__name__, peak / u_bytes)
 
 
 class TestDirichletSineSweep:
