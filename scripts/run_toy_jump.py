@@ -15,6 +15,7 @@ from pathlib import Path
 import dampedwave as dw
 from dampedwave.cli import exit_code, toy_run_config
 from dampedwave.toy import yosida_layer_toy
+from dampedwave.weaklimit import window_profile
 
 
 def main():
@@ -27,7 +28,6 @@ def main():
     eps = args.epsilon
     cfg = toy_run_config(eps, args.T, label="toy-jump")
     traj = dw.simulate(cfg)
-    xi = dw.accumulate_xi(traj)
     events = dw.detect_jumps(traj)
 
     err = 0.0
@@ -36,7 +36,7 @@ def main():
         uo, vo = yosida_layer_toy(eps, float(traj.times[i]))
         err = max(err, abs(uo - traj.U[i, 0]), abs(vo - traj.V[i, 0]))
 
-    profile = xi.window_profile(1.0, math.sqrt(eps))  # windows of 8, 4, 2 and 1 layer widths
+    profile = window_profile(traj, 1.0, math.sqrt(eps))  # windows of 8, 4, 2 and 1 layer widths
     report = {
         "epsilon": eps,
         "dt": cfg.dt,
@@ -45,7 +45,7 @@ def main():
              "v_after": float(e.v_after[0]), "impulse": e.impulse}
             for e in events
         ],
-        "xi_total_mass": xi.total_l1,
+        "xi_total_mass": traj.reaction_l1,
         "mass_within_8_layer_widths_of_t1": profile[8],
         "window_profile": {str(k): v for k, v in profile.items()},
         "max_oracle_deviation": err,

@@ -32,7 +32,6 @@ from .errors import (
     InadmissibleCandidate,
     InadmissibleTestFunction,
     MissingArtifact,
-    MissingReactionRecords,
     NewtonDiverged,
     NonConvergence,
     OutOfValidityWindow,
@@ -72,7 +71,6 @@ from .toy import LevelSet, exact_family_toy, phase_level_set, yosida_layer_toy
 from .weaklimit import (
     SeparableCandidate,
     TestFunction,
-    XiMeasure,
     accumulate_xi,
     default_dictionary,
     detect_jumps,

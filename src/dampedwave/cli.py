@@ -13,8 +13,9 @@ included).
 v and the Newton counts.  The per-step records are a function of the
 states, so ``read_run_npz`` rebuilds them with the function ``simulate``
 records them with (``integrator.run_records``), bit for bit.  ``verify``
-builds one trajectory and one measure from it and renders and checks
-everything from them, so its battery gives ``simulate``'s verdict values.
+builds one trajectory from it, whose records are its reaction measure, and
+renders and checks everything from it, so its battery gives
+``simulate``'s verdict values.
 
 One table, ``_artifacts``, holds every file ``simulate`` writes after
 ``run.npz`` and ``verdicts.json``: its name, the writer ``simulate``
@@ -66,7 +67,7 @@ from .integrator import (
     run_records,
     simulate,
 )
-from .sweep import checked_eps_list, epsilon_sweep, limsup_identity_audit, snap_dt, summarize_run
+from .sweep import checked_eps_list, epsilon_sweep, limsup_identity_audit, overshoot, overshoot_bound, snap_dt
 from .toy import phase_level_set, yosida_layer_toy
 from .weaklimit import (
     accumulate_xi,
@@ -240,19 +241,18 @@ def _render_energy_csv(write, traj: Trajectory, es) -> None:
     _render_csv(write, header, ["%.12g"] + ["%.17g"] * 7, columns)
 
 
-def write_xi_csv(path: Path, xi) -> None:
-    _to_file(path, _render_xi_csv, xi)
+def write_xi_csv(path: Path, traj: Trajectory) -> None:
+    _to_file(path, _render_xi_csv, traj)
 
 
-def _render_xi_csv(write, xi) -> None:
-    """The nonzero cells of the measure rebinned to at most 256 time bins."""
-    coarse = xi.rebin(min(256, xi.n_t))
-    centers = 0.5 * (coarse.t_edges[:-1] + coarse.t_edges[1:])
-    masses = coarse.rows(slice(None))
+def _render_xi_csv(write, traj: Trajectory) -> None:
+    """The nonzero cells of the run's reaction measure coarsened to at most 256 time bins."""
+    edges, masses = accumulate_xi(traj, min(256, traj.n_steps))
+    centers = 0.5 * (edges[:-1] + edges[1:])
     k, i = np.nonzero(masses)
     _render_csv(
         write, "t_bin,x_bin,mass", ["%.12g", "%.12g", "%.17g"],
-        [centers[k], coarse.x[i], masses[k, i]],
+        [centers[k], traj.grid.x[i], masses[k, i]],
     )
 
 
@@ -266,7 +266,7 @@ def _render_csv(write, header: str, fmt, columns) -> None:
         write("".join(row % tuple(r) for r in rows))
 
 
-def _summary_payload(traj: Trajectory, xi, es) -> dict:
+def _summary_payload(traj: Trajectory, es) -> dict:
     """``summary.json``: run parameters, energies, dissipation, reaction mass, Newton counts."""
     stride = max(1, len(es) // 200)
     return {
@@ -282,7 +282,7 @@ def _summary_payload(traj: Trajectory, xi, es) -> dict:
             "total": [float(v) for v in es["total"][::stride]],
         },
         "dissipation_total": dissipation_between(traj, 0.0, float(traj.times[-1])),
-        "xi_total_l1": xi.total_l1,
+        "xi_total_l1": traj.reaction_l1,
         "newton_total_iters": int(np.sum(traj.newton_iters)),
         "newton_max_iters": int(np.max(traj.newton_iters, initial=0)),
         "n_steps": traj.n_steps,
@@ -365,7 +365,7 @@ def _manifest(out_dir: Path, cfg: SimConfig, names, digests) -> Artifact:
     return Artifact("manifest.json", write, _render_manifest, args, _read_json, LEDGER)
 
 
-def _artifacts(out_dir: Path, traj: Trajectory, xi, es, export, digests) -> list[Artifact]:
+def _artifacts(out_dir: Path, traj: Trajectory, es, export, digests) -> list[Artifact]:
     """The artifact table: the files of a run after ``run.npz`` and
     ``verdicts.json``, in the order of their verdicts, one row each.
 
@@ -379,10 +379,10 @@ def _artifacts(out_dir: Path, traj: Trajectory, xi, es, export, digests) -> list
     ``verdicts.json``, and takes the digests that ``digests`` holds when
     it is rendered instead of reading those files.
     """
-    summary, jumps = _summary_payload(traj, xi, es), _jumps_payload(traj)
+    summary, jumps = _summary_payload(traj, es), _jumps_payload(traj)
     table = [
         Artifact("energy.csv", write_energy_csv, _render_energy_csv, (traj, es), _read_csv, LEDGER),
-        Artifact("xi.csv", write_xi_csv, _render_xi_csv, (xi,), _read_csv, LEDGER),
+        Artifact("xi.csv", write_xi_csv, _render_xi_csv, (traj,), _read_csv, LEDGER),
         Artifact("summary.json", _write_json, _render_json, (summary,), _read_json, LEDGER),
         Artifact("trajectory.csv", write_trajectory_csv, _render_trajectory_csv, (traj,),
                  lambda p: _parse_trajectory_csv(p, *traj.U.shape),
@@ -394,11 +394,10 @@ def _artifacts(out_dir: Path, traj: Trajectory, xi, es, export, digests) -> list
     return table + [_manifest(out_dir, traj.cfg, ["run.npz", *(a.name for a in table)], digests)]
 
 
-def _derived_files_match(out_dir: Path, traj: Trajectory, xi, es, export) -> dict:
+def _derived_files_match(out_dir: Path, traj: Trajectory, es, export) -> dict:
     """For each verdict of the artifact table, whether every file it covers
     holds the bytes its renderer gives from the run that ``read_run_npz``
-    rebuilt (``xi`` and ``es`` are its measure and energy series) and the
-    directory.
+    rebuilt (``es`` is its energy series) and the directory.
 
     The manifest takes each earlier row's digest from its rendering, so an
     edited derived file fails its own verdict only; the manifest covers
@@ -408,7 +407,7 @@ def _derived_files_match(out_dir: Path, traj: Trajectory, xi, es, export) -> dic
     an OSError.
     """
     match, digests = {}, {}
-    for a in _artifacts(out_dir, traj, xi, es, export, digests):
+    for a in _artifacts(out_dir, traj, es, export, digests):
         rendered = hashlib.sha256()
         a.render(lambda text: rendered.update(text.encode()), *a.args)
         digests[a.name] = rendered.hexdigest()
@@ -419,9 +418,11 @@ def _derived_files_match(out_dir: Path, traj: Trajectory, xi, es, export) -> dic
     return match
 
 
-def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
-    """The post-run verification battery on the run, its measure ``xi`` and
-    its energy series ``es``: six verdicts."""
+def _standard_checks(traj: Trajectory, es, seed: int) -> dict:
+    """The post-run verification battery on the run and its energy series
+    ``es``: six verdicts.  It reads only what its verdicts use: the
+    overshoot and its bound, the largest energy and the run's reaction mass,
+    not the sweep's norms (``summarize_run``)."""
     rng = np.random.default_rng(seed)
     verdicts = {}
 
@@ -433,15 +434,12 @@ def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
         "tol": ineq.tol,
     }
 
-    summ = summarize_run(traj, xi, es)
-    verdicts["overshoot"] = {
-        "passed": summ.overshoot_ok,
-        "overshoot": summ.overshoot,
-        "bound": summ.overshoot_bound,
-    }
+    e_max = float(np.max(es["total"]))
+    over, bound = overshoot(traj), overshoot_bound(traj, e_max)
+    verdicts["overshoot"] = {"passed": over <= bound, "overshoot": over, "bound": bound}
 
     T = float(traj.times[-1])
-    residuals = weak_residual(traj, xi, default_dictionary(traj.grid, T), T)
+    residuals = weak_residual(traj, default_dictionary(traj.grid, T), T)
     worst = max(0.0, *(r / (1.0 + T) for r in residuals))
     verdicts["weak_residual"] = {
         "passed": worst <= WEAK_C * traj.dt,
@@ -450,14 +448,14 @@ def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
     }
 
     candidates = iter_random_candidates(traj, 20, rng)
-    sub = subdifferential_check(traj, xi, candidates, tol=1e-6)
+    sub = subdifferential_check(traj, candidates, tol=1e-6)
     verdicts["subdifferential"] = {
         "passed": sub.all_pass,
         "worst_slack": sub.worst_slack,
     }
 
-    thr = 0.01 * max(summ.l1_mass, 1e-30) / max(xi.n_t, 1)
-    support = singular_support_check(xi, traj, thr)
+    thr = 0.01 * max(traj.reaction_l1, 1e-30) / max(traj.n_steps, 1)
+    support = singular_support_check(traj, thr)
     mis_budget = 5.0 * (traj.reaction.layer_width + traj.dt)
     verdicts["singular_support"] = {
         "passed": support.empty or support.max_misalignment <= mis_budget,
@@ -465,8 +463,8 @@ def _standard_checks(traj: Trajectory, xi, es, seed: int) -> dict:
         "n_significant": support.n_significant,
     }
 
-    r_sol = solution_identity_residual(traj, xi, 0.0, T)
-    scale = (1.0 + T) * (1.0 + summ.e_max)
+    r_sol = solution_identity_residual(traj, 0.0, T)
+    scale = (1.0 + T) * (1.0 + e_max)
     verdicts["solution_identity"] = {
         "passed": r_sol <= WEAK_C * traj.dt * scale,
         "residual": r_sol,
@@ -530,10 +528,10 @@ def cmd_simulate(config_path: str, out: str, seed: int = 0, write_csv: bool = Fa
         return EXIT_CONFIG_ERROR
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xi, es = accumulate_xi(traj), energy_series(traj)
+    es = energy_series(traj)
     write_run_npz(out_dir / "run.npz", traj)
-    rows = _artifacts(out_dir, traj, xi, es, lambda name: write_csv, {})
-    return _conclude(out_dir, _standard_checks(traj, xi, es, seed), rows)
+    rows = _artifacts(out_dir, traj, es, lambda name: write_csv, {})
+    return _conclude(out_dir, _standard_checks(traj, es, seed), rows)
 
 
 def eps_list_arg(eps: str) -> tuple:
@@ -603,11 +601,11 @@ def cmd_verify(out: str, seed: int = 0) -> int:
     cfg = from_dict(manifest["config"])
 
     traj = read_run_npz(out_dir / "run.npz", cfg)
-    xi, es = accumulate_xi(traj), energy_series(traj)
+    es = energy_series(traj)
     # the export is compared whenever it is there, whatever the manifest lists
     exported = lambda name: name in files or (out_dir / name).exists()
-    match = _derived_files_match(out_dir, traj, xi, es, exported)
-    verdicts = _standard_checks(traj, xi, es, seed)
+    match = _derived_files_match(out_dir, traj, es, exported)
+    verdicts = _standard_checks(traj, es, seed)
     verdicts.update((name, {"passed": ok}) for name, ok in match.items())
     return _conclude(out_dir, verdicts, store="verify_verdicts.json")
 

@@ -55,10 +55,6 @@ class InadmissibleCandidate(DampedWaveError):
     """Candidate field leaves [-1, 1] or has the wrong shape."""
 
 
-class MissingReactionRecords(DampedWaveError):
-    """Trajectory lacks the per-step reaction records needed here."""
-
-
 class OutOfValidityWindow(DampedWaveError):
     """Closed-form toy solution queried beyond its derivation window."""
 

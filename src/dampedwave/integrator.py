@@ -31,10 +31,11 @@ step with one Newton iteration therefore costs two resolvent solves.
 
 A run keeps every state and the reaction of each.  After the loop,
 ``run_records`` gives every step its records: the theta-combined
-reaction field (the raw material for the constraint-measure histogram),
-the dissipation and forcing power increments in the scheme-consistent
-quadrature.  It applies the kernel's one ``record`` function to blocks
-of stacked steps, and ``cli.read_run_npz`` calls it on the states of
+reaction field, whose masses dt * w * beta_theta are the run's own
+constraint measure (``Trajectory.masses``, ``Trajectory.reaction_l1``),
+and the dissipation and forcing power increments in the
+scheme-consistent quadrature.  It applies the kernel's one ``record``
+function to blocks of stacked steps, and ``cli.read_run_npz`` calls it on the states of
 ``run.npz``, which stores no records, so both get the same bits.  A run's
 arrays take ``run_bytes`` bytes; a run larger than the physical memory is
 refused before anything is allocated.  The checks that follow a run read
@@ -191,7 +192,9 @@ class Trajectory:
     ``times``/``U``/``V`` hold the initial state and the state after each
     step, ``times[k] = k*dt``; ``beta_theta`` row k is the theta-combined
     reaction of step k, so dt * weights * beta_theta is exactly the
-    reaction mass the scheme injected during that step.
+    reaction mass the scheme injected during that step.  These masses are
+    the run's reaction measure xi, one time cell per step: ``masses``
+    forms the rows a check asks for, and ``reaction_l1`` is its total mass.
     """
 
     cfg: SimConfig
@@ -254,6 +257,24 @@ class Trajectory:
         kernels' ``record``."""
         th, g = self.theta, self.forcing
         return th * g + (1.0 - th) * g
+
+    def masses(self, steps: slice) -> np.ndarray:
+        """The reaction masses of the steps ``steps``, one row per step:
+        ``(dt * beta_theta[steps]) * w``, the bits of the whole-array product."""
+        m = self.dt * self.beta_theta[steps]
+        m *= self.grid.mass_weights
+        return m
+
+    @cached_property
+    def reaction_l1(self) -> float:
+        """sum |masses|, with the bits of the whole-array sum and no |masses|
+        array; summed on the first call, so once per run."""
+
+        def abs_rows(steps):
+            m = self.masses(steps)
+            return np.abs(m, out=m)
+
+        return pairwise_pieces(abs_rows, *self.beta_theta.shape)
 
     def __getstate__(self) -> dict:
         """The pickled state: the cached reaction holds closures that do not

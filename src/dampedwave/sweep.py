@@ -5,20 +5,24 @@ regularization indices (eps for the Yosida kinds, eps_param for the
 piecewise-linear family), with the time step tied to the boundary-layer
 width (default dt = min(dt_base, sqrt(eps)/10), snapped so the horizon
 is an integer number of steps).  Coarser runs are compared against the
-finest on the finest run's output times by linear interpolation.
+finest and against their predecessor on the finest run's output times by
+linear interpolation, one member at a time, so at most two interpolated
+members are held at once.
 
 "Uniformly bounded" is operationalized as a max/min ratio across the
 sweep staying below a threshold; quantities that are identically zero
 (to absolute tolerance) count as trivially bounded.
 
 Each member's summary (``summarize_run``) reads the run in one pass over
-row blocks.  The audits that pair a member's reaction with a state
+row blocks; the overshoot and its bound (``overshoot``,
+``overshoot_bound``), which the check battery reads alone, share its
+formulas.  The audits that pair a member's reaction with a state
 (``pair_reaction_with_state``, ``mu_vanishing_sequence``) sum over flat
 pieces of the member's steps (``integrator.pairwise_pieces``), with the
 bits of the whole-run sum; none of them builds an array the size of a
 run.
 
-The members are independent runs (``_member``: run, measure, summary),
+The members are independent runs (``_member``: run and summary),
 so they run concurrently, one process per CPU in the affinity mask.
 ``_lpt_shares`` splits them by longest processing time first on their
 node-steps; the calling process keeps the heaviest share and ``os.fork``s
@@ -49,7 +53,7 @@ from .energy import energy_series
 from .errors import ConfigError, RunError
 from .grid import apply_A, edge_inner
 from .integrator import Trajectory, pairwise_pieces, row_blocks, simulate
-from .weaklimit import XiMeasure, accumulate_xi
+from .weaklimit import accumulate_xi
 
 RATIO_ATOL = 1e-12
 # a quantity is uniformly bounded when its max/min ratio across the sweep is at most this
@@ -102,7 +106,6 @@ class SweepReport:
     ratios: dict  # quantity -> max/min ratio across the sweep
     verdicts: dict  # quantity -> bool (ratio at most RATIO_THRESHOLD)
     trajectories: dict  # eps -> Trajectory
-    measures: dict  # eps -> XiMeasure
 
     def to_dict(self) -> dict:
         return {
@@ -126,7 +129,24 @@ def uniform_ratio(values) -> float:
     return hi / lo
 
 
-def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
+def _block_overshoot(u) -> float:
+    """max(|u| - 1, 0) over a block of states."""
+    return np.max(np.maximum(np.abs(u) - 1.0, 0.0))
+
+
+def overshoot(traj: Trajectory) -> float:
+    """max(|u| - 1, 0) over every recorded state, in one pass over row
+    blocks; a maximum is exact in any order."""
+    return float(np.max([_block_overshoot(traj.U[records]) for records in row_blocks(*traj.U.shape)]))
+
+
+def overshoot_bound(traj: Trajectory, e_max: float) -> float:
+    """sqrt(2 eps max(E_max, 0)) + 2 dt, the bound the overshoot keeps
+    below when the energy stays at most ``e_max``."""
+    return math.sqrt(2.0 * traj.reaction.epsilon * max(e_max, 0.0)) + 2.0 * traj.dt
+
+
+def summarize_run(traj: Trajectory, es) -> RunSummary:
     """The run's bounds and energies; ``es`` is its ``energy_series``.
 
     One pass over the row blocks of the records gives every norm: the
@@ -136,7 +156,7 @@ def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
     columns and reduced after the pass (``np.trapezoid``, ``np.sum``), as
     a whole-run reduction would.  No array the size of the run is built.
     """
-    grid, reaction = traj.grid, traj.reaction
+    grid = traj.grid
     w = grid.mass_weights
     n = traj.n_steps
     h1_sq, variation = np.empty(n + 1), np.empty(n)
@@ -149,7 +169,7 @@ def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
         maxima.append((
             np.max(np.sqrt(np.maximum(v_sq, 0.0))),
             np.max(np.vecdot(Au * Au, w)),
-            np.max(np.maximum(np.abs(u) - 1.0, 0.0)),
+            _block_overshoot(u),
         ))
         # the discrete H1-in-time norm of u with values in V (trapezoid in time)
         h1_sq[records] = np.vecdot(u * u, w) + edge_inner(grid, u, u) + v_sq + edge_inner(grid, v, v)
@@ -157,18 +177,17 @@ def summarize_run(traj: Trajectory, xi: XiMeasure, es) -> RunSummary:
         variation[steps] = np.vecdot(np.abs(dv), w)
     sup_v, sup_Au_sq, overshoot = np.max(maxima, axis=0)
     e_max = float(np.max(es["total"]))
-    bound = math.sqrt(2.0 * reaction.epsilon * max(e_max, 0.0)) + 2.0 * traj.dt
     return RunSummary(
-        epsilon=reaction.epsilon,
+        epsilon=traj.reaction.epsilon,
         dt=traj.dt,
         sup_v=float(sup_v),
         sup_potential=float(np.max(es["potential"])),
-        l1_mass=xi.total_l1,
+        l1_mass=traj.reaction_l1,
         bv_proxy=float(np.sum(variation)),
         sup_Au=math.sqrt(max(float(sup_Au_sq), 0.0)),
         h1_time_v=float(np.sqrt(max(np.trapezoid(h1_sq, traj.times), 0.0))),
         overshoot=float(overshoot),
-        overshoot_bound=bound,
+        overshoot_bound=overshoot_bound(traj, e_max),
         e_max=e_max,
         e_initial=float(es["total"][0]),
         e_final=float(es["total"][-1]),
@@ -212,10 +231,9 @@ def checked_eps_list(eps_list) -> tuple:
 
 
 def _member(cfg: SimConfig):
-    """One member of a sweep: its trajectory, measure and RunSummary."""
+    """One member of a sweep: its trajectory and RunSummary."""
     traj = simulate(cfg)
-    xi = accumulate_xi(traj)
-    return traj, xi, summarize_run(traj, xi, energy_series(traj))
+    return traj, summarize_run(traj, energy_series(traj))
 
 
 def _usable_cpus() -> int:
@@ -394,7 +412,7 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     ``eps_list`` must be strictly decreasing with at least 3 entries.
     Runs share the grid, data, forcing, and theta; only the
     regularization index and (through ``default_dt_policy``) the step
-    move.  The report keeps every member's trajectory and measure.
+    move.  The report keeps every member's trajectory.
 
     The members are independent runs (``_member``), so ``_map_members``
     runs them concurrently, one process per CPU the process may run on;
@@ -410,22 +428,22 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     ]
     members = _map_members(_member, cfgs, eps_list)
     runs = {e: m[0] for e, m in zip(eps_list, members)}
-    xis = {e: m[1] for e, m in zip(eps_list, members)}
-    summaries = tuple(m[2] for m in members)
+    summaries = tuple(m[1] for m in members)
 
+    # each member on the finest run's times, compared with the finest and
+    # with its predecessor; only the predecessor's states are kept
     finest = runs[eps_list[-1]]
-    grid = finest.grid
-    t_common = finest.times
-    U_interp = {
-        e: _interp_states(runs[e].times, runs[e].U, t_common) for e in eps_list
-    }
-    diff_to_finest = {
-        e: _traj_diff(grid, t_common, U_interp[e], finest.U) for e in eps_list[:-1]
-    }
-    consecutive = {
-        (a, b): _traj_diff(grid, t_common, U_interp[a], U_interp[b])
-        for a, b in zip(eps_list, eps_list[1:])
-    }
+    grid, t_common = finest.grid, finest.times
+    diff_to_finest, consecutive, prev = {}, {}, None
+    for e, traj in runs.items():
+        if traj is finest:
+            U = finest.U
+        else:
+            U = _interp_states(traj.times, traj.U, t_common)
+            diff_to_finest[e] = _traj_diff(grid, t_common, U, finest.U)
+        if prev is not None:
+            consecutive[(prev[0], e)] = _traj_diff(grid, t_common, prev[1], U)
+        prev = e, U
 
     quantities = {
         "sup_v": [s.sup_v for s in summaries],
@@ -446,7 +464,6 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
         ratios=ratios,
         verdicts=verdicts,
         trajectories=runs,
-        measures=xis,
     )
 
 
@@ -487,15 +504,16 @@ def limsup_identity_audit(report: SweepReport) -> LimsupAudit:
     """Compare the reaction/state pairings with the finest measure pairing.
 
     The finest pairing goes through a histogram coarsened to at most 400
-    time bins (cell-center evaluation of u), so agreement is a real check
-    rather than an identity; it passes at a relative gap of at most 0.02.
+    time bins (``accumulate_xi``; cell-center evaluation of u), so agreement
+    is a real check rather than an identity; it passes at a relative gap of
+    at most 0.02.
     """
     s_eps = {e: pair_reaction_with_state(report.trajectories[e]) for e in report.eps_list}
     finest = report.eps_list[-1]
     traj = report.trajectories[finest]
-    xi = report.measures[finest].rebin(min(400, traj.n_steps))
-    u_on_cells = _interp_states(traj.times, traj.U, xi.t_eval)
-    pairing = float(np.sum(xi.rows(slice(None)) * u_on_cells))
+    edges, masses = accumulate_xi(traj, min(400, traj.n_steps))
+    u_on_cells = _interp_states(traj.times, traj.U, 0.5 * edges[:-1] + 0.5 * edges[1:])
+    pairing = float(np.sum(masses * u_on_cells))
     s_last = s_eps[finest]
     rel_gap = abs(s_last - pairing) / (1.0 + abs(pairing))
     return LimsupAudit(s_eps, pairing, rel_gap, rel_gap <= 0.02)
@@ -567,7 +585,7 @@ def nonuniqueness_exhibit(
 
     out = {"epsilon": epsilon, "family_r_threshold": rt, "runs": {}}
     for cfg in (cfg_yosida, cfg_family):
-        traj, _, summ = _member(cfg)
+        traj, summ = _member(cfg)
         i1 = traj.time_index(1.0)
         v_at_1 = float(traj.V[i1, 0])
         s_times, t_times = random_time_pairs(traj, np.random.default_rng(0), 20)

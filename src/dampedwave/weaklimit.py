@@ -1,12 +1,15 @@
 """Constraint-reaction measure, weak-form residuals, and jump diagnostics.
 
-The reaction beta_eps(u_eps), recorded per step by the integrator, is
-binned into a space-time histogram (XiMeasure) with one time cell per
-step.  The cell mass of step k and node i is dt * w_i * beta_theta,
-exactly the mass the scheme injected, so pairings of the histogram
-against test functions reproduce the scheme's own quadrature.  Dirac atoms of the
-limit measure show up as mass concentrating in O(layer-width) time
-bands; the window-refinement profile makes that visible.
+The reaction beta_eps(u_eps), recorded per step by the integrator, is the
+run's space-time reaction measure xi, with one time cell per step.  The
+cell mass of step k and node i is dt * w_i * beta_theta, exactly the mass
+the scheme injected (``Trajectory.masses``), so pairings of the measure
+against test functions reproduce the scheme's own quadrature, and every
+check takes the run alone.  Dirac atoms of the limit measure show up as
+mass concentrating in O(layer-width) time bands; the window-refinement
+profile (``window_profile``) makes that visible.  ``accumulate_xi``
+coarsens the measure to uniform time cells, for ``xi.csv`` and the limsup
+audit.
 
 Test functions come from a finite symbolic dictionary (space-time
 separable products) with exact time derivatives, which keeps numerical
@@ -29,22 +32,21 @@ max|v| is at most 1 or not; only the logarithmic limit integrates J.
 Every candidate is separable, v = tau (x) sigma, and is kept as its two
 factors (SeparableCandidate), so its pairing is tau @ (masses @ sigma).
 
-The measure is not stored as an array: a run's XiMeasure holds the run's
-own per-step records and forms the masses of a row block only when a check
-asks for it (``XiMeasure.rows``).  Each check reads the run once: one pass
-over row blocks (``Trajectory.step_values``, or ``integrator.row_blocks``
-over the records) gives every per-step or per-record value it reduces,
-and the weak residual takes one pass per distinct spatial factor, the
-subdifferential check one per group of candidates.  Only maxima and
-counts are reduced per block; a sum keeps its per-step column and is
-taken after the pass, as a whole-run sum is, so it keeps that sum's bits.
-Neither the measure nor the battery builds an array the size of the run:
-the extra memory is a few blocks of ``integrator.BLOCK_ELEMENTS``
-elements and a few per-step columns.  A block has a multiple of
-``integrator.GEMV_ROWS`` rows, so a product of blocks with a vector, such
-as masses @ S or V @ (w S), gives the bits of the whole-array product.
-The total mass (``XiMeasure.total_l1``) is summed once per measure, over
-pieces that follow numpy's pairwise order (``integrator.pairwise_pieces``).
+The measure is not stored as an array: a check forms the masses of a row
+block from the run's records only when it reads that block.  Each check
+reads the run once: one pass over row blocks (``Trajectory.step_values``,
+or ``integrator.row_blocks`` over the records) gives every per-step or
+per-record value it reduces, and the weak residual takes one pass per
+distinct spatial factor, the subdifferential check one per group of
+candidates.  Only maxima and counts are reduced per block; a sum keeps its
+per-step column and is taken after the pass, as a whole-run sum is, so it
+keeps that sum's bits.  Neither the measure nor the battery builds an
+array the size of the run: the extra memory is a few blocks of
+``integrator.BLOCK_ELEMENTS`` elements and a few per-step columns.  A
+block has a multiple of ``integrator.GEMV_ROWS`` rows, so a product of
+blocks with a vector, such as masses @ S or V @ (w S), gives the bits of
+the whole-array product.  The total mass (``Trajectory.reaction_l1``) is
+summed once per run.
 """
 
 from __future__ import annotations
@@ -52,19 +54,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InadmissibleCandidate,
-    InadmissibleTestFunction,
-    MissingReactionRecords,
-    TimeNotOnGrid,
-)
+from .errors import InadmissibleCandidate, InadmissibleTestFunction, TimeNotOnGrid
 from .graphs import limit_is_indicator, limit_j
 from .grid import DIRICHLET, Grid, edge_inner
-from .integrator import Trajectory, block_columns, map_blocks, pairwise_pieces, row_blocks
+from .integrator import Trajectory, block_columns, map_blocks, row_blocks
 
 # ---------------------------------------------------------------------------
 # test-function dictionary
@@ -177,115 +173,41 @@ def default_dictionary(grid: Grid, T: float) -> list[TestFunction]:
 # the reaction measure
 
 
-@dataclass(frozen=True)
-class XiMeasure:
-    """Space-time histogram of the constraint reaction.
-
-    ``rows(cells)`` gives the signed reaction masses of the time cells
-    ``cells`` (a slice), one row per time cell and one column per space
-    cell: ``(dt * records[cells]) * weights``, the bits of the whole-array
-    product, formed only when a block is asked for.  ``t_edges`` has one
-    more entry than time cells.  A run's measure (``accumulate_xi``) holds
-    the run's per-step reaction records themselves as ``records``
-    (``traj.beta_theta``, not a copy), with the step ``dt`` and the mass
-    ``weights``: its time cells are the integrator steps, and ``theta``
-    locates the scheme's evaluation point inside each.  A rebinned measure
-    holds its masses as ``records``, with ``dt`` 1 and ``weights`` 1, which
-    leave every bit of them.  Every method works over row blocks, so none
-    builds an array the size of the run.
-    """
-
-    t_edges: np.ndarray
-    x: np.ndarray
-    records: np.ndarray
-    theta: float
-    epsilon: float
-    dt: float
-    weights: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        """(time cells, space cells)."""
-        return self.records.shape
-
-    @property
-    def n_t(self) -> int:
-        return self.records.shape[0]
-
-    def rows(self, cells: slice) -> np.ndarray:
-        """The masses of the time cells ``cells``, one row per cell."""
-        m = self.dt * self.records[cells]
-        m *= self.weights
-        return m
-
-    @property
-    def t_eval(self) -> np.ndarray:
-        """Per-cell evaluation times (theta point inside each cell)."""
-        return (1.0 - self.theta) * self.t_edges[:-1] + self.theta * self.t_edges[1:]
-
-    @cached_property
-    def total_l1(self) -> float:
-        """sum |masses|, with the bits of the whole-array sum and no |masses|
-        array; summed on the first call, so once per measure."""
-
-        def abs_rows(cells):
-            m = self.rows(cells)
-            return np.abs(m, out=m)
-
-        return pairwise_pieces(abs_rows, *self.shape)
-
-    def window_mass(self, t0: float, halfwidth: float) -> float:
-        """Absolute mass inside |t - t0| <= halfwidth (fractional cells)."""
-        return self.window_profile(t0, halfwidth, (1,))[1]
-
-    def window_profile(self, t0: float, width: float, factors=(8, 4, 2, 1)) -> dict:
-        """Absolute mass inside |t - t0| <= f * width for each of ``factors``
-        (nested windows around t0, which flag concentration), from one pass
-        that forms the per-cell |mass| once for every window."""
-        edges = self.t_edges
-        cell_l1 = map_blocks(*self.shape, lambda cells: np.sum(np.abs(self.rows(cells)), axis=1))
-        out = {}
-        for f in factors:
-            lo, hi = t0 - f * width, t0 + f * width
-            overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
-            w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
-            out[f] = float(np.dot(w, cell_l1))
-        return out
-
-    def rebin(self, n_t: int) -> "XiMeasure":
-        """Coarsen to n_t uniform time cells (for export and plotting); the
-        cells are added in order, as one ``np.add.at`` over all of them."""
-        edges = np.linspace(self.t_edges[0], self.t_edges[-1], n_t + 1)
-        idx = np.clip(
-            np.searchsorted(edges, self.t_eval, side="right") - 1, 0, n_t - 1
-        )
-        masses = np.zeros((n_t, self.shape[1]))
-        for cells in row_blocks(*self.shape):
-            np.add.at(masses, idx[cells], self.rows(cells))
-        return XiMeasure(edges, self.x, masses, 0.5, self.epsilon, 1.0, np.ones(len(self.x)))
+def accumulate_xi(traj: Trajectory, n_t: int) -> tuple:
+    """The run's reaction measure coarsened to ``n_t`` uniform time cells
+    (for export and audits): (edges, masses), ``n_t + 1`` cell edges and one
+    row of masses per cell.  Each step's masses go to the cell of its
+    evaluation time; the steps are added in order, as one ``np.add.at`` over
+    all of them, a row block at a time."""
+    edges = np.linspace(traj.times[0], traj.times[-1], n_t + 1)
+    idx = np.clip(np.searchsorted(edges, traj.theta_combine(traj.times), side="right") - 1, 0, n_t - 1)
+    masses = np.zeros((n_t, traj.grid.n_nodes))
+    for steps in row_blocks(*traj.beta_theta.shape):
+        np.add.at(masses, idx[steps], traj.masses(steps))
+    return edges, masses
 
 
-def accumulate_xi(traj: Trajectory) -> XiMeasure:
-    """Bin the recorded reaction into one time cell per step: a measure over
-    the run's own ``beta_theta``, which it does not copy."""
-    if traj.beta_theta is None or len(traj.beta_theta) != traj.n_steps:
-        raise MissingReactionRecords("trajectory has no per-step reaction records")
-    return XiMeasure(
-        traj.times.copy(),
-        traj.grid.x,
-        traj.beta_theta,
-        traj.theta,
-        traj.reaction.epsilon,
-        traj.dt,
-        traj.grid.mass_weights,
-    )
+def window_profile(traj: Trajectory, t0: float, width: float, factors=(8, 4, 2, 1)) -> dict:
+    """Absolute reaction mass inside |t - t0| <= f * width for each of
+    ``factors`` (nested windows around t0, which flag concentration), from
+    one pass that forms the per-step |mass| once for every window; a step
+    counts by the fraction of it inside a window."""
+    edges = traj.times
+    cell_l1 = map_blocks(*traj.beta_theta.shape, lambda steps: np.sum(np.abs(traj.masses(steps)), axis=1))
+    out = {}
+    for f in factors:
+        lo, hi = t0 - f * width, t0 + f * width
+        overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+        w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
+        out[f] = float(np.dot(w, cell_l1))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # weak-form residual
 
 
-def _factor_pairings(traj: Trajectory, xi: XiMeasure, S, n_end: int) -> tuple:
+def _factor_pairings(traj: Trajectory, S, n_end: int) -> tuple:
     """The per-step pairings of the spatial factor S over the first n_end
     steps, in one pass over the row blocks of records 0 to n_end: masses @ S,
     and theta-combined V @ (w S), U @ (w S) and the edge pairings
@@ -302,14 +224,14 @@ def _factor_pairings(traj: Trajectory, xi: XiMeasure, S, n_end: int) -> tuple:
     v_S, u_S, edge = np.empty((3, n_end + 1))
     for records in row_blocks(n_end + 1, grid.n_nodes):
         steps = slice(records.start, min(records.stop, n_end))
-        xi_S[steps] = xi.rows(steps) @ S
+        xi_S[steps] = traj.masses(steps) @ S
         v, u = traj.V[records], traj.U[records]
         v_S[records], u_S[records] = v @ wS, u @ wS
         edge[records] = edge_inner(grid, v, S) + edge_inner(grid, u, S)
     return xi_S, traj.theta_combine(v_S), traj.theta_combine(u_S), traj.theta_combine(edge)
 
 
-def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[float]:
+def weak_residual(traj: Trajectory, phis, t_end: float) -> list[float]:
     """Residuals of the integrated weak identity over (0, t_end), one per
     test function of ``phis``, in their order.
 
@@ -336,11 +258,12 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
 
     grid, dt, lam = traj.grid, traj.dt, traj.cfg.lam
     times = traj.times[: n_end + 1]
+    t_eval = traj.theta_combine(times)
     residuals = [0.0] * len(phis)
     for space in dict.fromkeys(phi.space for phi in phis):
         S = space.value(grid.x)
         wS = grid.mass_weights * S
-        xi_space, v_dot_S, u_dot_S, edge = _factor_pairings(traj, xi, S, n_end)
+        xi_space, v_dot_S, u_dot_S, edge = _factor_pairings(traj, S, n_end)
         g_S = None
         if traj.forcing is not None:
             g_S = np.full(n_end, np.vecdot(traj.forcing_theta, wS))
@@ -358,7 +281,7 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
             if not grid.is_homogeneous:
                 acc += dt * float(np.dot(T_th, edge))
             # + int phi d(xi)
-            acc += float(np.dot(phi.time.value(xi.t_eval[:n_end]), xi_space))
+            acc += float(np.dot(phi.time.value(t_eval), xi_space))
             # - lambda <<u, phi>>
             acc -= lam * dt * float(np.dot(T_th, u_dot_S))
             # - (u_1, phi(0))
@@ -371,9 +294,7 @@ def weak_residual(traj: Trajectory, xi: XiMeasure, phis, t_end: float) -> list[f
     return residuals
 
 
-def solution_identity_residual(
-    traj: Trajectory, xi: XiMeasure, s: float, t: float
-) -> float:
+def solution_identity_residual(traj: Trajectory, s: float, t: float) -> float:
     """Residual of the weak form tested with the solution itself on (s, t).
 
     This is the identity that pins the measure/solution pairing:
@@ -401,7 +322,7 @@ def solution_identity_residual(
         columns = [
             np.vecdot(v * v, w),
             edge_inner(grid, v, u) + edge_inner(grid, u, u),
-            np.vecdot(xi.rows(steps), u),
+            np.vecdot(traj.masses(steps), u),
             np.vecdot(u * u, w),
         ]
         if g_th is not None:
@@ -445,9 +366,7 @@ class SubdiffReport:
         return min((e.slack for e in self.entries), default=0.0)
 
 
-def subdifferential_check(
-    traj: Trajectory, xi: XiMeasure, candidates, tol: float = 1e-6
-) -> SubdiffReport:
+def subdifferential_check(traj: Trajectory, candidates, tol: float = 1e-6) -> SubdiffReport:
     """Slack J(v) - J(u) - <xi, v - u> per candidate; pass iff >= -tol.
 
     J is the limit potential (indicator of [-1,1] for the hard
@@ -497,7 +416,7 @@ def subdifferential_check(
 
         def pairings(steps, *u):
             # columns: <xi, u> if u is given, then masses @ sigma per candidate
-            m = xi.rows(steps)
+            m = traj.masses(steps)
             return np.stack([np.vecdot(m, q) for q in u] + [m @ v.sigma for v in group], axis=1)
 
         per_step = traj.step_values(pairings, *([traj.U] if xi_u is None else []))
@@ -580,22 +499,17 @@ class SupportReport:
         return self.n_significant == 0
 
 
-def singular_support_check(
-    xi: XiMeasure, traj: Trajectory, threshold: float
-) -> SupportReport:
+def singular_support_check(traj: Trajectory, threshold: float) -> SupportReport:
     """Check that significant mass sits where u is at the matching wall.
 
     Reports max over significant cells of (1 - sign(mass) * u_cell);
     values of order sqrt(eps) + dt confirm wall support.  The counts and
     the maximum are taken per step over row blocks, which leaves them exact.
     """
-    if xi.shape != (traj.n_steps, traj.grid.n_nodes):
-        raise MissingReactionRecords("measure is not at trajectory resolution")
-
     def per_step(steps, u):
         # columns: significant cells, their largest misalignment (-inf if
         # none), positive and negative significant cells
-        m = xi.rows(steps)
+        m = traj.masses(steps)
         sig = np.abs(m) > threshold
         mis = np.where(sig, 1.0 - np.sign(m) * u, -np.inf)
         return np.stack([

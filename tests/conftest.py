@@ -35,9 +35,7 @@ def transforms(graph):
 @pytest.fixture(scope="session")
 def toy_jump_run():
     """The reference jump run: eps=1e-6, dt = sqrt(eps)/100, theta=1/2."""
-    traj = dw.simulate(toy_config(1e-6))
-    xi = dw.accumulate_xi(traj)
-    return traj, xi
+    return dw.simulate(toy_config(1e-6))
 
 
 @pytest.fixture(scope="session")
@@ -67,9 +65,7 @@ def pressed_run():
         epsilon=eps, T=2.0, dt=dw.snap_dt(2.0, math.sqrt(eps) / 10.0), theta=1.0,
         u0="zero", u1="zero", forcing="constant:2", label="pressed",
     )
-    traj = dw.simulate(cfg)
-    xi = dw.accumulate_xi(traj)
-    return traj, xi
+    return dw.simulate(cfg)
 
 
 @pytest.fixture()

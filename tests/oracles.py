@@ -31,7 +31,7 @@ from dampedwave.grid import DIRICHLET, Field, Grid, apply_A, edge_inner
 from dampedwave.integrator import Trajectory, _kernel, _resolve_steps, simulate
 from dampedwave.sweep import RATIO_THRESHOLD, default_dt_policy, uniform_ratio
 from dampedwave.toy import LevelSet, _level_set
-from dampedwave.weaklimit import TestFunction, XiMeasure
+from dampedwave.weaklimit import TestFunction, window_profile
 
 # ---------------------------------------------------------------------------
 # the limit toy problem: free flight plus wall jumps
@@ -214,60 +214,65 @@ def static_boundary_example(alpha: float, candidates) -> list[float]:
 # the reaction measure: pairing, restriction, concentration
 
 
-def xi_masses(xi: XiMeasure) -> np.ndarray:
-    """The measure's masses as one (time cells, space cells) array, which the
-    package forms only a row block at a time (``XiMeasure.rows``)."""
-    return xi.rows(slice(None))
+def xi_masses(traj: Trajectory) -> np.ndarray:
+    """The run's reaction masses as one (steps, nodes) array, which the
+    package forms only a row block at a time (``Trajectory.masses``)."""
+    return traj.masses(slice(None))
 
 
-def xi_pairing(xi: XiMeasure, phi: TestFunction, n_cells: int) -> float:
-    """Integral of phi against the first ``n_cells`` time cells, evaluated at t_eval."""
-    tvals = phi.time.value(xi.t_eval[:n_cells])
-    svals = phi.space.value(xi.x)
-    return float(np.dot(tvals, xi_masses(xi)[:n_cells] @ svals))
+def xi_pairing(traj: Trajectory, phi: TestFunction, n_cells: int) -> float:
+    """Integral of phi against the first ``n_cells`` steps' masses,
+    evaluated at the steps' theta points."""
+    tvals = phi.time.value(traj.theta_combine(traj.times)[:n_cells])
+    svals = phi.space.value(traj.grid.x)
+    return float(np.dot(tvals, xi_masses(traj)[:n_cells] @ svals))
 
 
 def vanishes_at(phi: TestFunction, t: float, tol: float = 1e-12) -> bool:
     return abs(float(phi.time.value(t))) <= tol
 
 
-def restrict_mass(xi: XiMeasure, t: float) -> float:
-    """Signed mass of [0, t]: whole cells below plus a fractional cell."""
-    edges = xi.t_edges
+def restrict_mass(traj: Trajectory, t: float) -> float:
+    """Signed mass of [0, t]: whole steps below plus a fractional step."""
+    edges = traj.times
     k = int(np.searchsorted(edges, t, side="right")) - 1
-    acc = float(np.sum(xi_masses(xi)[:max(k, 0)]))
-    if 0 <= k < xi.n_t:
+    acc = float(np.sum(xi_masses(traj)[:max(k, 0)]))
+    if 0 <= k < traj.n_steps:
         frac = (t - edges[k]) / (edges[k + 1] - edges[k])
-        acc += frac * float(np.sum(xi_masses(xi)[k]))
+        acc += frac * float(np.sum(xi_masses(traj)[k]))
     return acc
 
 
-def concentration_at(xi: XiMeasure, t: float, width: float) -> float:
+def window_mass(traj: Trajectory, t0: float, halfwidth: float) -> float:
+    """Absolute reaction mass inside |t - t0| <= halfwidth (fractional steps)."""
+    return window_profile(traj, t0, halfwidth, (1,))[1]
+
+
+def concentration_at(traj: Trajectory, t: float, width: float) -> float:
     """Fraction of total mass within |tau - t| <= width.
 
     A cut time with a large value here sits inside a concentration
     band, where restrictions are genuinely before/after-sensitive.
     """
-    tot = xi.total_l1
-    return xi.window_mass(t, width) / tot if tot > 0.0 else 0.0
+    tot = traj.reaction_l1
+    return window_mass(traj, t, width) / tot if tot > 0.0 else 0.0
 
 
-def restriction_compat(
-    xi_full: XiMeasure, xi_sub: XiMeasure, phi: TestFunction, t: float
-) -> float:
-    """|int phi d(xi_sub) - int phi~ d(xi_full)| for phi vanishing at t.
+def restriction_compat(full: Trajectory, sub: Trajectory, phi: TestFunction, t: float) -> float:
+    """|int phi d(xi_sub) - int phi~ d(xi_full)| for phi vanishing at t,
+    where xi_full and xi_sub are the reaction measures of the runs ``full``
+    and ``sub``.
 
-    phi~ is the zero extension of phi beyond t: the cells of xi_full
+    phi~ is the zero extension of phi beyond t: the steps of ``full``
     evaluated at most at t.  The value stays at quadrature size even when
     an atom sits exactly at the cut time, because phi(t) = 0 kills it; a
     nonvanishing phi is rejected.
     """
     if not vanishes_at(phi, t):
         raise InadmissibleTestFunction(f"phi({t}) != 0: not in the vanishing subspace")
-    sub = xi_pairing(xi_sub, phi, xi_sub.n_t)
-    n_cut = int(np.searchsorted(xi_full.t_eval, t + 1e-12, side="right"))
-    full = xi_pairing(xi_full, phi, n_cut)
-    return abs(sub - full)
+    sub_pairing = xi_pairing(sub, phi, sub.n_steps)
+    n_cut = int(np.searchsorted(full.theta_combine(full.times), t + 1e-12, side="right"))
+    return abs(sub_pairing - xi_pairing(full, phi, n_cut))
 
 
 # ---------------------------------------------------------------------------

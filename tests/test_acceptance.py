@@ -23,7 +23,6 @@ from dampedwave.weaklimit import (
     SpaceProfile,
     TestFunction,
     TimeProfile,
-    accumulate_xi,
     default_dictionary,
     detect_jumps,
     iter_random_candidates,
@@ -36,6 +35,7 @@ from tests.oracles import (
     limit_toy_solution,
     static_boundary_example,
     toy_weak_identity_residual,
+    window_mass,
 )
 
 
@@ -50,7 +50,6 @@ def test_criterion_01_toy_jump_reproduction():
     t0 = time.perf_counter()
     cfg = toy_config(eps, T=2.0, dt_divisor=100.0)
     traj = dw.simulate(cfg)
-    xi = accumulate_xi(traj)
     events = detect_jumps(traj)
     elapsed = time.perf_counter() - t0
 
@@ -62,8 +61,8 @@ def test_criterion_01_toy_jump_reproduction():
             "t": abs(ev.t - 1.0) <= 5 * se,
             "v_before": abs(ev.v_before[0] - 1.0) <= 1e-3,
             "v_after": abs(ev.v_after[0] + 1.0) <= 1e-3,
-            "mass": abs(xi.total_l1 - 2.0) <= 0.05,
-            "concentrated": abs(xi.window_mass(1.0, 8 * se) - xi.total_l1) <= 1e-9,
+            "mass": abs(traj.reaction_l1 - 2.0) <= 0.05,
+            "concentrated": abs(window_mass(traj, 1.0, 8 * se) - traj.reaction_l1) <= 1e-9,
             "runtime": elapsed < 10.0,
         }
         # oracle independently verified by dt/10 re-integration on the layer window
@@ -80,7 +79,7 @@ def test_criterion_01_toy_jump_reproduction():
         checks["oracle_reverified"] = worst <= 5 * fine.dt
         ok = all(checks.values())
         detail = (f"t={ev.t:.6f} v=({ev.v_before[0]:+.5f},{ev.v_after[0]:+.5f}) "
-                  f"mass={xi.total_l1:.5f} runtime={elapsed:.2f}s "
+                  f"mass={traj.reaction_l1:.5f} runtime={elapsed:.2f}s "
                   f"oracle_dev={worst:.2e} checks={checks}")
     report(1, "toy jump reproduction", ok, detail)
 
@@ -166,10 +165,10 @@ def test_criterion_06_constraint_satisfaction(toy_sweep, contact_sweep):
 
 def test_criterion_07_weak_constraint_inequality(toy_jump_run, pressed_run):
     rng = np.random.default_rng(2024)
-    traj, xi = toy_jump_run
-    rep_toy = subdifferential_check(traj, xi, iter_random_candidates(traj, 100, rng), tol=1e-6)
-    trp, xip = pressed_run
-    rep_pr = subdifferential_check(trp, xip, iter_random_candidates(trp, 100, rng), tol=1e-6)
+    traj = toy_jump_run
+    rep_toy = subdifferential_check(traj, iter_random_candidates(traj, 100, rng), tol=1e-6)
+    trp = pressed_run
+    rep_pr = subdifferential_check(trp, iter_random_candidates(trp, 100, rng), tol=1e-6)
     slacks = static_boundary_example(
         0.5, [lambda x: x, lambda x: np.tanh(x), lambda x: 0 * x - 0.2]
     )
@@ -189,8 +188,7 @@ def test_criterion_08_weak_form_residual():
     for divisor in (25.0, 50.0):
         cfg = toy_config(eps, T=2.0, dt_divisor=divisor)
         traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
-        worst[cfg.dt] = max(weak_residual(traj, xi, default_dictionary(traj.grid, 2.0), 2.0))
+        worst[cfg.dt] = max(weak_residual(traj, default_dictionary(traj.grid, 2.0), 2.0))
     dts = sorted(worst, reverse=True)
     c_fit = worst[dts[0]] / dts[0]
     ok &= worst[dts[1]] <= 1.25 * c_fit * dts[1]
@@ -203,8 +201,7 @@ def test_criterion_08_weak_form_residual():
             epsilon=1e-3, T=0.2, dt=dt, theta=1.0, u0="sine:1:0.5", u1="zero",
         )
         traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
-        worst[dt] = max(weak_residual(traj, xi, default_dictionary(traj.grid, 0.2), 0.2))
+        worst[dt] = max(weak_residual(traj, default_dictionary(traj.grid, 0.2), 0.2))
     c_fit = worst[4e-4] / 4e-4
     ok &= worst[2e-4] <= 1.25 * c_fit * 2e-4
     details.append(f"1d C={c_fit:.3f}")

@@ -129,7 +129,7 @@ class TestInequalityVerdict:
         assert rep.worst_slack == pytest.approx(0.0, abs=1e-15)
 
     def test_toy_jump_elastic(self, toy_jump_run):
-        traj, _ = toy_jump_run
+        traj = toy_jump_run
         rep = energy_inequality_verdict(traj, [0.0], [2.0])
         assert rep.all_pass
         # elastic selection: energy equal across the jump within tolerance

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,10 @@ from dampedwave.config import SimConfig, load_config
 from dampedwave.energy import energy_series
 from dampedwave.grid import apply_A, edge_inner
 from dampedwave.integrator import Trajectory, row_blocks, simulate
-from dampedwave.sweep import summarize_run
+from dampedwave.sweep import overshoot, summarize_run
 from dampedwave.weaklimit import (
     SeparableCandidate,
     SpaceProfile,
-    XiMeasure,
     _factor_pairings,
     _max_abs,
     accumulate_xi,
@@ -42,6 +42,7 @@ from dampedwave.weaklimit import (
     solution_identity_residual,
     subdifferential_check,
     weak_residual,
+    window_profile,
 )
 
 from tests.oracles import xi_masses
@@ -56,14 +57,14 @@ RUNS = ("dirichlet_sine", "pressed_wall", "neumann_contact", "toy_jump")
 @pytest.fixture(scope="module", params=RUNS)
 def run(request):
     traj = simulate(load_config(CONFIGS / f"{request.param}.yaml"))
-    return traj, accumulate_xi(traj), energy_series(traj)
+    return traj, energy_series(traj)
 
 
 # ---------------------------------------------------------------------------
 # the whole-array formulas the battery replaced
 
 
-def oracle_solution_identity(traj, xi, s, t):
+def oracle_solution_identity(traj, s, t):
     """The residual from whole-run theta-combined states, and the sum of the
     magnitudes of its terms (the scale its rounding is relative to)."""
     ks, kt = traj.time_index(s), traj.time_index(t)
@@ -74,7 +75,7 @@ def oracle_solution_identity(traj, xi, s, t):
         -dt * float(np.sum((v_th * v_th) @ w)),
         float(np.dot(w * traj.V[kt], traj.U[kt])),
         -float(np.dot(w * traj.V[ks], traj.U[ks])),
-        float(np.sum(xi_masses(xi)[ks:kt] * u_th)),
+        float(np.sum(xi_masses(traj)[ks:kt] * u_th)),
         -lam * dt * float(np.sum((u_th * u_th) @ w)),
     ]
     if not grid.is_homogeneous:
@@ -86,9 +87,9 @@ def oracle_solution_identity(traj, xi, s, t):
     return abs(sum(terms)), sum(abs(x) for x in terms)
 
 
-def oracle_support(xi, traj, threshold):
+def oracle_support(traj, threshold):
     u_th = traj.theta_combine(traj.U)
-    masses = xi_masses(xi)
+    masses = xi_masses(traj)
     sig = np.abs(masses) > threshold
     if not np.any(sig):
         return 0, 0.0, 0, 0
@@ -121,69 +122,71 @@ def assert_rel(a, b, rel=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def battery(traj, xi, es):
+def battery(traj, es):
     """Everything the battery computes from a run, in comparable form."""
     jumps = [(e.t, e.v_before.tobytes(), e.v_after.tobytes(), e.impulse) for e in detect_jumps(traj)]
-    return _standard_checks(traj, xi, es, 0), summarize_run(traj, xi, es), jumps, xi.total_l1
+    return _standard_checks(traj, es, 0), summarize_run(traj, es), jumps, traj.reaction_l1
 
 
 @pytest.mark.parametrize("name", ["dirichlet_sine", "pressed_wall", "toy_jump"])
 def test_battery_does_not_depend_on_the_block_size(name, monkeypatch):
     """Blocks of 7 elements have the fewest rows a block takes, GEMV_ROWS;
     blocks of 2**16 elements twice the default's rows on a grid and on one
-    node; every value stays the default's.  Each block size gets a new
-    measure, as a measure keeps its reaction mass once summed."""
+    node; every value stays the default's.  Each block size gets a fresh
+    run (``dataclasses.replace``), as a run keeps its reaction mass once
+    summed."""
     traj = simulate(load_config(CONFIGS / f"{name}.yaml"))
     es = energy_series(traj)
-    default = battery(traj, accumulate_xi(traj), es)
+    default = battery(dataclasses.replace(traj), es)
     for block in (7, 1 << 16):
         monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
-        assert battery(traj, accumulate_xi(traj), es) == default, block
+        assert battery(dataclasses.replace(traj), es) == default, block
 
 
 def test_solution_identity_matches_the_whole_array_formula(run):
     """Within 1e-12 of the size of its terms: the residual is a small
     difference of terms of the size of the energy, so a term summed in
     another order moves it by a few ulps of those terms."""
-    traj, xi, es = run
+    traj, es = run
     T = float(traj.times[-1])
     for s, t in ((0.0, T), (float(traj.times[3]), float(traj.times[-4]))):
-        got = solution_identity_residual(traj, xi, s, t)
-        want, scale = oracle_solution_identity(traj, xi, s, t)
+        got = solution_identity_residual(traj, s, t)
+        want, scale = oracle_solution_identity(traj, s, t)
         assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
     e_max = float(np.max(es["total"]))
     budget = WEAK_C * traj.dt * (1.0 + T) * (1.0 + e_max)
-    got = solution_identity_residual(traj, xi, 0.0, T)
-    assert (got <= budget) == (oracle_solution_identity(traj, xi, 0.0, T)[0] <= budget)
+    got = solution_identity_residual(traj, 0.0, T)
+    assert (got <= budget) == (oracle_solution_identity(traj, 0.0, T)[0] <= budget)
 
 
 def test_singular_support_matches_the_whole_array_formula(run):
     """Counts and the largest misalignment are exact in any block."""
-    traj, xi, _ = run
-    thresholds = [0.01 * max(xi.total_l1, 1e-30) / xi.n_t, 0.0, np.inf]
-    thresholds.append(float(np.quantile(np.abs(xi_masses(xi)), 0.9)))
+    traj, _ = run
+    thresholds = [0.01 * max(traj.reaction_l1, 1e-30) / traj.n_steps, 0.0, np.inf]
+    thresholds.append(float(np.quantile(np.abs(xi_masses(traj)), 0.9)))
     for thr in thresholds:
-        rep = singular_support_check(xi, traj, thr)
+        rep = singular_support_check(traj, thr)
         got = (rep.n_significant, rep.max_misalignment, rep.positive_cells, rep.negative_cells)
-        assert got == oracle_support(xi, traj, thr)
+        assert got == oracle_support(traj, thr)
 
 
 def test_summarize_run_matches_the_whole_array_formulas(run):
-    traj, xi, es = run
-    summ = summarize_run(traj, xi, es)
+    traj, es = run
+    summ = summarize_run(traj, es)
     want = oracle_summary(traj)
     for field in ("sup_v", "bv_proxy", "sup_Au", "h1_time_v"):
         assert_rel(getattr(summ, field), want[field])
-    assert summ.overshoot == want["overshoot"]
-    assert summ.l1_mass == float(np.sum(np.abs(xi_masses(xi))))
+    assert summ.overshoot == overshoot(traj) == want["overshoot"]
+    assert summ.l1_mass == float(np.sum(np.abs(xi_masses(traj))))
 
 
 def test_total_l1_is_the_whole_array_sum_bit_for_bit(monkeypatch):
-    """``XiMeasure.total_l1`` is ``np.sum(np.abs((dt * records) * weights))``
+    """``Trajectory.reaction_l1`` is ``np.sum(np.abs((dt * records) * weights))``
     bit for bit: a sum in another order differs in its last bits on about
     half of these draws, so four draws a shape catch a wrong split, and a
-    weight taken for the wrong cell changes the sum.  Each block size gets a
-    new measure, as a measure keeps its sum."""
+    weight taken for the wrong cell changes the sum.  The runs hold random
+    reaction records, and their grids random mass weights; each block size
+    gets a new run, as a run keeps its sum."""
     rng = np.random.default_rng(11)
     shapes = [(0, 3), (1, 1), (7, 3), (129, 1), (1000, 65), (1001, 65), (5001, 256), (130_001, 1)]
     for n_t, n_x in shapes:
@@ -193,8 +196,10 @@ def test_total_l1_is_the_whole_array_sum_bit_for_bit(monkeypatch):
             want = float(np.sum(np.abs((dt * records) * weights)))
             for block in (7, 100, 1 << 16):
                 monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
-                xi = XiMeasure(np.arange(n_t + 1.0), np.arange(n_x + 0.0), records, 0.5, 1e-2, dt, weights)
-                got = xi.total_l1
+                traj = Trajectory(SimConfig(n_nodes=n_x, dt=dt), np.arange(n_t + 1.0), None, None,
+                                  records, None, None, None)
+                traj.grid = types.SimpleNamespace(mass_weights=weights)  # over the cached grid
+                got = traj.reaction_l1
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n_t, n_x, block)
 
 
@@ -240,19 +245,19 @@ def product_run(n_x):
 
 @pytest.fixture(scope="module")
 def product_cases(tmp_path_factory):
-    """Per n_x: the run, its measure, a spatial factor and a candidate, and the
+    """Per n_x: the run, a spatial factor and a candidate, and the
     whole-array products that the row-block code replaced."""
     cases, pairs = [], []
     for n_x in N_X:
         traj = product_run(n_x)
-        xi, w = accumulate_xi(traj), traj.grid.mass_weights
-        masses = xi_masses(xi)
+        w = traj.grid.mass_weights
+        masses = xi_masses(traj)
         space = SpaceProfile("cos", traj.grid.length, k=1)
         S = space.value(traj.grid.x)
         n_end = traj.n_steps - 5
         rng = np.random.default_rng(n_x + 1)
         candidate = SeparableCandidate(rng.uniform(-1, 1, traj.n_steps), rng.uniform(-1, 1, n_x))
-        cases.append((traj, xi, space, n_end, candidate))
+        cases.append((traj, space, n_end, candidate))
         pairs += [
             (traj.V * traj.V, w), (traj.reaction.pot(traj.U), w), (traj.U * traj.U, w),
             (masses[:n_end], S), (masses, candidate.sigma),
@@ -269,7 +274,7 @@ def test_row_block_products_are_the_whole_array_products(product_cases, block, m
     small ones of the battery's block-size test."""
     if block is not None:
         monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
-    for traj, xi, space, n_end, candidate, whole in product_cases:
+    for traj, space, n_end, candidate, whole in product_cases:
         rows = [b.stop - b.start for b in row_blocks(*traj.U.shape)]
         assert len(rows) > 1 and rows[-1] < rows[0] and rows[0] % integrator.GEMV_ROWS == 0
         vv, pot, uu, xi_S, xi_sigma, v_S, u_S = whole
@@ -279,14 +284,14 @@ def test_row_block_products_are_the_whole_array_products(product_cases, block, m
         assert es["concave"].tobytes() == (-0.5 * traj.cfg.lam * uu).tobytes()
         # the weak residual's pass over records 0 to n_end: masses @ S and the
         # theta-combined V @ (w S) and U @ (w S)
-        got = _factor_pairings(traj, xi, space.value(traj.grid.x), n_end)
+        got = _factor_pairings(traj, space.value(traj.grid.x), n_end)
         assert got[0].tobytes() == xi_S.tobytes()
         assert got[1].tobytes() == traj.theta_combine(v_S).tobytes()
         assert got[2].tobytes() == traj.theta_combine(u_S).tobytes()
         # the candidate pairs as tau @ (masses @ sigma); J(v) = J(u) = 0
-        xi_u = float(np.sum(np.vecdot(xi_masses(xi), traj.theta_combine(traj.U))))
+        xi_u = float(np.sum(np.vecdot(xi_masses(traj), traj.theta_combine(traj.U))))
         slack = 0.0 - 0.0 - (float(candidate.tau @ xi_sigma) - xi_u)
-        rep = subdifferential_check(traj, xi, [candidate, candidate])
+        rep = subdifferential_check(traj, [candidate, candidate])
         assert [e.slack for e in rep.entries] == [slack, slack]
 
 
@@ -321,7 +326,7 @@ def test_separable_candidate_is_its_outer_product(tau, sigma):
 
 
 def test_random_candidates_are_factored(run):
-    traj, _, _ = run
+    traj, _ = run
     for c in iter_random_candidates(traj, 5, np.random.default_rng(2)):
         assert isinstance(c, SeparableCandidate)
         assert c.shape == (traj.n_steps, traj.grid.n_nodes)
@@ -333,14 +338,14 @@ def test_random_candidates_are_factored(run):
 
 def battery_peak_bytes(traj):
     """The tracemalloc peak of the battery and the jump report, above the
-    run, its measure and its energy series."""
-    xi, es = accumulate_xi(traj), energy_series(traj)
+    run and its energy series."""
+    es = energy_series(traj)
     traj.grid, traj.reaction, traj.forcing  # noqa: B018 - cached inputs, not the battery's
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         _jumps_payload(traj)
-        _standard_checks(traj, xi, es, 0)
+        _standard_checks(traj, es, 0)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -452,23 +457,25 @@ def test_each_check_reads_the_run_once(run, passes):
     """Each check reads the run's states and records in one pass; the weak
     residual in one per distinct spatial factor of its functions, the
     subdifferential check in one per group of candidates.  The reaction
-    mass is summed once per measure, by ``pairwise_pieces``."""
-    traj, xi, es = run
+    mass is summed once per run, by ``pairwise_pieces``; the summary is
+    taken on a fresh run (``dataclasses.replace``), which has not summed it."""
+    traj, es = run
     T = float(traj.times[-1])
     phis = default_dictionary(traj.grid, T)
     groups = -(-20 // (2 * integrator.block_columns(traj.n_steps)))
-    fresh = accumulate_xi(traj)
-    assert count_passes(passes, lambda: summarize_run(traj, fresh, es)) == (1, 1)
-    assert count_passes(passes, lambda: fresh.total_l1) == (0, 0)
-    assert count_passes(passes, lambda: summarize_run(traj, fresh, es)) == (1, 0)
-    assert count_passes(passes, lambda: weak_residual(traj, xi, phis, T)) == (len({p.space for p in phis}), 0)
+    fresh = dataclasses.replace(traj)
+    assert count_passes(passes, lambda: summarize_run(fresh, es)) == (1, 1)
+    assert count_passes(passes, lambda: fresh.reaction_l1) == (0, 0)
+    assert count_passes(passes, lambda: summarize_run(fresh, es)) == (1, 0)
+    assert count_passes(passes, lambda: overshoot(traj)) == (1, 0)
+    assert count_passes(passes, lambda: weak_residual(traj, phis, T)) == (len({p.space for p in phis}), 0)
     candidates = iter_random_candidates(traj, 20, np.random.default_rng(0))
-    assert count_passes(passes, lambda: subdifferential_check(traj, xi, candidates)) == (groups, 0)
-    assert count_passes(passes, lambda: singular_support_check(xi, traj, 0.0)) == (1, 0)
-    assert count_passes(passes, lambda: solution_identity_residual(traj, xi, 0.0, T)) == (1, 0)
+    assert count_passes(passes, lambda: subdifferential_check(traj, candidates)) == (groups, 0)
+    assert count_passes(passes, lambda: singular_support_check(traj, 0.0)) == (1, 0)
+    assert count_passes(passes, lambda: solution_identity_residual(traj, 0.0, T)) == (1, 0)
     assert count_passes(passes, lambda: detect_jumps(traj)) == (1, 0)
-    assert count_passes(passes, lambda: xi.window_profile(T / 2, traj.dt)) == (1, 0)
-    assert count_passes(passes, lambda: xi.window_mass(T / 2, traj.dt)) == (1, 0)
+    assert count_passes(passes, lambda: window_profile(traj, T / 2, traj.dt)) == (1, 0)
+    assert count_passes(passes, lambda: accumulate_xi(traj, min(256, traj.n_steps))) == (1, 0)
 
 
 def test_commands_read_the_run_at_most_twelve_times(tmp_path, monkeypatch, passes, capsys):
@@ -494,3 +501,26 @@ def test_commands_read_the_run_at_most_twelve_times(tmp_path, monkeypatch, passe
         assert command() == cli.EXIT_OK
         made.append(passes["row_blocks"] + passes["pairwise_pieces"])
     assert max(made) <= 12, made
+
+
+def test_battery_runs_none_of_the_sweep_norms(run, monkeypatch):
+    """The battery reads only what its verdicts use: the overshoot and its
+    bound, the largest energy and the run's reaction mass.  It calls neither
+    ``summarize_run``, whose other norms it would throw away, nor
+    ``apply_A`` (sup ||A u|| applies it to every block of records)."""
+    traj, es = run
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, fn in (("summarize_run", summarize_run), ("apply_A", apply_A)):
+        wrapped = counted(name, fn)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("dampedwave") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    _standard_checks(traj, es, 0)
+    assert not calls, calls

@@ -22,7 +22,6 @@ from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner
 from dampedwave.integrator import Trajectory, map_row_blocks, simulate
 from dampedwave.sweep import _traj_diff, summarize_run
 from dampedwave.weaklimit import (
-    accumulate_xi,
     default_dictionary,
     solution_identity_residual,
     weak_residual,
@@ -50,7 +49,7 @@ def assert_close(a, b):
 def short_run(request):
     cfg = load_config(CONFIGS / f"{request.param}.yaml")
     traj = simulate(dataclasses.replace(cfg, T=SHORT_RUNS[request.param]))
-    return traj, accumulate_xi(traj)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def ref_theta_forcing(traj, g):
     return th * g + (1.0 - th) * g
 
 
-def ref_weak_residual(traj, xi, phi, t_end):
+def ref_weak_residual(traj, phi, t_end):
     n_end = traj.time_index(t_end)
     grid, th, dt, lam = traj.grid, traj.theta, traj.dt, traj.cfg.lam
     w = grid.mass_weights
@@ -95,12 +94,12 @@ def ref_weak_residual(traj, xi, phi, t_end):
         acc -= lam * dt * T_th * float(np.dot(u_th, wS))
         if g is not None:
             acc -= dt * T_th * float(np.dot(wS, ref_theta_forcing(traj, g)))
-    tvals = phi.time.value(xi.t_eval[:n_end])
-    acc += float(np.dot(tvals, xi_masses(xi)[:n_end] @ S))
+    tvals = phi.time.value((1.0 - th) * times[:-1] + th * times[1:])
+    acc += float(np.dot(tvals, xi_masses(traj)[:n_end] @ S))
     return abs(acc)
 
 
-def ref_solution_identity(traj, xi, s, t):
+def ref_solution_identity(traj, s, t):
     ks, kt = traj.time_index(s), traj.time_index(t)
     grid, th, dt, lam = traj.grid, traj.theta, traj.dt, traj.cfg.lam
     w = grid.mass_weights
@@ -111,7 +110,7 @@ def ref_solution_identity(traj, xi, s, t):
         v_th = th * traj.V[k + 1] + (1.0 - th) * traj.V[k]
         acc -= dt * float(np.dot(w * v_th, v_th))
         acc += dt * (edge_inner(grid, v_th, u_th) + edge_inner(grid, u_th, u_th))
-        acc += float(np.dot(xi_masses(xi)[k], u_th))
+        acc += float(np.dot(xi_masses(traj)[k], u_th))
         acc -= lam * dt * float(np.dot(w * u_th, u_th))
         if g is not None:
             acc -= dt * float(np.dot(w * ref_theta_forcing(traj, g), u_th))
@@ -238,30 +237,30 @@ def test_reaction_rows_blocks_and_elements_agree_bitwise(kind, eps):
 
 class TestChecksMatchPerRowLoops:
     def test_energy_series(self, short_run):
-        traj, _ = short_run
+        traj = short_run
         es, ref = energy_series(traj), ref_energy_series(traj)
         for name, values in ref.items():
             assert_close(values, es[name])
 
     def test_weak_residual(self, short_run):
-        traj, xi = short_run
+        traj = short_run
         T = float(traj.times[-1])
         phis = default_dictionary(traj.grid, T)
-        for phi, r in zip(phis, weak_residual(traj, xi, phis, T)):
-            assert_close(ref_weak_residual(traj, xi, phi, T), r)
+        for phi, r in zip(phis, weak_residual(traj, phis, T)):
+            assert_close(ref_weak_residual(traj, phi, T), r)
 
     def test_solution_identity_residual(self, short_run):
-        traj, xi = short_run
+        traj = short_run
         T = float(traj.times[-1])
         for s, t in ((0.0, T), (traj.times[3], traj.times[-4])):
             assert_close(
-                ref_solution_identity(traj, xi, s, t),
-                solution_identity_residual(traj, xi, s, t),
+                ref_solution_identity(traj, s, t),
+                solution_identity_residual(traj, s, t),
             )
 
     def test_summarize_run(self, short_run):
-        traj, xi = short_run
-        summ = summarize_run(traj, xi, energy_series(traj))
+        traj = short_run
+        summ = summarize_run(traj, energy_series(traj))
         assert_close(ref_sup_Au(traj), summ.sup_Au)
         assert_close(ref_h1_time_v(traj), summ.h1_time_v)
         totals = ref_energy_series(traj)["total"]
@@ -270,7 +269,7 @@ class TestChecksMatchPerRowLoops:
         assert_close(totals[-1], summ.e_final)
 
     def test_traj_diff(self, short_run):
-        traj, _ = short_run
+        traj = short_run
         grid, w = traj.grid, traj.grid.mass_weights
         d = traj.U - traj.V
         v_sq = [float(np.dot(di * di, w)) + edge_inner(grid, di, di) for di in d]
@@ -278,7 +277,7 @@ class TestChecksMatchPerRowLoops:
         assert_close(math.sqrt(np.trapezoid(v_sq, traj.times)), got["l2_V"])
 
     def test_rebuild_diagnostics(self, short_run):
-        traj, _ = short_run
+        traj = short_run
         rebuilt = _rebuild_diagnostics(traj.cfg, traj.times, traj.U, traj.V)
         beta_theta, diss, power = ref_rebuild(traj.cfg, traj.times, traj.U, traj.V)
         assert_close(beta_theta, rebuilt.beta_theta)
@@ -293,13 +292,13 @@ class TestChecksMatchPerRowLoops:
 
 class TestTrajectoryCsv:
     def test_bytes_match_row_writer(self, short_run, tmp_path):
-        traj, _ = short_run
+        traj = short_run
         write_trajectory_csv(tmp_path / "new.csv", traj)
         ref_write_trajectory_csv(tmp_path / "ref.csv", traj)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_round_trip_is_bit_identical(self, short_run, tmp_path):
-        traj, _ = short_run
+        traj = short_run
         p = tmp_path / "trajectory.csv"
         write_trajectory_csv(p, traj)
         back = read_trajectory_csv(p, traj.cfg)
@@ -308,7 +307,7 @@ class TestTrajectoryCsv:
         assert back.U.tobytes() == traj.U.tobytes() and back.V.tobytes() == traj.V.tobytes()
 
     def test_rows_in_any_order(self, short_run, tmp_path):
-        traj, _ = short_run
+        traj = short_run
         p = tmp_path / "trajectory.csv"
         write_trajectory_csv(p, traj)
         header, *rows = p.read_bytes().split(b"\r\n")[:-1]

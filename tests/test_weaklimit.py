@@ -33,6 +33,7 @@ from dampedwave.weaklimit import (
     solution_identity_residual,
     subdifferential_check,
     weak_residual,
+    window_profile,
 )
 from tests.conftest import toy_config
 from tests.oracles import (
@@ -41,6 +42,7 @@ from tests.oracles import (
     restriction_compat,
     static_boundary_example,
     vanishes_at,
+    window_mass,
     xi_masses,
     xi_pairing,
 )
@@ -58,8 +60,8 @@ def zero_run():
 
 class TestAccumulate:
     def test_zero_run_zero_measure(self):
-        xi = accumulate_xi(zero_run())
-        assert xi.total_l1 == 0.0
+        traj = zero_run()
+        assert traj.reaction_l1 == 0.0
 
     def test_dead_zone_run_zero_measure(self):
         cfg = dw.SimConfig(
@@ -67,19 +69,19 @@ class TestAccumulate:
             eps_param=0.1, epsilon=None, T=0.5, dt=0.01, theta=0.5,
             u0="zero", u1="constant:1",
         )
-        xi = accumulate_xi(dw.simulate(cfg))
-        assert xi.total_l1 == 0.0
+        traj = dw.simulate(cfg)
+        assert traj.reaction_l1 == 0.0
 
     def test_toy_jump_mass_two_and_concentrated(self, toy_jump_run):
-        traj, xi = toy_jump_run
+        traj = toy_jump_run
         se = math.sqrt(1e-6)
-        assert xi.total_l1 == pytest.approx(2.0, abs=0.05)
-        inside = xi.window_mass(1.0, 8 * se)
-        assert inside == pytest.approx(xi.total_l1, abs=1e-9)
+        assert traj.reaction_l1 == pytest.approx(2.0, abs=0.05)
+        inside = window_mass(traj, 1.0, 8 * se)
+        assert inside == pytest.approx(traj.reaction_l1, abs=1e-9)
 
     def test_window_profile_shrinks_towards_layer(self, toy_jump_run):
-        _, xi = toy_jump_run
-        prof = xi.window_profile(1.0, math.sqrt(1e-6))
+        traj = toy_jump_run
+        prof = window_profile(traj, 1.0, math.sqrt(1e-6))
         assert prof[8] >= prof[4] >= prof[2] >= prof[1]
         assert prof[8] == pytest.approx(2.0, abs=0.05)
         # the arch reaction is sin((t-1)/w): mass within k widths = 1 - cos(k)
@@ -87,21 +89,21 @@ class TestAccumulate:
         assert prof[2] == pytest.approx(1.0 - math.cos(2.0), rel=0.01)
 
     def test_restriction_mass_monotone_for_positive_measure(self, pressed_run):
-        _, xi = pressed_run
-        ms = [restrict_mass(xi, t) for t in (0.5, 1.0, 1.5, 2.0)]
+        traj = pressed_run
+        ms = [restrict_mass(traj, t) for t in (0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(ms, ms[1:]))
-        assert ms[-1] == pytest.approx(float(np.sum(xi_masses(xi))), rel=1e-9)
+        assert ms[-1] == pytest.approx(float(np.sum(xi_masses(traj))), rel=1e-9)
 
     def test_rebin_conserves_mass(self, toy_jump_run):
-        _, xi = toy_jump_run
-        co = xi.rebin(128)
-        assert float(np.sum(xi_masses(co))) == pytest.approx(float(np.sum(xi_masses(xi))), rel=1e-12)
+        traj = toy_jump_run
+        _, coarse = accumulate_xi(traj, 128)
+        assert float(np.sum(coarse)) == pytest.approx(float(np.sum(xi_masses(traj))), rel=1e-12)
 
     def test_l1_masses_stable_across_family_sweep(self):
         masses = []
         for eps in (1e-3, 1e-4, 1e-5):
             traj = dw.simulate(toy_config(eps, T=2.0, dt_divisor=10.0))
-            masses.append(accumulate_xi(traj).total_l1)
+            masses.append(traj.reaction_l1)
         assert max(masses) / min(masses) < 1.1
         for m in masses:
             assert m == pytest.approx(2.0, rel=0.05)
@@ -110,8 +112,7 @@ class TestAccumulate:
 class TestWeakResidual:
     def test_zero_run_zero_residual(self):
         traj = zero_run()
-        xi = accumulate_xi(traj)
-        assert max(weak_residual(traj, xi, default_dictionary(traj.grid, 0.5), 0.5)) <= 1e-14
+        assert max(weak_residual(traj, default_dictionary(traj.grid, 0.5), 0.5)) <= 1e-14
 
     def test_scales_linearly_in_dt(self):
         eps = 1e-4
@@ -119,19 +120,18 @@ class TestWeakResidual:
         for divisor in (25.0, 50.0):
             cfg = toy_config(eps, T=2.0, dt_divisor=divisor)
             traj = dw.simulate(cfg)
-            xi = accumulate_xi(traj)
-            worst[cfg.dt] = max(weak_residual(traj, xi, default_dictionary(traj.grid, 2.0), 2.0))
+            worst[cfg.dt] = max(weak_residual(traj, default_dictionary(traj.grid, 2.0), 2.0))
         dts = sorted(worst, reverse=True)
         c_fit = worst[dts[0]] / dts[0]
         assert worst[dts[1]] <= 1.25 * c_fit * dts[1]
 
     def test_toy_linear_time_test_function(self, toy_jump_run):
         # the reaction term contributes (1 - ell)*phi(1) ~ 2 for phi = t
-        traj, xi = toy_jump_run
+        traj = toy_jump_run
         phi = TestFunction(TimeProfile("linear", 2.0), SpaceProfile("one", 1.0))
-        contrib = xi_pairing(xi, phi, xi.n_t)
+        contrib = xi_pairing(traj, phi, traj.n_steps)
         assert contrib == pytest.approx(2.0, rel=0.02)
-        assert weak_residual(traj, xi, [phi], 2.0)[0] <= 100 * traj.dt
+        assert weak_residual(traj, [phi], 2.0)[0] <= 100 * traj.dt
 
     def test_dirichlet_rejects_nonvanishing_space_factor(self):
         cfg = dw.SimConfig(
@@ -139,13 +139,12 @@ class TestWeakResidual:
             T=0.2, dt=0.02, u0="zero", u1="zero",
         )
         traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
         phi = TestFunction(TimeProfile("one", 0.2), SpaceProfile("one", 1.0))
         with pytest.raises(InadmissibleTestFunction):
-            weak_residual(traj, xi, [phi], 0.2)
+            weak_residual(traj, [phi], 0.2)
         # one inadmissible function refuses the whole dictionary
         with pytest.raises(InadmissibleTestFunction):
-            weak_residual(traj, xi, default_dictionary(traj.grid, 0.2) + [phi], 0.2)
+            weak_residual(traj, default_dictionary(traj.grid, 0.2) + [phi], 0.2)
 
     @pytest.mark.parametrize(
         "n_nodes, bc", [(1, "neumann"), (9, "neumann"), (9, "dirichlet")],
@@ -169,30 +168,29 @@ class TestWeakResidual:
                 epsilon=1e-3, T=0.2, dt=dt, theta=1.0, u0="sine:1:0.5", u1="zero",
             )
             traj = dw.simulate(cfg)
-            xi = accumulate_xi(traj)
-            rs[dt] = max(weak_residual(traj, xi, default_dictionary(traj.grid, 0.2), 0.2))
+            rs[dt] = max(weak_residual(traj, default_dictionary(traj.grid, 0.2), 0.2))
         c_fit = rs[4e-4] / 4e-4
         assert rs[2e-4] <= 1.25 * c_fit * 2e-4
 
     def test_one_residual_per_function_in_order(self, pressed_run):
         """A dictionary that repeats a spatial factor, in any order, gets the
         residual of each function as a lone call gives it, bit for bit."""
-        traj, xi = pressed_run
+        traj = pressed_run
         phis = default_dictionary(traj.grid, 2.0)[::-1]
         phis = phis + phis[:3]
-        rs = weak_residual(traj, xi, phis, 2.0)
+        rs = weak_residual(traj, phis, 2.0)
         assert len(rs) == len(phis)
-        assert rs == [weak_residual(traj, xi, [phi], 2.0)[0] for phi in phis]
-        assert weak_residual(traj, xi, [], 2.0) == []
+        assert rs == [weak_residual(traj, [phi], 2.0)[0] for phi in phis]
+        assert weak_residual(traj, [], 2.0) == []
 
 
 @pytest.fixture(scope="module")
 def shipped_runs():
-    """The Dirichlet, forced and Neumann shipped configs, with their measures."""
+    """The runs of the Dirichlet, forced and Neumann shipped configs."""
     runs = {}
     for name in ("dirichlet_sine", "pressed_wall", "neumann_contact"):
         traj = dw.simulate(dw.load_config(CONFIGS / f"{name}.yaml"))
-        runs[name] = (traj, accumulate_xi(traj))
+        runs[name] = traj
     return runs
 
 
@@ -200,20 +198,20 @@ def shipped_runs():
 def test_battery_weak_residuals_equal_lone_calls(shipped_runs, monkeypatch, name):
     """The battery takes the whole dictionary in one call, and sharing the
     spatial terms across it changes no residual by a bit."""
-    traj, xi = shipped_runs[name]
+    traj = shipped_runs[name]
     seen = []
 
-    def recording(traj, xi, phis, t_end):
-        rs = weak_residual(traj, xi, phis, t_end)
+    def recording(traj, phis, t_end):
+        rs = weak_residual(traj, phis, t_end)
         seen.append((phis, t_end, rs))
         return rs
 
     monkeypatch.setattr(dampedwave.cli, "weak_residual", recording)
-    dampedwave.cli._standard_checks(traj, xi, dw.energy_series(traj), 0)
+    dampedwave.cli._standard_checks(traj, dw.energy_series(traj), 0)
     [(phis, t_end, rs)] = seen
     assert phis == default_dictionary(traj.grid, t_end) and len(rs) == len(phis) >= 12
     for phi, r in zip(phis, rs):
-        assert r == weak_residual(traj, xi, [phi], t_end)[0]
+        assert r == weak_residual(traj, [phi], t_end)[0]
 
 
 class TestSolutionIdentity:
@@ -221,22 +219,21 @@ class TestSolutionIdentity:
 
     def test_trapezoidal_identity_is_exact(self):
         traj = dw.simulate(toy_config(1e-4, T=2.0, dt_divisor=50.0))
-        xi = accumulate_xi(traj)
-        assert solution_identity_residual(traj, xi, 0.0, 2.0) <= 1e-10
+        assert solution_identity_residual(traj, 0.0, 2.0) <= 1e-10
 
     def test_backward_scheme_residual_shrinks_with_dt(self, pressed_run):
-        traj, xi = pressed_run
-        r_coarse = solution_identity_residual(traj, xi, 0.0, 2.0)
+        traj = pressed_run
+        r_coarse = solution_identity_residual(traj, 0.0, 2.0)
         import dataclasses
 
         fine = dataclasses.replace(traj.cfg, dt=traj.dt / 2.0)
         traj2 = dw.simulate(fine)
-        r_fine = solution_identity_residual(traj2, accumulate_xi(traj2), 0.0, 2.0)
+        r_fine = solution_identity_residual(traj2, 0.0, 2.0)
         assert r_fine < 0.7 * r_coarse
 
     def test_subinterval_across_the_jump(self, toy_jump_run):
-        traj, xi = toy_jump_run
-        r = solution_identity_residual(traj, xi, 0.5, 1.5)
+        traj = toy_jump_run
+        r = solution_identity_residual(traj, 0.5, 1.5)
         assert r <= 1e-8
 
 
@@ -248,33 +245,32 @@ class TestSubdifferential:
             T=0.5, dt=1e-3, theta=0.5, u0="zero", u1="constant:1",
         )
         traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
         u_th = traj.theta_combine(traj.U)
-        rep = subdifferential_check(traj, xi, [SeparableCandidate(u_th[:, 0], np.ones(1))], tol=1e-6)
+        rep = subdifferential_check(traj, [SeparableCandidate(u_th[:, 0], np.ones(1))], tol=1e-6)
         assert rep.entries[0].slack == 0.0
 
     def test_equality_candidate_zero_slack(self, pressed_run):
-        traj, xi = pressed_run
+        traj = pressed_run
         u_th = traj.theta_combine(traj.U)
         v = np.clip(u_th, -1.0, 1.0)
-        [(slack, passed)] = oracle_subdiff(traj, xi, [v], tol=1e-6)
+        [(slack, passed)] = oracle_subdiff(traj, [v], tol=1e-6)
         # v = clip(u): slack is the overshoot pairing, nonnegative, O(sqrt(eps))
         assert passed
         assert 0.0 <= slack <= 0.5
 
     def test_random_candidates_pass_toy(self, toy_jump_run, rng):
-        traj, xi = toy_jump_run
-        rep = subdifferential_check(traj, xi, iter_random_candidates(traj, 100, rng), tol=1e-6)
+        traj = toy_jump_run
+        rep = subdifferential_check(traj, iter_random_candidates(traj, 100, rng), tol=1e-6)
         assert rep.all_pass
         assert rep.worst_slack >= -1e-6
 
     def test_out_of_range_candidate_rejected(self, pressed_run):
-        traj, xi = pressed_run
+        traj = pressed_run
         tau, sigma = np.full(traj.n_steps, 1.5), np.ones(traj.grid.n_nodes)
         with pytest.raises(InadmissibleCandidate):
-            subdifferential_check(traj, xi, [SeparableCandidate(tau, sigma)], tol=1e-6)
+            subdifferential_check(traj, [SeparableCandidate(tau, sigma)], tol=1e-6)
         with pytest.raises(InadmissibleCandidate):  # one step short
-            subdifferential_check(traj, xi, [SeparableCandidate(tau[1:] / 2, sigma)], tol=1e-6)
+            subdifferential_check(traj, [SeparableCandidate(tau[1:] / 2, sigma)], tol=1e-6)
 
     def test_static_boundary_atom_example(self):
         # u(x) = x on (-1, 1), xi = alpha*delta_{x=1}
@@ -288,7 +284,7 @@ class TestSubdifferential:
         assert slacks[1] == pytest.approx(alpha)  # v = 0: slack alpha*(1-0)
 
 
-def oracle_subdiff(traj, xi, candidates, tol=1e-6):
+def oracle_subdiff(traj, candidates, tol=1e-6):
     """(slack, passed) per candidate from full-array sums of J(v), J(u) and
     <xi, v - u>; a candidate is an array or a ``SeparableCandidate``, taken
     as its outer product."""
@@ -303,7 +299,7 @@ def oracle_subdiff(traj, xi, candidates, tol=1e-6):
     for v in candidates:
         if isinstance(v, SeparableCandidate):
             v = np.outer(v.tau, v.sigma)
-        slack = J(v) - ju - float(np.sum(xi_masses(xi) * (v - u_th)))
+        slack = J(v) - ju - float(np.sum(xi_masses(traj) * (v - u_th)))
         out.append((slack, slack >= -tol))
     return out
 
@@ -315,7 +311,7 @@ def log_run():
         T=0.5, dt=1e-3, theta=1.0, u0="cosine:1:0.5", u1="constant:1",
     )
     traj = dw.simulate(cfg)
-    return traj, accumulate_xi(traj)
+    return traj
 
 
 class TestSubdifferentialOracle:
@@ -323,34 +319,34 @@ class TestSubdifferentialOracle:
 
     @pytest.mark.parametrize("run", ["toy_jump_run", "pressed_run", "log_run"])
     def test_random_candidates_match_oracle(self, request, run):
-        traj, xi = request.getfixturevalue(run)
+        traj = request.getfixturevalue(run)
         def candidates():
             """100 seeded candidates, the same ones on every call."""
             return iter_random_candidates(traj, 100, np.random.default_rng(7))
 
-        rep = subdifferential_check(traj, xi, candidates())
-        oracle = oracle_subdiff(traj, xi, candidates())
+        rep = subdifferential_check(traj, candidates())
+        oracle = oracle_subdiff(traj, candidates())
         assert len(rep.entries) == len(oracle) == 100
         for entry, (slack, passed) in zip(rep.entries, oracle):
             assert entry.slack == pytest.approx(slack, rel=0.0, abs=1e-12)
             assert entry.passed == passed
 
     def test_log_run_has_a_reaction_to_pair(self, log_run):
-        _, xi = log_run
-        assert xi.total_l1 > 1e-3
+        traj = log_run
+        assert traj.reaction_l1 > 1e-3
 
     def test_candidate_just_outside_is_infinite_and_passes(self, pressed_run):
-        traj, xi = pressed_run
+        traj = pressed_run
         tau, sigma = np.zeros(traj.n_steps), np.zeros(traj.grid.n_nodes)
         tau[3], sigma[5] = 1.0 + 5e-13, 1.0
         v = SeparableCandidate(tau, sigma)
-        rep = subdifferential_check(traj, xi, [v])
+        rep = subdifferential_check(traj, [v])
         assert rep.entries[0].slack == math.inf
         assert rep.all_pass
-        assert oracle_subdiff(traj, xi, [v]) == [(math.inf, True)]
+        assert oracle_subdiff(traj, [v]) == [(math.inf, True)]
 
     def test_max_abs_without_abs_array(self, pressed_run):
-        traj, _ = pressed_run
+        traj = pressed_run
         cands = [np.outer(v.tau, v.sigma) for v in iter_random_candidates(traj, 5, np.random.default_rng(3))]
         cands[0][::7] = -0.0
         cands[1][::5] = 0.0
@@ -365,13 +361,12 @@ class TestSubdifferentialOracle:
 class TestSingularSupport:
     def test_zero_measure_empty_report(self):
         traj = zero_run()
-        xi = accumulate_xi(traj)
-        rep = singular_support_check(xi, traj, threshold=1e-12)
+        rep = singular_support_check(traj, threshold=1e-12)
         assert rep.empty
 
     def test_toy_mass_sits_at_plus_one(self, toy_jump_run):
-        traj, xi = toy_jump_run
-        rep = singular_support_check(xi, traj, threshold=1e-9)
+        traj = toy_jump_run
+        rep = singular_support_check(traj, threshold=1e-9)
         assert rep.n_significant > 0
         assert rep.negative_cells == 0
         assert rep.max_misalignment <= 5 * (math.sqrt(1e-6) + traj.dt)
@@ -381,8 +376,7 @@ class TestSingularSupport:
         eps = 1e-4
         cfg = toy_config(eps, T=4.0, dt_divisor=20.0)
         traj = dw.simulate(cfg)
-        xi = accumulate_xi(traj)
-        rep = singular_support_check(xi, traj, threshold=1e-6)
+        rep = singular_support_check(traj, threshold=1e-6)
         assert rep.positive_cells > 0 and rep.negative_cells > 0
         assert rep.max_misalignment <= 5 * (math.sqrt(eps) + traj.dt)
 
@@ -396,7 +390,7 @@ class TestDetectJumps:
         assert detect_jumps(dw.simulate(cfg)) == []
 
     def test_toy_single_jump_parameters(self, toy_jump_run):
-        traj, _ = toy_jump_run
+        traj = toy_jump_run
         events = detect_jumps(traj)
         assert len(events) == 1
         ev = events[0]
@@ -428,7 +422,7 @@ class TestDetectJumps:
         assert events[1].impulse == pytest.approx(-2.0, abs=0.01)
 
     def test_kappa_must_be_positive(self, toy_jump_run):
-        traj, _ = toy_jump_run
+        traj = toy_jump_run
         with pytest.raises(ValueError):
             detect_jumps(traj, kappa=0.0)
 
@@ -462,30 +456,30 @@ class TestRestrictionCompat:
         cfg = toy_config(eps, T=2.0, dt_divisor=50.0)
         full = dw.simulate(cfg)
         sub = dw.simulate(dataclasses.replace(cfg, T=1.0))
-        return accumulate_xi(full), accumulate_xi(sub)
+        return full, sub
 
     def test_no_mass_near_cut(self):
-        xf, xs = self.setup_pair()
+        full, sub = self.setup_pair()
         phi = TestFunction(TimeProfile("hat", 2.0, center=0.2, halfwidth=0.1),
                            SpaceProfile("one", 1.0))
         # phi supported well inside (0, 0.3): vanishes at the cut
-        assert restriction_compat(xf, xs, phi, 1.0) <= 1e-12
+        assert restriction_compat(full, sub, phi, 1.0) <= 1e-12
 
     def test_atom_at_cut_killed_by_vanishing_factor(self):
-        xf, xs = self.setup_pair()
+        full, sub = self.setup_pair()
         phi = TestFunction(TimeProfile("reverse", 1.0), SpaceProfile("one", 1.0))
         assert vanishes_at(phi, 1.0)
         # atom sits at t ~ 1 but phi(1) = 0: compatibility holds to O(dt)
-        assert restriction_compat(xf, xs, phi, 1.0) <= 1e-3
+        assert restriction_compat(full, sub, phi, 1.0) <= 1e-3
 
     def test_nonvanishing_phi_rejected(self):
-        xf, xs = self.setup_pair()
+        full, sub = self.setup_pair()
         phi = TestFunction(TimeProfile("one", 2.0), SpaceProfile("one", 1.0))
         with pytest.raises(InadmissibleTestFunction):
-            restriction_compat(xf, xs, phi, 1.0)
+            restriction_compat(full, sub, phi, 1.0)
 
     def test_cut_inside_concentration_window_is_flagged(self):
-        xf, _ = self.setup_pair()
+        full, _ = self.setup_pair()
         w = 8 * math.sqrt(1e-4)
-        assert concentration_at(xf, 1.0, w) > 0.99  # the atom straddles t = 1
-        assert concentration_at(xf, 0.5, w) == 0.0  # quiet cut time
+        assert concentration_at(full, 1.0, w) > 0.99  # the atom straddles t = 1
+        assert concentration_at(full, 0.5, w) == 0.0  # quiet cut time
