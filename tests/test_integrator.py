@@ -20,6 +20,7 @@ from tests.conftest import toy_config
 from tests.oracles import SimState, energy_equality_residual, modal_states, step, stepwise_run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LOG_CONFIG = CONFIGS.parent / "perfbench" / "configs" / "neumann_contact_log.yaml"
 
 
 class TestStep:
@@ -491,3 +492,82 @@ class TestScalarMatchesVector:
             a, b = getattr(scalar, field), getattr(vector, field)
             scale = max(float(np.max(np.abs(a))), 1.0)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * scale, err_msg=field)
+
+
+class TestDeadZoneIteration:
+    """A grid Newton iteration whose iterate is strictly inside the reaction's
+    dead zone evaluates no reaction: its reaction and derivative are the
+    vector kernel's shared read-only zero, with the +0.0 bits of the full
+    call, and its solve is the factored dead-zone one."""
+
+    @staticmethod
+    def count_reactions(monkeypatch):
+        """A list that gets one item per ``Reaction.beta_and_dbeta`` call."""
+        calls, full = [], dw.graphs.Reaction.beta_and_dbeta
+
+        def counted(self, u):
+            calls.append(u)
+            return full(self, u)
+
+        monkeypatch.setattr(dw.graphs.Reaction, "beta_and_dbeta", counted)
+        return calls
+
+    # dirichlet_sine never leaves the dead zone (two evaluations per step
+    # without the shortcut, 10,000 calls); the logarithmic graph has no dead
+    # zone and keeps its two per step
+    @pytest.mark.parametrize("config, calls", [(CONFIGS / "dirichlet_sine.yaml", 0), (LOG_CONFIG, 4000)],
+                             ids=["dirichlet_sine", "neumann_contact_log"])
+    def test_reaction_evaluations(self, monkeypatch, config, calls):
+        counted = self.count_reactions(monkeypatch)
+        simulate(dw.load_config(config))
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("name, fields", [
+        ("pressed_wall", {}),
+        ("neumann_contact", {"theta": 0.5, "lam": 0.5}),
+        ("neumann_contact", {"graph_kind": "family", "r_threshold": 0.9, "eps_param": 0.02, "epsilon": None}),
+    ], ids=["pressed_wall", "neumann_contact-theta0.5-lam0.5", "neumann_contact-family"])
+    def test_shortcut_has_the_full_calls_bits(self, name, fields):
+        """A run with contact, through both paths, against the same run with
+        the shortcut off (no dead zone): the same bits in every field."""
+        from dampedwave.integrator import _kernel, _resolve_steps, _run
+
+        cfg = dataclasses.replace(dw.load_config(CONFIGS / f"{name}.yaml"), **fields)
+        grid, reaction = cfg.grid(), cfg.reaction()
+        runs = []
+        for dead_zone in (reaction.dead_zone, None):
+            kernel, u, v = _kernel(cfg, grid, reaction, *cfg.initial_fields(grid))
+            kernel.dead_zone = dead_zone
+            runs.append(_run(cfg, kernel, _resolve_steps(cfg), u, v))
+        shortcut, full = runs
+        assert 0 < np.count_nonzero(np.any(full.beta_theta, axis=1)) < full.n_steps
+        for field in ("U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters"):
+            assert getattr(shortcut, field).tobytes() == getattr(full, field).tobytes(), field
+
+    def test_nan_iterate_takes_the_full_call(self, monkeypatch):
+        """A NaN fails the dead-zone test: the iteration evaluates the
+        reaction, and the run ends in the RunError of a diverged step."""
+        from dampedwave.integrator import _kernel, _run
+
+        cfg = dw.load_config(CONFIGS / "neumann_contact.yaml")
+        grid, reaction = cfg.grid(), cfg.reaction()
+        u0, v0 = cfg.initial_fields(grid)
+        u0[7] = math.nan  # every other node is inside the dead zone
+        counted = self.count_reactions(monkeypatch)
+        kernel, u, v = _kernel(cfg, grid, reaction, u0, v0)
+        with pytest.raises(RunError, match=r"run 'neumann-contact' failed: .*step 0") as info:
+            _run(cfg, kernel, 10, u, v)
+        assert isinstance(info.value.__cause__, dw.errors.NewtonDiverged)
+        assert len(counted) == 1 and math.isnan(counted[0][7])
+
+    def test_shared_zero_is_read_only(self):
+        from dampedwave.integrator import _kernel
+
+        cfg = dw.load_config(CONFIGS / "pressed_wall.yaml")
+        grid = cfg.grid()
+        kernel = _kernel(cfg, grid, cfg.reaction(), *cfg.initial_fields(grid))[0]
+        assert kernel.zero.tobytes() == np.zeros(grid.n_nodes).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.zero[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.zero += 0.0

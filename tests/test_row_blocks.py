@@ -420,6 +420,72 @@ def test_commands_build_no_run_sized_array(name, dt_div, bound, tmp_path, monkey
         assert peak < bound * u_bytes, (command, peak / u_bytes)
 
 
+def test_map_blocks_keeps_every_bit(monkeypatch):
+    """``map_blocks`` starts zeroed and writes only values that are not +0.0,
+    yet gives the stacked values bit for bit: a -0.0, a NaN and a +0.0 row
+    among values, over several blocks."""
+    monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", 64 * 3)
+    M = np.zeros((300, 3))
+    M[5] = [-0.0, 1.5, math.nan]
+    M[130, 2] = -0.0
+    M[299] = [-1e-300, 0.0, math.inf]
+    blocks = integrator.map_row_blocks(lambda rows: rows * 1.0, M)
+    assert blocks.tobytes() == M.tobytes()
+
+
+# the growth of the peak resident set over one command's call, in units of
+# its run's U, in a fresh interpreter: ``simulate`` of the config, then, in a
+# second one, ``read_run_npz`` of the run.npz the first wrote; each calls the
+# same on a run of T/50 first, so that imports and first-call caches are not
+# counted.  The peak is the interpreter's own VmHWM: its ru_maxrss starts at
+# the resident set of the process that launched it (Linux keeps the larger of
+# the two across exec), which under pytest hides the growth
+RESIDENT_GROWTH = """
+import dataclasses, re, sys
+from pathlib import Path
+from dampedwave.cli import read_run_npz, write_run_npz
+from dampedwave.config import load_config
+from dampedwave.integrator import simulate
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+command, cfg, out = sys.argv[1], load_config(sys.argv[2]), Path(sys.argv[3])
+short = dataclasses.replace(cfg, T=cfg.T / 50)
+if command == "simulate":
+    write_run_npz(out / "short.npz", simulate(short))
+    before = peak()
+    traj = simulate(cfg)
+    grown = peak() - before
+    write_run_npz(out / "run.npz", traj)
+else:
+    read_run_npz(out / "short.npz", short)
+    before = peak()
+    traj = read_run_npz(out / "run.npz", cfg)
+    grown = peak() - before
+print(1024 * grown / traj.U.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
+def test_zero_reaction_rows_are_not_resident(tmp_path):
+    """dirichlet_sine never leaves the dead zone, so every reaction row is
+    +0.0: its zeroed (mmapped) reaction array is never written, and neither
+    ``simulate`` nor ``read_run_npz`` makes it resident.  Each grows the peak
+    resident set by about 2.05 U (U, V and block temporaries), against 3.05 U
+    when every row was written; the bound is between the two."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for command in ("simulate", "read_run_npz"):
+        proc = subprocess.run(
+            [sys.executable, "-c", RESIDENT_GROWTH, command, str(CONFIGS / "dirichlet_sine.yaml"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        growth = float(proc.stdout.split()[-1])
+        assert growth < 2.5, (command, growth)
+
+
 # ---------------------------------------------------------------------------
 # passes over the run
 
