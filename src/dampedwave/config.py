@@ -162,6 +162,13 @@ def _positive(x) -> bool:
     return x is not None and x > 0
 
 
+def _family_slope(x) -> bool:
+    """Whether the family's slope 1/x**2 is a finite positive float, as
+    ``graphs.family_beta`` computes it: x*x neither underflows to 0 nor
+    overflows, and its reciprocal does not overflow."""
+    return _positive(x) and x * x > 0.0 and 0.0 < 1.0 / (x * x) < math.inf
+
+
 class _Key(NamedTuple):
     """A key of the run document: the ``SimConfig`` field it sets, the
     parser of its YAML value (``parse(value, key)``), and the bound of that
@@ -191,8 +198,9 @@ _KEYS = (
          "must be a positive real for graph.kind {kind}", kinds=("indicator", "logarithmic")),
     _Key("graph.r_threshold", "r_threshold", _optional_real, lambda x: x is not None and 0 < x <= 1,
          "must lie in (0, 1] for graph.kind family", kinds=("family",)),
-    _Key("graph.eps_param", "eps_param", _optional_real, _positive,
-         "must be positive for graph.kind family", kinds=("family",)),
+    _Key("graph.eps_param", "eps_param", _optional_real, _family_slope,
+         "must be positive, with a finite positive slope 1/eps_param**2, for graph.kind family, got {!r}",
+         kinds=("family",)),
     _Key("time.T", "T", _real, _positive, "must be positive", required=True),
     _Key("time.dt", "dt", _real, _positive, "must be positive", required=True),
     _Key("time.theta", "theta", _real, lambda x: 0.5 <= x <= 1.0, "must lie in [1/2, 1]"),
@@ -281,14 +289,10 @@ class SimConfig:
     def forcing_field(self, grid: Grid | None = None):
         return forcing_field(grid or self.grid(), self.forcing)
 
-    def with_epsilon(self, epsilon: float, dt: float | None = None) -> "SimConfig":
-        """Sweep helper: moves the regularization index, optionally the step."""
-        kw = {"dt": dt if dt is not None else self.dt}
-        if self.graph_kind == "family":
-            kw["eps_param"] = epsilon
-        else:
-            kw["epsilon"] = epsilon
-        return replace(self, **kw)
+    def with_epsilon(self, epsilon: float, dt: float) -> "SimConfig":
+        """Sweep helper: moves the regularization index and the step."""
+        index = "eps_param" if self.graph_kind == "family" else "epsilon"
+        return replace(self, dt=dt, **{index: epsilon})
 
     # -- serialization ------------------------------------------------------
 

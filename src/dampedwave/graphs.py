@@ -25,12 +25,11 @@ All values are immutable and all operations are pure functions.
 uses: the Yosida approximant of the indicator or logarithmic graph, or
 the family as it stands.  This module is the only one that computes a
 reaction value or derivative, and ``Reaction._forms`` is the one place
-that picks the formulas by kind.  Each kind has an array form and a
-plain-float form ``r -> (beta(r), dbeta(r))`` (``indicator_scalar``,
-``family_scalar``, and ``yosida_and_derivative`` itself on a float for
-the logarithmic graph) that gives the array form's bits, and a dead zone
-``|r| < Reaction.dead_zone`` where both are exactly 0 (none for the
-logarithmic graph).
+that picks the formulas by kind.  Each formula is written once, as an
+array form that is elementwise bit for bit, and a plain float goes
+through the same form (as a 0-d value).  Each kind but the logarithmic
+has a dead zone ``|r| < Reaction.dead_zone`` where the value and the
+derivative are exactly +0.0.
 """
 
 from __future__ import annotations
@@ -116,21 +115,6 @@ def family_beta_and_dbeta(r_threshold: float, eps_param: float, r):
     """``family_beta`` and its a.e. derivative, kink resolved toward the active side."""
     slope = 1.0 / (eps_param * eps_param)
     return family_beta(r_threshold, eps_param, r), np.where(np.abs(r) >= r_threshold, slope, 0.0)
-
-
-def family_scalar(r_threshold: float, eps_param: float):
-    """Plain-float r -> ``family_beta_and_dbeta(r)``, bit for bit on every r but NaN."""
-    rt = r_threshold
-    slope = 1.0 / (eps_param * eps_param)
-
-    def pair(r):
-        if -rt < r < rt:
-            return 0.0, 0.0
-        if r > 0.0:
-            return slope * (r - rt), slope
-        return slope * (r + rt), slope
-
-    return pair
 
 
 def eval_j(graph: MonotoneGraph, r):
@@ -292,21 +276,6 @@ def yosida_and_derivative(pot: RegularizedPotential, r):
     return (float(y), float(dy)) if np.isscalar(r) else (y, dy)
 
 
-def indicator_scalar(epsilon: float):
-    """Plain-float r -> ``yosida_and_derivative`` of the indicator at ``epsilon``,
-    bit for bit on every r but NaN (which gives a NaN beta either way)."""
-    slope = 1.0 / epsilon
-
-    def pair(r):
-        if -1.0 < r < 1.0:
-            return 0.0, 0.0
-        if r > 0.0:
-            return (r - 1.0) / epsilon, slope
-        return (r + 1.0) / epsilon, slope
-
-    return pair
-
-
 def moreau(pot: RegularizedPotential, r):
     """Moreau envelope min_s [ j(s) + (r-s)^2/(2 eps) ].
 
@@ -333,8 +302,9 @@ class Reaction:
     index eps_param and the boundary-layer width scales like eps_param
     instead of sqrt(epsilon).
 
-    The array methods are elementwise bit for bit, and
-    ``scalar_beta_and_dbeta`` gives the same bits on a plain float.
+    The methods are elementwise bit for bit, and take a plain float too.
+    A ``Reaction`` holds no closures, so it pickles, its built forms
+    included.
     """
 
     graph: MonotoneGraph
@@ -343,20 +313,17 @@ class Reaction:
 
     @cached_property
     def _forms(self):
-        """(beta, beta_and_dbeta, pot, scalar_beta_and_dbeta, dead_zone) of
-        the graph kind."""
+        """(beta, beta_and_dbeta, pot, dead_zone) of the graph kind."""
         g = self.graph
         if g.kind == GraphKind.FAMILY:
             rt, ep = g.r_threshold, g.eps_param
             return (
                 partial(family_beta, rt, ep), partial(family_beta_and_dbeta, rt, ep),
-                partial(family_j, rt, ep), family_scalar(rt, ep), rt,
+                partial(family_j, rt, ep), rt,
             )
         pot = RegularizedPotential(g, self.epsilon)
-        pair = partial(yosida_and_derivative, pot)
-        if g.kind == GraphKind.INDICATOR:
-            return partial(yosida, pot), pair, partial(moreau, pot), indicator_scalar(self.epsilon), 1.0
-        return partial(yosida, pot), pair, partial(moreau, pot), pair, None
+        dead_zone = 1.0 if g.kind == GraphKind.INDICATOR else None
+        return partial(yosida, pot), partial(yosida_and_derivative, pot), partial(moreau, pot), dead_zone
 
     def beta(self, u):
         return self._forms[0](u)
@@ -372,16 +339,10 @@ class Reaction:
         return self._forms[2](u)
 
     @property
-    def scalar_beta_and_dbeta(self):
-        """Plain-float r -> (beta(r), dbeta(r)), for the one-node step kernel."""
-        return self._forms[3]
-
-    @property
     def dead_zone(self) -> float | None:
-        """The half-width w of the dead zone -w < r < w, exactly where
-        ``scalar_beta_and_dbeta`` returns (0.0, 0.0) and the array forms give
-        0.0 for both; None for a graph without one (the logarithmic)."""
-        return self._forms[4]
+        """The half-width w of the dead zone -w < r < w, where beta and dbeta
+        are exactly +0.0; None for a graph without one (the logarithmic)."""
+        return self._forms[3]
 
 
 def make_reaction(graph: MonotoneGraph, epsilon: float | None) -> Reaction:

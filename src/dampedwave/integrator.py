@@ -66,9 +66,10 @@ serves every grid of two or more nodes.  A one-node grid gets a
 plain-float kernel, because the vector kernel pays numpy's per-call
 overhead on 1-element arrays: on a 63,246-step toy run it takes about
 36 microseconds per step against 1.0 for the plain-float step (2-core
-Xeon, Python 3.11, numpy 2.4).  It gets its reaction from
-``Reaction.scalar_beta_and_dbeta``, once per Newton iteration, with the
-bits of the array form.
+Xeon, Python 3.11, numpy 2.4).  It makes the grid kernel's dead-zone test
+on its float iterate, and outside the dead zone takes
+``Reaction.beta_and_dbeta`` of the float as two floats: there is one
+array form of each reaction formula, and the one node gets its bits.
 
 On one node with lambda = 0 and no forcing, a step from a state whose
 reaction is 0 that stays inside the reaction's dead zone
@@ -158,13 +159,6 @@ def block_columns(n_rows: int) -> int:
     return max(1, BLOCK_ELEMENTS // n_rows)
 
 
-def map_row_blocks(fn, *Ms) -> np.ndarray:
-    """Row-wise ``fn`` (such as ``Reaction.beta``) over blocks of rows of the
-    equally long ``Ms``: ``fn(*blocks)`` gives one value, or one row of
-    values, per row, and the blocks' values are stacked."""
-    return map_blocks(len(Ms[0]), Ms[0].shape[1], lambda rows: fn(*(M[rows] for M in Ms)))
-
-
 def map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
     """``fn(rows)`` over the slices ``row_blocks(n_rows, n_x)`` of an
     (n_rows, n_x) array, stacked into one float array.  The array starts
@@ -209,6 +203,14 @@ def pairwise_pieces(rows, n_rows: int, n_x: int) -> float:
     return float(piece(0, n_rows * n_x))
 
 
+def theta_combination(th: float, q0, q1):
+    """th*q1 + (1 - th)*q0, the value the theta-scheme pairs in a step from
+    q0 to q1.  Every theta-combination of a run is formed here: the step
+    kernels' records and the checks' ``Trajectory.theta_combine`` and
+    ``Trajectory.forcing_theta`` share its bits."""
+    return th * q1 + (1.0 - th) * q0
+
+
 @dataclass
 class Trajectory:
     """A completed run: every state plus per-step diagnostics.
@@ -219,6 +221,9 @@ class Trajectory:
     reaction mass the scheme injected during that step.  These masses are
     the run's reaction measure xi, one time cell per step: ``masses``
     forms the rows a check asks for, and ``reaction_l1`` is its total mass.
+    Its theta-combinations (``theta_combine``, ``forcing_theta``) come from
+    ``theta_combination``, as the step kernels' records do.  A trajectory
+    pickles whole, its cached reaction included.
     """
 
     cfg: SimConfig
@@ -266,8 +271,7 @@ class Trajectory:
         Applied to the states, or to a quantity linear in them, this is
         the value the scheme's quadrature pairs in step k.
         """
-        th = self.theta
-        return th * Q[1:] + (1.0 - th) * Q[:-1]
+        return theta_combination(self.theta, Q[:-1], Q[1:])
 
     @cached_property
     def forcing(self) -> np.ndarray | None:
@@ -279,8 +283,7 @@ class Trajectory:
         """theta*g + (1-theta)*g, the forcing that the scheme's quadrature
         pairs in every step: g up to round-off, with the bits of the step
         kernels' ``record``."""
-        th, g = self.theta, self.forcing
-        return th * g + (1.0 - th) * g
+        return theta_combination(self.theta, self.forcing, self.forcing)
 
     def masses(self, steps: slice) -> np.ndarray:
         """The reaction masses of the steps ``steps``, one row per step:
@@ -299,11 +302,6 @@ class Trajectory:
             return np.abs(m, out=m)
 
         return pairwise_pieces(abs_rows, *self.beta_theta.shape)
-
-    def __getstate__(self) -> dict:
-        """The pickled state: the cached reaction holds closures that do not
-        pickle, so it is left out and rebuilt from ``cfg``."""
-        return {k: v for k, v in vars(self).items() if k != "reaction"}
 
     def step_values(self, fn, *Qs) -> np.ndarray:
         """The (n_steps, ...) values of ``fn(steps, *blocks)``, computed over
@@ -511,8 +509,9 @@ def run_records(cfg: SimConfig, V, B):
 # step kernels: advance(u, v, k, beta(u)) -> (u1, v1, beta(u1), Newton
 # iterations); record(v, v1, beta(u), beta(u1)) = (beta_theta, dissipation,
 # forcing power) of a step, with None for a dissipation or power that is zero
-# by construction; record maps stacked steps (rows) too.  Both read the
-# forcing field from ``self.forcing``.  free_flight(u, v, out), or None,
+# by construction; record maps stacked steps (rows) too.  advance reads the
+# forcing field from ``self.forcing``, record its theta-combination from
+# ``self.forcing_theta``.  free_flight(u, v, out), or None,
 # fills ``out`` with the positions of the steps from (u, v), with reaction
 # 0, that ``advance`` would take with no Newton iteration, and returns their
 # count (see ``_run``).  zero, or None, is the one reaction array that
@@ -529,6 +528,7 @@ class _VectorWorkspace:
         self.beta = reaction.beta
         self.beta_and_dbeta = reaction.beta_and_dbeta
         self.forcing = forcing
+        self.forcing_theta = None if forcing is None else theta_combination(cfg.theta, forcing, forcing)
         self.dt = cfg.dt
         self.theta = cfg.theta
         self.lam = cfg.lam
@@ -634,13 +634,12 @@ class _VectorWorkspace:
         return up, w, bw, iters
 
     def record(self, v, v1, beta0, beta1):
-        dt, th, g = self.dt, self.theta, self.forcing
-        beta_th = th * beta1 + (1.0 - th) * beta0
-        v_th = th * v1 + (1.0 - th) * v
+        dt, th, g_th = self.dt, self.theta, self.forcing_theta
+        beta_th = theta_combination(th, beta0, beta1)
+        v_th = theta_combination(th, v, v1)
         diss = dt * edge_inner(self.grid, v_th, v_th)
-        if g is None:
+        if g_th is None:
             return beta_th, diss, None
-        g_th = th * g + (1.0 - th) * g  # Trajectory.forcing_theta, bit for bit
         return beta_th, diss, dt * np.vecdot(self.w * g_th, v_th)
 
 
@@ -652,15 +651,23 @@ class _ScalarWorkspace:
     its own association, a*(beta - lam*u - g), where the vector kernel
     subtracts a*g afterwards; on a forced run the two kernels therefore
     agree to round-off, not bit for bit.
+
+    Its reaction is the grid kernel's: an iterate strictly inside
+    ``Reaction.dead_zone`` takes (0.0, 0.0), the bits the array form gives
+    there, and any other (a NaN too) takes ``Reaction.beta_and_dbeta`` of
+    the float, as two floats.  The test saves a numpy call in most Newton
+    iterations of a run with a dead zone.
     """
 
     # its reactions are floats, and ``_run`` writes every one ``advance`` returns
     zero = None
 
     def __init__(self, cfg, grid, reaction, forcing):
-        self.beta_and_dbeta = reaction.scalar_beta_and_dbeta
+        self.reaction_beta = reaction.beta
+        self.beta_and_dbeta = reaction.beta_and_dbeta
         self.forcing = None if forcing is None else float(forcing[0])
         dt, th = cfg.dt, cfg.theta
+        self.forcing_theta = None if forcing is None else theta_combination(th, self.forcing, self.forcing)
         self.dt = dt
         self.theta = th
         self.lam = cfg.lam
@@ -675,7 +682,7 @@ class _ScalarWorkspace:
         self.free_flight = self._free_flight if free else None
 
     def beta(self, u):
-        return self.beta_and_dbeta(u)[0]
+        return float(self.reaction_beta(u))
 
     def _free_flight(self, u, v, out):
         """Free flight from (u, v) with reaction 0, with lambda = 0 and no
@@ -722,13 +729,17 @@ class _ScalarWorkspace:
         u_bar = u + self.dt_explicit * v
         tol = self.newton_tol * (1.0 + abs(v_bar))
 
-        beta_and_dbeta = self.beta_and_dbeta
+        beta_and_dbeta, dead_zone = self.beta_and_dbeta, self.dead_zone
         w = v
         res0 = None
         iters = 0
         for it in range(self.newton_max_iter):
             up = u_bar + a * w
-            bw, db = beta_and_dbeta(up)
+            # the grid kernel's dead-zone test: a NaN fails it and takes the full call
+            if dead_zone is not None and abs(up) < dead_zone:
+                bw = db = 0.0
+            else:
+                bw, db = map(float, beta_and_dbeta(up))
             R = w - v_bar + a * (bw - lam * up - g)
             res = abs(R)
             if not math.isfinite(res) or (res0 is not None and res > _DIVERGENCE_FACTOR * res0):
@@ -749,9 +760,8 @@ class _ScalarWorkspace:
         return up, w, bw, iters
 
     def record(self, v, v1, b0, b1):
-        th, g = self.theta, self.forcing
-        beta_th = th * b1 + (1.0 - th) * b0
-        if g is None:
+        th, g_th = self.theta, self.forcing_theta
+        beta_th = theta_combination(th, b0, b1)
+        if g_th is None:
             return beta_th, None, None
-        g_th = th * g + (1.0 - th) * g
-        return beta_th, None, self.dt_weight * g_th * (th * v1 + (1.0 - th) * v)
+        return beta_th, None, self.dt_weight * g_th * theta_combination(th, v, v1)

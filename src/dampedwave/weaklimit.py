@@ -187,15 +187,18 @@ def accumulate_xi(traj: Trajectory, n_t: int) -> tuple:
     return edges, masses
 
 
-def window_profile(traj: Trajectory, t0: float, width: float, factors=(8, 4, 2, 1)) -> dict:
-    """Absolute reaction mass inside |t - t0| <= f * width for each of
-    ``factors`` (nested windows around t0, which flag concentration), from
-    one pass that forms the per-step |mass| once for every window; a step
-    counts by the fraction of it inside a window."""
+WINDOW_FACTORS = (8, 4, 2, 1)
+
+
+def window_profile(traj: Trajectory, t0: float, width: float) -> dict:
+    """Absolute reaction mass inside |t - t0| <= f * width for each f of
+    ``WINDOW_FACTORS`` (nested windows around t0, which flag
+    concentration), from one pass that forms the per-step |mass| once for
+    every window; a step counts by the fraction of it inside a window."""
     edges = traj.times
     cell_l1 = map_blocks(*traj.beta_theta.shape, lambda steps: np.sum(np.abs(traj.masses(steps)), axis=1))
     out = {}
-    for f in factors:
+    for f in WINDOW_FACTORS:
         lo, hi = t0 - f * width, t0 + f * width
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
         w = np.clip(overlap / (edges[1:] - edges[:-1]), 0.0, 1.0)
@@ -366,8 +369,11 @@ class SubdiffReport:
         return min((e.slack for e in self.entries), default=0.0)
 
 
-def subdifferential_check(traj: Trajectory, candidates, tol: float = 1e-6) -> SubdiffReport:
-    """Slack J(v) - J(u) - <xi, v - u> per candidate; pass iff >= -tol.
+SUBDIFF_TOL = 1e-6
+
+
+def subdifferential_check(traj: Trajectory, candidates) -> SubdiffReport:
+    """Slack J(v) - J(u) - <xi, v - u> per candidate; pass iff >= -SUBDIFF_TOL.
 
     J is the limit potential (indicator of [-1,1] for the hard
     constraint and for the piecewise-linear family): it vanishes on
@@ -429,7 +435,7 @@ def subdifferential_check(traj: Trajectory, candidates, tol: float = 1e-6) -> Su
             else:
                 jv = J(v.rows)
             slack = jv - ju - (xi_v - xi_u)
-            entries.append(SubdiffEntry(slack, slack >= -tol))
+            entries.append(SubdiffEntry(slack, slack >= -SUBDIFF_TOL))
     return SubdiffReport(tuple(entries))
 
 
@@ -536,15 +542,17 @@ class JumpEvent:
     impulse: float
 
 
-def detect_jumps(traj: Trajectory, kappa: float = 20.0):
-    """Flag steps whose velocity change dwarfs the trajectory's median.
+JUMP_KAPPA = 20.0
+
+
+def detect_jumps(traj: Trajectory):
+    """Flag steps whose velocity change exceeds JUMP_KAPPA times the
+    trajectory's median.
 
     Flags closer than the run's boundary-layer width merge into one
     event; each event reports the flanking plateau velocities and the
     impulse (momentum lost across it).
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     window = traj.reaction.layer_width
     w = traj.grid.mass_weights
     V = traj.V
@@ -560,7 +568,7 @@ def detect_jumps(traj: Trajectory, kappa: float = 20.0):
     peak = float(np.max(changes))
     if peak == 0.0:
         return []
-    thr = kappa * med if med > 0.0 else kappa * 1e-9 * peak
+    thr = JUMP_KAPPA * med if med > 0.0 else JUMP_KAPPA * 1e-9 * peak
     flagged = np.nonzero(changes > thr)[0]
     if not len(flagged):
         return []

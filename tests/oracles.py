@@ -245,7 +245,7 @@ def restrict_mass(traj: Trajectory, t: float) -> float:
 
 def window_mass(traj: Trajectory, t0: float, halfwidth: float) -> float:
     """Absolute reaction mass inside |t - t0| <= halfwidth (fractional steps)."""
-    return window_profile(traj, t0, halfwidth, (1,))[1]
+    return window_profile(traj, t0, halfwidth)[1]
 
 
 def concentration_at(traj: Trajectory, t: float, width: float) -> float:

@@ -26,7 +26,7 @@ from dampedwave.cli import (
 )
 from dampedwave.errors import ConfigError, MissingArtifact
 from dampedwave.config import from_dict, load_config
-from dampedwave.integrator import map_row_blocks, run_records
+from dampedwave.integrator import map_blocks, run_records
 
 # the per-step records, which read_run_npz rebuilds from the states
 RECORDS = ("beta_theta", "diss_incr", "power_incr")
@@ -645,7 +645,8 @@ def _with_records(arrays):
     """The members of a run.npz written before the records were rebuilt
     from the states: the states' records between V and newton_iters."""
     cfg = from_dict(GRID_DOC)
-    B = map_row_blocks(cfg.reaction().beta, arrays["U"])
+    U, beta = arrays["U"], cfg.reaction().beta
+    B = map_blocks(*U.shape, lambda rows: beta(U[rows]))
     records = dict(zip(RECORDS, run_records(cfg, arrays["V"], B)))
     head = {k: arrays[k] for k in ("times", "U", "V")}
     return {**head, **records, "newton_iters": arrays["newton_iters"]}
@@ -790,6 +791,22 @@ class TestVerifyCsvExport:
         verdicts = _verify_verdicts(bad)
         assert not verdicts["trajectory_csv_consistent"]["passed"]
         assert verdicts["energy_ledger_consistent"]["passed"]
+
+
+@pytest.mark.parametrize("n_nodes", [1, 5])
+@pytest.mark.parametrize("eps_param", [1e-170, 1e-155, 1e200])
+def test_family_slope_not_a_finite_positive_float_exits_2(tmp_path, capsys, eps_param, n_nodes):
+    """A ``graph.eps_param`` whose family slope 1/eps_param**2 is not a
+    finite positive float exits 2 with one error line naming the key: at
+    1e-170 the square underflows to 0 (a ZeroDivisionError traceback before
+    the key's rule said so), at 1e-155 the slope overflows to inf, and at
+    1e200 the square overflows and the slope is 0."""
+    doc = {**GRID_DOC, "space": {**GRID_DOC["space"], "n_nodes": n_nodes},
+           "graph": {"kind": "family", "r_threshold": 0.9, "eps_param": eps_param}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph.eps_param: ") and "Traceback" not in err
 
 
 def test_bad_forcing_profile_exits_2_naming_forcing(tmp_path, capsys):

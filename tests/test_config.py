@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,18 +98,45 @@ class TestValidation:
         doc = self.base()
         doc["graph"] = {"kind": "family", "r_threshold": 0.9, "eps_param": 0.1}
         fam = from_dict(doc)
-        assert fam.with_epsilon(0.01).eps_param == 0.01
+        assert fam.with_epsilon(0.01, dt=1e-3).eps_param == 0.01
+
+
+# one config of each graph kind, on the one node
+ONE_NODE_REACTIONS = {
+    "indicator": {"graph_kind": "indicator", "epsilon": 0.2},
+    "logarithmic": {"graph_kind": "logarithmic", "epsilon": 0.2},
+    "family": {"graph_kind": "family", "r_threshold": 0.8, "eps_param": 0.2},
+}
 
 
 class TestReaction:
     def test_scalar_and_vector_paths_agree(self):
-        cfg = SimConfig(n_nodes=1, bc="neumann", graph_kind="indicator",
-                        epsilon=0.2, T=1.0, dt=0.1)
-        reaction = cfg.reaction()
-        rs = [-1.7, -1.0, -0.5, 0.0, 1.0, 2.4]
-        scalar = np.array([reaction.scalar_beta_and_dbeta(r) for r in rs])
-        vector = np.stack([reaction.beta(np.array(rs)), reaction.dbeta(np.array(rs))], axis=1)
-        assert scalar.tobytes() == vector.tobytes()
+        """``beta_and_dbeta`` on a plain float, as two floats, gives the bits
+        of the array form, and the array form is +0.0 for both strictly
+        inside the dead zone: the one-node kernel relies on both."""
+        for kind, fields in ONE_NODE_REACTIONS.items():
+            reaction = SimConfig(n_nodes=1, bc="neumann", T=1.0, dt=0.1, **fields).reaction()
+            dz = reaction.dead_zone or 0.5
+            rs = [-1.7, -1.0, -0.5, -0.0, 0.0, 1.0, 2.4, math.nan]
+            rs += [s * r for s in (1.0, -1.0) for r in (math.nextafter(dz, 0.0), dz, math.nextafter(dz, 2.0))]
+            scalar = np.array([tuple(map(float, reaction.beta_and_dbeta(r))) for r in rs])
+            vector = np.stack([reaction.beta(np.array(rs)), reaction.dbeta(np.array(rs))], axis=1)
+            assert scalar.tobytes() == vector.tobytes(), kind
+            if reaction.dead_zone is not None:
+                inside = np.abs(rs) < reaction.dead_zone
+                assert inside.sum() == 5 and vector[inside].tobytes() == np.zeros((5, 2)).tobytes(), kind
+
+    @pytest.mark.parametrize("kind", sorted(ONE_NODE_REACTIONS))
+    def test_reaction_with_built_forms_pickles(self, kind):
+        """A reaction whose formulas are built survives a pickle round trip
+        with its forms, and gives the same bits."""
+        reaction = SimConfig(n_nodes=1, bc="neumann", T=1.0, dt=0.1, **ONE_NODE_REACTIONS[kind]).reaction()
+        rs = np.array([-1.5, -0.9, 0.0, 0.3, 0.95, 1.2])
+        before = [np.asarray(fn(rs)).tobytes() for fn in (reaction.beta, reaction.dbeta, reaction.pot)]
+        copy = pickle.loads(pickle.dumps(reaction))
+        assert "_forms" in vars(copy) and copy == reaction
+        assert [np.asarray(fn(rs)).tobytes() for fn in (copy.beta, copy.dbeta, copy.pot)] == before
+        assert copy.dead_zone == reaction.dead_zone
 
     def test_family_reaction_is_the_family_itself(self):
         cfg = SimConfig(n_nodes=1, bc="neumann", graph_kind="family",

@@ -21,7 +21,7 @@ import pytest
 
 import dampedwave as dw
 from dampedwave import integrator
-from dampedwave.integrator import map_row_blocks, run_records, simulate
+from dampedwave.integrator import map_blocks, run_records, simulate
 
 FIELDS = ("U", "V", "beta_theta", "diss_incr", "power_incr", "newton_iters")
 
@@ -233,7 +233,8 @@ def test_records_rebuilt_from_the_states_are_the_runs(name):
     blocks) gives each step's records bit for bit, on every graph."""
     cfg = dw.SimConfig(label=name, **CASES[name])
     traj = run(name)
-    rebuilt = run_records(cfg, traj.V, map_row_blocks(cfg.reaction().beta, traj.U))
+    beta = cfg.reaction().beta
+    rebuilt = run_records(cfg, traj.V, map_blocks(*traj.U.shape, lambda rows: beta(traj.U[rows])))
     for field, arr in zip(("beta_theta", "diss_incr", "power_incr"), rebuilt):
         assert arr.tobytes() == getattr(traj, field).tobytes(), field
 

@@ -3,7 +3,7 @@ whole-array formulas it replaced as oracles, and its memory.
 
 The battery reduces per-step and per-record values computed over row blocks
 of ``integrator.BLOCK_ELEMENTS`` elements (``Trajectory.step_values``,
-``map_row_blocks``), so it builds no array the size of the run.  The oracles
+``map_blocks``), so it builds no array the size of the run.  The oracles
 below are those whole-array formulas, kept as they were before the battery
 streamed.
 """
@@ -363,6 +363,26 @@ def test_battery_builds_no_run_sized_array():
     assert peak < 0.25 * traj.U.nbytes, peak / traj.U.nbytes
 
 
+def test_trajectory_csv_streams_its_reaction_column():
+    """``simulate --csv`` forms the reaction column per row block as it
+    writes the rows: on dirichlet_sine the renderer's peak stays under a
+    quarter of U, where a reaction array of the whole run put it at 1.08 U.
+    A short run goes first, so that imports made on a first call are not
+    counted."""
+    cfg = load_config(CONFIGS / "dirichlet_sine.yaml")
+    for traj in (simulate(dataclasses.replace(cfg, T=cfg.T / 50)), simulate(cfg)):
+        traj.grid, traj.reaction  # noqa: B018 - cached inputs, not the renderer's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._render_trajectory_csv(lambda text: None, traj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert traj.U.nbytes >= 8e6
+    assert peak < 0.25 * traj.U.nbytes, peak / traj.U.nbytes
+
+
 def command_peaks(config: Path, out: Path, monkeypatch) -> tuple:
     """The tracemalloc peaks of ``cmd_simulate`` after its run is integrated
     and of ``cmd_verify`` after ``read_run_npz``, and the size of the run's U.
@@ -429,7 +449,7 @@ def test_map_blocks_keeps_every_bit(monkeypatch):
     M[5] = [-0.0, 1.5, math.nan]
     M[130, 2] = -0.0
     M[299] = [-1e-300, 0.0, math.inf]
-    blocks = integrator.map_row_blocks(lambda rows: rows * 1.0, M)
+    blocks = integrator.map_blocks(*M.shape, lambda rows: M[rows] * 1.0)
     assert blocks.tobytes() == M.tobytes()
 
 

@@ -19,7 +19,7 @@ from dampedwave.config import load_config, make_reaction
 from dampedwave.energy import energy, energy_series
 from dampedwave.graphs import family_graph, indicator_graph, logarithmic_graph
 from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner
-from dampedwave.integrator import Trajectory, map_row_blocks, simulate
+from dampedwave.integrator import Trajectory, map_blocks, simulate
 from dampedwave.sweep import _traj_diff, summarize_run
 from dampedwave.weaklimit import (
     default_dictionary,
@@ -216,8 +216,11 @@ def reaction_inputs():
 @pytest.mark.parametrize("kind", ["indicator", "logarithmic", "family"])
 def test_reaction_rows_blocks_and_elements_agree_bitwise(kind, eps):
     """The reaction is elementwise bit for bit: in row blocks, row by row, one
-    element at a time and (beta, dbeta) through the one-node kernel's floats.
-    Run rebuilds, trajectory.csv and energy.csv rely on it."""
+    element at a time, and ``beta_and_dbeta`` of a plain float, as two
+    floats, where the array form is +0.0 for both strictly inside the dead
+    zone.  Run rebuilds, trajectory.csv, energy.csv and the one-node kernel
+    (which takes (0.0, 0.0) inside the dead zone, and the float call
+    elsewhere) rely on it."""
     if kind == "family":
         reaction = make_reaction(family_graph(0.8, eps), None)
     else:
@@ -225,14 +228,21 @@ def test_reaction_rows_blocks_and_elements_agree_bitwise(kind, eps):
         reaction = make_reaction(graph, eps)
     M = reaction_inputs()
     for fn in (reaction.beta, reaction.dbeta, reaction.pot):
-        blocks = map_row_blocks(fn, M)
+        blocks = map_blocks(*M.shape, lambda rows: fn(M[rows]))
         rows = np.array([fn(row) for row in M])
         elements = np.array([fn(M[:, j : j + 1])[:, 0] for j in range(M.shape[1])]).T
         assert np.array_equal(blocks.view(np.int64), rows.view(np.int64)), fn.__name__
         assert np.array_equal(blocks.view(np.int64), elements.view(np.int64)), fn.__name__
-    scalar = np.array([reaction.scalar_beta_and_dbeta(v) for v in M.ravel().tolist()])
-    batch = np.stack([reaction.beta(M).ravel(), reaction.dbeta(M).ravel()], axis=1)
-    assert np.array_equal(scalar.view(np.int64), batch.view(np.int64))
+    dz = reaction.dead_zone
+    edges = [] if dz is None else [s * np.nextafter(dz, to) for s in (1.0, -1.0) for to in (0.0, dz, 2.0)]
+    r = np.concatenate([M.ravel(), [math.nan, -math.nan], edges])
+    pairs = [tuple(map(float, reaction.beta_and_dbeta(v))) for v in r.tolist()]
+    assert all(type(b) is float and type(d) is float for b, d in pairs)
+    batch = np.stack([reaction.beta(r), reaction.dbeta(r)], axis=1)
+    assert np.array_equal(np.array(pairs).view(np.int64), batch.view(np.int64))
+    if dz is not None:
+        inside = np.abs(r) < dz
+        assert np.array_equal(batch[inside].view(np.int64), np.zeros((inside.sum(), 2), dtype=np.int64))
 
 
 class TestChecksMatchPerRowLoops:

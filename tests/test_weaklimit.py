@@ -246,7 +246,7 @@ class TestSubdifferential:
         )
         traj = dw.simulate(cfg)
         u_th = traj.theta_combine(traj.U)
-        rep = subdifferential_check(traj, [SeparableCandidate(u_th[:, 0], np.ones(1))], tol=1e-6)
+        rep = subdifferential_check(traj, [SeparableCandidate(u_th[:, 0], np.ones(1))])
         assert rep.entries[0].slack == 0.0
 
     def test_equality_candidate_zero_slack(self, pressed_run):
@@ -260,7 +260,7 @@ class TestSubdifferential:
 
     def test_random_candidates_pass_toy(self, toy_jump_run, rng):
         traj = toy_jump_run
-        rep = subdifferential_check(traj, iter_random_candidates(traj, 100, rng), tol=1e-6)
+        rep = subdifferential_check(traj, iter_random_candidates(traj, 100, rng))
         assert rep.all_pass
         assert rep.worst_slack >= -1e-6
 
@@ -268,9 +268,9 @@ class TestSubdifferential:
         traj = pressed_run
         tau, sigma = np.full(traj.n_steps, 1.5), np.ones(traj.grid.n_nodes)
         with pytest.raises(InadmissibleCandidate):
-            subdifferential_check(traj, [SeparableCandidate(tau, sigma)], tol=1e-6)
+            subdifferential_check(traj, [SeparableCandidate(tau, sigma)])
         with pytest.raises(InadmissibleCandidate):  # one step short
-            subdifferential_check(traj, [SeparableCandidate(tau[1:] / 2, sigma)], tol=1e-6)
+            subdifferential_check(traj, [SeparableCandidate(tau[1:] / 2, sigma)])
 
     def test_static_boundary_atom_example(self):
         # u(x) = x on (-1, 1), xi = alpha*delta_{x=1}
@@ -420,11 +420,6 @@ class TestDetectJumps:
         assert len(events) == 2
         assert events[0].impulse == pytest.approx(2.0, abs=0.01)
         assert events[1].impulse == pytest.approx(-2.0, abs=0.01)
-
-    def test_kappa_must_be_positive(self, toy_jump_run):
-        traj = toy_jump_run
-        with pytest.raises(ValueError):
-            detect_jumps(traj, kappa=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256, 4001])
     def test_median_is_np_median_bit_for_bit(self, n):
