@@ -7,8 +7,9 @@ regularization continuation, the constraint-reaction measure and its
 wall-supported singular part, velocity jumps, and the weak-form
 residuals.  Each check has one path: ``weak_residual`` takes a whole
 dictionary of test functions and returns one residual per function, and
-``subdifferential_check`` takes ``SeparableCandidate``s, as
-``iter_random_candidates`` draws them.
+the energy inequality and the subdifferential inclusion are exact, over
+every pair of recorded times and as the Fenchel-Young gap, so no check
+draws a random number.
 
 The reference oracles that only the tests use (the closed-form limit toy,
 the D(A) audit, restriction compatibility of the measure, grid norms, the
@@ -29,7 +30,6 @@ from .errors import (
     ConfigError,
     DampedWaveError,
     DimensionMismatch,
-    InadmissibleCandidate,
     InadmissibleTestFunction,
     MissingArtifact,
     NewtonDiverged,
@@ -69,12 +69,10 @@ from .sweep import (
 )
 from .toy import LevelSet, exact_family_toy, phase_level_set, yosida_layer_toy
 from .weaklimit import (
-    SeparableCandidate,
     TestFunction,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
-    iter_random_candidates,
     singular_support_check,
     solution_identity_residual,
     subdifferential_check,

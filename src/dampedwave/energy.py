@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TimeNotOnGrid
 from .grid import Grid, edge_inner
 from .integrator import Trajectory, row_blocks
 
@@ -85,58 +84,25 @@ def dissipation_between(traj: Trajectory, s: float, t: float) -> float:
     return float(np.sum(traj.diss_incr[ks:kt]))
 
 
-def _balance_terms(traj: Trajectory, s: float, t: float):
-    """E(s), E(t), D(s, t) and P(s, t), D and P summed from the run's records."""
-    i_s, i_t = traj.time_index(s), traj.time_index(t)
-    grid, reaction, lam = traj.grid, traj.reaction, traj.cfg.lam
-    e_s = energy(grid, traj.U[i_s], traj.V[i_s], reaction, lam).total
-    e_t = energy(grid, traj.U[i_t], traj.V[i_t], reaction, lam).total
-    return e_s, e_t, *(float(np.sum(q[i_s:i_t])) for q in (traj.diss_incr, traj.power_incr))
+def balance_sums(traj: Trajectory) -> tuple:
+    """The dissipation and the power summed from the first record to each
+    record (D_cum, P_cum), each starting at 0."""
+    return tuple(np.concatenate([[0.0], np.cumsum(q)]) for q in (traj.diss_incr, traj.power_incr))
 
 
-@dataclass(frozen=True)
-class InequalityPair:
-    s: float
-    t: float
-    slack: float
-    passed: bool
+def energy_inequality_verdict(traj: Trajectory, es) -> dict:
+    """The energy inequality E(t) + D(s, t) <= E(s) + P(s, t) over every pair
+    of recorded times s < t, from the run's energy series ``es``: the worst
+    slack E(s) + P - E(t) - D, the tolerance, and whether the worst slack
+    is at least -tol.
 
-
-@dataclass(frozen=True)
-class InequalityReport:
-    tol: float
-    pairs: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(p.passed for p in self.pairs)
-
-    @property
-    def worst_slack(self) -> float:
-        return min((p.slack for p in self.pairs), default=0.0)
-
-
-def energy_inequality_verdict(traj: Trajectory, s_samples, t_samples) -> InequalityReport:
-    """Per-pair slack E(s) + P - E(t) - D; a pair fails only if slack < -tol.
-
+    With F = E + D_cum - P_cum the slack of (s, t) is F(s) - F(t), so the
+    worst slack is -max_t (F(t) - min_{s<t} F(s)): one running minimum.
     The tolerance 10*(dt + eps) combines the scheme error with the
     regularization penetration depth.
     """
+    diss_cum, power_cum = balance_sums(traj)
+    F = es["total"] + diss_cum - power_cum
+    worst = -float(np.max(F[1:] - np.minimum.accumulate(F[:-1])))
     tol = 10.0 * (traj.dt + traj.reaction.epsilon)
-    pairs = []
-    for s, t in zip(s_samples, t_samples):
-        if not s < t:
-            raise TimeNotOnGrid(f"need s < t, got s={s}, t={t}")
-        e_s, e_t, diss, power = _balance_terms(traj, s, t)
-        slack = e_s + power - e_t - diss
-        pairs.append(InequalityPair(s, t, slack, slack >= -tol))
-    return InequalityReport(tol, tuple(pairs))
-
-
-def random_time_pairs(traj: Trajectory, rng, n_pairs: int):
-    """``n_pairs`` seeded recorded-time pairs s < t (the s indices are drawn first)."""
-    n_rec = len(traj.times)
-    s_idx = rng.integers(0, n_rec - 1, n_pairs)
-    t_idx = rng.integers(1, n_rec, n_pairs)
-    s_idx, t_idx = np.minimum(s_idx, t_idx - 1), np.maximum(t_idx, s_idx + 1)
-    return traj.times[s_idx], traj.times[t_idx]
+    return {"passed": worst >= -tol, "worst_slack": worst, "tol": tol}

@@ -51,10 +51,6 @@ class InadmissibleTestFunction(DampedWaveError):
     """Test function violates the boundary-condition or vanishing constraints."""
 
 
-class InadmissibleCandidate(DampedWaveError):
-    """Candidate field leaves [-1, 1] or has the wrong shape."""
-
-
 class OutOfValidityWindow(DampedWaveError):
     """Closed-form toy solution queried beyond its derivation window."""
 

@@ -152,6 +152,14 @@ def limit_j(graph: MonotoneGraph, r):
     return eval_j(graph, r)
 
 
+def log_j_conjugate(s):
+    """The convex conjugate of the logarithmic potential, j*(s) = 2 ln cosh(s/2)
+    (its derivative tanh(s/2) inverts beta = 2 artanh), in the form
+    |s| + 2 log1p(exp(-|s|)) - 2 ln 2, which stays finite where cosh overflows."""
+    a = np.abs(s)
+    return a + 2.0 * np.log1p(np.exp(-a)) - 2.0 * _LOG2
+
+
 # ---------------------------------------------------------------------------
 # resolvent, Yosida approximant, Moreau envelope
 

@@ -154,11 +154,6 @@ def _keep_freed_blocks() -> None:
     mallopt(-1, 16 * _BLOCK_BYTES)  # M_TRIM_THRESHOLD
 
 
-def block_columns(n_rows: int) -> int:
-    """How many columns of ``n_rows`` values fit in BLOCK_ELEMENTS elements, at least one."""
-    return max(1, BLOCK_ELEMENTS // n_rows)
-
-
 def map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
     """``fn(rows)`` over the slices ``row_blocks(n_rows, n_x)`` of an
     (n_rows, n_x) array, stacked into one float array.  The array starts
@@ -308,7 +303,7 @@ class Trajectory:
         the row blocks of ``row_blocks``.
 
         ``steps`` is the slice of a block's steps, for indexing per-step
-        arrays (the measure's masses, a candidate); each block is
+        arrays (the measure's masses); each block is
         ``theta_combine`` of one per-record array Q (U, V) over the block's
         records, steps.start to steps.stop inclusive.  A block
         holds the bits of the whole-run ``theta_combine``, which is

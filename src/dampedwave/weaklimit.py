@@ -21,26 +21,28 @@ dictionary: the terms of a residual that depend on phi only through its
 spatial factor are built in one pass over the run per distinct factor,
 shared by the functions with that factor and then dropped.
 
-The subdifferential slack of a candidate v is
+The subdifferential inclusion xi in dJ(u) is checked as its Fenchel-Young
+gap (Rockafellar, Convex Analysis, 23; Brezis 1972 for integral
+functionals):
 
-    J(v) - J(u) - <xi, v - u> = J(v) - J(u) - (<xi, v> - <xi, u>),
+    inf over v in [-1, 1] of  J(v) - J(clip u) - <xi, v - u>
+        = -[J(clip u) + J*(xi) - <xi, u>],
 
-one dot product per candidate with <xi, u> taken once.  When the limit
-potential is the indicator of [-1, 1] the mass weights are positive, so
-J(u) of the clipped trajectory is exactly 0 and J(v) is 0 or +inf as
-max|v| is at most 1 or not; only the logarithmic limit integrates J.
-Every candidate is separable, v = tau (x) sigma, and is kept as its two
-factors (SeparableCandidate), so its pairing is tau @ (masses @ sigma).
+the slack of the worst admissible v, so no candidate is drawn.  When the
+limit potential is the indicator of [-1, 1] the mass weights are
+positive, so J of the clipped trajectory is exactly 0 and J*(xi) is the
+total mass ||xi||_1 (``Trajectory.reaction_l1``); only the logarithmic
+limit integrates j and its conjugate j*(s) = 2 ln cosh(s/2)
+(``graphs.log_j_conjugate``).
 
 The measure is not stored as an array: a check forms the masses of a row
 block from the run's records only when it reads that block.  Each check
 reads the run once: one pass over row blocks (``Trajectory.step_values``,
 or ``integrator.row_blocks`` over the records) gives every per-step or
 per-record value it reduces, and the weak residual takes one pass per
-distinct spatial factor, the subdifferential check one per group of
-candidates.  Only maxima and counts are reduced per block; a sum keeps its
-per-step column and is taken after the pass, as a whole-run sum is, so it
-keeps that sum's bits.  Neither the measure nor the battery builds an
+distinct spatial factor.  Only maxima and counts are reduced per block; a
+sum keeps its per-step column and is taken after the pass, as a whole-run
+sum is, so it keeps that sum's bits.  Neither the measure nor the battery builds an
 array the size of the run: the extra memory is a few blocks of
 ``integrator.BLOCK_ELEMENTS`` elements and a few per-step columns.  A
 block has a multiple of ``integrator.GEMV_ROWS`` rows, so a product of
@@ -51,16 +53,15 @@ summed once per run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleCandidate, InadmissibleTestFunction, TimeNotOnGrid
-from .graphs import limit_is_indicator, limit_j
+from .errors import InadmissibleTestFunction, TimeNotOnGrid
+from .graphs import limit_is_indicator, limit_j, log_j_conjugate
 from .grid import DIRICHLET, Grid, edge_inner
-from .integrator import Trajectory, block_columns, map_blocks, row_blocks
+from .integrator import Trajectory, map_blocks, row_blocks
 
 # ---------------------------------------------------------------------------
 # test-function dictionary
@@ -350,143 +351,40 @@ def solution_identity_residual(traj: Trajectory, s: float, t: float) -> float:
 # weak constraint (subdifferential) check
 
 
-@dataclass(frozen=True)
-class SubdiffEntry:
-    slack: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SubdiffReport:
-    entries: tuple  # one SubdiffEntry per candidate, in the order given
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def worst_slack(self) -> float:
-        return min((e.slack for e in self.entries), default=0.0)
-
-
 SUBDIFF_TOL = 1e-6
 
 
-def subdifferential_check(traj: Trajectory, candidates) -> SubdiffReport:
-    """Slack J(v) - J(u) - <xi, v - u> per candidate; pass iff >= -SUBDIFF_TOL.
+def subdifferential_check(traj: Trajectory) -> dict:
+    """The inclusion xi in dJ(u) as its Fenchel-Young gap: the worst slack
+    -[J(clip u) + J*(xi) - <xi, u>] and whether it is at least -SUBDIFF_TOL.
 
-    J is the limit potential (indicator of [-1,1] for the hard
-    constraint and for the piecewise-linear family): it vanishes on
-    admissible candidates and on the trajectory, whose excursions
-    outside [-1,1] are O(sqrt(eps)) regularization overshoot.
-    Candidates are ``SeparableCandidate``s, as ``iter_random_candidates``
-    draws them: per-step-by-node samples at the scheme's evaluation
-    points, in [-1, 1], which for Dirichlet runs represent interior values
-    (their boundary trace is zero by convention).
-
-    Each candidate costs one pairing and, for an indicator limit, no
-    potential integral (see the module docstring).  The candidates are
-    taken in groups of ``2 * block_columns(n_steps)``: a group's per-step
-    pairings take at most two blocks and its factors tau at most two more
-    (pairing the battery's 20 in one group lifted the post-run peak of
-    ``simulate`` on ``configs/dirichlet_sine.yaml`` from 0.20 to 0.26 of
-    u).  Each group is paired in one pass over row blocks of the measure
-    (``Trajectory.step_values``), which forms each block of masses once for
-    the whole group: per step, masses @ sigma for each candidate, so that
-    its pairing is tau @ (masses @ sigma), and on the first pass <xi, u>.
-    A candidate has max|v| = max|tau| * max|sigma|
-    (``SeparableCandidate.max_abs``), so neither it nor theta-combined u
-    is built.
+    J is the limit potential (the indicator of [-1, 1] for the hard
+    constraint and for the piecewise-linear family), integrated over the
+    measure's cells against theta-combined u, whose excursions outside
+    [-1, 1] are O(sqrt(eps)) regularization overshoot.  The slack is the
+    infimum of J(v) - J(clip u) - <xi, v - u> over every v with values in
+    [-1, 1] (see the module docstring), so no candidate is drawn.  One pass
+    over the run (``Trajectory.step_values``) gives <xi, u> and, for the
+    logarithmic limit, J(clip u) and J*(xi) = sum dt w j*(beta_theta).
     """
     graph = traj.reaction.graph
     indicator = limit_is_indicator(graph)
     w = traj.grid.mass_weights
-    dt = traj.dt
-    shape = (traj.n_steps, traj.grid.n_nodes)
 
-    def J(rows, *Qs):
-        """J of the field whose rows ``rows(steps, *blocks)`` gives."""
-        values = traj.step_values(lambda steps, *b: np.vecdot(limit_j(graph, rows(steps, *b)), w), *Qs)
-        return dt * float(np.sum(values))
+    def per_step(steps, u):
+        # columns: <xi, u>, then J(clip u) and J*(xi) per unit dt unless the limit is the indicator
+        columns = [np.vecdot(traj.masses(steps), u)]
+        if not indicator:
+            columns += [np.vecdot(limit_j(graph, np.clip(u, -1.0, 1.0)), w),
+                        np.vecdot(log_j_conjugate(traj.beta_theta[steps]), w)]
+        return np.stack(columns, axis=1)
 
-    ju = 0.0 if indicator else J(lambda steps, u: np.clip(u, -1.0, 1.0), traj.U)
-    xi_u = None
-    entries = []
-    candidates = iter(candidates)
-    while group := list(itertools.islice(candidates, 2 * block_columns(traj.n_steps))):
-        for idx, v in enumerate(group, len(entries)):
-            if v.shape != shape:
-                raise InadmissibleCandidate(f"candidate {idx}: shape {v.shape} != {shape}")
-            if v.max_abs > 1.0 + 1e-12:
-                raise InadmissibleCandidate(f"candidate {idx}: leaves [-1, 1]")
-
-        def pairings(steps, *u):
-            # columns: <xi, u> if u is given, then masses @ sigma per candidate
-            m = traj.masses(steps)
-            return np.stack([np.vecdot(m, q) for q in u] + [m @ v.sigma for v in group], axis=1)
-
-        per_step = traj.step_values(pairings, *([traj.U] if xi_u is None else []))
-        if xi_u is None:
-            xi_u, per_step = float(np.sum(per_step[:, 0])), per_step[:, 1:]
-        for c, v in enumerate(group):
-            xi_v = float(v.tau @ np.ascontiguousarray(per_step[:, c]))
-            if indicator:
-                jv = 0.0 if v.max_abs <= 1.0 else math.inf
-            else:
-                jv = J(v.rows)
-            slack = jv - ju - (xi_v - xi_u)
-            entries.append(SubdiffEntry(slack, slack >= -SUBDIFF_TOL))
-    return SubdiffReport(tuple(entries))
-
-
-def _max_abs(v: np.ndarray) -> float:
-    """max|v| without a |v| array; a zero maximum is +0.0."""
-    return abs(max(v.max(), -v.min()))
-
-
-@dataclass(frozen=True, eq=False)
-class SeparableCandidate:
-    """The candidate v[k, i] = tau[k] * sigma[i], kept as its two factors:
-    they take n_steps + n_nodes floats, where the array takes their
-    product.  ``rows(steps)`` forms the rows of v that a potential
-    integral asks for; nothing forms the whole array."""
-
-    tau: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.tau), len(self.sigma))
-
-    @property
-    def max_abs(self) -> float:
-        """``_max_abs`` of the outer product, bit for bit: |tau_k * sigma_i|
-        rounds monotonically in |tau_k| and |sigma_i|."""
-        return _max_abs(self.tau) * _max_abs(self.sigma)
-
-    def rows(self, steps: slice) -> np.ndarray:
-        """The candidate's rows ``steps``."""
-        return np.outer(self.tau[steps], self.sigma)
-
-
-def iter_random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
-    """Seeded admissible candidates, products of piecewise-linear factors,
-    drawn one at a time, each as a ``SeparableCandidate``."""
-    t_eval = traj.theta_combine(traj.times)
-    x = traj.grid.x
-    for _ in range(n):
-        n_knots = int(rng.integers(3, 9))
-        knots_t = np.linspace(traj.times[0], traj.times[-1], n_knots)
-        vals_t = rng.uniform(-1.0, 1.0, n_knots)
-        tau = np.interp(t_eval, knots_t, vals_t)
-        if traj.grid.n_nodes == 1:
-            sigma = np.ones(1)
-        else:
-            n_kx = int(rng.integers(2, 6))
-            knots_x = np.linspace(x[0], x[-1], n_kx)
-            vals_x = rng.uniform(-1.0, 1.0, n_kx)
-            sigma = np.interp(x, knots_x, vals_x)
-        yield SeparableCandidate(tau, sigma)
+    xi_u, *potentials = (float(np.sum(c)) for c in traj.step_values(per_step, traj.U).T)
+    if indicator:
+        slack = xi_u - traj.reaction_l1  # J(clip u) = 0 and J*(xi) = ||xi||_1
+    else:
+        slack = xi_u - traj.dt * potentials[0] - traj.dt * potentials[1]
+    return {"passed": slack >= -SUBDIFF_TOL, "worst_slack": slack}
 
 
 # ---------------------------------------------------------------------------

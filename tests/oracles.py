@@ -6,8 +6,10 @@ compatibility of the reaction measure and its helpers, the grid's L2
 inner product and norms, the energy-equality residual between two times,
 a one-step entry point and a per-step reference driver, the resolvent
 transforms of the piecewise-linear family, the level sets of a limit
-potential, and the scheme's dead-zone steps solved mode by mode.  The
-tests check the package against them.
+potential, the scheme's dead-zone steps solved mode by mode, and the
+sampled forms of the energy inequality and the subdifferential check
+(one pair of times, one drawn candidate), whose exact forms the battery
+takes.  The tests check the package against them.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from dampedwave.config import SimConfig
-from dampedwave.energy import _balance_terms
+from dampedwave.energy import energy
 from dampedwave.errors import (
     DampedWaveError,
-    InadmissibleCandidate,
     InadmissibleTestFunction,
     OutOfValidityWindow,
     TimeNotOnGrid,
 )
-from dampedwave.graphs import MonotoneGraph, RegularizedPotential, eval_j
+from dampedwave.graphs import MonotoneGraph, RegularizedPotential, eval_j, limit_j
 from dampedwave.grid import DIRICHLET, Field, Grid, apply_A, edge_inner
 from dampedwave.integrator import Trajectory, _kernel, _resolve_steps, simulate
 from dampedwave.sweep import RATIO_THRESHOLD, default_dt_policy, uniform_ratio
@@ -204,7 +205,7 @@ def static_boundary_example(alpha: float, candidates) -> list[float]:
     for v in candidates:
         vals = np.asarray([float(v(x)) for x in xs])
         if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            raise InadmissibleCandidate("static candidate leaves [-1, 1]")
+            raise ValueError("static candidate leaves [-1, 1]")
         # J(v) = J(u) = 0 for the hard constraint; only the atom pairs
         slacks.append(-alpha * (float(v(1.0)) - 1.0))
     return slacks
@@ -296,13 +297,73 @@ def norms(grid: Grid, u: Field) -> dict:
 # the energy balance between two recorded times
 
 
+def balance_terms(traj: Trajectory, s: float, t: float):
+    """E(s), E(t), D(s, t) and P(s, t), D and P summed from the run's records."""
+    i_s, i_t = traj.time_index(s), traj.time_index(t)
+    grid, reaction, lam = traj.grid, traj.reaction, traj.cfg.lam
+    e_s = energy(grid, traj.U[i_s], traj.V[i_s], reaction, lam).total
+    e_t = energy(grid, traj.U[i_t], traj.V[i_t], reaction, lam).total
+    return e_s, e_t, *(float(np.sum(q[i_s:i_t])) for q in (traj.diss_incr, traj.power_incr))
+
+
 def energy_equality_residual(traj: Trajectory, s: float, t: float) -> float:
     """|E(t) + D(s,t) - E(s) - P(s,t)| with scheme-consistent quadrature,
     the power from the forcing the run recorded."""
     if not 0.0 <= s < t <= traj.times[-1] + 1e-12:
         raise TimeNotOnGrid(f"need 0 <= s < t <= T, got s={s}, t={t}")
-    e_s, e_t, diss, power = _balance_terms(traj, s, t)
+    e_s, e_t, diss, power = balance_terms(traj, s, t)
     return abs(e_t + diss - e_s - power)
+
+
+def pair_slack(traj: Trajectory, s: float, t: float) -> float:
+    """The energy-inequality slack E(s) + P(s, t) - E(t) - D(s, t) of one
+    pair of recorded times s < t."""
+    e_s, e_t, diss, power = balance_terms(traj, s, t)
+    return e_s + power - e_t - diss
+
+
+# ---------------------------------------------------------------------------
+# subdifferential candidates
+
+
+def random_candidates(traj: Trajectory, n: int, rng: np.random.Generator):
+    """``n`` seeded separable candidates v = tau (x) sigma, products of
+    piecewise-linear factors with values in [-1, 1], drawn one at a time as
+    their factors (tau per step, at the steps' theta points, and sigma per
+    node)."""
+    t_eval = traj.theta_combine(traj.times)
+    x = traj.grid.x
+    for _ in range(n):
+        n_knots = int(rng.integers(3, 9))
+        knots_t = np.linspace(traj.times[0], traj.times[-1], n_knots)
+        tau = np.interp(t_eval, knots_t, rng.uniform(-1.0, 1.0, n_knots))
+        if traj.grid.n_nodes == 1:
+            sigma = np.ones(1)
+        else:
+            n_kx = int(rng.integers(2, 6))
+            sigma = np.interp(x, np.linspace(x[0], x[-1], n_kx), rng.uniform(-1.0, 1.0, n_kx))
+        yield tau, sigma
+
+
+def candidate_slack(traj: Trajectory, v: np.ndarray) -> float:
+    """The subdifferential slack J(v) - J(clip u) - <xi, v - u> of one
+    candidate v from whole-array sums, with u theta-combined and J the limit
+    potential, which is +inf outside [-1, 1].
+
+    ValueError unless v has the run's (steps, nodes) shape and leaves
+    [-1, 1] by at most 1e-12.
+    """
+    u_th = traj.theta_combine(traj.U)
+    if v.shape != u_th.shape:
+        raise ValueError(f"candidate shape {v.shape} != {u_th.shape}")
+    if np.max(np.abs(v)) > 1.0 + 1e-12:
+        raise ValueError("candidate leaves [-1, 1]")
+    graph, w, dt = traj.reaction.graph, traj.grid.mass_weights, traj.dt
+
+    def J(fields):
+        return dt * float(np.sum(limit_j(graph, fields) * w[None, :]))
+
+    return J(v) - J(np.clip(u_th, -1.0, 1.0)) - float(np.sum(xi_masses(traj) * (v - u_th)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dampedwave.graphs import (
     family_j,
     indicator_graph,
     limit_j,
+    log_j_conjugate,
     logarithmic_graph,
     moreau,
     resolvent,
@@ -70,6 +71,35 @@ class TestPotential:
         g = family_graph(0.9, 0.1)
         assert limit_j(g, 0.5) == 0.0
         assert math.isinf(limit_j(g, 1.5))
+
+
+class TestLogConjugate:
+    """j*(s) = 2 ln cosh(s/2), the conjugate of the logarithmic potential,
+    in its form that does not overflow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_is_the_cosh_form_wherever_that_is_finite(self, s):
+        with np.errstate(over="ignore"):
+            naive = 2.0 * float(np.log(np.cosh(s / 2.0)))
+        safe = float(log_j_conjugate(s))
+        assert math.isfinite(safe)
+        if math.isfinite(naive):
+            assert safe == pytest.approx(naive, rel=1e-14, abs=2e-15)
+
+    def test_finite_where_cosh_overflows(self):
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.cosh(5e3))
+        assert log_j_conjugate(np.array([1e4, -1e4])).tolist() == [1e4 - 2.0 * math.log(2.0)] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_fenchel_equality_at_the_derivative(self, x):
+        """j(x) + j*(j'(x)) = x j'(x) on (-1, 1): the slope j'(x) = 2 artanh x
+        is the point where the conjugate is attained."""
+        slope = math.log1p(x) - math.log1p(-x)
+        lhs = float(eval_j(logarithmic_graph(), x)) + float(log_j_conjugate(slope))
+        assert lhs == pytest.approx(x * slope, rel=1e-14, abs=2e-15)
 
 
 class TestResolvent:

@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps each ``(module, attr)`` of its ``TARGETS``
 and each ``Reaction`` method of its ``REACTION_METHODS`` by name, and
-``perfbench/run.py`` passes ``--seed`` to ``sweep``; a name removed from
+``perfbench/run.py`` passes ``--seed`` to ``simulate``, ``verify`` and
+``sweep``, which accept it and use it for nothing; a name removed from
 the package would break ``perfbench/run.py --trace 1`` or the sweeps.  The
 tracer is read as text, not imported.
 """
@@ -36,5 +37,7 @@ def test_traced_reaction_method_resolves(method):
 
 
 def test_sweep_accepts_the_seed_the_benchmark_passes():
-    argv = ["sweep", "--config", "c.yaml", "--eps", "1e-2,1e-3,1e-4", "--out", "o", "--seed", "3"]
-    assert build_parser().parse_args(argv).seed == 3
+    """And so do simulate and verify, the other commands it passes it to."""
+    for argv in (["simulate", "--config", "c.yaml", "--out", "o"], ["verify", "--out", "o"],
+                 ["sweep", "--config", "c.yaml", "--eps", "1e-2,1e-3,1e-4", "--out", "o"]):
+        assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3, argv[0]

@@ -30,14 +30,11 @@ from dampedwave.grid import apply_A, edge_inner
 from dampedwave.integrator import Trajectory, row_blocks, simulate
 from dampedwave.sweep import overshoot, summarize_run
 from dampedwave.weaklimit import (
-    SeparableCandidate,
     SpaceProfile,
     _factor_pairings,
-    _max_abs,
     accumulate_xi,
     default_dictionary,
     detect_jumps,
-    iter_random_candidates,
     singular_support_check,
     solution_identity_residual,
     subdifferential_check,
@@ -45,7 +42,7 @@ from dampedwave.weaklimit import (
     window_profile,
 )
 
-from tests.oracles import xi_masses
+from tests.oracles import candidate_slack, random_candidates, xi_masses
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,7 +122,7 @@ def assert_rel(a, b, rel=1e-12):
 def battery(traj, es):
     """Everything the battery computes from a run, in comparable form."""
     jumps = [(e.t, e.v_before.tobytes(), e.v_after.tobytes(), e.impulse) for e in detect_jumps(traj)]
-    return _standard_checks(traj, es, 0), summarize_run(traj, es), jumps, traj.reaction_l1
+    return _standard_checks(traj, es), summarize_run(traj, es), jumps, traj.reaction_l1
 
 
 @pytest.mark.parametrize("name", ["dirichlet_sine", "pressed_wall", "toy_jump"])
@@ -245,8 +242,8 @@ def product_run(n_x):
 
 @pytest.fixture(scope="module")
 def product_cases(tmp_path_factory):
-    """Per n_x: the run, a spatial factor and a candidate, and the
-    whole-array products that the row-block code replaced."""
+    """Per n_x: the run and a spatial factor, and the whole-array products
+    that the row-block code replaced."""
     cases, pairs = [], []
     for n_x in N_X:
         traj = product_run(n_x)
@@ -255,16 +252,13 @@ def product_cases(tmp_path_factory):
         space = SpaceProfile("cos", traj.grid.length, k=1)
         S = space.value(traj.grid.x)
         n_end = traj.n_steps - 5
-        rng = np.random.default_rng(n_x + 1)
-        candidate = SeparableCandidate(rng.uniform(-1, 1, traj.n_steps), rng.uniform(-1, 1, n_x))
-        cases.append((traj, space, n_end, candidate))
+        cases.append((traj, space, n_end))
         pairs += [
             (traj.V * traj.V, w), (traj.reaction.pot(traj.U), w), (traj.U * traj.U, w),
-            (masses[:n_end], S), (masses, candidate.sigma),
-            (traj.V[: n_end + 1], w * S), (traj.U[: n_end + 1], w * S),
+            (masses[:n_end], S), (traj.V[: n_end + 1], w * S), (traj.U[: n_end + 1], w * S),
         ]
     products = whole_array_products(tmp_path_factory.mktemp("products"), pairs)
-    return [(*case, products[7 * i : 7 * i + 7]) for i, case in enumerate(cases)]
+    return [(*case, products[6 * i : 6 * i + 6]) for i, case in enumerate(cases)]
 
 
 @pytest.mark.parametrize("block", [None, 7, 100])
@@ -274,10 +268,10 @@ def test_row_block_products_are_the_whole_array_products(product_cases, block, m
     small ones of the battery's block-size test."""
     if block is not None:
         monkeypatch.setattr(integrator, "BLOCK_ELEMENTS", block)
-    for traj, space, n_end, candidate, whole in product_cases:
+    for traj, space, n_end, whole in product_cases:
         rows = [b.stop - b.start for b in row_blocks(*traj.U.shape)]
         assert len(rows) > 1 and rows[-1] < rows[0] and rows[0] % integrator.GEMV_ROWS == 0
-        vv, pot, uu, xi_S, xi_sigma, v_S, u_S = whole
+        vv, pot, uu, xi_S, v_S, u_S = whole
         es = energy_series(traj)
         assert es["kinetic"].tobytes() == (0.5 * vv).tobytes()
         assert es["potential"].tobytes() == pot.tobytes()
@@ -288,48 +282,27 @@ def test_row_block_products_are_the_whole_array_products(product_cases, block, m
         assert got[0].tobytes() == xi_S.tobytes()
         assert got[1].tobytes() == traj.theta_combine(v_S).tobytes()
         assert got[2].tobytes() == traj.theta_combine(u_S).tobytes()
-        # the candidate pairs as tau @ (masses @ sigma); J(v) = J(u) = 0
+        # the Fenchel-Young slack <xi, u> - ||xi||_1 of the indicator: row-wise
+        # pairings summed whole, and the whole-array sum of |masses|
         xi_u = float(np.sum(np.vecdot(xi_masses(traj), traj.theta_combine(traj.U))))
-        slack = 0.0 - 0.0 - (float(candidate.tau @ xi_sigma) - xi_u)
-        rep = subdifferential_check(traj, [candidate, candidate])
-        assert [e.slack for e in rep.entries] == [slack, slack]
+        slack = xi_u - float(np.sum(np.abs(xi_masses(traj))))
+        assert subdifferential_check(dataclasses.replace(traj))["worst_slack"] == slack
 
 
 # ---------------------------------------------------------------------------
-# factored candidates
-
-
-def factor_cases():
-    rng = np.random.default_rng(5)
-    return [
-        (rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 7)),
-        (np.array([-0.0, 0.0, -0.0]), np.array([1.0, -1.0])),
-        (np.array([-0.0]), np.array([-1.0])),
-        (np.array([-0.0]), np.array([1.0])),
-        (np.array([0.0, -0.5]), np.array([-0.0, 0.0])),
-        (np.array([-1.0, 0.25, -0.0]), np.array([-0.0, 0.75, -0.75])),
-        (np.array([1e-300, -1e-300]), np.array([1e-300, -0.0])),  # products underflow to +-0
-        (np.array([1e-160, -3e-160]), np.array([-1e-160])),  # subnormal products
-    ]
-
-
-@pytest.mark.parametrize("tau, sigma", factor_cases())
-def test_separable_candidate_is_its_outer_product(tau, sigma):
-    c = SeparableCandidate(tau, sigma)
-    v = np.outer(tau, sigma)
-    assert c.rows(slice(None)).tobytes() == v.tobytes()
-    assert c.shape == v.shape
-    assert c.rows(slice(1, None)).tobytes() == v[1:].tobytes()
-    # the max from the factors has the bits of the max over the array
-    assert np.float64(c.max_abs).tobytes() == np.float64(_max_abs(v)).tobytes()
-    assert c.max_abs == np.max(np.abs(v))
+# drawn candidates
 
 
 def test_random_candidates_are_factored(run):
+    """The reference drawer gives separable candidates tau (x) sigma of the
+    run's (steps, nodes) shape in [-1, 1], and no slack of one is below the
+    exact slack, the infimum over every admissible candidate."""
     traj, _ = run
-    for c in iter_random_candidates(traj, 5, np.random.default_rng(2)):
-        assert isinstance(c, SeparableCandidate)
-        assert c.shape == (traj.n_steps, traj.grid.n_nodes)
+    worst = subdifferential_check(traj)["worst_slack"]
+    for tau, sigma in random_candidates(traj, 5, np.random.default_rng(2)):
+        assert (len(tau), len(sigma)) == (traj.n_steps, traj.grid.n_nodes)
+        assert max(np.max(np.abs(tau)), np.max(np.abs(sigma))) <= 1.0
+        assert worst <= candidate_slack(traj, np.outer(tau, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +318,7 @@ def battery_peak_bytes(traj):
     try:
         base = tracemalloc.get_traced_memory()[0]
         _jumps_payload(traj)
-        _standard_checks(traj, es, 0)
+        _standard_checks(traj, es)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -411,9 +384,8 @@ def command_peaks(config: Path, out: Path, monkeypatch) -> tuple:
 # (config, dt divisor, bound in units of U): dirichlet_sine's 256 nodes make a
 # per-step vector 1/256 of U; on neumann_contact at a tenth of its dt (20,000
 # steps x 65 nodes) one is 1/65 of U and the battery holds a few dozen (the
-# spatial pairings of one spatial factor of its test functions, and the
-# candidates' factors tau), so its bound is looser, and it still fails on
-# any one array the size of the run
+# spatial pairings of one spatial factor of its test functions), so its bound
+# is looser, and it still fails on any one array the size of the run
 COMMAND_RUNS = [("dirichlet_sine", 1, 0.25), ("neumann_contact", 10, 0.75)]
 
 
@@ -541,22 +513,20 @@ def count_passes(passes, fn) -> tuple:
 
 def test_each_check_reads_the_run_once(run, passes):
     """Each check reads the run's states and records in one pass; the weak
-    residual in one per distinct spatial factor of its functions, the
-    subdifferential check in one per group of candidates.  The reaction
-    mass is summed once per run, by ``pairwise_pieces``; the summary is
-    taken on a fresh run (``dataclasses.replace``), which has not summed it."""
+    residual in one per distinct spatial factor of its functions.  The
+    reaction mass is summed once per run, by ``pairwise_pieces``; the
+    summary and the subdifferential check are taken on a fresh run
+    (``dataclasses.replace``), which has not summed it."""
     traj, es = run
     T = float(traj.times[-1])
     phis = default_dictionary(traj.grid, T)
-    groups = -(-20 // (2 * integrator.block_columns(traj.n_steps)))
     fresh = dataclasses.replace(traj)
     assert count_passes(passes, lambda: summarize_run(fresh, es)) == (1, 1)
     assert count_passes(passes, lambda: fresh.reaction_l1) == (0, 0)
     assert count_passes(passes, lambda: summarize_run(fresh, es)) == (1, 0)
     assert count_passes(passes, lambda: overshoot(traj)) == (1, 0)
     assert count_passes(passes, lambda: weak_residual(traj, phis, T)) == (len({p.space for p in phis}), 0)
-    candidates = iter_random_candidates(traj, 20, np.random.default_rng(0))
-    assert count_passes(passes, lambda: subdifferential_check(traj, candidates)) == (groups, 0)
+    assert count_passes(passes, lambda: subdifferential_check(dataclasses.replace(traj))) == (1, 1)
     assert count_passes(passes, lambda: singular_support_check(traj, 0.0)) == (1, 0)
     assert count_passes(passes, lambda: solution_identity_residual(traj, 0.0, T)) == (1, 0)
     assert count_passes(passes, lambda: detect_jumps(traj)) == (1, 0)
@@ -565,11 +535,12 @@ def test_each_check_reads_the_run_once(run, passes):
 
 
 def test_commands_read_the_run_at_most_twelve_times(tmp_path, monkeypatch, passes, capsys):
-    """After its run is integrated, ``simulate`` on dirichlet_sine makes 11
+    """After its run is integrated, ``simulate`` on dirichlet_sine makes 10
     row-block passes and sums the reaction mass once; so does ``verify``
-    after reading run.npz.  At the parent each made 16 passes and summed
-    the mass twice: ``summarize_run`` took 5 passes, the weak residual 4,
-    and the summary and the battery each summed the mass."""
+    after reading run.npz.  Before each check read the run once, each made
+    16 passes and summed the mass twice: ``summarize_run`` took 5 passes,
+    the weak residual 4, and the summary and the battery each summed the
+    mass."""
     made = []
 
     def counted(fn):
@@ -608,5 +579,5 @@ def test_battery_runs_none_of_the_sweep_norms(run, monkeypatch):
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("dampedwave") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, wrapped)
-    _standard_checks(traj, es, 0)
+    _standard_checks(traj, es)
     assert not calls, calls
