@@ -6,8 +6,9 @@ piecewise-linear family), with the time step tied to the boundary-layer
 width (default dt = min(dt_base, sqrt(eps)/10), snapped so the horizon
 is an integer number of steps).  Coarser runs are compared against the
 finest and against their predecessor on the finest run's output times by
-linear interpolation, one member at a time, so at most two interpolated
-members are held at once.
+linear interpolation, in one pass over row blocks of those times
+(``compare_members``): a block holds its rows of every member and of one
+difference at a time, so no array the size of a member is built.
 
 "Uniformly bounded" is operationalized as a max/min ratio across the
 sweep staying below a threshold; quantities that are identically zero
@@ -203,14 +204,34 @@ def _interp_states(times_from, M_from, times_to):
     return (1.0 - lam) * M_from[idx - 1] + lam * M_from[idx]
 
 
-def _traj_diff(grid, times, Ua, Ub) -> dict:
-    d = Ua - Ub
-    w = grid.mass_weights
-    l2_sq = (d * d) @ w
-    linf_H = float(np.sqrt(np.max(l2_sq)))
-    v_sq = l2_sq + edge_inner(grid, d, d)
-    l2_V = float(np.sqrt(np.trapezoid(v_sq, times)))
-    return {"linf_H": linf_H, "l2_V": l2_V}
+def compare_members(runs: dict, pairs) -> dict:
+    """{"linf_H": max_t ||a - b||, "l2_V": the L2(0, T; V) norm of a - b}
+    for each pair (a, b) of keys of ``runs``, every member linearly
+    interpolated onto the times of the last, the finest.
+
+    One pass over the row blocks of the finest member's times: a block
+    interpolates each other member onto its times (``_interp_states``,
+    elementwise) and forms the difference of each pair once.  The maximum
+    of ||d||^2, exact in any order, is taken per block; the column
+    ||d||^2 + <A d, d> over the times is integrated after the pass
+    (``np.trapezoid``).  A block has a multiple of ``integrator.GEMV_ROWS``
+    rows, so ``(d*d) @ w`` has the bits of the whole-array product on one
+    thread; no array the size of a member is built.
+    """
+    *_, finest = runs.values()
+    grid, t, w = finest.grid, finest.times, finest.grid.mass_weights
+    sq_max = {p: [] for p in pairs}
+    v_sq = {p: np.empty(len(t)) for p in sq_max}
+    for rows in row_blocks(*finest.U.shape):
+        U = {e: traj.U[rows] if traj is finest else _interp_states(traj.times, traj.U, t[rows])
+             for e, traj in runs.items()}
+        for a, b in sq_max:
+            d = U[a] - U[b]
+            l2_sq = (d * d) @ w
+            sq_max[a, b].append(np.max(l2_sq))
+            v_sq[a, b][rows] = l2_sq + edge_inner(grid, d, d)
+    return {p: {"linf_H": float(np.sqrt(np.max(sq_max[p]))),
+                "l2_V": float(np.sqrt(np.trapezoid(v_sq[p], t)))} for p in sq_max}
 
 
 def checked_eps_list(eps_list) -> tuple:
@@ -430,20 +451,10 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     runs = {e: m[0] for e, m in zip(eps_list, members)}
     summaries = tuple(m[1] for m in members)
 
-    # each member on the finest run's times, compared with the finest and
-    # with its predecessor; only the predecessor's states are kept
-    finest = runs[eps_list[-1]]
-    grid, t_common = finest.grid, finest.times
-    diff_to_finest, consecutive, prev = {}, {}, None
-    for e, traj in runs.items():
-        if traj is finest:
-            U = finest.U
-        else:
-            U = _interp_states(traj.times, traj.U, t_common)
-            diff_to_finest[e] = _traj_diff(grid, t_common, U, finest.U)
-        if prev is not None:
-            consecutive[(prev[0], e)] = _traj_diff(grid, t_common, prev[1], U)
-        prev = e, U
+    # each member against the finest and against its predecessor
+    *coarser, finest = eps_list
+    consecutive = list(zip(eps_list, eps_list[1:]))
+    diffs = compare_members(runs, [(e, finest) for e in coarser] + consecutive)
 
     quantities = {
         "sup_v": [s.sup_v for s in summaries],
@@ -459,8 +470,8 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     return SweepReport(
         eps_list=eps_list,
         summaries=summaries,
-        diff_to_finest=diff_to_finest,
-        consecutive_diff=consecutive,
+        diff_to_finest={e: diffs[e, finest] for e in coarser},
+        consecutive_diff={p: diffs[p] for p in consecutive},
         ratios=ratios,
         verdicts=verdicts,
         trajectories=runs,

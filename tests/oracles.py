@@ -3,7 +3,8 @@
 No command runs these: the closed-form limit toy and its weak identity,
 the D(A) regularity audit, the static boundary-atom example, restriction
 compatibility of the reaction measure and its helpers, the grid's L2
-inner product and norms, the energy-equality residual between two times,
+inner product and norms, the distance of two runs held whole on common
+times, the energy-equality residual between two times,
 a one-step entry point and a per-step reference driver, the resolvent
 transforms of the piecewise-linear family, the level sets of a limit
 potential, the scheme's dead-zone steps solved mode by mode, and the
@@ -291,6 +292,19 @@ def norms(grid: Grid, u: Field) -> dict:
     l2 = float(np.sqrt(inner(grid, u, u)))
     h1 = float(np.sqrt(max(edge_inner(grid, u, u), 0.0)))
     return {"l2": l2, "h1_semi": h1}
+
+
+# ---------------------------------------------------------------------------
+# the distance of two runs on common times
+
+
+def traj_diff(grid: Grid, times, Ua, Ub) -> dict:
+    """max_t ||a - b|| and the L2(0, T; V) norm of a - b, for two runs held
+    whole on common times: the whole-array form of ``sweep.compare_members``."""
+    d = Ua - Ub
+    l2_sq = (d * d) @ grid.mass_weights
+    v_sq = l2_sq + edge_inner(grid, d, d)
+    return {"linf_H": float(np.sqrt(np.max(l2_sq))), "l2_V": float(np.sqrt(np.trapezoid(v_sq, times)))}
 
 
 # ---------------------------------------------------------------------------

@@ -1210,16 +1210,40 @@ BATTERY_DIGESTS = {
 }
 
 
+def _cli_on_one_blas_thread(*argv) -> None:
+    """``python -m dampedwave.cli *argv`` on this checkout, in an
+    interpreter on one BLAS thread; it must exit 0."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(CONFIGS.resolve().parent / "src")}
+    subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], env=env, capture_output=True,
+                   timeout=300, check=True)
+
+
 @pytest.mark.parametrize("name", sorted(BATTERY_DIGESTS))
 def test_battery_values_keep_their_bits(tmp_path, name):
     """Every verdict value and summary number keeps its bits: ``simulate``,
     run in an interpreter on one BLAS thread, writes the recorded bytes."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     out = tmp_path / "out"
-    subprocess.run(
-        [sys.executable, "-m", "dampedwave.cli", "simulate", "--config", str(CONFIGS / f"{name}.yaml"),
-         "--out", str(out)], env=env, capture_output=True, timeout=300, check=True,
-    )
+    _cli_on_one_blas_thread("simulate", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out))
     for file, digest in BATTERY_DIGESTS[name].items():
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+
+
+# sha256 of sweep_report.json that ``sweep --eps 1e-2,1e-3,1e-4,1e-5`` writes,
+# as recorded while the members were compared one pair at a time on
+# members interpolated whole
+SWEEP_DIGESTS = {
+    "configs/neumann_contact.yaml": "fae19d527f070f53d42940eedc17d11318e4e2b752c8f38b749c6b6af8980e59",
+    "perfbench/configs/neumann_contact_log.yaml": "f4ce8d6e2abe6b8fc04db0c426a02961c994f4f07e076fac82de96595bbbe4f9",
+}
+
+
+@pytest.mark.parametrize("config", sorted(SWEEP_DIGESTS))
+def test_sweep_report_keeps_its_bits(tmp_path, config):
+    """Every summary, distance and ratio of a sweep keeps its bits:
+    ``sweep``, run in an interpreter on one BLAS thread, writes the
+    recorded bytes."""
+    out = tmp_path / "out"
+    _cli_on_one_blas_thread("sweep", "--config", str(CONFIGS.parent / config), "--eps", "1e-2,1e-3,1e-4,1e-5",
+                            "--out", str(out))
+    assert hashlib.sha256((out / "sweep_report.json").read_bytes()).hexdigest() == SWEEP_DIGESTS[config]

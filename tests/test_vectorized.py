@@ -20,13 +20,13 @@ from dampedwave.energy import energy, energy_series
 from dampedwave.graphs import family_graph, indicator_graph, logarithmic_graph
 from dampedwave.grid import DIRICHLET, NEUMANN, Grid, apply_A, edge_inner
 from dampedwave.integrator import Trajectory, map_blocks, simulate
-from dampedwave.sweep import _traj_diff, summarize_run
+from dampedwave.sweep import summarize_run
 from dampedwave.weaklimit import (
     default_dictionary,
     solution_identity_residual,
     weak_residual,
 )
-from tests.oracles import inner, xi_masses
+from tests.oracles import inner, traj_diff, xi_masses
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -283,7 +283,8 @@ class TestChecksMatchPerRowLoops:
         grid, w = traj.grid, traj.grid.mass_weights
         d = traj.U - traj.V
         v_sq = [float(np.dot(di * di, w)) + edge_inner(grid, di, di) for di in d]
-        got = _traj_diff(grid, traj.times, traj.U, traj.V)
+        got = traj_diff(grid, traj.times, traj.U, traj.V)
+        assert_close(math.sqrt(max(float(np.dot(di * di, w)) for di in d)), got["linf_H"])
         assert_close(math.sqrt(np.trapezoid(v_sq, traj.times)), got["l2_V"])
 
     def test_rebuild_diagnostics(self, short_run):
