@@ -36,13 +36,18 @@ zone: one dead-zone step on neumann_contact's 65 nodes takes 33
 microseconds, against 44 with the two calls (2-core Xeon, Python 3.11,
 numpy 2.4).
 
-A run keeps every state and the reaction of each.  The reactions start
-zeroed, and a grid state's reaction row inside the dead zone (+0.0 at
-every node) is never written, nor is a one-node free-flight stretch: a
-zeroed array of a MiB or more is mmapped (the threshold that
-``_keep_freed_blocks`` sets), so its pages stay non-resident until
-written, and a grid run that never leaves the dead zone holds its
-reactions in no resident memory.  After the loop,
+A run keeps every state and the reaction of each.  The reactions and
+the Newton counts start zeroed (``lazy_zeros``), and a grid state's
+reaction row inside the dead zone (+0.0 at every node) is never written,
+nor is a one-node free-flight stretch, so their pages stay non-resident
+until written, and a grid run that never leaves the dead zone holds its
+reactions in no resident memory.  numpy advises transparent huge pages
+for an array of 4 MiB or more, where one written row would fault in
+2 MiB; ``lazy_zeros`` maps such an array with no huge pages, so that
+``toy --epsilon 1e-7``, whose reactions and Newton counts are written in
+315 of 632,456 steps, peaks at 51.7 MB RSS against 57.5 MB (2-core
+Xeon, Python 3.11, numpy 2.4).  U and V are written whole and keep
+numpy's huge pages.  After the loop,
 ``run_records`` gives every step its records: the theta-combined
 reaction field, whose masses dt * w * beta_theta are the run's own
 constraint measure (``Trajectory.masses``, ``Trajectory.reaction_l1``),
@@ -86,6 +91,7 @@ configurations reproduce trajectories bit for bit.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import warnings
 from dataclasses import dataclass
@@ -106,6 +112,11 @@ _DIVERGENCE_FACTOR = 1e8
 # a quarter of u on configs/dirichlet_sine.yaml; at 128 KiB the battery took
 # about 20% longer there, from the cost of each block
 BLOCK_ELEMENTS = 1 << 15
+
+# numpy advises transparent huge pages (``madvise(MADV_HUGEPAGE)``) for an
+# array of this many bytes or more, so that one element written to a zeroed
+# one faults in a 2 MiB page
+_HUGE_PAGE_BYTES = 4 << 20
 
 # the bytes of a default block for ``_keep_freed_blocks``, fixed at import so
 # that a smaller BLOCK_ELEMENTS set later cannot shrink the malloc thresholds
@@ -154,17 +165,37 @@ def _keep_freed_blocks() -> None:
     mallopt(-1, 16 * _BLOCK_BYTES)  # M_TRIM_THRESHOLD
 
 
+def lazy_zeros(shape: tuple, dtype=float) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` whose pages stay non-resident until
+    written, for an array that may get few values that are not zero.
+
+    Below numpy's huge-page threshold (4 MiB) this is ``np.zeros``: once
+    ``_keep_freed_blocks`` has set the 1 MiB mmap threshold, such an array
+    of a MiB or more is mmapped and faults in 4 KiB pages.  At the
+    threshold or above, numpy would advise huge pages, so the array is an
+    anonymous mapping advised ``MADV_NOHUGEPAGE`` instead; without that
+    advice it is ``np.zeros``.  The mapping is private: a read of a page
+    not yet written maps the kernel's zero page, where a shared one would
+    allocate it."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < _HUGE_PAGE_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros(shape, dtype)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype).reshape(shape)
+
+
 def map_blocks(n_rows: int, n_x: int, fn) -> np.ndarray:
     """``fn(rows)`` over the slices ``row_blocks(n_rows, n_x)`` of an
     (n_rows, n_x) array, stacked into one float array.  The array starts
-    zeroed and takes only the values that are not +0.0 (``write_changed``),
-    so the pages of a large one that get no such value stay non-resident:
-    ``row_blocks`` has set the 1 MiB mmap threshold before it is allocated."""
+    zeroed (``lazy_zeros``) and takes only the values that are not +0.0
+    (``write_changed``), so the pages of a large one that get no such value
+    stay non-resident."""
     out = None
     for rows in row_blocks(n_rows, n_x):
         values = fn(rows)
         if out is None:
-            out = np.zeros((n_rows,) + np.shape(values)[1:])
+            out = lazy_zeros((n_rows,) + np.shape(values)[1:])
         write_changed(out[rows], values)
     return out
 
@@ -218,13 +249,14 @@ class Trajectory:
     forms the rows a check asks for, and ``reaction_l1`` is its total mass.
     Its theta-combinations (``theta_combine``, ``forcing_theta``) come from
     ``theta_combination``, as the step kernels' records do.  A trajectory
-    pickles whole, its cached reaction included.
+    pickles whole, its cached reaction included.  A sweep member's has
+    V = None (``sweep._member``).
     """
 
     cfg: SimConfig
     times: np.ndarray
     U: np.ndarray
-    V: np.ndarray
+    V: np.ndarray | None
     beta_theta: np.ndarray
     diss_incr: np.ndarray
     power_incr: np.ndarray
@@ -425,11 +457,10 @@ def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
     by item assignment, which is cheaper than (i, 0) indexing; they get
     one column per node at the end, as a view.
 
-    The reactions start zeroed (``np.zeros``, after ``_keep_freed_blocks``
-    has set the 1 MiB mmap threshold), and a state's reaction is stored
-    unless it is the kernel's shared ``zero``, the +0.0 the row already
-    holds; a zeroed array that large is mmapped, so a page no row is
-    written to is never made resident.
+    The reactions and the Newton counts start zeroed (``lazy_zeros``), and
+    a state's reaction is stored unless it is the kernel's shared ``zero``,
+    the +0.0 the row already holds, so a page no row is written to is never
+    made resident.
 
     Where the kernel has a ``free_flight`` and the reaction is 0, it fills
     the positions of a stretch of dead-zone steps at once, up to
@@ -439,8 +470,8 @@ def _run(cfg, kernel, n_steps, u, v) -> Trajectory:
     dt = cfg.dt
     _keep_freed_blocks()
     U, V = (np.empty((n_steps + 1,) + np.shape(u)) for _ in range(2))
-    B = np.zeros((n_steps + 1,) + np.shape(u))
-    iters = np.zeros(n_steps, dtype=int)
+    B = lazy_zeros((n_steps + 1,) + np.shape(u))
+    iters = lazy_zeros((n_steps,), int)
 
     advance, flight, zero = kernel.advance, kernel.free_flight, kernel.zero
     beta = kernel.beta(u)

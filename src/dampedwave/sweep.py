@@ -23,19 +23,20 @@ pieces of the member's steps (``integrator.pairwise_pieces``), with the
 bits of the whole-run sum; none of them builds an array the size of a
 run.
 
-The members are independent runs (``_member``: run and summary),
-so they run concurrently, one process per CPU in the affinity mask.
-``_lpt_shares`` splits them by longest processing time first on their
-node-steps; the calling process keeps the heaviest share and ``os.fork``s
-a child for each other share.  A child runs its whole share, writes its
-outcomes to a pipe as one pickle stream (protocol 5, which holds each
-array's bytes once and which ``pickle.load`` reads straight into the
-array it rebuilds) and ends with ``os._exit``; it also ends when the
-parent does.  With one CPU, or no ``os.fork``, the same code runs every
-member in-process.  Each member's warnings are recorded and issued again
-in member order, and a failure is the one a loop over the members would
-have stopped at, so the report, stdout and stderr are the same bytes
-whatever the number of processes.
+The members are independent runs (``_member``: run and summary, with the
+velocities released), so they run concurrently, one process per CPU in
+the affinity mask.  ``_lpt_shares`` splits them by longest processing
+time first on their node-steps, and the calling process ``os.fork``s a
+child for every share and only collects the outcomes: it holds no
+member's run state, nor the solver's pages, while the children run.  A
+child runs its whole share, writes its outcomes to a pipe as one pickle
+stream (protocol 5, which holds each array's bytes once and which
+``pickle.load`` reads straight into the array it rebuilds) and ends with
+``os._exit``; it also ends when the parent does.  With one CPU, or no
+``os.fork``, the same code runs every member in-process.  Each member's
+warnings are recorded and issued again in member order, and a failure is
+the one a loop over the members would have stopped at, so the report,
+stdout and stderr are the same bytes whatever the number of processes.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ class SweepReport:
     consecutive_diff: dict  # (eps_k, eps_k+1) -> {"linf_H": ..., "l2_V": ...}
     ratios: dict  # quantity -> max/min ratio across the sweep
     verdicts: dict  # quantity -> bool (ratio at most RATIO_THRESHOLD)
-    trajectories: dict  # eps -> Trajectory
+    # eps -> Trajectory, with V = None: the comparison and the audits read
+    # only times, U and beta_theta, so no velocity is kept
+    trajectories: dict
 
     def to_dict(self) -> dict:
         return {
@@ -252,9 +255,12 @@ def checked_eps_list(eps_list) -> tuple:
 
 
 def _member(cfg: SimConfig):
-    """One member of a sweep: its trajectory and RunSummary."""
+    """One member of a sweep: its trajectory, with ``V`` released
+    (``V = None``), and its RunSummary, the last reader of its velocities."""
     traj = simulate(cfg)
-    return traj, summarize_run(traj, energy_series(traj))
+    summary = summarize_run(traj, energy_series(traj))
+    traj.V = None
+    return traj, summary
 
 
 def _usable_cpus() -> int:
@@ -363,8 +369,9 @@ def _map_members(fn, cfgs, eps_list) -> list:
     ``eps_list``, run in ``_usable_cpus()`` processes.
 
     The members are split by ``_lpt_shares`` on their node-steps
-    T/dt * n_nodes.  This process runs the heaviest share and forks one
-    child for each other share; with one CPU it runs every member itself.
+    T/dt * n_nodes.  On more than one CPU this process forks one child for
+    every share and only collects the outcomes; with one CPU it runs every
+    member itself.
     The outcomes are taken in member order: each member's warnings are
     issued again, and the first member that raised (the one a loop over
     ``cfgs`` would stop at) raises here, a RunError as ``sweep member
@@ -382,11 +389,13 @@ def _map_members(fn, cfgs, eps_list) -> list:
             raise RunError(f"sweep member eps={eps_list[i]:g} failed") from exc
 
     weights = [cfg.T / cfg.dt * cfg.n_nodes for cfg in cfgs]
-    mine, *others = _lpt_shares(weights, _usable_cpus())
+    cpus = _usable_cpus()
+    shares = _lpt_shares(weights, cpus)
+    mine = shares.pop() if cpus == 1 else []
     children = {}  # pid -> (read end of its pipe, its share)
     outcomes = []
     try:
-        for share in others:
+        for share in shares:
             pid, pipe = _fork_share(member, share, [p for p, _ in children.values()])
             children[pid] = (pipe, share)
         outcomes += _run_share(member, mine)
@@ -433,7 +442,8 @@ def epsilon_sweep(base_cfg: SimConfig, eps_list) -> SweepReport:
     ``eps_list`` must be strictly decreasing with at least 3 entries.
     Runs share the grid, data, forcing, and theta; only the
     regularization index and (through ``default_dt_policy``) the step
-    move.  The report keeps every member's trajectory.
+    move.  The report keeps every member's trajectory, without its
+    velocities.
 
     The members are independent runs (``_member``), so ``_map_members``
     runs them concurrently, one process per CPU the process may run on;

@@ -126,8 +126,13 @@ def test_criterion_03_energy_equality_order():
 
 
 def test_criterion_04_energy_inequality_limit_candidate(toy_sweep):
+    """The finest member, whose velocities the sweep does not keep: its
+    configuration is run again, and that run's U is the report's, bit for
+    bit."""
     finest = toy_sweep.eps_list[-1]
-    traj = toy_sweep.trajectories[finest]
+    traj = dw.simulate(toy_sweep.trajectories[finest].cfg)
+    assert toy_sweep.trajectories[finest].V is None
+    assert traj.U.tobytes() == toy_sweep.trajectories[finest].U.tobytes()
     tol = 10.0 * (traj.dt + finest)
     rep = energy_inequality_verdict(traj, energy_series(traj))
     assert rep["tol"] == tol

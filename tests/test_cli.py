@@ -1185,13 +1185,49 @@ def test_grid_verify_does_not_import_scipy_linalg(npz_run_dir):
     assert _fresh_cli(f"verify --out {npz_run_dir}") == "[0] False False"
 
 
+# ``sweep`` in a new interpreter that may run on argv[1] CPUs; each member,
+# in whichever process runs it, prints whether scipy.linalg got imported and
+# whether LAPACK got loaded there
+FRESH_SWEEP = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+import dampedwave.sweep
+from dampedwave.cli import main
+
+def loaded():
+    return "scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules
+
+def member(cfg, real=dampedwave.sweep._member):
+    out = real(cfg)
+    os.write(1, ("member %s %s\\n" % loaded()).encode())
+    return out
+
+dampedwave.sweep._member = member
+print([main(sys.argv[2:])], *loaded())
+"""
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_grid_solves_do_not_import_scipy_linalg(tmp_path, command):
-    """A grid run loads LAPACK's gtsv from scipy's compiled extension alone."""
+    """A grid run loads LAPACK's gtsv from scipy's compiled extension alone.
+    No process of a sweep imports scipy.linalg: forked over two CPUs, the
+    children that run the members load the extension alone and this process
+    loads neither; on one CPU, this process loads the extension alone."""
     config = write_config(tmp_path, GRID_DOC)
-    eps = " --eps 1e-2,1e-3,1e-4" if command == "sweep" else ""
-    argv = f"{command} --config {config}{eps} --out {tmp_path / 'out'}"
-    assert _fresh_cli(argv) == "[0] False True"
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert _fresh_cli(f"simulate --config {config} --out {out}") == "[0] False True"
+        return
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for cpus, here in ((2, "False False"), (1, "False True")):
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_SWEEP, str(cpus), "sweep", "--config", str(config),
+             "--eps", "1e-2,1e-3,1e-4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if line.startswith("member ")] == ["member False True"] * 3, cpus
+        assert lines[-1] == f"[0] {here}", cpus
 
 
 # sha256 of verdicts.json and summary.json that ``simulate`` writes, as

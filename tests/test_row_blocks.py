@@ -11,6 +11,7 @@ streamed.
 import collections
 import dataclasses
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -429,13 +430,18 @@ def test_map_blocks_keeps_every_bit(monkeypatch):
 # its run's U, in a fresh interpreter: ``simulate`` of the config, then, in a
 # second one, ``read_run_npz`` of the run.npz the first wrote; each calls the
 # same on a run of T/50 first, so that imports and first-call caches are not
-# counted.  The peak is the interpreter's own VmHWM: its ru_maxrss starts at
-# the resident set of the process that launched it (Linux keeps the larger of
-# the two across exec), which under pytest hides the growth
+# counted.  ``toy`` takes the toy run of ``--epsilon`` argv[2] after one of
+# 1e-4, which has a contact too; ``sweep`` takes the CLI's sweep of the
+# config over eps 1e-2 to 1e-5 on two CPUs, in units of the finest member's
+# U, with no sweep before it: what this process loads to run a member
+# itself, LAPACK included, is part of what it should not hold.  The peak is the interpreter's own VmHWM, which
+# counts no child: its ru_maxrss starts at the resident set of the process
+# that launched it (Linux keeps the larger of the two across exec), which
+# under pytest hides the growth
 RESIDENT_GROWTH = """
-import dataclasses, re, sys
+import dataclasses, os, re, sys
 from pathlib import Path
-from dampedwave.cli import read_run_npz, write_run_npz
+from dampedwave.cli import read_run_npz, sweep_payload, toy_run_config, write_run_npz
 from dampedwave.config import load_config
 from dampedwave.integrator import simulate
 
@@ -443,14 +449,24 @@ def peak():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
 
-command, cfg, out = sys.argv[1], load_config(sys.argv[2]), Path(sys.argv[3])
-short = dataclasses.replace(cfg, T=cfg.T / 50)
-if command == "simulate":
+command, out = sys.argv[1], Path(sys.argv[3])
+if command == "toy":
+    cfg, short = toy_run_config(float(sys.argv[2])), toy_run_config(1e-4)
+else:
+    cfg = load_config(sys.argv[2])
+    short = dataclasses.replace(cfg, T=cfg.T / 50)
+if command in ("simulate", "toy"):
     write_run_npz(out / "short.npz", simulate(short))
     before = peak()
     traj = simulate(cfg)
     grown = peak() - before
     write_run_npz(out / "run.npz", traj)
+elif command == "sweep":
+    os.sched_getaffinity = lambda pid: {0, 1}
+    eps = (1e-2, 1e-3, 1e-4, 1e-5)
+    before = peak()
+    traj = sweep_payload(cfg, eps)[1].trajectories[eps[-1]]
+    grown = peak() - before
 else:
     read_run_npz(out / "short.npz", short)
     before = peak()
@@ -460,6 +476,17 @@ print(1024 * grown / traj.U.nbytes)
 """
 
 
+def resident_growth(command: str, arg: str, out: Path) -> float:
+    """The growth in U that RESIDENT_GROWTH prints, on one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", RESIDENT_GROWTH, command, arg, str(out)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return float(proc.stdout.split()[-1])
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
 def test_zero_reaction_rows_are_not_resident(tmp_path):
     """dirichlet_sine never leaves the dead zone, so every reaction row is
@@ -467,15 +494,55 @@ def test_zero_reaction_rows_are_not_resident(tmp_path):
     ``simulate`` nor ``read_run_npz`` makes it resident.  Each grows the peak
     resident set by about 2.05 U (U, V and block temporaries), against 3.05 U
     when every row was written; the bound is between the two."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     for command in ("simulate", "read_run_npz"):
-        proc = subprocess.run(
-            [sys.executable, "-c", RESIDENT_GROWTH, command, str(CONFIGS / "dirichlet_sine.yaml"), str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        growth = float(proc.stdout.split()[-1])
+        growth = resident_growth(command, str(CONFIGS / "dirichlet_sine.yaml"), tmp_path)
         assert growth < 2.5, (command, growth)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
+def test_sparse_contact_rows_take_no_huge_page(tmp_path):
+    """``toy --epsilon 1e-7`` writes its reaction and its Newton count in
+    315 of 632,456 steps.  Both arrays are over 4 MiB, where numpy advises
+    transparent huge pages, so that each written row faulted in 2 MiB: the
+    run grew the peak resident set by 4.37 U.  Mapped with no huge pages,
+    they stay all but non-resident, and the run grows it by 3.15 U (U, V
+    and the times); the bound is between the two."""
+    growth = resident_growth("toy", "1e-7", tmp_path)
+    assert growth < 4.0, growth
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
+def test_sweep_parent_holds_no_member_run(tmp_path):
+    """On two CPUs the logarithmic benchmark sweep forks a child for every
+    share of its members, and the members come back without velocities, so
+    its own process holds only what it gathers and compares.  It grew by
+    7.66 of the finest member's U when it ran the finest member itself and
+    gathered every velocity, and grows by 4.7 now."""
+    growth = resident_growth("sweep", str(CONFIGS.parent / "perfbench/configs/neumann_contact_log.yaml"), tmp_path)
+    assert growth < 6.0, growth
+
+
+class TestLazyZeros:
+    """``integrator.lazy_zeros`` gives the bits of ``np.zeros``."""
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 5), float), ((1 << 19, 1), float), ((1 << 20,), int)])
+    def test_the_bits_of_np_zeros(self, shape, dtype):
+        """At 4 MiB or more the array is a private anonymous mapping, and
+        writable; below, it is numpy's own."""
+        z = integrator.lazy_zeros(shape, dtype)
+        assert z.dtype == np.dtype(dtype) and z.shape == shape and z.flags.writeable
+        assert z.tobytes() == np.zeros(shape, dtype).tobytes()
+        assert (z.base is not None) == (z.nbytes >= 4 << 20)
+        z.flat[-1] = 1
+        assert z.sum() == 1
+
+    def test_np_zeros_without_the_advice(self, monkeypatch):
+        """Where ``mmap`` has no ``MADV_NOHUGEPAGE``, a large array is
+        ``np.zeros``, with the same bits."""
+        monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE")
+        z = integrator.lazy_zeros((1 << 20,), int)
+        assert z.base is None and z.flags.owndata
+        assert z.tobytes() == np.zeros(1 << 20, int).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -406,8 +406,9 @@ class TestMembersConcurrently:
 
     @pytest.mark.parametrize("forcing", ["zero", "constant:2"])
     def test_forked_report_holds_the_one_cpu_arrays(self, grid_base, monkeypatch, forcing):
-        """Forked over two CPUs, a sweep forks one child and gives every
-        array and number of the one-CPU sweep, bit for bit, forced or not."""
+        """Forked over two CPUs, a sweep forks one child per share and gives
+        every array and number of the one-CPU sweep, bit for bit, forced or
+        not; neither keeps a member's velocities."""
         grid_base = replace(grid_base, forcing=forcing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
@@ -423,14 +424,15 @@ class TestMembersConcurrently:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", counting_fork)
         forked = epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
-        assert len(forks) == 1
+        weights = [traj.n_steps * traj.grid.n_nodes for traj in serial.trajectories.values()]
+        assert len(forks) == len(_lpt_shares(weights, 2)) == 2
         _no_child_left()
         assert forked.to_dict() == serial.to_dict()
         assert forked.summaries == serial.summaries
         for e in serial.eps_list:
             a, b = serial.trajectories[e], forked.trajectories[e]
-            for name in ("times", "U", "V", "beta_theta", "diss_incr", "power_incr",
-                         "newton_iters"):
+            assert a.V is None and b.V is None
+            for name in ("times", "U", "beta_theta", "diss_incr", "power_incr", "newton_iters"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert a.reaction.epsilon == b.reaction.epsilon
             if forcing == "zero":
@@ -440,8 +442,8 @@ class TestMembersConcurrently:
             assert np.array_equal(xi_masses(a), xi_masses(b))
 
     def test_lpt_gives_this_process_the_finest_benchmark_member(self):
-        """On two CPUs the benchmark sweep's 6,325-step member runs in this
-        process, and the three 2,000-step members in one child."""
+        """On two CPUs the benchmark sweep's 6,325-step member runs alone in
+        one child, and the three 2,000-step members in the other."""
         base = load_config(ROOT / "configs/neumann_contact.yaml")
         policy = default_dt_policy(base.T, base.dt)
         steps = [round(base.T / policy(e)) for e in (1e-2, 1e-3, 1e-4, 1e-5)]
@@ -458,8 +460,8 @@ class TestMembersConcurrently:
 
     def test_gathering_a_forked_share_copies_no_array_twice(self, grid_base, monkeypatch):
         """A child's arrays are read from its pipe straight into the arrays
-        returned: the peak this process traces while it runs its own share
-        and gathers the child's stays within 1.1 times the returned bytes."""
+        returned: the peak this process traces while it gathers the two
+        children's shares stays within 1.1 times the returned bytes."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfgs = [replace(grid_base, epsilon=e) for e in (1e-1, 1e-2, 1e-3, 1e-4)]
 
@@ -512,11 +514,11 @@ class TestMemberFailures:
         _no_child_left()
 
     def test_first_failure_in_eps_order_wins(self, tmp_path, capsys, monkeypatch):
-        """Every member fails, this process's (the finest) first: the error is
-        the coarsest member's, which a one-CPU run stops at."""
+        """Every member fails, the finest first: the error is the coarsest
+        member's, which a one-CPU run stops at."""
 
         def act(cfg, in_child):
-            if in_child:
+            if cfg.epsilon != 1e-5:
                 time.sleep(0.5)
             raise dw.RunError("injected")
 
@@ -561,25 +563,30 @@ class TestMemberFailures:
         _no_child_left()
 
     def test_interrupt_kills_and_reaps_the_children(self, grid_base, monkeypatch):
-        """A KeyboardInterrupt in this process's own share kills the children,
-        which would otherwise sleep for a minute, and reaps them."""
+        """A KeyboardInterrupt that arrives while this process waits on the
+        children's pipes kills the children, which would otherwise sleep for
+        a minute, and reaps them."""
+        self._member_that(monkeypatch, lambda cfg, in_child: time.sleep(60))
 
-        def act(cfg, in_child):
-            if in_child:
-                time.sleep(60)
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        self._member_that(monkeypatch, act)
+        previous = signal.signal(signal.SIGALRM, interrupt)
         t0 = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                epsilon_sweep(grid_base, [1e-2, 1e-3, 1e-4, 1e-5])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - t0 < 30
         _no_child_left()
 
     def test_children_end_with_a_parent_killed_by_sigterm(self, tmp_path):
         """A sweep killed by SIGTERM, which it does not catch, leaves no child
-        running: the kernel kills each child with its parent, well before the
-        child's share of about 60,000 steps would end."""
+        running: the kernel kills both children with their parent, well
+        before either child's share of about 60,000 steps would end."""
         if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
             pytest.skip("finding the child needs Linux's /proc/<pid>/task/<tid>/children")
         doc = {"space": {"length": 1.0, "n_nodes": 9, "bc": "neumann"},
@@ -597,17 +604,18 @@ class TestMemberFailures:
         children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
         try:
             deadline = time.monotonic() + 30
-            while not children.read_text().split():
-                assert time.monotonic() < deadline, "the sweep forked no child"
+            while len(children.read_text().split()) < 2:
+                assert time.monotonic() < deadline, "the sweep forked fewer than two children"
                 time.sleep(0.01)
-            (child,) = children.read_text().split()
+            forked = children.read_text().split()
+            assert len(forked) == 2
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == -signal.SIGTERM
         finally:
             proc.kill()
             proc.wait()
 
-        def running():
+        def running(child):
             try:
                 state = Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
             except FileNotFoundError:
@@ -615,6 +623,6 @@ class TestMemberFailures:
             return state not in ("Z", "X")
 
         deadline = time.monotonic() + 2
-        while running():
+        while any(running(child) for child in forked):
             assert time.monotonic() < deadline, "a child outlived its parent"
             time.sleep(0.01)
