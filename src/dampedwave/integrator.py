@@ -43,12 +43,11 @@ nor is a one-node free-flight stretch, so their pages stay non-resident
 until written, and a grid run that never leaves the dead zone holds its
 reactions in no resident memory.  numpy advises transparent huge pages
 for an array of 4 MiB or more, where one written row would fault in
-2 MiB; ``lazy_zeros`` maps such an array with no huge pages, so that
-``toy --epsilon 1e-7``, whose reactions and Newton counts are written in
-315 of 632,456 steps, peaks at 51.7 MB RSS against 57.5 MB (2-core
-Xeon, Python 3.11, numpy 2.4).  U and V are written whole and keep
-numpy's huge pages.  After the loop,
-``run_records`` gives every step its records: the theta-combined
+2 MiB; ``lazy_zeros`` maps such an array with no huge pages, so that a
+sparse write (``toy --epsilon 1e-7`` writes its reactions and Newton
+counts in 315 of 632,456 steps) faults in only the 4 KiB pages it
+touches.  U and V are written whole and keep numpy's huge pages.  After
+the loop, ``run_records`` gives every step its records: the theta-combined
 reaction field, whose masses dt * w * beta_theta are the run's own
 constraint measure (``Trajectory.masses``, ``Trajectory.reaction_l1``),
 and the dissipation and forcing power increments in the

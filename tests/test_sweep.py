@@ -443,7 +443,9 @@ class TestMembersConcurrently:
 
     def test_lpt_gives_this_process_the_finest_benchmark_member(self):
         """On two CPUs the benchmark sweep's 6,325-step member runs alone in
-        one child, and the three 2,000-step members in the other."""
+        one child, and the three 2,000-step members in the other.  The
+        calling process runs no member of its own any more; the test keeps
+        its name only for its test id."""
         base = load_config(ROOT / "configs/neumann_contact.yaml")
         policy = default_dt_policy(base.T, base.dt)
         steps = [round(base.T / policy(e)) for e in (1e-2, 1e-3, 1e-4, 1e-5)]
